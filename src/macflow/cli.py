@@ -128,7 +128,8 @@ def build_scheme_config(cfg) -> SchemeConfig:
         dt=float(time_cfg["dt"]), t_end=float(time_cfg["t_end"]),
         transport_tol=float(solver.get("transport_tol", 1e-12)),
         oseen_tol=float(solver.get("oseen_tol", 1e-10)),
-        solver_method=str(solver.get("method", "direct")),
+        solver_method=str(solver.get("method",
+                                     SchemeConfig.solver_method)),
         bounds_margin=float(solver.get("bounds_margin", 1e-9)),
         div_guard=float(solver.get("div_guard", 1e-9)),
         enforce_invariants=bool(solver.get("enforce_invariants", True)),
@@ -190,6 +191,10 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                  f"{format_float(record.linf_l2)}\n")
         fh.write("density L2 monotone: "
                  f"{'yes' if record.rho_l2_monotone else 'no'}\n")
+        fh.write("saddle solves that fell back to direct: "
+                 f"{record.oseen_fallbacks} of {len(result.diagnostics)}\n")
+        fh.write("largest Krylov iteration count: "
+                 f"{record.max_oseen_iterations}\n")
         fh.write(f"overall: {'PASS' if all_pass else 'FAIL'}\n")
     return all_pass
 
@@ -309,7 +314,8 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
         t_end=float(study.get("t_end", 0.25)),
         base_dt=(float(study["base_dt"]) if "base_dt" in study else None),
         threshold=float(study.get("threshold", 1.5)),
-        solver_method=str(solver.get("method", "direct")))
+        solver_method=str(solver.get("method",
+                                     SchemeConfig.solver_method)))
 
     verify.write_convergence_csv(report,
                                  os.path.join(out_dir, "convergence.csv"),

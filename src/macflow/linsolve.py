@@ -10,20 +10,33 @@ by replacing one continuity row with a pressure pin (the divergence
 constraint on the pinned cell is implied by the others, since the column
 sums of the divergence block vanish), and the solved pressure is shifted
 to zero volume-weighted mean afterwards.
+
+The pinned saddle system is solved either by sparse LU of the whole
+matrix (``direct``) or by GMRES with a Cahouet-Chabard block
+preconditioner (``gmres``): one LU per velocity component for the
+momentum block, and a variable-density pressure Poisson solve plus a
+pressure mass solve for the Schur complement.  Either way the true
+residual of the pinned system decides convergence.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import MacMesh
-from .fields import ScalarField, VelocityField, n_interior_dofs
+from .fields import ScalarField, VelocityField
 from . import operators as ops
+
+
+# GMRES aims at this fraction of the saddle tolerance.  At 0.1 the
+# divergence of the new velocity rose tenfold above the LU level; at
+# 1e-3 it stays there for about two more iterations.
+KRYLOV_TARGET = 1e-3
 
 
 class SolverFailure(RuntimeError):
@@ -45,7 +58,6 @@ class SolveReport:
     pinned_cell: int | None = None
     mean_shift: float | None = None
     wall_time: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 # -- transport ---------------------------------------------------------------
@@ -109,38 +121,53 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
 
 # -- momentum/pressure saddle system ------------------------------------------
 
+def pin_row(mat, row: int) -> sp.csr_matrix:
+    """Copy of a square sparse matrix with row ``row`` replaced by the unit
+    row ``e_row`` (the pressure pin), edited in CSR form."""
+    mat = sp.csr_matrix(mat)
+    start, end = mat.indptr[row], mat.indptr[row + 1]
+    indices = np.concatenate([mat.indices[:start], [row], mat.indices[end:]])
+    data = np.concatenate([mat.data[:start], [1.0], mat.data[end:]])
+    indptr = mat.indptr.copy()
+    indptr[row + 1:] += 1 - (end - start)
+    return sp.csr_matrix((data, indices, indptr), shape=mat.shape)
+
+
 class SaddleSystem:
     """Assembled one-step momentum and continuity equations.
 
     Blocks (volume-scaled):
-      momentum : per interior face, ``dvol*rho_dual_new/dt`` on the
-                 diagonal plus diffusion plus convection by the frozen
-                 upwind mass fluxes;
+      momentum : per interior face, ``face_mass/dt`` on the diagonal
+                 (``face_mass = dvol*rho_dual_new``) plus diffusion plus
+                 convection by the frozen upwind mass fluxes;
+                 block-diagonal by velocity component;
       grad     : face rows, ``+measure`` on the high cell and ``-measure``
                  on the low cell;
       div      : cell rows, signed face measures (assembled independently
                  from the cell outflow stencil; equals minus the transpose
                  of grad).
+
+    ``dt`` and ``face_mass`` are kept for the Krylov preconditioner.
     """
 
-    def __init__(self, mesh, momentum, grad, div, rhs_u, pinned_cell):
+    def __init__(self, mesh, momentum, grad, div, rhs_u, pinned_cell, dt,
+                 face_mass):
         self.mesh = mesh
         self.momentum = momentum
         self.grad = grad
         self.div = div
         self.rhs_u = rhs_u
         self.pinned_cell = int(pinned_cell)
+        self.dt = float(dt)
+        self.face_mass = face_mass
         self.n_u = momentum.shape[0]
         self.n_p = div.shape[0]
 
     def full_matrix(self) -> sp.csr_matrix:
         """Pinned saddle matrix (one continuity row swapped for the pin)."""
         mat = sp.bmat([[self.momentum, self.grad],
-                       [self.div, None]], format="lil")
-        row = self.n_u + self.pinned_cell
-        mat.rows[row] = [row]
-        mat.data[row] = [1.0]
-        return mat.tocsr()
+                       [self.div, None]], format="csr")
+        return pin_row(mat, self.n_u + self.pinned_cell)
 
     def full_rhs(self) -> np.ndarray:
         rhs = np.concatenate([self.rhs_u, np.zeros(self.n_p)])
@@ -208,12 +235,13 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     rho_d_old = ops.dual_density(mesh, rho_old)
 
     blocks = []
+    masses = []
     rhs_parts = []
     for i in range(mesh.dim):
         fs = mesh.faces[i]
         idx = fs.interior_idx
-        mass = sp.diags(fs.dvol[idx] * rho_d_new[i][idx] / dt)
-        block = (mass + ops.diffusion_matrix(mesh, i)
+        masses.append(fs.dvol[idx] * rho_d_new[i][idx])
+        block = (sp.diags(masses[-1] / dt) + ops.diffusion_matrix(mesh, i)
                  + ops.convection_matrix(mesh, fluxes, i))
         blocks.append(block.tocsr())
         rhs = fs.dvol[idx] * rho_d_old[i][idx] * u_old.components[i][idx] / dt
@@ -225,43 +253,83 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     grad = assemble_gradient(mesh)
     div = assemble_divergence(mesh)
     return SaddleSystem(mesh, momentum, grad, div,
-                        np.concatenate(rhs_parts), pinned_cell)
+                        np.concatenate(rhs_parts), pinned_cell, dt,
+                        np.concatenate(masses))
 
 
-def _schur_preconditioner(system: SaddleSystem):
-    """Block LDU preconditioner with a diagonal-momentum Schur complement."""
+def _block_preconditioner(system: SaddleSystem):
+    """Cahouet-Chabard block upper-triangular preconditioner.
+
+    Applies the inverse of ``P = [[A, G], [0, S]]``, where ``A`` is the
+    momentum block, inverted by one LU per velocity component, and ``S``
+    approximates the Schur complement ``+G^T A^-1 G`` of the saddle
+    (``div = -G^T``) through its inverse
+
+        ``S^-1 r = K^-1 r / dt + M_p^-1 r``,
+
+    with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
+    Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the cell
+    volumes (unit-viscosity limit).  ``K`` is pinned like the saddle, and
+    ``M_p^-1`` vanishes at the pinned cell.
+    """
     n_u, n_p = system.n_u, system.n_p
-    lu_a = spla.splu(system.momentum.tocsc())
-    inv_diag = 1.0 / system.momentum.diagonal()
-    schur = (system.div @ sp.diags(inv_diag) @ system.grad).tolil()
-    schur.rows[system.pinned_cell] = [system.pinned_cell]
-    schur.data[system.pinned_cell] = [1.0]
-    lu_s = spla.splu(schur.tocsc())
-    div_pinned = system.div.tolil()
-    div_pinned.rows[system.pinned_cell] = []
-    div_pinned.data[system.pinned_cell] = []
-    div_pinned = div_pinned.tocsr()
+    mesh = system.mesh
+
+    def factor(block):
+        # Both kinds of block have symmetric sparsity and admit LU without
+        # pivoting: the momentum blocks have a positive definite symmetric
+        # part, and K is positive definite once the pin removes its
+        # constant nullspace.  A minimum-degree ordering of A + A^T then
+        # roughly halves the fill of the default ordering.  A weak factor
+        # would only cost iterations: the true residual decides
+        # convergence.
+        return spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+
+    ends = np.cumsum([fs.n_interior for fs in mesh.faces])
+    components = [(lo, hi, factor(system.momentum[lo:hi, lo:hi]))
+                  for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)
+                  if hi > lo]
+    grad = system.grad
+    lu_k = factor(pin_row(grad.T @ sp.diags(1.0 / system.face_mass) @ grad,
+                          system.pinned_cell))
+    inv_mass_p = 1.0 / mesh.cell_volume
+    inv_mass_p[system.pinned_cell] = 0.0
 
     def apply(r):
-        r_u, r_p = r[:n_u], r[n_u:]
-        z_u = lu_a.solve(r_u)
-        z_p = lu_s.solve(div_pinned @ z_u - r_p)
-        z_u = lu_a.solve(r_u - system.grad @ z_p)
+        r_p = r[n_u:]
+        z_p = lu_k.solve(r_p) / system.dt + inv_mass_p * r_p
+        r_u = r[:n_u] - grad @ z_p
+        z_u = np.zeros(n_u)
+        for lo, hi, lu in components:
+            z_u[lo:hi] = lu.solve(r_u[lo:hi])
         return np.concatenate([z_u, z_p])
 
-    return spla.LinearOperator((n_u + n_p, n_u + n_p), matvec=apply)
+    return spla.LinearOperator((n_u + n_p, n_u + n_p), matvec=apply,
+                               dtype=float)
 
 
-def solve_oseen(system: SaddleSystem, method: str = "direct",
+def solve_oseen(system: SaddleSystem, method: str | None = None,
                 tol: float = 1e-10, gmres_restart: int = 50,
                 gmres_maxiter: int = 300):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
-    a report.  ``method`` is ``direct`` (sparse LU) or ``gmres`` (Krylov
-    on the pinned matrix with a block LDU preconditioner; falls back to
-    the direct path if it stagnates).
+    a report.  ``method`` is ``direct`` (sparse LU of the pinned matrix)
+    or ``gmres`` (GMRES on the pinned matrix, preconditioned by
+    :func:`_block_preconditioner`, to a relative true residual of
+    ``KRYLOV_TARGET * tol``); ``None`` takes the default of
+    ``SchemeConfig.solver_method``.  When GMRES does not converge the
+    solve falls back to ``direct`` and the report says so (``fallback``
+    set, ``method`` the one that produced the solution).  Whatever the
+    method, the relative true residual of the pinned system must be at
+    most ``tol``, or :class:`SolverFailure` is raised.
     """
+    if method is None:
+        # imported here because timestepper imports this module
+        from .timestepper import SchemeConfig
+        method = SchemeConfig.solver_method
     start = time.perf_counter()
     mesh = system.mesh
     mat = system.full_matrix()
@@ -278,11 +346,15 @@ def solve_oseen(system: SaddleSystem, method: str = "direct",
         def cb(_):
             counter["n"] += 1
 
-        precond = _schur_preconditioner(system)
+        # SciPy applies M on the left, so the Arnoldi residual weights the
+        # continuity rows by the Schur inverse; that keeps the divergence
+        # of the new velocity at the LU level (right preconditioning, on
+        # the unweighted residual, left it three orders of magnitude
+        # larger).
         solution, info = spla.gmres(
-            mat, rhs, rtol=tol * 0.1, atol=0.0, restart=gmres_restart,
-            maxiter=gmres_maxiter, M=precond, callback=cb,
-            callback_type="pr_norm")
+            mat, rhs, rtol=KRYLOV_TARGET * tol, atol=0.0,
+            M=_block_preconditioner(system), restart=gmres_restart,
+            maxiter=gmres_maxiter, callback=cb, callback_type="pr_norm")
         iterations = counter["n"]
         if info != 0:
             fallback = True

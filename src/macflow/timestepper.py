@@ -39,13 +39,18 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class SchemeConfig:
-    """Numerical parameters of a run."""
+    """Numerical parameters of a run.
+
+    ``solver_method`` selects the saddle solve, ``gmres`` or ``direct``
+    (see :func:`macflow.linsolve.solve_oseen`); its default here is the
+    default everywhere.
+    """
 
     dt: float
     t_end: float
     transport_tol: float = 1e-12
     oseen_tol: float = 1e-10
-    solver_method: str = "direct"
+    solver_method: str = "gmres"
     bounds_margin: float = 1e-9
     div_guard: float = 1e-9
     enforce_invariants: bool = True
@@ -88,6 +93,7 @@ class StepDiagnostics:
     oseen_residual: float
     oseen_method: str
     oseen_iterations: int
+    oseen_fallback: bool
 
 
 @dataclass
@@ -250,7 +256,8 @@ def _step_diagnostics(mesh, state, rho_new, u_new, p_new, dt, t_new,
         kinetic_remainder_max=(remainder_max if kin_parts else 0.0),
         u_l2=norm_lp_dual(u_new, 2),
         transport_residual=rep_t.residual, oseen_residual=rep_o.residual,
-        oseen_method=rep_o.method, oseen_iterations=rep_o.iterations)
+        oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
+        oseen_fallback=rep_o.fallback)
 
 
 def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:

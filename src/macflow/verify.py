@@ -209,6 +209,9 @@ class DiagnosticsRecord:
 
     ``l2h1`` accumulates ``sqrt(sum dt * |u|_h1^2)`` and ``linf_l2`` the
     running maximum of the velocity L2 norm (initial state included).
+    ``oseen_fallbacks`` counts the steps whose Krylov saddle solve fell
+    back to the direct one; ``max_oseen_iterations`` is the largest
+    Krylov iteration count of any step.
     """
 
     steps: list
@@ -221,6 +224,8 @@ class DiagnosticsRecord:
     worst_kinetic: float
     worst_div: float
     rho_l2_monotone: bool
+    oseen_fallbacks: int
+    max_oseen_iterations: int
 
 
 def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
@@ -253,7 +258,10 @@ def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
         worst_kinetic=max(
             (d.kinetic_resid for d in result.diagnostics), default=0.0),
         worst_div=max((d.div_l2 for d in result.diagnostics), default=0.0),
-        rho_l2_monotone=monotone)
+        rho_l2_monotone=monotone,
+        oseen_fallbacks=sum(d.oseen_fallback for d in result.diagnostics),
+        max_oseen_iterations=max(
+            (d.oseen_iterations for d in result.diagnostics), default=0))
 
 
 # -- time translates -----------------------------------------------------------
@@ -374,7 +382,8 @@ def _space_time_errors(result: RunResult, problem):
 def convergence_study(problem, levels: int = 3, base_cells: int = 16,
                       t_end: float = 0.25, base_dt: float | None = None,
                       threshold: float = 1.5,
-                      solver_method: str = "direct") -> ConvergenceReport:
+                      solver_method: str = SchemeConfig.solver_method
+                      ) -> ConvergenceReport:
     """Refine mesh and time step together against the exact solution.
 
     Level k uses ``base_cells * 2**k`` cells per direction and halves the
@@ -420,12 +429,12 @@ def convergence_study(problem, levels: int = 3, base_cells: int = 16,
 def project_divergence_free(mesh: MacMesh, u: VelocityField):
     """Closest discretely divergence-free velocity in the dual-volume
     metric, via a saddle solve with identity-scaled momentum."""
-    blocks = [sp.diags(mesh.faces[i].dvol[mesh.faces[i].interior_idx])
-              for i in range(mesh.dim)]
-    momentum = sp.block_diag(blocks, format="csr")
+    dvol = np.concatenate([fs.dvol[fs.interior_idx] for fs in mesh.faces])
+    momentum = sp.diags(dvol, format="csr")
     rhs_u = momentum @ u.pack_interior()
     system = SaddleSystem(mesh, momentum, assemble_gradient(mesh),
-                          assemble_divergence(mesh), rhs_u, pinned_cell=0)
+                          assemble_divergence(mesh), rhs_u, pinned_cell=0,
+                          dt=1.0, face_mass=dvol)
     velocity, _, _ = solve_oseen(system, method="direct", tol=1e-10)
     return velocity
 
@@ -512,7 +521,7 @@ def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
                "ke_dissipation", "ke_numerical", "ke_work",
                "mass_dual_resid", "kinetic_resid", "kinetic_remainder_max",
                "u_h1", "u_l2", "transport_residual", "oseen_residual",
-               "oseen_iterations"]
+               "oseen_iterations", "oseen_method", "oseen_fallback"]
     with atomic_write(path) as fh:
         standard_header(fh, "run-diagnostics", cfg_hash, seed=seed,
                         extra={"l2h1": format_float(record.l2h1),
@@ -533,7 +542,8 @@ def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
                 format_float(d.kinetic_remainder_max),
                 format_float(h1), format_float(l2),
                 format_float(d.transport_residual),
-                format_float(d.oseen_residual), d.oseen_iterations])
+                format_float(d.oseen_residual), d.oseen_iterations,
+                d.oseen_method, d.oseen_fallback])
 
 
 def write_translate_csv(report: TranslateReport, path, cfg_hash=None):

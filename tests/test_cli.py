@@ -1,20 +1,29 @@
 """Command-line interface: config validation, artifacts, determinism."""
 
+import csv
 import os
 
 import numpy as np
 import pytest
 import yaml
 
+from macflow import timestepper
 from macflow.cli import ConfigError, load_config, main
 from macflow.fields import scalar_from_csv
 from macflow.grid import build_uniform_mesh
+from macflow.linsolve import solve_oseen
 
 
 def write_config(path, data):
     with open(path, "w") as fh:
         yaml.safe_dump(data, fh)
     return str(path)
+
+
+def diagnostics_rows(out):
+    lines = [ln for ln in (out / "diagnostics.csv").read_text().splitlines()
+             if ln and not ln.startswith("#")]
+    return list(csv.DictReader(lines))
 
 
 def run_config(tmp_path, **overrides):
@@ -101,12 +110,41 @@ class TestRunCommand:
         out = tmp_path / "out"
         code = main(["run", "--config", path, "--out", str(out)])
         assert code == 0
-        rows = [ln for ln in (out / "diagnostics.csv").read_text()
-                .splitlines() if ln and not ln.startswith("#")]
-        assert len(rows) == 1 + 5  # header + one row per step
+        rows = diagnostics_rows(out)
+        assert len(rows) == 5  # one row per step
+        assert all(r["oseen_method"] == "gmres"
+                   and r["oseen_fallback"] == "False" for r in rows)
         summary = (out / "summary.txt").read_text()
         assert summary.count("[PASS]") == 4
         assert "[FAIL]" not in summary
+        assert "saddle solves that fell back to direct: 0 of 5" in summary
+
+    def test_solver_fallback_reported(self, tmp_path, monkeypatch):
+        # a Krylov solve capped at one iteration cannot converge: every
+        # step falls back to LU, and the outputs must say so
+        reports = []
+
+        def starved(system, **kwargs):
+            out = solve_oseen(system, **{**kwargs, "method": "gmres",
+                                         "gmres_restart": 1,
+                                         "gmres_maxiter": 1})
+            reports.append(out[2])
+            return out
+
+        monkeypatch.setattr(timestepper, "solve_oseen", starved)
+        path = run_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert len(reports) == 5
+        for rep in reports:
+            assert rep.fallback and rep.method == "direct"
+            assert rep.residual <= rep.tolerance
+        rows = diagnostics_rows(out)
+        assert all(r["oseen_method"] == "direct"
+                   and r["oseen_fallback"] == "True" for r in rows)
+        summary = (out / "summary.txt").read_text()
+        assert "saddle solves that fell back to direct: 5 of 5" in summary
+        assert "largest Krylov iteration count: 1" in summary
 
     def test_vtk_output(self, tmp_path):
         path = run_config(tmp_path, output={"formats": ["csv", "vtk"]})
