@@ -20,17 +20,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 
 import numpy as np
 import yaml
 
-from .grid import build_mesh, build_uniform_mesh, dump_mesh_tables
+from .grid import (MeshValidationError, build_mesh, build_uniform_mesh,
+                   dump_mesh_tables)
 from .fields import scalar_to_csv, velocity_to_csv, write_vtk
 from .presets import available_presets, get_preset
 from .timestepper import InvariantViolation, SchemeConfig, run
-from .linsolve import SolverFailure
+from .linsolve import SOLVER_METHODS, SolverFailure
 from . import verify
 from .ioutil import atomic_write, config_hash, format_float
 
@@ -54,7 +56,13 @@ _SCHEMA = {
 def load_config(path) -> dict:
     """Parse and validate a YAML configuration against the whitelist."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1})" if mark else ""
+            raise ConfigError(f"malformed YAML{where}: "
+                              f"{getattr(exc, 'problem', exc)}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -86,18 +94,21 @@ def _require(cfg, block, key=None):
 
 def build_mesh_from_config(cfg) -> "MacMesh":
     mesh_cfg = _require(cfg, "mesh")
-    if "coordinates" in mesh_cfg:
-        coords = [np.asarray(c, dtype=float)
-                  for c in mesh_cfg["coordinates"]]
-        domain = mesh_cfg.get("domain",
-                              [[c[0], c[-1]] for c in coords])
-        return build_mesh(domain, coords)
-    domain = _require(cfg, "mesh", "domain")
-    cells = _require(cfg, "mesh", "cells")
-    if len(domain) != len(cells):
-        raise ConfigError("mesh.domain and mesh.cells disagree on the "
-                          "number of directions")
-    return build_uniform_mesh(domain, cells)
+    try:
+        if "coordinates" in mesh_cfg:
+            coords = [np.asarray(c, dtype=float)
+                      for c in mesh_cfg["coordinates"]]
+            domain = mesh_cfg.get("domain",
+                                  [[c[0], c[-1]] for c in coords])
+            return build_mesh(domain, coords)
+        domain = _require(cfg, "mesh", "domain")
+        cells = _require(cfg, "mesh", "cells")
+        if len(domain) != len(cells):
+            raise ConfigError("mesh.domain and mesh.cells disagree on the "
+                              "number of directions")
+        return build_uniform_mesh(domain, cells)
+    except MeshValidationError as exc:
+        raise ConfigError(f"invalid mesh: {exc}") from None
 
 
 def build_problem_from_config(cfg):
@@ -113,23 +124,40 @@ def build_problem_from_config(cfg):
     except KeyError:
         raise ConfigError(f"unknown preset {preset!r}; available: "
                           f"{available_presets()}")
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad parameters for preset {preset!r}: {exc}")
 
 
+def _time_value(cfg, key) -> float:
+    raw = _require(cfg, "time", key)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"'time.{key}' must be a finite positive number, "
+                          f"got {raw!r}")
+    return value
+
+
+def _solver_method(cfg) -> str:
+    method = str(cfg.get("solver", {}).get("method",
+                                           SchemeConfig.solver_method))
+    if method not in SOLVER_METHODS:
+        raise ConfigError(f"unknown solver method {method!r} in "
+                          f"'solver.method'; expected one of "
+                          f"{list(SOLVER_METHODS)}")
+    return method
+
+
 def build_scheme_config(cfg) -> SchemeConfig:
-    time_cfg = _require(cfg, "time")
-    for key in ("t_end", "dt"):
-        if key not in time_cfg:
-            raise ConfigError(f"missing configuration key 'time.{key}'")
     solver = cfg.get("solver", {})
     output = cfg.get("output", {})
     return SchemeConfig(
-        dt=float(time_cfg["dt"]), t_end=float(time_cfg["t_end"]),
+        dt=_time_value(cfg, "dt"), t_end=_time_value(cfg, "t_end"),
         transport_tol=float(solver.get("transport_tol", 1e-12)),
         oseen_tol=float(solver.get("oseen_tol", 1e-10)),
-        solver_method=str(solver.get("method",
-                                     SchemeConfig.solver_method)),
+        solver_method=_solver_method(cfg),
         bounds_margin=float(solver.get("bounds_margin", 1e-9)),
         div_guard=float(solver.get("div_guard", 1e-9)),
         enforce_invariants=bool(solver.get("enforce_invariants", True)),
@@ -305,7 +333,6 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
     study = cfg.get("study", {})
     levels = int(levels_override if levels_override is not None
                  else study.get("levels", 3))
-    solver = cfg.get("solver", {})
     hash_value = config_hash(cfg)
 
     report = verify.convergence_study(
@@ -314,8 +341,7 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
         t_end=float(study.get("t_end", 0.25)),
         base_dt=(float(study["base_dt"]) if "base_dt" in study else None),
         threshold=float(study.get("threshold", 1.5)),
-        solver_method=str(solver.get("method",
-                                     SchemeConfig.solver_method)))
+        solver_method=_solver_method(cfg))
 
     verify.write_convergence_csv(report,
                                  os.path.join(out_dir, "convergence.csv"),

@@ -131,10 +131,6 @@ class VelocityField:
         return cls(mesh, comps)
 
 
-def n_interior_dofs(mesh: MacMesh) -> int:
-    return sum(mesh.faces[i].n_interior for i in range(mesh.dim))
-
-
 def cell_average(mesh: MacMesh, fn) -> ScalarField:
     """Cell means of ``fn(x, y[, z])`` by tensorized 3-point Gauss rules."""
     dim = mesh.dim

@@ -33,6 +33,9 @@ from .fields import ScalarField, VelocityField
 from . import operators as ops
 
 
+# Saddle solve methods accepted by :func:`solve_oseen`.
+SOLVER_METHODS = ("direct", "gmres")
+
 # GMRES aims at this fraction of the saddle tolerance.  At 0.1 the
 # divergence of the new velocity rose tenfold above the LU level; at
 # 1e-3 it stays there for about two more iterations.
@@ -148,10 +151,15 @@ class SaddleSystem:
                  of grad).
 
     ``dt`` and ``face_mass`` are kept for the Krylov preconditioner.
+    ``fluxes`` (the upwind mass fluxes of the convection) and the dual
+    densities ``rho_dual_old``/``rho_dual_new`` that
+    :func:`assemble_oseen` built the blocks from are kept for the step
+    diagnostics.
     """
 
     def __init__(self, mesh, momentum, grad, div, rhs_u, pinned_cell, dt,
-                 face_mass):
+                 face_mass, fluxes=None, rho_dual_old=None,
+                 rho_dual_new=None):
         self.mesh = mesh
         self.momentum = momentum
         self.grad = grad
@@ -160,6 +168,9 @@ class SaddleSystem:
         self.pinned_cell = int(pinned_cell)
         self.dt = float(dt)
         self.face_mass = face_mass
+        self.fluxes = fluxes
+        self.rho_dual_old = rho_dual_old
+        self.rho_dual_new = rho_dual_new
         self.n_u = momentum.shape[0]
         self.n_p = div.shape[0]
 
@@ -254,7 +265,7 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     div = assemble_divergence(mesh)
     return SaddleSystem(mesh, momentum, grad, div,
                         np.concatenate(rhs_parts), pinned_cell, dt,
-                        np.concatenate(masses))
+                        np.concatenate(masses), fluxes, rho_d_old, rho_d_new)
 
 
 def _block_preconditioner(system: SaddleSystem):
@@ -330,6 +341,8 @@ def solve_oseen(system: SaddleSystem, method: str | None = None,
         # imported here because timestepper imports this module
         from .timestepper import SchemeConfig
         method = SchemeConfig.solver_method
+    if method not in SOLVER_METHODS:
+        raise ValueError(f"unknown solver method {method!r}")
     start = time.perf_counter()
     mesh = system.mesh
     mat = system.full_matrix()
@@ -359,8 +372,6 @@ def solve_oseen(system: SaddleSystem, method: str | None = None,
         if info != 0:
             fallback = True
             solution = None
-    elif method != "direct":
-        raise ValueError(f"unknown solver method {method!r}")
 
     if solution is None:
         used = "direct"

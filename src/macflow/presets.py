@@ -37,6 +37,8 @@ centers for the requested time.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -228,10 +230,18 @@ def available_presets():
 
 
 def get_preset(name: str, **kwargs) -> ProblemSetup:
-    """Look up a preset by name; keyword arguments reach its factory."""
+    """Look up a preset by name; keyword arguments reach its factory.
+
+    A non-finite numeric parameter raises ``ValueError``: sympy would fold
+    it away (``nan * psi`` becomes a zero velocity) rather than fail.
+    """
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {available_presets()}")
+    for key, value in kwargs.items():
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ValueError(f"parameter {key!r} must be finite, "
+                             f"got {value!r}")
     return factory(**kwargs)

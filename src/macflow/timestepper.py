@@ -124,11 +124,14 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
     """Project the initial data: cell means for the density, face means
     for the velocity (exterior faces zeroed by the wall condition).
 
-    When the problem declares density bounds the projected density must
-    lie inside them (cell means are convex combinations of point values,
-    so a violation means inconsistent initial data) and is rejected.
+    A non-finite projected density or velocity is rejected.  When the
+    problem declares density bounds the projected density must lie inside
+    them (cell means are convex combinations of point values, so a
+    violation means inconsistent initial data) and is rejected too.
     """
     rho = cell_average(mesh, problem.rho0)
+    if not np.isfinite(rho.values).all():
+        raise InvariantViolation("initial density is not finite")
     bounds = getattr(problem, "rho_bounds", None)
     if bounds is not None:
         slack = 1e-12 * max(abs(bounds[0]), abs(bounds[1]), 1.0)
@@ -137,6 +140,8 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
                 f"initial density range ({rho.min():.6g}, {rho.max():.6g}) "
                 f"violates declared bounds {bounds}")
     u = fortin_interpolate(mesh, problem.u0)
+    if not all(np.isfinite(c).all() for c in u.components):
+        raise InvariantViolation("initial velocity is not finite")
     return SchemeState(t=0.0, index=0, rho=rho, u=u, p=None)
 
 
@@ -178,19 +183,43 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
         raise InvariantViolation(
             f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
 
-    diag = _step_diagnostics(mesh, state, rho_new, u_new, p_new, dt, t_new,
-                             f_arrays, bounds, violation, div_l2,
-                             rep_t, rep_o)
+    diag = StepDiagnostics(
+        step=state.index + 1, t=t_new,
+        rho_min=rho_new.min(), rho_max=rho_new.max(),
+        rho_l2=norm_l2_cells(rho_new), mass=rho_new.integral(),
+        bound_violation=violation, div_l2=div_l2,
+        kinetic_energy=kinetic_energy(mesh, rho_new, u_new),
+        ke_dissipation=dt * norm_h1_squared(u_new),
+        **face_balances(mesh, dt, system.fluxes, system.rho_dual_old,
+                        system.rho_dual_new, state.u, u_new, p_new,
+                        f_arrays),
+        u_l2=norm_lp_dual(u_new, 2),
+        transport_residual=rep_t.residual, oseen_residual=rep_o.residual,
+        oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
+        oseen_fallback=rep_o.fallback)
     new_state = SchemeState(t=t_new, index=state.index + 1,
                             rho=rho_new, u=u_new, p=p_new)
     return new_state, diag
 
 
-def _step_diagnostics(mesh, state, rho_new, u_new, p_new, dt, t_new,
-                      f_arrays, bounds, violation, div_l2, rep_t, rep_o):
-    fluxes = ops.upwind_face_flux(mesh, rho_new, state.u)
-    rho_d_new = ops.dual_density(mesh, rho_new)
-    rho_d_old = ops.dual_density(mesh, state.rho)
+def face_balances(mesh: MacMesh, dt: float, fluxes, rho_d_old, rho_d_new,
+                  u_old: VelocityField, u_new: VelocityField,
+                  p_new: ScalarField, f_arrays) -> dict:
+    """Face control-volume balances of one step, keyed by the
+    :class:`StepDiagnostics` fields they fill.
+
+    ``fluxes`` are the step's upwind mass fluxes of (new density, old
+    velocity), ``rho_d_old``/``rho_d_new`` the dual densities and
+    ``f_arrays`` the forcing face arrays (``None`` without forcing).
+    Every term of the momentum equation is re-evaluated from the returned
+    fields: ``mass_dual_resid`` is the worst face mass balance relative
+    to its largest term; ``kinetic_resid`` the norm of the per-face
+    kinetic energy residuals relative to the momentum right-hand side
+    times ``max(1, |u_new|_inf)``; ``kinetic_remainder_max`` the largest
+    remainder ``-rho_old (u_new - u_old)^2 / (2 dt)``, nonpositive by
+    construction; ``ke_numerical`` and ``ke_work`` the step's numerical
+    dissipation and forcing work.
+    """
     div_dual = ops.div_dual_from_fluxes(mesh, fluxes)
     conv = ops.convection_apply(mesh, fluxes, u_new)
     lap = ops.laplacian_apply(mesh, u_new)
@@ -208,7 +237,7 @@ def _step_diagnostics(mesh, state, rho_new, u_new, p_new, dt, t_new,
         idx = fs.interior_idx
         dv = fs.dvol[idx]
         un = u_new.components[i][idx]
-        uo = state.u.components[i][idx]
+        uo = u_old.components[i][idx]
         rn = rho_d_new[i][idx]
         ro = rho_d_old[i][idx]
 
@@ -240,24 +269,11 @@ def _step_diagnostics(mesh, state, rho_new, u_new, p_new, dt, t_new,
         ke_numerical += 0.5 * float((dv * ro) @ (un - uo) ** 2)
         ke_work += dt * float((dv * fterm) @ un)
 
-    kin_vec = np.concatenate(kin_parts) if kin_parts else np.zeros(0)
     denom = max(np.sqrt(rhs_scale), 1e-300) * max(1.0, u_inf)
-    kinetic_resid = float(np.linalg.norm(kin_vec)) / denom
-
-    return StepDiagnostics(
-        step=state.index + 1, t=t_new,
-        rho_min=rho_new.min(), rho_max=rho_new.max(),
-        rho_l2=norm_l2_cells(rho_new), mass=rho_new.integral(),
-        bound_violation=violation, div_l2=div_l2,
-        kinetic_energy=kinetic_energy(mesh, rho_new, u_new),
-        ke_dissipation=dt * norm_h1_squared(u_new),
-        ke_numerical=ke_numerical, ke_work=ke_work,
-        mass_dual_resid=mass_resid, kinetic_resid=kinetic_resid,
-        kinetic_remainder_max=(remainder_max if kin_parts else 0.0),
-        u_l2=norm_lp_dual(u_new, 2),
-        transport_residual=rep_t.residual, oseen_residual=rep_o.residual,
-        oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
-        oseen_fallback=rep_o.fallback)
+    kinetic_resid = float(np.linalg.norm(np.concatenate(kin_parts))) / denom
+    return {"mass_dual_resid": mass_resid, "kinetic_resid": kinetic_resid,
+            "kinetic_remainder_max": remainder_max,
+            "ke_numerical": ke_numerical, "ke_work": ke_work}
 
 
 def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
@@ -267,8 +283,8 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     shrunk to the nearest exact divisor.  Snapshots are stored every
     ``store_every`` steps (always including the first and last states).
     """
-    if cfg.dt <= 0 or cfg.t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (cfg.dt, cfg.t_end)):
+        raise ValueError("dt and t_end must be positive and finite")
     n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
     dt = cfg.t_end / n_steps
     cfg_eff = SchemeConfig(**{**cfg.__dict__, "dt": dt})

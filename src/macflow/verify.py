@@ -32,7 +32,7 @@ from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
 from . import operators as ops
 from .linsolve import (SaddleSystem, assemble_divergence, assemble_gradient,
                        solve_oseen)
-from .timestepper import RunResult, SchemeConfig, run
+from .timestepper import RunResult, SchemeConfig, face_balances, run
 from .ioutil import atomic_write, format_float, standard_header
 
 
@@ -149,51 +149,17 @@ def check_kinetic(mesh: MacMesh, before, after, dt: float,
                   forcing_arrays=None, tol: float = 1e-9) -> IdentityReport:
     """Per-face kinetic energy balance between two consecutive states.
 
-    Re-evaluates every term of the momentum equation from the returned
-    fields (time term split by the dual mass balance, convection paired
-    with half the dual mass divergence, diffusion, pressure gradient,
-    forcing, and the nonpositive remainder) and reports the worst
-    volume-scaled residual relative to the momentum right-hand side.
-    The remainder term is also verified to be nonpositive.
+    Rebuilds the step's upwind mass fluxes and dual densities from the two
+    states and evaluates :func:`macflow.timestepper.face_balances`, the
+    balance the run diagnostics record: the residual is relative to the
+    momentum right-hand side, and the remainder must be nonpositive.
     """
     fluxes = ops.upwind_face_flux(mesh, after.rho, before.u)
-    rho_d_new = ops.dual_density(mesh, after.rho)
-    rho_d_old = ops.dual_density(mesh, before.rho)
-    div_dual = ops.div_dual_from_fluxes(mesh, fluxes)
-    conv = ops.convection_apply(mesh, fluxes, after.u)
-    lap = ops.laplacian_apply(mesh, after.u)
-    grad = ops.grad_pressure(mesh, after.p)
-
-    resid = 0.0
-    rhs_sq = 0.0
-    u_inf = 0.0
-    remainder_max = -math.inf
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
-        idx = fs.interior_idx
-        dv = fs.dvol[idx]
-        un = after.u.components[i][idx]
-        uo = before.u.components[i][idx]
-        rn = rho_d_new[i][idx]
-        ro = rho_d_old[i][idx]
-        fterm = (np.asarray(forcing_arrays[i])[idx]
-                 if forcing_arrays is not None else np.zeros(un.shape))
-        remainder = -0.5 * ro * (un - uo) ** 2 / dt
-        r = dv * (0.5 * (rn * un ** 2 - ro * uo ** 2) / dt
-                  + conv[i][idx] * un
-                  - 0.5 * div_dual[i][idx] * un ** 2
-                  - lap[i][idx] * un
-                  + grad[i][idx] * un
-                  - fterm * un
-                  - remainder)
-        resid += float(r @ r)
-        rhs_sq += float(np.sum((dv * (ro * uo / dt + fterm)) ** 2))
-        if un.size:
-            u_inf = max(u_inf, float(np.abs(un).max()))
-        if remainder.size:
-            remainder_max = max(remainder_max, float(remainder.max()))
-    denom = max(math.sqrt(rhs_sq), 1e-300) * max(1.0, u_inf)
-    rel = math.sqrt(resid) / denom
+    bal = face_balances(mesh, dt, fluxes, ops.dual_density(mesh, before.rho),
+                        ops.dual_density(mesh, after.rho), before.u, after.u,
+                        after.p, forcing_arrays)
+    rel = bal["kinetic_resid"]
+    remainder_max = bal["kinetic_remainder_max"]
     nonpositive = remainder_max <= 0.0
     return IdentityReport(
         "kinetic energy balance", 1, rel, tol, rel <= tol and nonpositive,

@@ -37,6 +37,11 @@ def run_config(tmp_path, **overrides):
     return write_config(tmp_path / "config.yaml", data)
 
 
+# A runnable config without its time block, for the bad-value cases.
+_RUNNABLE = ("mesh: {domain: [[0, 1], [0, 1]], cells: [8, 8]}\n"
+             "problem: {preset: gyre}\n")
+
+
 class TestConfigValidation:
     def test_unknown_block(self, tmp_path):
         path = write_config(tmp_path / "c.yaml", {"meshes": {}})
@@ -58,12 +63,33 @@ class TestConfigValidation:
         path = write_config(tmp_path / "c.yaml", {})
         assert load_config(path) == {}
 
-    def test_exit_code_2_on_bad_config(self, tmp_path, capsys):
-        path = write_config(tmp_path / "c.yaml",
-                            {"mesh": {"cellz": [4, 4]}})
-        code = main(["run", "--config", path])
+    @pytest.mark.parametrize("text, message", [
+        ("mesh: {cellz: [4, 4]}\n", "mesh.cellz"),
+        ("mesh: {cells: [4, 4]\ntime: [\n", "malformed YAML"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: -0.01}\n", "time.dt"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: .nan}\n", "time.dt"),
+        (_RUNNABLE + "time: {t_end: .inf, dt: 0.01}\n", "time.t_end"),
+        (_RUNNABLE.replace("[8, 8]", "[0, 8]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "invalid mesh"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "solver: {method: cg}\n", "'cg'"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           "{preset: gyre, params: {amplitude: .nan}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'amplitude' must be finite"),
+    ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
+            "inf-t-end", "empty-mesh-axis", "unknown-solver",
+            "nan-preset-param"])
+    def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
+                                       message):
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "mesh.cellz" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1  # one line, no traceback
+        assert message in err
 
     def test_exit_code_2_on_missing_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])

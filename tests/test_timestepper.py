@@ -1,5 +1,6 @@
 """Time loop: fixed points, equation re-substitution, guards, bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,23 @@ class TestInitialize:
         with pytest.raises(InvariantViolation):
             initialize(mesh16(), problem)
 
+    @pytest.mark.parametrize("field", ["density", "velocity"])
+    def test_rejects_non_finite_fields(self, field):
+        problem = get_preset("rest")
+        nan = lambda x, y: np.full_like(x, np.nan)  # noqa: E731
+        if field == "density":
+            problem = dataclasses.replace(problem, rho0=nan)
+        else:
+            problem = dataclasses.replace(problem,
+                                          u0=[problem.u0[0], nan])
+        with pytest.raises(InvariantViolation, match=field):
+            initialize(mesh16(), problem)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_preset_rejects_non_finite_parameter(self, value):
+        with pytest.raises(ValueError, match="amplitude"):
+            get_preset("gyre", amplitude=value)
+
     def test_initial_velocity_projected(self):
         problem = get_preset("rotating-patch")
         state = initialize(mesh16(), problem)
@@ -146,6 +164,12 @@ class TestRunBookkeeping:
             run(mesh16(), problem, SchemeConfig(dt=0.0, t_end=1.0))
         with pytest.raises(ValueError):
             run(mesh16(), problem, SchemeConfig(dt=0.1, t_end=-1.0))
+
+    @pytest.mark.parametrize("dt, t_end", [(math.nan, 1.0), (0.1, math.nan),
+                                           (math.inf, 1.0), (0.1, math.inf)])
+    def test_non_finite_time_parameters_rejected(self, dt, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            run(mesh16(), get_preset("rest"), SchemeConfig(dt=dt, t_end=t_end))
 
     def test_guard_failure_attaches_partial_result(self):
         problem = get_preset("gyre")

@@ -8,8 +8,11 @@ import pytest
 from macflow.grid import build_uniform_mesh
 from macflow.fields import VelocityField, norm_lp_dual
 from macflow.presets import get_preset
-from macflow.timestepper import SchemeConfig, SchemeState, run
+from macflow.timestepper import (SchemeConfig, SchemeState, initialize,
+                                 run, step)
 from macflow import verify
+
+from conftest import graded_mesh
 
 
 def gyre_run(n=16, dt=0.005, t_end=0.1):
@@ -54,6 +57,45 @@ class TestKineticCheck:
         assert rep.passed
         assert rep.extras["remainder_nonpositive"]
         assert rep.max_residual < 1e-12
+
+    def test_detects_perturbed_velocity(self):
+        result, problem = gyre_run(t_end=0.02)
+        mesh = result.mesh
+        traj = result.trajectory
+        before = SchemeState(t=traj.times[0], index=0, rho=traj.rho[0],
+                             u=traj.u[0])
+        u = traj.u[1].copy()
+        fs = mesh.faces[0]
+        u.components[0][fs.interior_idx[fs.n_interior // 2]] += 1e-6
+        after = SchemeState(t=traj.times[1], index=1, rho=traj.rho[1],
+                            u=u, p=traj.p[1])
+        f = problem.forcing(mesh, traj.times[1])
+        rep = verify.check_kinetic(mesh, before, after, result.dt,
+                                   forcing_arrays=f)
+        assert not rep.passed
+        assert rep.max_residual > rep.tolerance
+
+    @pytest.mark.parametrize("preset, mesh", [
+        ("gyre", build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (16, 16))),
+        ("rotating-patch",
+         build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (16, 16))),
+        ("gyre", graded_mesh((16, 16), seed=7)),
+    ], ids=["gyre-16", "rotating-patch-16", "gyre-graded-16"])
+    def test_matches_step_diagnostics(self, preset, mesh):
+        # the run diagnostics and the standalone check share one balance,
+        # so they agree to the last bit after every step
+        problem = get_preset(preset)
+        cfg = SchemeConfig(dt=0.01, t_end=0.03)
+        state = initialize(mesh, problem)
+        for _ in range(3):
+            new, diag = step(mesh, state, cfg, forcing=problem.forcing)
+            rep = verify.check_kinetic(
+                mesh, state, new, cfg.dt,
+                forcing_arrays=problem.forcing(mesh, new.t))
+            assert rep.max_residual == diag.kinetic_resid
+            assert rep.extras["remainder_max"] == diag.kinetic_remainder_max
+            assert rep.passed
+            state = new
 
 
 class TestTranslates:
