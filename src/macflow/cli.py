@@ -32,7 +32,7 @@ from .grid import (MeshValidationError, build_mesh, build_uniform_mesh,
 from .fields import scalar_to_csv, velocity_to_csv, write_vtk
 from .presets import available_presets, get_preset
 from .timestepper import InvariantViolation, SchemeConfig, run
-from .linsolve import SOLVER_METHODS, SolverFailure
+from .linsolve import SolverFailure
 from . import verify
 from .ioutil import atomic_write, config_hash, format_float
 
@@ -45,8 +45,7 @@ _SCHEMA = {
     "mesh": {"domain", "cells", "coordinates"},
     "time": {"t_end", "dt"},
     "problem": {"preset", "params"},
-    "solver": {"method", "transport_tol", "oseen_tol", "bounds_margin",
-               "div_guard", "enforce_invariants"},
+    "solver": {"transport_tol", "oseen_tol", "bounds_margin", "div_guard"},
     "output": {"directory", "formats", "snapshots", "mesh_tables"},
     "verify": {"trials", "tolerance"},
     "study": {"levels", "base_cells", "t_end", "base_dt", "threshold"},
@@ -128,40 +127,46 @@ def build_problem_from_config(cfg):
         raise ConfigError(f"bad parameters for preset {preset!r}: {exc}")
 
 
-def _time_value(cfg, key) -> float:
-    raw = _require(cfg, "time", key)
+def _number(raw, name, integer=False, least=None):
+    """Configuration value ``raw`` of key ``name`` as a number.
+
+    Without ``integer`` it must be a finite float, positive or, when
+    ``least`` is given, at least ``least``; with ``integer`` it must be a
+    whole number of at least ``least``.
+    """
     try:
         value = float(raw)
     except (TypeError, ValueError):
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"'time.{key}' must be a finite positive number, "
-                          f"got {raw!r}")
-    return value
-
-
-def _solver_method(cfg) -> str:
-    method = str(cfg.get("solver", {}).get("method",
-                                           SchemeConfig.solver_method))
-    if method not in SOLVER_METHODS:
-        raise ConfigError(f"unknown solver method {method!r} in "
-                          f"'solver.method'; expected one of "
-                          f"{list(SOLVER_METHODS)}")
-    return method
+    if integer:
+        ok, kind = value.is_integer() and value >= least, \
+            f"an integer >= {least}"
+    elif least is None:
+        ok, kind = math.isfinite(value) and value > 0, \
+            "a finite positive number"
+    else:
+        ok, kind = math.isfinite(value) and value >= least, \
+            f"a finite number >= {least}"
+    if not ok:
+        raise ConfigError(f"{name!r} must be {kind}, got {raw!r}")
+    return int(value) if integer else value
 
 
 def build_scheme_config(cfg) -> SchemeConfig:
-    solver = cfg.get("solver", {})
-    output = cfg.get("output", {})
+    """Scheme parameters from the ``time``, ``solver`` and ``output``
+    blocks; ``solver`` keys the config leaves out keep the defaults of
+    :class:`SchemeConfig`."""
+    solver = {key: _number(raw, f"solver.{key}",
+                           least=0 if key == "bounds_margin" else None)
+              for key, raw in cfg.get("solver", {}).items()}
+    # the command line stores only the first and last states by default
+    snapshots = cfg.get("output", {}).get("snapshots", 0)
     return SchemeConfig(
-        dt=_time_value(cfg, "dt"), t_end=_time_value(cfg, "t_end"),
-        transport_tol=float(solver.get("transport_tol", 1e-12)),
-        oseen_tol=float(solver.get("oseen_tol", 1e-10)),
-        solver_method=_solver_method(cfg),
-        bounds_margin=float(solver.get("bounds_margin", 1e-9)),
-        div_guard=float(solver.get("div_guard", 1e-9)),
-        enforce_invariants=bool(solver.get("enforce_invariants", True)),
-        store_every=int(output.get("snapshots", 0)))
+        dt=_number(_require(cfg, "time", "dt"), "time.dt"),
+        t_end=_number(_require(cfg, "time", "t_end"), "time.t_end"),
+        store_every=_number(snapshots, "output.snapshots", integer=True,
+                            least=0),
+        **solver)
 
 
 def _write_snapshots(result, out_dir, formats, cfg_hash_value):
@@ -228,9 +233,9 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
 
 
 def cmd_run(cfg, out_dir, seed) -> int:
+    scheme = build_scheme_config(cfg)
     mesh = build_mesh_from_config(cfg)
     problem = build_problem_from_config(cfg)
-    scheme = build_scheme_config(cfg)
     hash_value = config_hash(cfg)
     formats = cfg.get("output", {}).get("formats", ["csv"])
     unknown = set(formats) - {"csv", "vtk"}
@@ -287,8 +292,9 @@ def _verification_meshes(seed):
 
 def cmd_verify(cfg, out_dir, seed) -> int:
     ver = cfg.get("verify", {})
-    trials = int(ver.get("trials", 100))
-    tol = float(ver.get("tolerance", 1e-12))
+    trials = _number(ver.get("trials", 100), "verify.trials", integer=True,
+                     least=1)
+    tol = _number(ver.get("tolerance", 1e-12), "verify.tolerance")
     hash_value = config_hash(cfg)
 
     reports = []
@@ -328,20 +334,22 @@ def cmd_verify(cfg, out_dir, seed) -> int:
     return 0 if all_pass else 1
 
 
+# Smallest values of the integer ``study`` keys.
+_STUDY_LEAST = {"levels": 3, "base_cells": 2}
+
+
 def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
+    # keys the config leaves out keep the defaults of convergence_study
+    study = {key: _number(raw, f"study.{key}", integer=key in _STUDY_LEAST,
+                          least=_STUDY_LEAST.get(key))
+             for key, raw in cfg.get("study", {}).items()}
+    if levels_override is not None:
+        study["levels"] = _number(levels_override, "--levels", integer=True,
+                                  least=_STUDY_LEAST["levels"])
     problem = build_problem_from_config(cfg)
-    study = cfg.get("study", {})
-    levels = int(levels_override if levels_override is not None
-                 else study.get("levels", 3))
     hash_value = config_hash(cfg)
 
-    report = verify.convergence_study(
-        problem, levels=levels,
-        base_cells=int(study.get("base_cells", 16)),
-        t_end=float(study.get("t_end", 0.25)),
-        base_dt=(float(study["base_dt"]) if "base_dt" in study else None),
-        threshold=float(study.get("threshold", 1.5)),
-        solver_method=_solver_method(cfg))
+    report = verify.convergence_study(problem, **study)
 
     verify.write_convergence_csv(report,
                                  os.path.join(out_dir, "convergence.csv"),

@@ -11,12 +11,14 @@ constraint on the pinned cell is implied by the others, since the column
 sums of the divergence block vanish), and the solved pressure is shifted
 to zero volume-weighted mean afterwards.
 
-The pinned saddle system is solved either by sparse LU of the whole
-matrix (``direct``) or by GMRES with a Cahouet-Chabard block
-preconditioner (``gmres``): one LU per velocity component for the
-momentum block, and a variable-density pressure Poisson solve plus a
-pressure mass solve for the Schur complement.  Either way the true
-residual of the pinned system decides convergence.
+A time step solves the pinned saddle system by GMRES with a
+Cahouet-Chabard block preconditioner: one LU per velocity component for
+the momentum block, and a variable-density pressure Poisson solve plus a
+pressure mass solve for the Schur complement.  Sparse LU of the whole
+pinned matrix is the reported fallback when GMRES does not converge, and
+the solver of systems without a viscous term (the divergence-free
+projection), which that preconditioner does not fit.  Either way the
+true residual of the pinned system decides convergence.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from .grid import MacMesh
 from .fields import ScalarField, VelocityField
 from . import operators as ops
 
-
-# Saddle solve methods accepted by :func:`solve_oseen`.
-SOLVER_METHODS = ("direct", "gmres")
 
 # GMRES aims at this fraction of the saddle tolerance.  At 0.1 the
 # divergence of the new velocity rose tenfold above the LU level; at
@@ -321,27 +320,23 @@ def _block_preconditioner(system: SaddleSystem):
                                dtype=float)
 
 
-def solve_oseen(system: SaddleSystem, method: str | None = None,
+def solve_oseen(system: SaddleSystem, method: str = "gmres",
                 tol: float = 1e-10, gmres_restart: int = 50,
                 gmres_maxiter: int = 300):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
-    a report.  ``method`` is ``direct`` (sparse LU of the pinned matrix)
-    or ``gmres`` (GMRES on the pinned matrix, preconditioned by
-    :func:`_block_preconditioner`, to a relative true residual of
-    ``KRYLOV_TARGET * tol``); ``None`` takes the default of
-    ``SchemeConfig.solver_method``.  When GMRES does not converge the
+    a report.  ``method`` is ``gmres`` (GMRES on the pinned matrix,
+    preconditioned by :func:`_block_preconditioner`, to a relative true
+    residual of ``KRYLOV_TARGET * tol``), which the time step uses, or
+    ``direct`` (sparse LU of the pinned matrix), for systems the
+    preconditioner does not fit.  When GMRES does not converge the
     solve falls back to ``direct`` and the report says so (``fallback``
     set, ``method`` the one that produced the solution).  Whatever the
     method, the relative true residual of the pinned system must be at
     most ``tol``, or :class:`SolverFailure` is raised.
     """
-    if method is None:
-        # imported here because timestepper imports this module
-        from .timestepper import SchemeConfig
-        method = SchemeConfig.solver_method
-    if method not in SOLVER_METHODS:
+    if method not in ("direct", "gmres"):
         raise ValueError(f"unknown solver method {method!r}")
     start = time.perf_counter()
     mesh = system.mesh

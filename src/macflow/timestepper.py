@@ -39,23 +39,22 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class SchemeConfig:
-    """Numerical parameters of a run.
+    """Numerical parameters of a run, with the defaults used everywhere.
 
-    ``solver_method`` selects the saddle solve, ``gmres`` or ``direct``
-    (see :func:`macflow.linsolve.solve_oseen`); its default here is the
-    default everywhere.
+    ``transport_tol`` and ``oseen_tol`` bound the relative true residuals
+    of the two linear solves of a step; the saddle solve always runs
+    preconditioned GMRES (see :func:`macflow.linsolve.solve_oseen`).
+    ``bounds_margin`` and ``div_guard`` are the guards whose violation
+    stops a run with :class:`InvariantViolation`.
     """
 
     dt: float
     t_end: float
     transport_tol: float = 1e-12
     oseen_tol: float = 1e-10
-    solver_method: str = "gmres"
     bounds_margin: float = 1e-9
     div_guard: float = 1e-9
-    enforce_invariants: bool = True
     store_every: int = 1
-    pinned_cell: int = 0
 
 
 @dataclass
@@ -110,9 +109,9 @@ class RunResult:
     initial_div_l2: float = 0.0
 
 
-def kinetic_energy(mesh: MacMesh, rho: ScalarField, u: VelocityField):
-    """Half the dual-volume integral of density times squared speed."""
-    rho_d = ops.dual_density(mesh, rho)
+def kinetic_energy(mesh: MacMesh, rho_d, u: VelocityField):
+    """Half the dual-volume integral of density times squared speed, from
+    the dual (face) densities ``rho_d`` of :func:`operators.dual_density`."""
     total = 0.0
     for i in range(mesh.dim):
         fs = mesh.faces[i]
@@ -168,18 +167,17 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
 
     violation = max(bounds[0] - rho_new.min(), rho_new.max() - bounds[1],
                     0.0)
-    if cfg.enforce_invariants and violation > cfg.bounds_margin:
+    if violation > cfg.bounds_margin:
         raise InvariantViolation(
             f"density bounds violated by {violation:.3e} at t={t_new:.6g}")
 
     f_arrays = forcing(mesh, t_new) if forcing is not None else None
     system = assemble_oseen(mesh, dt, rho_new, state.rho, state.u,
-                            forcing=f_arrays, pinned_cell=cfg.pinned_cell)
-    u_new, p_new, rep_o = solve_oseen(system, method=cfg.solver_method,
-                                      tol=cfg.oseen_tol)
+                            forcing=f_arrays)
+    u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol)
 
     div_l2 = norm_l2_cells(_divergence_field(mesh, u_new))
-    if cfg.enforce_invariants and div_l2 > cfg.div_guard:
+    if div_l2 > cfg.div_guard:
         raise InvariantViolation(
             f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
 
@@ -188,7 +186,7 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
         rho_min=rho_new.min(), rho_max=rho_new.max(),
         rho_l2=norm_l2_cells(rho_new), mass=rho_new.integral(),
         bound_violation=violation, div_l2=div_l2,
-        kinetic_energy=kinetic_energy(mesh, rho_new, u_new),
+        kinetic_energy=kinetic_energy(mesh, system.rho_dual_new, u_new),
         ke_dissipation=dt * norm_h1_squared(u_new),
         **face_balances(mesh, dt, system.fluxes, system.rho_dual_old,
                         system.rho_dual_new, state.u, u_new, p_new,

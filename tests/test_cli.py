@@ -8,7 +8,8 @@ import pytest
 import yaml
 
 from macflow import timestepper
-from macflow.cli import ConfigError, load_config, main
+from macflow.cli import (ConfigError, build_mesh_from_config,
+                         build_scheme_config, load_config, main)
 from macflow.fields import scalar_from_csv
 from macflow.grid import build_uniform_mesh
 from macflow.linsolve import solve_oseen
@@ -35,6 +36,18 @@ def run_config(tmp_path, **overrides):
     }
     data.update(overrides)
     return write_config(tmp_path / "config.yaml", data)
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                            "configs")
+
+
+def assert_config_error(code, capsys, message):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert message in err
 
 
 # A runnable config without its time block, for the bad-value cases.
@@ -72,24 +85,75 @@ class TestConfigValidation:
         (_RUNNABLE.replace("[8, 8]", "[0, 8]")
          + "time: {t_end: 0.02, dt: 0.01}\n", "invalid mesh"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
-         "solver: {method: cg}\n", "'cg'"),
+         "solver: {method: direct}\n", "solver.method"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "solver: {enforce_invariants: false}\n", "solver.enforce_invariants"),
         (_RUNNABLE.replace("{preset: gyre}",
                            "{preset: gyre, params: {amplitude: .nan}}")
          + "time: {t_end: 0.02, dt: 0.01}\n", "'amplitude' must be finite"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "solver: {oseen_tol: abc}\n", "'solver.oseen_tol'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "solver: {oseen_tol: .nan}\n", "'solver.oseen_tol'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "solver: {transport_tol: -1}\n", "'solver.transport_tol'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "solver: {bounds_margin: -1.0e-9}\n", "'solver.bounds_margin'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {snapshots: -3}\n", "'output.snapshots'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {snapshots: 2.5}\n", "'output.snapshots'"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "empty-mesh-axis", "unknown-solver",
-            "nan-preset-param"])
+            "unknown-solver-enforce", "nan-preset-param",
+            "text-oseen-tol", "nan-oseen-tol", "negative-transport-tol",
+            "negative-bounds-margin", "negative-snapshots",
+            "fractional-snapshots"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
         path.write_text(text)
         code = main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:")
-        assert err.count("\n") == 1  # one line, no traceback
-        assert message in err
+        assert_config_error(code, capsys, message)
+
+    @pytest.mark.parametrize("command, text, extra, message", [
+        ("study", "study: {threshold: abc}\n", [], "'study.threshold'"),
+        ("study", "study: {levels: 2}\n", [], "'study.levels'"),
+        ("study", "", ["--levels", "2"], "'--levels'"),
+        ("study", "study: {base_cells: 1}\n", [], "'study.base_cells'"),
+        ("study", "study: {t_end: -0.25}\n", [], "'study.t_end'"),
+        ("study", "study: {base_dt: .inf}\n", [], "'study.base_dt'"),
+        ("verify", "verify: {trials: abc}\n", [], "'verify.trials'"),
+        ("verify", "verify: {trials: 0}\n", [], "'verify.trials'"),
+        ("verify", "verify: {tolerance: .nan}\n", [], "'verify.tolerance'"),
+    ], ids=["text-threshold", "two-levels", "two-levels-flag",
+            "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
+            "zero-trials", "nan-tolerance"])
+    def test_exit_code_2_on_bad_study_or_verify_config(
+            self, tmp_path, capsys, command, text, extra, message):
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {preset: gyre}\n" + text)
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out"), *extra])
+        assert_config_error(code, capsys, message)
+
+    def test_solver_keys_override_scheme_defaults(self, tmp_path):
+        path = run_config(tmp_path, solver={"bounds_margin": 0,
+                                            "oseen_tol": 1e-11})
+        scheme = build_scheme_config(load_config(path))
+        assert scheme.bounds_margin == 0.0 and scheme.oseen_tol == 1e-11
+        assert scheme.transport_tol == timestepper.SchemeConfig.transport_tol
+        assert scheme.div_guard == timestepper.SchemeConfig.div_guard
+        assert scheme.store_every == 0
+
+    @pytest.mark.parametrize("name", sorted(
+        n for n in os.listdir(DEMO_CONFIGS) if n.endswith(".yaml")))
+    def test_demo_config_validates(self, name):
+        cfg = load_config(os.path.join(DEMO_CONFIGS, name))
+        if "mesh" in cfg:  # a `run` config
+            assert build_mesh_from_config(cfg).n_cells > 0
+            build_scheme_config(cfg)
 
     def test_exit_code_2_on_missing_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "absent.yaml")])

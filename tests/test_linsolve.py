@@ -318,7 +318,7 @@ class TestOseenSolve:
         # a degraded preconditioner shows up here as a slow path
         problem = get_preset("gyre")
         mesh = build_uniform_mesh(problem.domain, (cells, cells))
-        cfg = SchemeConfig(dt=0.005, t_end=0.005, solver_method="gmres")
+        cfg = SchemeConfig(dt=0.005, t_end=0.005)
         _, diag = step(mesh, initialize(mesh, problem), cfg,
                        forcing=problem.forcing)
         assert diag.oseen_method == "gmres" and not diag.oseen_fallback

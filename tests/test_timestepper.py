@@ -195,15 +195,17 @@ class TestEnergy:
         comps[0][1] = 3.0
         u = VelocityField(mesh, comps)
         # dual density at the face: (2 + 4)/2 = 3; KE = .5 * 1 * 3 * 9
-        assert kinetic_energy(mesh, rho, u) == pytest.approx(13.5)
+        assert kinetic_energy(mesh, ops.dual_density(mesh, rho), u) == \
+            pytest.approx(13.5)
 
     def test_energy_ledger_finite_and_consistent(self):
         problem = get_preset("gyre")
         mesh = mesh16()
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         result = run(mesh, problem, cfg)
-        ke_prev = kinetic_energy(mesh, result.trajectory.rho[0],
-                                 result.trajectory.u[0])
+        ke_prev = kinetic_energy(
+            mesh, ops.dual_density(mesh, result.trajectory.rho[0]),
+            result.trajectory.u[0])
         for d in result.diagnostics:
             assert math.isfinite(d.kinetic_energy)
             assert d.kinetic_energy >= 0.0
