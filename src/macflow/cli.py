@@ -91,17 +91,40 @@ def _require(cfg, block, key=None):
     return cfg[block] if key is None else cfg[block][key]
 
 
+def _per_direction(raw, name, what, size=None):
+    """Key ``name`` as one float array per direction, each a non-empty
+    list of numbers (of ``size`` entries when given)."""
+    try:
+        arrays = [np.asarray(c, dtype=float) for c in raw]
+    except (TypeError, ValueError):
+        arrays = []
+    if not arrays or any(a.ndim != 1 or a.size == 0
+                         or (size is not None and a.size != size)
+                         for a in arrays):
+        raise ConfigError(f"{name!r} must be one {what} per direction, "
+                          f"got {raw!r}")
+    return arrays
+
+
 def build_mesh_from_config(cfg) -> "MacMesh":
     mesh_cfg = _require(cfg, "mesh")
+    if "domain" in mesh_cfg:
+        domain = _per_direction(mesh_cfg["domain"], "mesh.domain",
+                                "[lo, hi] pair of numbers", size=2)
     try:
         if "coordinates" in mesh_cfg:
-            coords = [np.asarray(c, dtype=float)
-                      for c in mesh_cfg["coordinates"]]
-            domain = mesh_cfg.get("domain",
-                                  [[c[0], c[-1]] for c in coords])
+            coords = _per_direction(mesh_cfg["coordinates"],
+                                    "mesh.coordinates", "list of numbers")
+            if "domain" not in mesh_cfg:
+                domain = [[c[0], c[-1]] for c in coords]
             return build_mesh(domain, coords)
-        domain = _require(cfg, "mesh", "domain")
+        _require(cfg, "mesh", "domain")  # a uniform mesh needs its box
         cells = _require(cfg, "mesh", "cells")
+        if not isinstance(cells, list):
+            raise ConfigError("'mesh.cells' must be a list of cell counts, "
+                              f"got {cells!r}")
+        cells = [_number(n, "mesh.cells", integer=True, least=1)
+                 for n in cells]
         if len(domain) != len(cells):
             raise ConfigError("mesh.domain and mesh.cells disagree on the "
                               "number of directions")
@@ -135,7 +158,8 @@ def _number(raw, name, integer=False, least=None):
     whole number of at least ``least``.
     """
     try:
-        value = float(raw)
+        # YAML booleans would otherwise read as 0 and 1
+        value = math.nan if isinstance(raw, bool) else float(raw)
     except (TypeError, ValueError):
         value = math.nan
     if integer:
@@ -235,13 +259,16 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
 def cmd_run(cfg, out_dir, seed) -> int:
     scheme = build_scheme_config(cfg)
     mesh = build_mesh_from_config(cfg)
-    problem = build_problem_from_config(cfg)
-    hash_value = config_hash(cfg)
     formats = cfg.get("output", {}).get("formats", ["csv"])
-    unknown = set(formats) - {"csv", "vtk"}
-    if unknown:
-        raise ConfigError(f"unknown output formats {sorted(unknown)}; "
-                          "expected 'csv' and/or 'vtk'")
+    if not (isinstance(formats, list)
+            and all(f in ("csv", "vtk") for f in formats)):
+        raise ConfigError("'output.formats' must be a list of 'csv' and/or "
+                          f"'vtk', got {formats!r}")
+    problem = build_problem_from_config(cfg)
+    if problem.dim != mesh.dim:
+        raise ConfigError(f"'problem.preset' {problem.name!r} is "
+                          f"{problem.dim}D but the mesh is {mesh.dim}D")
+    hash_value = config_hash(cfg)
 
     interrupted = None
     try:

@@ -17,6 +17,13 @@ fall into two geometric situations, tabulated separately:
 Boundary strips of face-centered volumes (``wall`` tables) carry no mass
 flux; they only contribute Dirichlet terms to the diffusion operator.
 
+The dual operators read one stacked table per component,
+``MacMesh.dual_interfaces[i]``: the case-1 rows, then each case-2 family,
+with the wall strips alongside.  The per-family tables stay for
+construction, inspection (:func:`dump_mesh_tables`) and the independent
+checks of those operators (``fields.norm_h1_squared`` and the loop
+oracles of the tests).
+
 All index arrays refer to flat C-order (lexicographic) positions, cells in
 the cell grid and faces in the per-direction face grid, which has one more
 entry than the cell grid along its own axis.
@@ -130,6 +137,32 @@ class DualFaceWall:
         self.count = int(self.face.size)
 
 
+class DualInterfaces:
+    """Every dual interface of one velocity component, stacked.
+
+    Rows hold the case-1 family, then each case-2 family in the order of
+    ``dual_case2[i]``; ``face_lo``/``face_hi``, ``measure`` and ``dist``
+    are those of the family tables.  ``flux_lo``/``flux_hi`` are the two
+    primal faces whose fluxes the interface bisects, as positions in the
+    concatenation of the per-direction face arrays: the component's own
+    faces in case 1, the ``tau_lo``/``tau_hi`` faces of the orthogonal
+    axis in case 2.  ``wall_face`` and ``wall_weight`` (``measure/dist``)
+    stack the strips of all ``dual_walls[i]`` families.
+    """
+
+    def __init__(self, face_lo, face_hi, measure, dist, flux_lo, flux_hi,
+                 wall_face, wall_weight):
+        self.face_lo = _freeze(face_lo)
+        self.face_hi = _freeze(face_hi)
+        self.measure = _freeze(measure)
+        self.dist = _freeze(dist)
+        self.flux_lo = _freeze(flux_lo)
+        self.flux_hi = _freeze(flux_hi)
+        self.wall_face = _freeze(wall_face)
+        self.wall_weight = _freeze(wall_weight)
+        self.count = int(self.face_lo.size)
+
+
 class MacMesh:
     """Immutable staggered mesh over a box split by per-axis grid planes.
 
@@ -144,6 +177,8 @@ class MacMesh:
     dual_case1, dual_case2, dual_walls : per-component dual-face tables;
         ``dual_case2[i]`` and ``dual_walls[i]`` are lists over the axes
         orthogonal to ``i``.
+    dual_interfaces : one :class:`DualInterfaces` per component, the
+        families above stacked for the dual operators.
     """
 
     def __init__(self, domain_box, axis_coords):
@@ -204,6 +239,8 @@ class MacMesh:
         self.dual_case1 = tuple(case1)
         self.dual_case2 = tuple(case2)
         self.dual_walls = tuple(walls)
+        self.dual_interfaces = tuple(
+            self._stack_interfaces(i) for i in range(dim))
 
     # -- construction helpers -------------------------------------------
 
@@ -343,10 +380,23 @@ class MacMesh:
             out.append(DualFaceWall(ortho, side, face, measure, dist))
         return out
 
-    # -- queries ---------------------------------------------------------
-
-    def cell_multi_index(self, flat):
-        return np.unravel_index(flat, self.cells)
+    def _stack_interfaces(self, axis):
+        # start of each direction's faces in the concatenated face arrays
+        offset = np.cumsum([0] + [fs.count for fs in self.faces])
+        c1, c2s = self.dual_case1[axis], self.dual_case2[axis]
+        walls = self.dual_walls[axis]
+        families = (c1,) + c2s
+        return DualInterfaces(
+            np.concatenate([f.face_lo for f in families]),
+            np.concatenate([f.face_hi for f in families]),
+            np.concatenate([f.measure for f in families]),
+            np.concatenate([f.dist for f in families]),
+            np.concatenate([offset[axis] + c1.face_lo]
+                           + [offset[c.ortho_axis] + c.tau_lo for c in c2s]),
+            np.concatenate([offset[axis] + c1.face_hi]
+                           + [offset[c.ortho_axis] + c.tau_hi for c in c2s]),
+            np.concatenate([w.face for w in walls]),
+            np.concatenate([w.measure / w.dist for w in walls]))
 
     def __repr__(self):
         cells = "x".join(str(n) for n in self.cells)

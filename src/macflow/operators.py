@@ -9,6 +9,9 @@ Conventions
 * Dual-interface fluxes follow the same rule: the stored value is the
   flow in the positive axis direction, counted positively in the balance
   of the low-side control volume and negatively in the high-side one.
+* Dual-interface values are one array per component, aligned with the
+  stacked table ``mesh.dual_interfaces[i]``; every dual operator is one
+  vectorized pass over it.
 * The upwind density on a face is the low-side cell value when the normal
   velocity is nonnegative (ties go with the flow direction convention)
   and the high-side cell value otherwise.
@@ -24,19 +27,6 @@ import scipy.sparse as sp
 from .grid import MacMesh
 from .fields import ScalarField, VelocityField
 from .ioutil import atomic_write, format_float, standard_header
-
-
-class DualFields:
-    """Per-dual-interface values for one velocity component.
-
-    ``case1`` is aligned with ``mesh.dual_case1[i]`` and ``case2[k]`` with
-    ``mesh.dual_case2[i][k]``.  Wall interfaces carry no transported
-    quantity and are not represented.
-    """
-
-    def __init__(self, case1: np.ndarray, case2: tuple):
-        self.case1 = case1
-        self.case2 = tuple(case2)
 
 
 # -- primal transport -------------------------------------------------------
@@ -106,26 +96,27 @@ def grad_pressure(mesh: MacMesh, p: ScalarField):
     return out
 
 
+# -- dual-interface passes ------------------------------------------------------
+
+def _scatter(count, table, vals):
+    """Add each interface value to its low-side face and subtract it from
+    its high-side face, on a zero array of length ``count``."""
+    acc = np.zeros(count)
+    np.add.at(acc, table.face_lo, vals)
+    np.add.at(acc, table.face_hi, -vals)
+    return acc
+
+
+def _per_volume(fs, acc):
+    """Interior entries of ``acc`` over their control volumes; the
+    exterior ones zero."""
+    res = np.zeros(fs.count)
+    idx = fs.interior_idx
+    res[idx] = acc[idx] / fs.dvol[idx]
+    return res
+
+
 # -- diffusion ---------------------------------------------------------------
-
-def _pair_tables(mesh: MacMesh, i):
-    """All (face_lo, face_hi, measure/dist) dual-interface pairs, stacked."""
-    los, his, ws = [], [], []
-    c1 = mesh.dual_case1[i]
-    if c1.count:
-        los.append(c1.face_lo)
-        his.append(c1.face_hi)
-        ws.append(c1.measure / c1.dist)
-    for c2 in mesh.dual_case2[i]:
-        if c2.count:
-            los.append(c2.face_lo)
-            his.append(c2.face_hi)
-            ws.append(c2.measure / c2.dist)
-    if not los:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    return (np.concatenate(los), np.concatenate(his), np.concatenate(ws))
-
 
 def laplacian_apply(mesh: MacMesh, u: VelocityField):
     """Pointwise discrete Laplacian of a velocity (no-slip walls).
@@ -137,20 +128,11 @@ def laplacian_apply(mesh: MacMesh, u: VelocityField):
     out = []
     for i in range(mesh.dim):
         v = u.components[i]
-        acc = np.zeros(v.shape)
-        lo, hi, w = _pair_tables(mesh, i)
-        jump = w * (v[lo] - v[hi])
-        np.add.at(acc, lo, jump)
-        np.add.at(acc, hi, -jump)
-        for wall in mesh.dual_walls[i]:
-            if wall.count:
-                np.add.at(acc, wall.face,
-                          (wall.measure / wall.dist) * v[wall.face])
-        fs = mesh.faces[i]
-        res = np.zeros(v.shape)
-        idx = fs.interior_idx
-        res[idx] = -acc[idx] / fs.dvol[idx]
-        out.append(res)
+        t = mesh.dual_interfaces[i]
+        acc = _scatter(v.size, t,
+                       (t.measure / t.dist) * (v[t.face_lo] - v[t.face_hi]))
+        np.add.at(acc, t.wall_face, t.wall_weight * v[t.wall_face])
+        out.append(_per_volume(mesh.faces[i], -acc))
     return out
 
 
@@ -163,27 +145,24 @@ def diffusion_matrix(mesh: MacMesh, i) -> sp.csr_matrix:
     """
     fs = mesh.faces[i]
     dof = fs.interior_dof
-    rows, cols, vals = [], [], []
-    lo, hi, w = _pair_tables(mesh, i)
-    dlo, dhi = dof[lo], dof[hi]
+    t = mesh.dual_interfaces[i]
+    w = t.measure / t.dist
+    dlo, dhi = dof[t.face_lo], dof[t.face_hi]
     both = (dlo >= 0) & (dhi >= 0)
-    for r, c, s in ((dlo, dlo, 1.0), (dhi, dhi, 1.0)):
+    rows, cols, vals = [], [], []
+    for r in (dlo, dhi):
         keep = r >= 0
         rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(s * w[keep])
-    rows.append(dlo[both])
-    cols.append(dhi[both])
-    vals.append(-w[both])
-    rows.append(dhi[both])
-    cols.append(dlo[both])
-    vals.append(-w[both])
-    for wall in mesh.dual_walls[i]:
-        if wall.count:
-            d = dof[wall.face]
-            rows.append(d)
-            cols.append(d)
-            vals.append(wall.measure / wall.dist)
+        cols.append(r[keep])
+        vals.append(w[keep])
+    for r, c in ((dlo, dhi), (dhi, dlo)):
+        rows.append(r[both])
+        cols.append(c[both])
+        vals.append(-w[both])
+    d = dof[t.wall_face]
+    rows.append(d)
+    cols.append(d)
+    vals.append(t.wall_weight)
     mat = sp.coo_matrix(
         (np.concatenate(vals),
          (np.concatenate(rows), np.concatenate(cols))),
@@ -208,7 +187,7 @@ def dual_density(mesh: MacMesh, rho: ScalarField):
     return out
 
 
-def dual_fluxes(mesh: MacMesh, fluxes, i) -> DualFields:
+def dual_fluxes(mesh: MacMesh, fluxes, i) -> np.ndarray:
     """Mass fluxes through the dual interfaces of component ``i``.
 
     Each dual-interface flux is the half-sum of the two primal fluxes it
@@ -216,13 +195,9 @@ def dual_fluxes(mesh: MacMesh, fluxes, i) -> DualFields:
     the two orthogonal fluxes whose faces it halves in case 2.  Signed
     along the positive axis it crosses.
     """
-    c1 = mesh.dual_case1[i]
-    f1 = 0.5 * (fluxes[i][c1.face_lo] + fluxes[i][c1.face_hi])
-    f2 = []
-    for c2 in mesh.dual_case2[i]:
-        j = c2.ortho_axis
-        f2.append(0.5 * (fluxes[j][c2.tau_lo] + fluxes[j][c2.tau_hi]))
-    return DualFields(f1, f2)
+    t = mesh.dual_interfaces[i]
+    flat = np.concatenate(fluxes)
+    return 0.5 * (flat[t.flux_lo] + flat[t.flux_hi])
 
 
 def div_dual_from_fluxes(mesh: MacMesh, fluxes):
@@ -236,20 +211,9 @@ def div_dual_from_fluxes(mesh: MacMesh, fluxes):
     out = []
     for i in range(mesh.dim):
         fs = mesh.faces[i]
-        acc = np.zeros(fs.count)
-        df = dual_fluxes(mesh, fluxes, i)
-        c1 = mesh.dual_case1[i]
-        if c1.count:
-            np.add.at(acc, c1.face_lo, df.case1)
-            np.add.at(acc, c1.face_hi, -df.case1)
-        for c2, f in zip(mesh.dual_case2[i], df.case2):
-            if c2.count:
-                np.add.at(acc, c2.face_lo, f)
-                np.add.at(acc, c2.face_hi, -f)
-        res = np.zeros(fs.count)
-        idx = fs.interior_idx
-        res[idx] = acc[idx] / fs.dvol[idx]
-        out.append(res)
+        acc = _scatter(fs.count, mesh.dual_interfaces[i],
+                       dual_fluxes(mesh, fluxes, i))
+        out.append(_per_volume(fs, acc))
     return out
 
 
@@ -273,22 +237,10 @@ def convection_apply(mesh: MacMesh, fluxes, v: VelocityField):
     for i in range(mesh.dim):
         fs = mesh.faces[i]
         comp = v.components[i]
-        acc = np.zeros(fs.count)
-        df = dual_fluxes(mesh, fluxes, i)
-        c1 = mesh.dual_case1[i]
-        if c1.count:
-            avg = 0.5 * (comp[c1.face_lo] + comp[c1.face_hi])
-            np.add.at(acc, c1.face_lo, df.case1 * avg)
-            np.add.at(acc, c1.face_hi, -df.case1 * avg)
-        for c2, f in zip(mesh.dual_case2[i], df.case2):
-            if c2.count:
-                avg = 0.5 * (comp[c2.face_lo] + comp[c2.face_hi])
-                np.add.at(acc, c2.face_lo, f * avg)
-                np.add.at(acc, c2.face_hi, -f * avg)
-        res = np.zeros(fs.count)
-        idx = fs.interior_idx
-        res[idx] = acc[idx] / fs.dvol[idx]
-        out.append(res)
+        t = mesh.dual_interfaces[i]
+        avg = 0.5 * (comp[t.face_lo] + comp[t.face_hi])
+        acc = _scatter(fs.count, t, dual_fluxes(mesh, fluxes, i) * avg)
+        out.append(_per_volume(fs, acc))
     return out
 
 
@@ -302,24 +254,9 @@ def convection_matrix(mesh: MacMesh, fluxes, i) -> sp.csr_matrix:
     """
     fs = mesh.faces[i]
     dof = fs.interior_dof
-    df = dual_fluxes(mesh, fluxes, i)
-    los, his, fl = [], [], []
-    c1 = mesh.dual_case1[i]
-    if c1.count:
-        los.append(c1.face_lo)
-        his.append(c1.face_hi)
-        fl.append(df.case1)
-    for c2, f in zip(mesh.dual_case2[i], df.case2):
-        if c2.count:
-            los.append(c2.face_lo)
-            his.append(c2.face_hi)
-            fl.append(f)
-    if not los:
-        return sp.csr_matrix((fs.n_interior, fs.n_interior))
-    lo = np.concatenate(los)
-    hi = np.concatenate(his)
-    half = 0.5 * np.concatenate(fl)
-    dlo, dhi = dof[lo], dof[hi]
+    t = mesh.dual_interfaces[i]
+    half = 0.5 * dual_fluxes(mesh, fluxes, i)
+    dlo, dhi = dof[t.face_lo], dof[t.face_hi]
 
     rows, cols, vals = [], [], []
     for r, sign in ((dlo, 1.0), (dhi, -1.0)):
@@ -337,14 +274,7 @@ def convection_matrix(mesh: MacMesh, fluxes, i) -> sp.csr_matrix:
 
 # -- dual reconstruction and gradient -----------------------------------------
 
-def dual_volumes(mesh: MacMesh, i) -> DualFields:
-    """Diamond volumes ``measure * dist`` attached to dual interfaces."""
-    c1 = mesh.dual_case1[i]
-    return DualFields(c1.measure * c1.dist,
-                      [c2.measure * c2.dist for c2 in mesh.dual_case2[i]])
-
-
-def flux_reconstruction(mesh: MacMesh, fluxes, i) -> DualFields:
+def flux_reconstruction(mesh: MacMesh, fluxes, i) -> np.ndarray:
     """Mass-flux density (flux over interface measure) per dual interface.
 
     This is the normal component of the reconstructed momentum field on
@@ -352,18 +282,10 @@ def flux_reconstruction(mesh: MacMesh, fluxes, i) -> DualFields:
     equals the half-sum of the adjacent upwind face momenta in case 1 and
     their measure-weighted mean in case 2.
     """
-    df = dual_fluxes(mesh, fluxes, i)
-    c1 = mesh.dual_case1[i]
-    case1 = np.zeros(c1.count)
-    if c1.count:
-        case1 = df.case1 / c1.measure
-    case2 = []
-    for c2, f in zip(mesh.dual_case2[i], df.case2):
-        case2.append(f / c2.measure if c2.count else f)
-    return DualFields(case1, case2)
+    return dual_fluxes(mesh, fluxes, i) / mesh.dual_interfaces[i].measure
 
 
-def dual_gradient(mesh: MacMesh, i, w: VelocityField) -> DualFields:
+def dual_gradient(mesh: MacMesh, i, w: VelocityField) -> np.ndarray:
     """Per-interface difference quotient of component ``i`` of ``w``.
 
     Oriented from the low to the high side as ``(w_lo - w_hi) / dist``:
@@ -373,24 +295,15 @@ def dual_gradient(mesh: MacMesh, i, w: VelocityField) -> DualFields:
     Exterior faces contribute their stored zero value.
     """
     v = w.components[i]
-    c1 = mesh.dual_case1[i]
-    case1 = (v[c1.face_lo] - v[c1.face_hi]) / c1.dist if c1.count \
-        else np.empty(0)
-    case2 = []
-    for c2 in mesh.dual_case2[i]:
-        case2.append((v[c2.face_lo] - v[c2.face_hi]) / c2.dist
-                     if c2.count else np.empty(0))
-    return DualFields(case1, case2)
+    t = mesh.dual_interfaces[i]
+    return (v[t.face_lo] - v[t.face_hi]) / t.dist
 
 
-def dual_pairing(mesh: MacMesh, i, a: DualFields, b: DualFields) -> float:
-    """Diamond-volume-weighted inner product of two dual-interface fields."""
-    vols = dual_volumes(mesh, i)
-    total = float(vols.case1 @ (a.case1 * b.case1)) if a.case1.size else 0.0
-    for v2, a2, b2 in zip(vols.case2, a.case2, b.case2):
-        if a2.size:
-            total += float(v2 @ (a2 * b2))
-    return total
+def dual_pairing(mesh: MacMesh, i, a: np.ndarray, b: np.ndarray) -> float:
+    """Diamond-volume-weighted inner product of two dual-interface fields;
+    the diamond volume of an interface is ``measure * dist``."""
+    t = mesh.dual_interfaces[i]
+    return float((t.measure * t.dist) @ (a * b))
 
 
 # -- matrix dump ----------------------------------------------------------------

@@ -71,15 +71,6 @@ def _constant(value):
     return fn
 
 
-def _wrap_space(fn):
-    """Broadcast a lambdified space-only expression over coordinate arrays."""
-    def wrapped(*coords):
-        out = fn(*coords)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.asarray(coords[0]).shape).copy()
-    return wrapped
-
-
 def _wrap_space_time(fn, tv):
     def wrapped(*coords):
         out = fn(*coords, tv)

@@ -345,6 +345,12 @@ def _space_time_errors(result: RunResult, problem):
     return math.sqrt(err_u_sq), math.sqrt(err_rho_sq), math.sqrt(err_p_sq)
 
 
+def _reduction(coarse: float, fine: float) -> float:
+    """Error reduction factor of one refinement; ``inf`` when the finer
+    level is exact, since nothing is left to reduce."""
+    return coarse / fine if fine != 0 else math.inf
+
+
 def convergence_study(problem, levels: int = 3, base_cells: int = 16,
                       t_end: float = 0.25, base_dt: float | None = None,
                       threshold: float = 1.5) -> ConvergenceReport:
@@ -376,10 +382,9 @@ def convergence_study(problem, levels: int = 3, base_cells: int = 16,
             eta=regularity(mesh), err_u=err_u, err_rho=err_rho, err_p=err_p,
             l2h1=record.l2h1, linf_l2=record.linf_l2))
 
-    factors_u = [rows[k].err_u / rows[k + 1].err_u
-                 for k in range(len(rows) - 1)]
-    factors_rho = [rows[k].err_rho / rows[k + 1].err_rho
-                   for k in range(len(rows) - 1)]
+    factors_u = [_reduction(a.err_u, b.err_u) for a, b in zip(rows, rows[1:])]
+    factors_rho = [_reduction(a.err_rho, b.err_rho)
+                   for a, b in zip(rows, rows[1:])]
     passed = (all(f >= threshold for f in factors_u)
               and all(f >= threshold for f in factors_rho))
     return ConvergenceReport(levels=rows, factors_u=factors_u,

@@ -83,7 +83,10 @@ class TestConfigValidation:
         (_RUNNABLE + "time: {t_end: 0.02, dt: .nan}\n", "time.dt"),
         (_RUNNABLE + "time: {t_end: .inf, dt: 0.01}\n", "time.t_end"),
         (_RUNNABLE.replace("[8, 8]", "[0, 8]")
-         + "time: {t_end: 0.02, dt: 0.01}\n", "invalid mesh"),
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
+        ("mesh: {coordinates: [[0, 0.6, 0.5, 1], [0, 1]]}\n"
+         "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
+         "invalid mesh"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "solver: {method: direct}\n", "solver.method"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
@@ -103,12 +106,39 @@ class TestConfigValidation:
          "output: {snapshots: -3}\n", "'output.snapshots'"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "output: {snapshots: 2.5}\n", "'output.snapshots'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {formats: csv}\n", "'output.formats'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {formats: 3}\n", "'output.formats'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {formats: null}\n", "'output.formats'"),
+        (_RUNNABLE.replace("[8, 8]", "[4.7, 4]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
+        (_RUNNABLE.replace("[8, 8]", "4")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
+        (_RUNNABLE.replace("[8, 8]", "[a, 4]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
+        ("mesh: {coordinates: [[0, a, 1], [0, 1]]}\n"
+         "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
+         "'mesh.coordinates'"),
+        (_RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 1], [0, a]]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.domain'"),
+        (_RUNNABLE.replace("[[0, 1], [0, 1]]", "3")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.domain'"),
+        ("mesh: {domain: [[0, 1], [0, 1], [0, 1]], cells: [4, 4, 4]}\n"
+         "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
+         "'problem.preset'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: true}\n", "'time.dt'"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
-            "inf-t-end", "empty-mesh-axis", "unknown-solver",
-            "unknown-solver-enforce", "nan-preset-param",
+            "inf-t-end", "empty-mesh-axis", "non-increasing-coordinates",
+            "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
             "text-oseen-tol", "nan-oseen-tol", "negative-transport-tol",
             "negative-bounds-margin", "negative-snapshots",
-            "fractional-snapshots"])
+            "fractional-snapshots", "text-formats", "number-formats",
+            "null-formats", "fractional-cells", "scalar-cells",
+            "text-cells", "text-coordinates", "text-domain",
+            "scalar-domain", "3d-mesh-2d-preset",
+            "boolean-dt"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -317,6 +347,20 @@ class TestStudyCommand:
         text = (out / "convergence.csv").read_text()
         assert "# passed: True" in text
         summary = (out / "summary.txt").read_text()
+        assert "overall: PASS" in summary
+
+    def test_exact_levels_report_inf_factors(self, tmp_path):
+        # the rest preset is reproduced exactly: every error is 0, so
+        # nothing is left to reduce and each factor is inf
+        path = write_config(tmp_path / "s.yaml", {
+            "problem": {"preset": "rest"},
+            "study": {"levels": 3, "base_cells": 4},
+        })
+        out = tmp_path / "out"
+        assert main(["study", "--config", path, "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text()
+        assert "velocity reduction factors: inf, inf\n" in summary
+        assert "density reduction factors: inf, inf\n" in summary
         assert "overall: PASS" in summary
 
     def test_levels_flag_overrides(self, tmp_path):

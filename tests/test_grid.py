@@ -207,6 +207,44 @@ class TestTableClosure:
             assert len(mesh.dual_case2[i]) == 2
             assert len(mesh.dual_walls[i]) == 4  # 2 axes x 2 sides
 
+    def test_dual_interfaces_stack_families(self, any_mesh):
+        mesh = any_mesh
+        # where each direction's faces start in the concatenated fluxes
+        start = [sum(fs.count for fs in mesh.faces[:j])
+                 for j in range(mesh.dim)]
+        for i in range(mesh.dim):
+            t = mesh.dual_interfaces[i]
+            c1, c2s = mesh.dual_case1[i], mesh.dual_case2[i]
+            assert t.count == c1.count + sum(c2.count for c2 in c2s)
+            rows = [(c1, np.s_[:c1.count])]
+            pos = c1.count
+            for c2 in c2s:
+                rows.append((c2, np.s_[pos:pos + c2.count]))
+                pos += c2.count
+            for fam, sl in rows:
+                for name in ("face_lo", "face_hi", "measure", "dist"):
+                    np.testing.assert_array_equal(getattr(t, name)[sl],
+                                                  getattr(fam, name))
+            np.testing.assert_array_equal(t.flux_lo[:c1.count],
+                                          start[i] + c1.face_lo)
+            np.testing.assert_array_equal(t.flux_hi[:c1.count],
+                                          start[i] + c1.face_hi)
+            for c2, sl in rows[1:]:
+                np.testing.assert_array_equal(t.flux_lo[sl],
+                                              start[c2.ortho_axis] + c2.tau_lo)
+                np.testing.assert_array_equal(t.flux_hi[sl],
+                                              start[c2.ortho_axis] + c2.tau_hi)
+            walls = mesh.dual_walls[i]
+            np.testing.assert_array_equal(
+                t.wall_face, [k for w in walls for k in w.face])
+            np.testing.assert_array_equal(
+                t.wall_weight,
+                [m / d for w in walls for m, d in zip(w.measure, w.dist)])
+            for name in ("face_lo", "face_hi", "measure", "dist", "flux_lo",
+                         "flux_hi", "wall_face", "wall_weight"):
+                with pytest.raises(ValueError):
+                    getattr(t, name)[:1] = 0
+
 
 class TestImmutability:
     def test_arrays_frozen(self, mesh2_uniform):
