@@ -28,7 +28,7 @@ from .fields import (ScalarField, Trajectory, VelocityField, cell_average,
                      norm_h1, norm_h1_squared, norm_l2_cells, norm_lp_dual,
                      sample_at_faces, scalar_from_csv, scalar_to_csv,
                      velocity_from_csv, velocity_to_csv, write_vtk)
-from .linsolve import (SaddleSystem, SolveReport, SolverFailure,
+from .linsolve import (SaddleSolver, SaddleSystem, SolveReport, SolverFailure,
                        assemble_divergence, assemble_gradient,
                        assemble_oseen, assemble_transport, solve_oseen,
                        solve_transport)

@@ -252,6 +252,9 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                  f"{record.oseen_fallbacks} of {len(result.diagnostics)}\n")
         fh.write("largest Krylov iteration count: "
                  f"{record.max_oseen_iterations}\n")
+        fh.write("preconditioner factorizations: "
+                 f"{record.precond_refreshes} of "
+                 f"{len(result.diagnostics)} steps\n")
         fh.write(f"overall: {'PASS' if all_pass else 'FAIL'}\n")
     return all_pass
 
@@ -376,7 +379,10 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
     problem = build_problem_from_config(cfg)
     hash_value = config_hash(cfg)
 
-    report = verify.convergence_study(problem, **study)
+    try:
+        report = verify.convergence_study(problem, **study)
+    except MeshValidationError as exc:
+        raise ConfigError(f"invalid mesh: {exc}") from None
 
     verify.write_convergence_csv(report,
                                  os.path.join(out_dir, "convergence.csv"),

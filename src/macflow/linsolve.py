@@ -19,12 +19,22 @@ pinned matrix is the reported fallback when GMRES does not converge, and
 the solver of systems without a viscous term (the divergence-free
 projection), which that preconditioner does not fit.  Either way the
 true residual of the pinned system decides convergence.
+
+A :class:`SaddleSolver` lives for one run on one mesh.  It builds the
+mesh-constant blocks (gradient, divergence, diffusion) once and keeps the
+preconditioner's LU factors from step to step: the density stays inside
+its initial bounds (discrete maximum principle), so the variable-density
+Poisson matrix moves within a bounded spectral band, and the momentum
+blocks move by O(dt).  The factors are rebuilt by a fixed rule (see
+:class:`SaddleSolver`), and each solve reports whether it factored.
+Stale factors can cost iterations, never accuracy, since the true
+residual still decides convergence.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +50,11 @@ from . import operators as ops
 # 1e-3 it stays there for about two more iterations.
 KRYLOV_TARGET = 1e-3
 
+# The preconditioner is factored again once a GMRES solve needs more than
+# this multiple of the iterations of the first solve after the last
+# factorization.
+REFRESH_GROWTH = 1.5
+
 
 class SolverFailure(RuntimeError):
     """A linear solve did not reach its required residual tolerance."""
@@ -47,11 +62,14 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class SolveReport:
-    """Outcome of one linear solve."""
+    """Outcome of one linear solve.
+
+    ``precond_refresh`` is true when the solve factored the Krylov
+    preconditioner instead of reusing the factors of an earlier one.
+    """
 
     system: str
     method: str
-    n_unknowns: int
     residual: float
     tolerance: float
     converged: bool
@@ -59,7 +77,7 @@ class SolveReport:
     fallback: bool = False
     pinned_cell: int | None = None
     mean_shift: float | None = None
-    wall_time: float = 0.0
+    precond_refresh: bool = False
 
 
 # -- transport ---------------------------------------------------------------
@@ -104,7 +122,6 @@ def assemble_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
 def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
                     u: VelocityField, tol: float = 1e-12):
     """Advance the density by one implicit upwind transport step."""
-    start = time.perf_counter()
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
     lu = spla.splu(mat.tocsc())
     values = lu.solve(rhs)
@@ -112,9 +129,8 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     scale = np.linalg.norm(rhs)
     rel = resid / scale if scale > 0 else resid
     report = SolveReport(
-        system="transport", method="direct", n_unknowns=mesh.n_cells,
-        residual=float(rel), tolerance=tol, converged=bool(rel <= tol),
-        wall_time=time.perf_counter() - start)
+        system="transport", method="direct", residual=float(rel),
+        tolerance=tol, converged=bool(rel <= tol))
     if not report.converged:
         raise SolverFailure(
             f"transport solve residual {rel:.3e} exceeds {tol:.1e}")
@@ -231,15 +247,19 @@ def assemble_gradient(mesh: MacMesh) -> sp.csr_matrix:
 
 def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
                    rho_old: ScalarField, u_old: VelocityField,
-                   forcing=None, pinned_cell: int = 0) -> SaddleSystem:
+                   forcing=None, pinned_cell: int = 0,
+                   saddle: SaddleSolver | None = None) -> SaddleSystem:
     """Build the linearized momentum/continuity system of one time step.
 
     Convection uses the upwind mass fluxes of ``(rho_new, u_old)``, the
     same fluxes that transported the density, which is what makes the
     dual mass balance and the kinetic energy identity exact.  ``forcing``
     is an optional list of per-direction face arrays (point values of the
-    momentum source at face centers).
+    momentum source at face centers).  The mesh-constant blocks come from
+    ``saddle``, the run's :class:`SaddleSolver` (a fresh one when
+    omitted).
     """
+    saddle = _saddle_for(mesh, saddle)
     fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
     rho_d_new = ops.dual_density(mesh, rho_new)
     rho_d_old = ops.dual_density(mesh, rho_old)
@@ -251,7 +271,7 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
         fs = mesh.faces[i]
         idx = fs.interior_idx
         masses.append(fs.dvol[idx] * rho_d_new[i][idx])
-        block = (sp.diags(masses[-1] / dt) + ops.diffusion_matrix(mesh, i)
+        block = (sp.diags(masses[-1] / dt) + saddle.diffusion[i]
                  + ops.convection_matrix(mesh, fluxes, i))
         blocks.append(block.tocsr())
         rhs = fs.dvol[idx] * rho_d_old[i][idx] * u_old.components[i][idx] / dt
@@ -260,30 +280,16 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
         rhs_parts.append(rhs)
 
     momentum = sp.block_diag(blocks, format="csr")
-    grad = assemble_gradient(mesh)
-    div = assemble_divergence(mesh)
-    return SaddleSystem(mesh, momentum, grad, div,
+    return SaddleSystem(mesh, momentum, saddle.grad, saddle.div,
                         np.concatenate(rhs_parts), pinned_cell, dt,
                         np.concatenate(masses), fluxes, rho_d_old, rho_d_new)
 
 
-def _block_preconditioner(system: SaddleSystem):
-    """Cahouet-Chabard block upper-triangular preconditioner.
-
-    Applies the inverse of ``P = [[A, G], [0, S]]``, where ``A`` is the
-    momentum block, inverted by one LU per velocity component, and ``S``
-    approximates the Schur complement ``+G^T A^-1 G`` of the saddle
-    (``div = -G^T``) through its inverse
-
-        ``S^-1 r = K^-1 r / dt + M_p^-1 r``,
-
-    with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
-    Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the cell
-    volumes (unit-viscosity limit).  ``K`` is pinned like the saddle, and
-    ``M_p^-1`` vanishes at the pinned cell.
+def _factor_preconditioner(system: SaddleSystem):
+    """LU factors of the blocks of :func:`_block_preconditioner`: a list
+    of ``(lo, hi, lu)`` for the momentum block of each velocity component
+    with unknowns, and the LU of the pinned pressure Poisson matrix ``K``.
     """
-    n_u, n_p = system.n_u, system.n_p
-    mesh = system.mesh
 
     def factor(block):
         # Both kinds of block have symmetric sparsity and admit LU without
@@ -297,14 +303,42 @@ def _block_preconditioner(system: SaddleSystem):
                          diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
 
-    ends = np.cumsum([fs.n_interior for fs in mesh.faces])
+    ends = np.cumsum([fs.n_interior for fs in system.mesh.faces])
     components = [(lo, hi, factor(system.momentum[lo:hi, lo:hi]))
                   for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)
                   if hi > lo]
     grad = system.grad
     lu_k = factor(pin_row(grad.T @ sp.diags(1.0 / system.face_mass) @ grad,
                           system.pinned_cell))
-    inv_mass_p = 1.0 / mesh.cell_volume
+    return components, lu_k
+
+
+def _block_preconditioner(system: SaddleSystem, factors):
+    """Cahouet-Chabard block upper-triangular preconditioner.
+
+    Applies the inverse of ``P = [[A, G], [0, S]]``, where ``A`` is the
+    momentum block, inverted by one LU per velocity component, and ``S``
+    approximates the Schur complement ``+G^T A^-1 G`` of the saddle
+    (``div = -G^T``) through its inverse
+
+        ``S^-1 r = K^-1 r / dt + M_p^-1 r``,
+
+    with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
+    Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the cell
+    volumes (unit-viscosity limit).  ``K`` is pinned like the saddle, and
+    ``M_p^-1`` vanishes at the pinned cell.
+
+    ``factors`` are the LU factors of :func:`_factor_preconditioner` for
+    ``A`` and ``K``, built from this system or from an earlier step's
+    system with the same ``dt`` and pinned cell (the lagged factors of a
+    :class:`SaddleSolver`): they then invert the momentum block and
+    density of that step, which steers GMRES just as well while the
+    density and velocity move little.
+    """
+    n_u, n_p = system.n_u, system.n_p
+    components, lu_k = factors
+    grad = system.grad
+    inv_mass_p = 1.0 / system.mesh.cell_volume
     inv_mass_p[system.pinned_cell] = 0.0
 
     def apply(r):
@@ -320,9 +354,80 @@ def _block_preconditioner(system: SaddleSystem):
                                dtype=float)
 
 
+class SaddleSolver:
+    """Saddle-solve state of one run on one mesh.
+
+    Holds the mesh-constant blocks of :func:`assemble_oseen` (gradient,
+    divergence and the diffusion block of each velocity component),
+    built on first use, and the LU factors of the GMRES preconditioner,
+    kept from one solve to the next.  The factors are built again:
+
+    * when the time step or the pinned cell differs from the one they
+      were built with (the Schur term is ``K^-1/dt``), and on first use;
+    * after a solve that fell back to ``direct``, since the preconditioner
+      failed there;
+    * after a GMRES solve that took more than ``REFRESH_GROWTH`` times
+      the iterations of the first solve after the last factorization.
+
+    The rule has no tunable input, so a run is as deterministic as
+    before.  :func:`macflow.timestepper.run` makes one per run; a step or
+    solve called without one makes a fresh one, which factors.
+    """
+
+    def __init__(self, mesh: MacMesh):
+        self.mesh = mesh
+        self._factors = None           # ((dt, pinned_cell), factors)
+        self._base_iterations = None   # first solve after factoring
+
+    @cached_property
+    def grad(self) -> sp.csr_matrix:
+        return assemble_gradient(self.mesh)
+
+    @cached_property
+    def div(self) -> sp.csr_matrix:
+        return assemble_divergence(self.mesh)
+
+    @cached_property
+    def diffusion(self) -> list:
+        return [ops.diffusion_matrix(self.mesh, i)
+                for i in range(self.mesh.dim)]
+
+    def preconditioner(self, system: SaddleSystem):
+        """The block preconditioner for ``system``, and whether its
+        factors were built for it (``False``: reused)."""
+        key = (system.dt, system.pinned_cell)
+        refresh = self._factors is None or self._factors[0] != key
+        if refresh:
+            self._factors = None  # release the old factors first
+            self._factors = (key, _factor_preconditioner(system))
+            self._base_iterations = None
+        return _block_preconditioner(system, self._factors[1]), refresh
+
+    def record(self, iterations: int, fallback: bool):
+        """Apply the refresh rule to the outcome of a GMRES solve with the
+        current factors: drop them after a fallback or an iteration count
+        above ``REFRESH_GROWTH`` times the base count, else take the count
+        as the base when none is set yet."""
+        if fallback or (self._base_iterations is not None and iterations
+                        > REFRESH_GROWTH * self._base_iterations):
+            self._factors = None
+        elif self._base_iterations is None:
+            self._base_iterations = iterations
+
+
+def _saddle_for(mesh: MacMesh, saddle: SaddleSolver | None) -> SaddleSolver:
+    """``saddle``, checked to belong to ``mesh``, or a fresh one."""
+    if saddle is None:
+        return SaddleSolver(mesh)
+    if saddle.mesh is not mesh:
+        raise ValueError("the saddle solver was built for another mesh")
+    return saddle
+
+
 def solve_oseen(system: SaddleSystem, method: str = "gmres",
                 tol: float = 1e-10, gmres_restart: int = 50,
-                gmres_maxiter: int = 300):
+                gmres_maxiter: int = 300,
+                saddle: SaddleSolver | None = None):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
@@ -335,20 +440,26 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
     set, ``method`` the one that produced the solution).  Whatever the
     method, the relative true residual of the pinned system must be at
     most ``tol``, or :class:`SolverFailure` is raised.
+
+    GMRES takes its preconditioner factors from ``saddle``, the run's
+    :class:`SaddleSolver` (a fresh one, which factors, when omitted), and
+    reports in ``precond_refresh`` whether this solve factored.
     """
     if method not in ("direct", "gmres"):
         raise ValueError(f"unknown solver method {method!r}")
-    start = time.perf_counter()
     mesh = system.mesh
     mat = system.full_matrix()
     rhs = system.full_rhs()
     scale = np.linalg.norm(rhs)
     iterations = 0
     fallback = False
+    refresh = False
 
     solution = None
     used = method
     if method == "gmres":
+        saddle = _saddle_for(mesh, saddle)
+        precond, refresh = saddle.preconditioner(system)
         counter = {"n": 0}
 
         def cb(_):
@@ -361,11 +472,12 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
         # larger).
         solution, info = spla.gmres(
             mat, rhs, rtol=KRYLOV_TARGET * tol, atol=0.0,
-            M=_block_preconditioner(system), restart=gmres_restart,
+            M=precond, restart=gmres_restart,
             maxiter=gmres_maxiter, callback=cb, callback_type="pr_norm")
         iterations = counter["n"]
-        if info != 0:
-            fallback = True
+        fallback = info != 0
+        saddle.record(iterations, fallback)
+        if fallback:
             solution = None
 
     if solution is None:
@@ -382,11 +494,10 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
     p_values = p_values - shift
 
     report = SolveReport(
-        system="oseen", method=used, n_unknowns=mat.shape[0],
-        residual=float(rel), tolerance=tol, converged=bool(rel <= tol),
-        iterations=iterations, fallback=fallback,
-        pinned_cell=system.pinned_cell, mean_shift=shift,
-        wall_time=time.perf_counter() - start)
+        system="oseen", method=used, residual=float(rel), tolerance=tol,
+        converged=bool(rel <= tol), iterations=iterations,
+        fallback=fallback, pinned_cell=system.pinned_cell,
+        mean_shift=shift, precond_refresh=refresh)
     if not report.converged:
         raise SolverFailure(
             f"saddle solve residual {rel:.3e} exceeds {tol:.1e}")

@@ -29,8 +29,8 @@ from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
                      fortin_interpolate, norm_l2_cells, norm_lp_dual,
                      norm_h1_squared)
 from . import operators as ops
-from .linsolve import (SolverFailure, solve_transport, assemble_oseen,
-                       solve_oseen)
+from .linsolve import (SaddleSolver, SolverFailure, solve_transport,
+                       assemble_oseen, solve_oseen)
 
 
 class InvariantViolation(RuntimeError):
@@ -93,6 +93,7 @@ class StepDiagnostics:
     oseen_method: str
     oseen_iterations: int
     oseen_fallback: bool
+    precond_refresh: bool
 
 
 @dataclass
@@ -149,13 +150,19 @@ def _divergence_field(mesh, u):
 
 
 def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
-         forcing=None, bounds=None):
+         forcing=None, bounds=None, saddle: SaddleSolver | None = None):
     """Advance one time level; returns (new_state, StepDiagnostics).
 
     ``forcing`` is an optional callable ``(mesh, t) -> per-direction face
-    arrays`` evaluated at the new time level.  ``bounds`` is the running
-    (min, max) density interval used for the maximum-principle guard; the
-    current density's own bounds are used when omitted.
+    arrays`` evaluated at the new time level; a non-finite value on an
+    interior face raises :class:`InvariantViolation` before the saddle
+    solve (wall faces carry no unknown and are not read).  ``bounds`` is
+    the running (min, max) density interval used for the
+    maximum-principle guard; the current density's own bounds are used
+    when omitted.  ``saddle`` is the run's
+    :class:`~macflow.linsolve.SaddleSolver`, which keeps the
+    mesh-constant blocks and the preconditioner factors across steps; a
+    fresh one is made when omitted.
     """
     dt = cfg.dt
     t_new = state.t + dt
@@ -172,9 +179,14 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
             f"density bounds violated by {violation:.3e} at t={t_new:.6g}")
 
     f_arrays = forcing(mesh, t_new) if forcing is not None else None
+    if f_arrays is not None and not all(
+            np.isfinite(np.asarray(f)[fs.interior_idx]).all()
+            for f, fs in zip(f_arrays, mesh.faces)):
+        raise InvariantViolation(f"forcing is not finite at t={t_new:.6g}")
     system = assemble_oseen(mesh, dt, rho_new, state.rho, state.u,
-                            forcing=f_arrays)
-    u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol)
+                            forcing=f_arrays, saddle=saddle)
+    u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol,
+                                      saddle=saddle)
 
     div_l2 = norm_l2_cells(_divergence_field(mesh, u_new))
     if div_l2 > cfg.div_guard:
@@ -194,7 +206,8 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
         u_l2=norm_lp_dual(u_new, 2),
         transport_residual=rep_t.residual, oseen_residual=rep_o.residual,
         oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
-        oseen_fallback=rep_o.fallback)
+        oseen_fallback=rep_o.fallback,
+        precond_refresh=rep_o.precond_refresh)
     new_state = SchemeState(t=t_new, index=state.index + 1,
                             rho=rho_new, u=u_new, p=p_new)
     return new_state, diag
@@ -280,6 +293,7 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     When ``t_end`` is not an integer multiple of ``dt`` the step is
     shrunk to the nearest exact divisor.  Snapshots are stored every
     ``store_every`` steps (always including the first and last states).
+    Every step shares one :class:`~macflow.linsolve.SaddleSolver`.
     """
     if not all(math.isfinite(v) and v > 0 for v in (cfg.dt, cfg.t_end)):
         raise ValueError("dt and t_end must be positive and finite")
@@ -297,10 +311,11 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     result.trajectory.append(state.t, state.rho, state.u, None)
 
     forcing = getattr(problem, "forcing", None)
+    saddle = SaddleSolver(mesh)
     for k in range(n_steps):
         try:
             state, diag = step(mesh, state, cfg_eff, forcing=forcing,
-                               bounds=bounds)
+                               bounds=bounds, saddle=saddle)
         except (InvariantViolation, SolverFailure) as exc:
             # attach what completed so callers can keep the partial record
             exc.partial = result

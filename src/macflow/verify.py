@@ -177,7 +177,8 @@ class DiagnosticsRecord:
     running maximum of the velocity L2 norm (initial state included).
     ``oseen_fallbacks`` counts the steps whose Krylov saddle solve fell
     back to the direct one; ``max_oseen_iterations`` is the largest
-    Krylov iteration count of any step.
+    Krylov iteration count of any step; ``precond_refreshes`` counts the
+    steps that factored the saddle preconditioner.
     """
 
     steps: list
@@ -192,6 +193,7 @@ class DiagnosticsRecord:
     rho_l2_monotone: bool
     oseen_fallbacks: int
     max_oseen_iterations: int
+    precond_refreshes: int
 
 
 def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
@@ -227,7 +229,9 @@ def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
         rho_l2_monotone=monotone,
         oseen_fallbacks=sum(d.oseen_fallback for d in result.diagnostics),
         max_oseen_iterations=max(
-            (d.oseen_iterations for d in result.diagnostics), default=0))
+            (d.oseen_iterations for d in result.diagnostics), default=0),
+        precond_refreshes=sum(d.precond_refresh
+                              for d in result.diagnostics))
 
 
 # -- time translates -----------------------------------------------------------
@@ -491,7 +495,8 @@ def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
                "ke_dissipation", "ke_numerical", "ke_work",
                "mass_dual_resid", "kinetic_resid", "kinetic_remainder_max",
                "u_h1", "u_l2", "transport_residual", "oseen_residual",
-               "oseen_iterations", "oseen_method", "oseen_fallback"]
+               "oseen_iterations", "oseen_method", "oseen_fallback",
+               "precond_refresh"]
     with atomic_write(path) as fh:
         standard_header(fh, "run-diagnostics", cfg_hash, seed=seed,
                         extra={"l2h1": format_float(record.l2h1),
@@ -513,7 +518,7 @@ def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
                 format_float(h1), format_float(l2),
                 format_float(d.transport_residual),
                 format_float(d.oseen_residual), d.oseen_iterations,
-                d.oseen_method, d.oseen_fallback])
+                d.oseen_method, d.oseen_fallback, d.precond_refresh])
 
 
 def write_translate_csv(report: TranslateReport, path, cfg_hash=None):

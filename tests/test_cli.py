@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
-from macflow import timestepper
+from macflow import timestepper, verify
 from macflow.cli import (ConfigError, build_mesh_from_config,
                          build_scheme_config, load_config, main)
 from macflow.fields import scalar_from_csv
-from macflow.grid import build_uniform_mesh
+from macflow.grid import MeshValidationError, build_uniform_mesh
 from macflow.linsolve import solve_oseen
 
 
@@ -157,16 +157,32 @@ class TestConfigValidation:
         ("verify", "verify: {trials: abc}\n", [], "'verify.trials'"),
         ("verify", "verify: {trials: 0}\n", [], "'verify.trials'"),
         ("verify", "verify: {tolerance: .nan}\n", [], "'verify.tolerance'"),
+        ("study", "problem: {preset: rest, params: {dim: 4}}\n"
+         "study: {levels: 3, base_cells: 2}\n", [], "dim must be 2 or 3"),
     ], ids=["text-threshold", "two-levels", "two-levels-flag",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
-            "zero-trials", "nan-tolerance"])
+            "zero-trials", "nan-tolerance", "rest-in-4d"])
     def test_exit_code_2_on_bad_study_or_verify_config(
             self, tmp_path, capsys, command, text, extra, message):
         path = tmp_path / "c.yaml"
-        path.write_text("problem: {preset: gyre}\n" + text)
+        if not text.startswith("problem:"):
+            text = "problem: {preset: gyre}\n" + text
+        path.write_text(text)
         code = main([command, "--config", str(path),
                      "--out", str(tmp_path / "out"), *extra])
         assert_config_error(code, capsys, message)
+
+    def test_study_mesh_error_is_config_error(self, tmp_path, capsys,
+                                              monkeypatch):
+        def bad_study(problem, **kwargs):
+            raise MeshValidationError("cells must be positive")
+
+        monkeypatch.setattr(verify, "convergence_study", bad_study)
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {preset: gyre}\n")
+        code = main(["study", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert_config_error(code, capsys, "invalid mesh: cells must be")
 
     def test_solver_keys_override_scheme_defaults(self, tmp_path):
         path = run_config(tmp_path, solver={"bounds_margin": 0,
@@ -234,10 +250,14 @@ class TestRunCommand:
         assert len(rows) == 5  # one row per step
         assert all(r["oseen_method"] == "gmres"
                    and r["oseen_fallback"] == "False" for r in rows)
+        # the first step factors the preconditioner, the next reuse it
+        assert [r["precond_refresh"] for r in rows] == \
+            ["True"] + ["False"] * 4
         summary = (out / "summary.txt").read_text()
         assert summary.count("[PASS]") == 4
         assert "[FAIL]" not in summary
         assert "saddle solves that fell back to direct: 0 of 5" in summary
+        assert "preconditioner factorizations: 1 of 5 steps" in summary
 
     def test_solver_fallback_reported(self, tmp_path, monkeypatch):
         # a Krylov solve capped at one iteration cannot converge: every
@@ -259,12 +279,16 @@ class TestRunCommand:
         for rep in reports:
             assert rep.fallback and rep.method == "direct"
             assert rep.residual <= rep.tolerance
+        # a fallback drops the factors: the next step factors again
+        assert all(rep.precond_refresh for rep in reports)
         rows = diagnostics_rows(out)
         assert all(r["oseen_method"] == "direct"
-                   and r["oseen_fallback"] == "True" for r in rows)
+                   and r["oseen_fallback"] == "True"
+                   and r["precond_refresh"] == "True" for r in rows)
         summary = (out / "summary.txt").read_text()
         assert "saddle solves that fell back to direct: 5 of 5" in summary
         assert "largest Krylov iteration count: 1" in summary
+        assert "preconditioner factorizations: 5 of 5 steps" in summary
 
     def test_vtk_output(self, tmp_path):
         path = run_config(tmp_path, output={"formats": ["csv", "vtk"]})

@@ -7,12 +7,12 @@ import scipy.sparse as sp
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import operators as ops
-from macflow.linsolve import (SolverFailure, assemble_divergence,
-                              assemble_gradient, assemble_oseen,
-                              assemble_transport, solve_oseen,
-                              solve_transport)
+from macflow.linsolve import (SaddleSolver, SolverFailure,
+                              assemble_divergence, assemble_gradient,
+                              assemble_oseen, assemble_transport,
+                              solve_oseen, solve_transport)
 from macflow.presets import get_preset
-from macflow.timestepper import SchemeConfig, initialize, step
+from macflow.timestepper import SchemeConfig, initialize, run, step
 from macflow.verify import project_divergence_free
 
 from conftest import graded_mesh
@@ -346,6 +346,71 @@ class TestOseenSolve:
         assert report.mean_shift is not None
         assert abs(mesh.cell_volume @ p.values) < 1e-10
         assert p.zero_mean
+
+
+class TestSaddleSolver:
+    def test_refresh_rule(self, mesh2_uniform):
+        saddle = SaddleSolver(mesh2_uniform)
+        system = random_saddle(mesh2_uniform, seed=18)
+
+        def factored(system):
+            return saddle.preconditioner(system)[1]
+
+        assert factored(system)      # first use
+        saddle.record(10, False)     # the base count
+        assert not factored(system)
+        saddle.record(15, False)     # 1.5 times the base: kept
+        assert not factored(system)
+        saddle.record(16, False)     # above it: factored again
+        assert factored(system)
+        saddle.record(16, False)     # the new base
+        saddle.record(24, False)
+        assert not factored(system)
+        saddle.record(3, True)       # a fallback: factored again
+        assert factored(system)
+        saddle.record(3, False)
+        assert not factored(system)
+        assert factored(random_saddle(mesh2_uniform, seed=18, dt=0.1))
+        assert factored(random_saddle(mesh2_uniform, seed=18, dt=0.1,
+                                      pinned_cell=3))
+
+    def test_mesh_constant_blocks_shared(self, mesh2_graded):
+        saddle = SaddleSolver(mesh2_graded)
+        rho = ScalarField.constant(mesh2_graded, 1.0)
+        u = VelocityField.zeros(mesh2_graded)
+        a = assemble_oseen(mesh2_graded, 0.1, rho, rho, u, saddle=saddle)
+        b = assemble_oseen(mesh2_graded, 0.2, rho, rho, u, saddle=saddle)
+        assert a.grad is b.grad is saddle.grad
+        assert a.div is b.div is saddle.div
+        fresh = assemble_oseen(mesh2_graded, 0.2, rho, rho, u)
+        assert (fresh.momentum != b.momentum).nnz == 0
+
+    def test_other_mesh_rejected(self, mesh2_uniform, mesh2_graded):
+        saddle = SaddleSolver(mesh2_uniform)
+        system = random_saddle(mesh2_graded, seed=19)
+        with pytest.raises(ValueError, match="another mesh"):
+            solve_oseen(system, saddle=saddle)
+        rho = ScalarField.constant(mesh2_graded, 1.0)
+        with pytest.raises(ValueError, match="another mesh"):
+            assemble_oseen(mesh2_graded, 0.1, rho, rho,
+                           VelocityField.zeros(mesh2_graded), saddle=saddle)
+
+    def test_preconditioner_factors_reused(self):
+        # a run keeps its factors while the iteration count holds, and
+        # every step stays as tight as with fresh factors
+        problem = get_preset("gyre")
+        mesh = build_uniform_mesh(problem.domain, (32, 32))
+        result = run(mesh, problem, SchemeConfig(dt=0.005, t_end=0.1))
+        diags = result.diagnostics
+        assert len(diags) == 20
+        assert diags[0].precond_refresh
+        assert sum(d.precond_refresh for d in diags) < len(diags)
+        for d in diags:
+            assert d.oseen_method == "gmres" and not d.oseen_fallback
+            assert 0 < d.oseen_iterations <= 25
+            assert d.div_l2 <= 1e-13
+            assert d.mass_dual_resid <= 1e-13
+            assert d.kinetic_resid <= 1e-13
 
 
 class TestProjection:

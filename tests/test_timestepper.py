@@ -80,6 +80,36 @@ class TestOneStepResidual:
         assert diag.div_l2 < 1e-9
 
 
+class TestForcingGuard:
+    @staticmethod
+    def step_with_nan_forcing(wall):
+        # one NaN on an interior face, or on a wall face, of the x-forcing
+        problem = get_preset("gyre")
+        mesh = build_uniform_mesh(problem.domain, (8, 8))
+        fs = mesh.faces[0]
+        face = np.setdiff1d(np.arange(fs.count), fs.interior_idx)[0] \
+            if wall else fs.interior_idx[0]
+
+        def forcing(mesh, t):
+            arrays = [np.array(a, dtype=float)
+                      for a in problem.forcing(mesh, t)]
+            arrays[0][face] = np.nan
+            return arrays
+
+        cfg = SchemeConfig(dt=0.01, t_end=0.01)
+        return step(mesh, initialize(mesh, problem), cfg, forcing=forcing)
+
+    def test_non_finite_interior_forcing_rejected(self):
+        with pytest.raises(InvariantViolation,
+                           match="forcing is not finite at t=0.01"):
+            self.step_with_nan_forcing(wall=False)
+
+    def test_wall_forcing_ignored(self):
+        _, diag = self.step_with_nan_forcing(wall=True)
+        assert diag.div_l2 < 1e-9
+        assert math.isfinite(diag.ke_work)
+
+
 class TestMassBalances:
     def test_dual_mass_balance_over_steps(self):
         problem = get_preset("gyre")
