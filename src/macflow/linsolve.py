@@ -332,8 +332,8 @@ def _block_preconditioner(system: SaddleSystem, factors):
     ``A`` and ``K``, built from this system or from an earlier step's
     system with the same ``dt`` and pinned cell (the lagged factors of a
     :class:`SaddleSolver`): they then invert the momentum block and
-    density of that step, which steers GMRES just as well while the
-    density and velocity move little.
+    density of that step, which still steers GMRES while the density and
+    velocity move little, at the cost of a few iterations.
     """
     n_u, n_p = system.n_u, system.n_p
     components, lu_k = factors
