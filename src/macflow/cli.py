@@ -19,7 +19,6 @@ or a run is interrupted by a guard, and 2 for configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -290,7 +289,8 @@ def cmd_run(cfg, out_dir, seed) -> int:
                                  cfg_hash=hash_value, seed=seed)
     _write_snapshots(result, out_dir, formats, hash_value)
     if cfg.get("output", {}).get("mesh_tables"):
-        dump_mesh_tables(mesh, os.path.join(out_dir, "mesh_tables.csv"))
+        dump_mesh_tables(mesh, os.path.join(out_dir, "mesh_tables.csv"),
+                         cfg_hash=hash_value)
     ok = _write_run_summary(os.path.join(out_dir, "summary.txt"), result,
                             record, interrupted, hash_value, seed)
     if interrupted:

@@ -19,7 +19,7 @@ import io
 import numpy as np
 
 from .grid import MacMesh
-from .ioutil import atomic_write, format_float, standard_header
+from .ioutil import atomic_write, format_float, write_table
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
@@ -277,12 +277,8 @@ class Trajectory:
 
 def scalar_to_csv(field: ScalarField, path, cfg_hash=None, extra=None):
     """Write (id, value) rows for a cell field."""
-    with atomic_write(path) as fh:
-        standard_header(fh, "scalar-field", cfg_hash, extra=extra)
-        writer = csv.writer(fh)
-        writer.writerow(["id", "value"])
-        for k, v in enumerate(field.values):
-            writer.writerow([k, format_float(v)])
+    write_table(path, "scalar-field", ["id", "value"],
+                enumerate(field.values.tolist()), cfg_hash, extra=extra)
 
 
 def scalar_from_csv(mesh: MacMesh, path) -> ScalarField:
@@ -303,13 +299,10 @@ def scalar_from_csv(mesh: MacMesh, path) -> ScalarField:
 
 def velocity_to_csv(u: VelocityField, path, cfg_hash=None, extra=None):
     """Write (direction, id, value) rows for all faces of all components."""
-    with atomic_write(path) as fh:
-        standard_header(fh, "velocity-field", cfg_hash, extra=extra)
-        writer = csv.writer(fh)
-        writer.writerow(["direction", "id", "value"])
-        for i, comp in enumerate(u.components):
-            for k, v in enumerate(comp):
-                writer.writerow([i, k, format_float(v)])
+    write_table(path, "velocity-field", ["direction", "id", "value"],
+                ((i, k, v) for i, comp in enumerate(u.components)
+                 for k, v in enumerate(comp.tolist())),
+                cfg_hash, extra=extra)
 
 
 def velocity_from_csv(mesh: MacMesh, path) -> VelocityField:

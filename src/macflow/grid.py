@@ -31,9 +31,9 @@ entry than the cell grid along its own axis.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
+
+from .ioutil import write_table
 
 
 class MeshValidationError(ValueError):
@@ -442,32 +442,32 @@ def mesh_step(mesh: MacMesh) -> float:
     return float(np.sqrt(diag2.max()))
 
 
-def dump_mesh_tables(mesh: MacMesh, path) -> None:
+def dump_mesh_tables(mesh: MacMesh, path, cfg_hash=None) -> None:
     """Write the face and dual-face tables to CSV for inspection.
 
     Columns: id, direction, case, measure, neighbors.  Primal faces list
     their two cells, dual faces the two component faces they separate.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "direction", "case", "measure", "neighbors"])
+    def rows():
         for i in range(mesh.dim):
             fs = mesh.faces[i]
             for k in range(fs.count):
                 kind = "interior" if fs.is_interior[k] else "exterior"
-                writer.writerow([k, i, f"primal-{kind}", repr(fs.measure[k]),
-                                 f"{fs.cell_lo[k]}|{fs.cell_hi[k]}"])
+                yield (k, i, f"primal-{kind}", fs.measure[k],
+                       f"{fs.cell_lo[k]}|{fs.cell_hi[k]}")
             c1 = mesh.dual_case1[i]
             for k in range(c1.count):
-                writer.writerow([k, i, "dual-case1", repr(c1.measure[k]),
-                                 f"{c1.face_lo[k]}|{c1.face_hi[k]}"])
+                yield (k, i, "dual-case1", c1.measure[k],
+                       f"{c1.face_lo[k]}|{c1.face_hi[k]}")
             for c2 in mesh.dual_case2[i]:
                 for k in range(c2.count):
-                    writer.writerow([k, i, f"dual-case2-ortho{c2.ortho_axis}",
-                                     repr(c2.measure[k]),
-                                     f"{c2.face_lo[k]}|{c2.face_hi[k]}"])
+                    yield (k, i, f"dual-case2-ortho{c2.ortho_axis}",
+                           c2.measure[k], f"{c2.face_lo[k]}|{c2.face_hi[k]}")
             for w in mesh.dual_walls[i]:
                 for k in range(w.count):
-                    writer.writerow([k, i,
-                                     f"dual-wall-ortho{w.ortho_axis}-side{w.side}",
-                                     repr(w.measure[k]), f"{w.face[k]}|wall"])
+                    yield (k, i, f"dual-wall-ortho{w.ortho_axis}-side{w.side}",
+                           w.measure[k], f"{w.face[k]}|wall")
+
+    write_table(path, "mesh-tables",
+                ["id", "direction", "case", "measure", "neighbors"], rows(),
+                cfg_hash)

@@ -50,6 +50,14 @@ from . import operators as ops
 # 1e-3 it stays there for about two more iterations.
 KRYLOV_TARGET = 1e-3
 
+# Restart length and iteration cap of the GMRES saddle solve; a solve
+# that reaches the cap falls back to LU.
+GMRES_RESTART = 50
+GMRES_MAXITER = 300
+
+# The cell whose continuity row the pressure pin replaces.
+PINNED_CELL = 0
+
 # The preconditioner is factored again once a GMRES solve needs more than
 # this multiple of the iterations of the first solve after the last
 # factorization.
@@ -68,15 +76,10 @@ class SolveReport:
     preconditioner instead of reusing the factors of an earlier one.
     """
 
-    system: str
     method: str
     residual: float
-    tolerance: float
-    converged: bool
     iterations: int = 0
     fallback: bool = False
-    pinned_cell: int | None = None
-    mean_shift: float | None = None
     precond_refresh: bool = False
 
 
@@ -128,12 +131,10 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     resid = np.linalg.norm(mat @ values - rhs)
     scale = np.linalg.norm(rhs)
     rel = resid / scale if scale > 0 else resid
-    report = SolveReport(
-        system="transport", method="direct", residual=float(rel),
-        tolerance=tol, converged=bool(rel <= tol))
-    if not report.converged:
+    if not rel <= tol:
         raise SolverFailure(
             f"transport solve residual {rel:.3e} exceeds {tol:.1e}")
+    report = SolveReport(method="direct", residual=float(rel))
     return ScalarField(mesh, values), report
 
 
@@ -172,15 +173,13 @@ class SaddleSystem:
     diagnostics.
     """
 
-    def __init__(self, mesh, momentum, grad, div, rhs_u, pinned_cell, dt,
-                 face_mass, fluxes=None, rho_dual_old=None,
-                 rho_dual_new=None):
+    def __init__(self, mesh, momentum, grad, div, rhs_u, dt, face_mass,
+                 fluxes=None, rho_dual_old=None, rho_dual_new=None):
         self.mesh = mesh
         self.momentum = momentum
         self.grad = grad
         self.div = div
         self.rhs_u = rhs_u
-        self.pinned_cell = int(pinned_cell)
         self.dt = float(dt)
         self.face_mass = face_mass
         self.fluxes = fluxes
@@ -193,11 +192,11 @@ class SaddleSystem:
         """Pinned saddle matrix (one continuity row swapped for the pin)."""
         mat = sp.bmat([[self.momentum, self.grad],
                        [self.div, None]], format="csr")
-        return pin_row(mat, self.n_u + self.pinned_cell)
+        return pin_row(mat, self.n_u + PINNED_CELL)
 
     def full_rhs(self) -> np.ndarray:
         rhs = np.concatenate([self.rhs_u, np.zeros(self.n_p)])
-        rhs[self.n_u + self.pinned_cell] = 0.0
+        rhs[self.n_u + PINNED_CELL] = 0.0
         return rhs
 
 
@@ -247,7 +246,7 @@ def assemble_gradient(mesh: MacMesh) -> sp.csr_matrix:
 
 def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
                    rho_old: ScalarField, u_old: VelocityField,
-                   forcing=None, pinned_cell: int = 0,
+                   forcing=None,
                    saddle: SaddleSolver | None = None) -> SaddleSystem:
     """Build the linearized momentum/continuity system of one time step.
 
@@ -281,8 +280,8 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
 
     momentum = sp.block_diag(blocks, format="csr")
     return SaddleSystem(mesh, momentum, saddle.grad, saddle.div,
-                        np.concatenate(rhs_parts), pinned_cell, dt,
-                        np.concatenate(masses), fluxes, rho_d_old, rho_d_new)
+                        np.concatenate(rhs_parts), dt, np.concatenate(masses),
+                        fluxes, rho_d_old, rho_d_new)
 
 
 def _factor_preconditioner(system: SaddleSystem):
@@ -309,7 +308,7 @@ def _factor_preconditioner(system: SaddleSystem):
                   if hi > lo]
     grad = system.grad
     lu_k = factor(pin_row(grad.T @ sp.diags(1.0 / system.face_mass) @ grad,
-                          system.pinned_cell))
+                          PINNED_CELL))
     return components, lu_k
 
 
@@ -330,7 +329,7 @@ def _block_preconditioner(system: SaddleSystem, factors):
 
     ``factors`` are the LU factors of :func:`_factor_preconditioner` for
     ``A`` and ``K``, built from this system or from an earlier step's
-    system with the same ``dt`` and pinned cell (the lagged factors of a
+    system with the same ``dt`` (the lagged factors of a
     :class:`SaddleSolver`): they then invert the momentum block and
     density of that step, which still steers GMRES while the density and
     velocity move little, at the cost of a few iterations.
@@ -339,7 +338,7 @@ def _block_preconditioner(system: SaddleSystem, factors):
     components, lu_k = factors
     grad = system.grad
     inv_mass_p = 1.0 / system.mesh.cell_volume
-    inv_mass_p[system.pinned_cell] = 0.0
+    inv_mass_p[PINNED_CELL] = 0.0
 
     def apply(r):
         r_p = r[n_u:]
@@ -362,8 +361,8 @@ class SaddleSolver:
     built on first use, and the LU factors of the GMRES preconditioner,
     kept from one solve to the next.  The factors are built again:
 
-    * when the time step or the pinned cell differs from the one they
-      were built with (the Schur term is ``K^-1/dt``), and on first use;
+    * when the time step differs from the one they were built with (the
+      Schur term is ``K^-1/dt``), and on first use;
     * after a solve that fell back to ``direct``, since the preconditioner
       failed there;
     * after a GMRES solve that took more than ``REFRESH_GROWTH`` times
@@ -376,7 +375,7 @@ class SaddleSolver:
 
     def __init__(self, mesh: MacMesh):
         self.mesh = mesh
-        self._factors = None           # ((dt, pinned_cell), factors)
+        self._factors = None           # (dt, factors)
         self._base_iterations = None   # first solve after factoring
 
     @cached_property
@@ -395,11 +394,10 @@ class SaddleSolver:
     def preconditioner(self, system: SaddleSystem):
         """The block preconditioner for ``system``, and whether its
         factors were built for it (``False``: reused)."""
-        key = (system.dt, system.pinned_cell)
-        refresh = self._factors is None or self._factors[0] != key
+        refresh = self._factors is None or self._factors[0] != system.dt
         if refresh:
             self._factors = None  # release the old factors first
-            self._factors = (key, _factor_preconditioner(system))
+            self._factors = (system.dt, _factor_preconditioner(system))
             self._base_iterations = None
         return _block_preconditioner(system, self._factors[1]), refresh
 
@@ -425,9 +423,7 @@ def _saddle_for(mesh: MacMesh, saddle: SaddleSolver | None) -> SaddleSolver:
 
 
 def solve_oseen(system: SaddleSystem, method: str = "gmres",
-                tol: float = 1e-10, gmres_restart: int = 50,
-                gmres_maxiter: int = 300,
-                saddle: SaddleSolver | None = None):
+                tol: float = 1e-10, saddle: SaddleSolver | None = None):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
@@ -472,8 +468,8 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
         # larger).
         solution, info = spla.gmres(
             mat, rhs, rtol=KRYLOV_TARGET * tol, atol=0.0,
-            M=precond, restart=gmres_restart,
-            maxiter=gmres_maxiter, callback=cb, callback_type="pr_norm")
+            M=precond, restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+            callback=cb, callback_type="pr_norm")
         iterations = counter["n"]
         fallback = info != 0
         saddle.record(iterations, fallback)
@@ -493,14 +489,12 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
     shift = float(mesh.cell_volume @ p_values) / mesh.volume
     p_values = p_values - shift
 
-    report = SolveReport(
-        system="oseen", method=used, residual=float(rel), tolerance=tol,
-        converged=bool(rel <= tol), iterations=iterations,
-        fallback=fallback, pinned_cell=system.pinned_cell,
-        mean_shift=shift, precond_refresh=refresh)
-    if not report.converged:
+    if not rel <= tol:
         raise SolverFailure(
             f"saddle solve residual {rel:.3e} exceeds {tol:.1e}")
+    report = SolveReport(method=used, residual=float(rel),
+                         iterations=iterations, fallback=fallback,
+                         precond_refresh=refresh)
     velocity = VelocityField.from_interior(mesh, u_vec)
     pressure = ScalarField(mesh, p_values, zero_mean=True)
     return velocity, pressure, report

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .grid import MacMesh
 from .fields import ScalarField, VelocityField
-from .ioutil import atomic_write, format_float, standard_header
+from .ioutil import write_table
 
 
 # -- primal transport -------------------------------------------------------
@@ -312,10 +312,6 @@ def dump_matrix_coo(mat, path, cfg_hash=None, name="matrix"):
     """Write a sparse matrix as (row, col, value) CSV in COO layout."""
     coo = sp.coo_matrix(mat)
     order = np.lexsort((coo.col, coo.row))
-    with atomic_write(path) as fh:
-        standard_header(fh, f"coo-{name}", cfg_hash,
-                        extra={"shape": f"{coo.shape[0]}x{coo.shape[1]}"})
-        fh.write("row,col,value\n")
-        for k in order:
-            fh.write(f"{coo.row[k]},{coo.col[k]},"
-                     f"{format_float(coo.data[k])}\n")
+    write_table(path, f"coo-{name}", ["row", "col", "value"],
+                zip(coo.row[order], coo.col[order], coo.data[order].tolist()),
+                cfg_hash, extra={"shape": f"{coo.shape[0]}x{coo.shape[1]}"})

@@ -62,7 +62,6 @@ class ProblemSetup:
     u_exact: Callable | None = None     # u_exact(t) -> list of callables
     p_exact: Callable | None = None
     rho_bounds: tuple[float, float] | None = None
-    symbolic: dict | None = None        # sympy fields for cross-checks
 
 
 def _constant(value):
@@ -122,7 +121,6 @@ def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
                                        (mesh.faces[i].count,)).copy())
         return out
 
-    forcing.expressions = f_exprs
     return forcing
 
 
@@ -158,8 +156,7 @@ def _setup_from_symbolic(name, rho, u_exprs, p, x, y, t, rho_bounds):
         rho_exact=lambda tv: _wrap_space_time(rho_t, tv),
         u_exact=lambda tv: [_wrap_space_time(f, tv) for f in u_fns],
         p_exact=lambda tv: _wrap_space_time(p_fn, tv),
-        rho_bounds=rho_bounds,
-        symbolic={"x": x, "y": y, "t": t, "rho": rho, "u": u_exprs, "p": p})
+        rho_bounds=rho_bounds)
 
 
 def make_gyre(amplitude: float = 0.15,

@@ -70,7 +70,10 @@ class SchemeState:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step measurements; identity residuals are relative."""
+    """Per-step measurements; identity residuals are relative.
+
+    The fields, in order, are the columns of ``diagnostics.csv``.
+    """
 
     step: int
     t: float
@@ -87,11 +90,12 @@ class StepDiagnostics:
     mass_dual_resid: float
     kinetic_resid: float
     kinetic_remainder_max: float
+    u_h1: float
     u_l2: float
     transport_residual: float
     oseen_residual: float
-    oseen_method: str
     oseen_iterations: int
+    oseen_method: str
     oseen_fallback: bool
     precond_refresh: bool
 
@@ -106,7 +110,6 @@ class RunResult:
     n_steps: int
     trajectory: Trajectory
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    initial_bounds: tuple[float, float] = (0.0, 0.0)
     initial_div_l2: float = 0.0
 
 
@@ -193,17 +196,18 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
         raise InvariantViolation(
             f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
 
+    ke_dissipation = dt * norm_h1_squared(u_new)
     diag = StepDiagnostics(
         step=state.index + 1, t=t_new,
         rho_min=rho_new.min(), rho_max=rho_new.max(),
         rho_l2=norm_l2_cells(rho_new), mass=rho_new.integral(),
         bound_violation=violation, div_l2=div_l2,
         kinetic_energy=kinetic_energy(mesh, system.rho_dual_new, u_new),
-        ke_dissipation=dt * norm_h1_squared(u_new),
+        ke_dissipation=ke_dissipation,
         **face_balances(mesh, dt, system.fluxes, system.rho_dual_old,
                         system.rho_dual_new, state.u, u_new, p_new,
                         f_arrays),
-        u_l2=norm_lp_dual(u_new, 2),
+        u_h1=math.sqrt(ke_dissipation / dt), u_l2=norm_lp_dual(u_new, 2),
         transport_residual=rep_t.residual, oseen_residual=rep_o.residual,
         oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
         oseen_fallback=rep_o.fallback,
@@ -305,7 +309,6 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     bounds = (state.rho.min(), state.rho.max())
     result = RunResult(mesh=mesh, config=cfg_eff, dt=dt, n_steps=n_steps,
                        trajectory=Trajectory(mesh),
-                       initial_bounds=bounds,
                        initial_div_l2=norm_l2_cells(
                            _divergence_field(mesh, state.u)))
     result.trajectory.append(state.t, state.rho, state.u, None)

@@ -17,9 +17,8 @@ Three kinds of checks live here:
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as la
@@ -32,8 +31,9 @@ from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
 from . import operators as ops
 from .linsolve import (SaddleSystem, assemble_divergence, assemble_gradient,
                        solve_oseen)
-from .timestepper import RunResult, SchemeConfig, face_balances, run
-from .ioutil import atomic_write, format_float, standard_header
+from .timestepper import (RunResult, SchemeConfig, StepDiagnostics,
+                          face_balances, run)
+from .ioutil import write_table
 
 
 @dataclass
@@ -184,8 +184,6 @@ class DiagnosticsRecord:
     steps: list
     l2h1: float
     linf_l2: float
-    u_h1_per_step: list[float]
-    u_l2_per_step: list[float]
     worst_bound_violation: float
     worst_mass_dual: float
     worst_kinetic: float
@@ -198,17 +196,13 @@ class DiagnosticsRecord:
 
 def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
     """Aggregate a run's per-step diagnostics into the cumulative record."""
-    dt = result.dt
     u0 = result.trajectory.u[0]
     h1_sq_sum = 0.0
     linf_l2 = norm_lp_dual(u0, 2)
-    u_h1, u_l2 = [], []
     rho_l2_prev = norm_l2_cells(result.trajectory.rho[0])
     monotone = True
     for d in result.diagnostics:
         h1_sq_sum += d.ke_dissipation
-        u_h1.append(math.sqrt(d.ke_dissipation / dt))
-        u_l2.append(d.u_l2)
         linf_l2 = max(linf_l2, d.u_l2)
         if d.rho_l2 > rho_l2_prev * (1 + 1e-12):
             monotone = False
@@ -217,8 +211,6 @@ def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
         steps=result.diagnostics,
         l2h1=math.sqrt(h1_sq_sum),
         linf_l2=linf_l2,
-        u_h1_per_step=u_h1,
-        u_l2_per_step=u_l2,
         worst_bound_violation=max(
             (d.bound_violation for d in result.diagnostics), default=0.0),
         worst_mass_dual=max(
@@ -405,8 +397,8 @@ def project_divergence_free(mesh: MacMesh, u: VelocityField):
     momentum = sp.diags(dvol, format="csr")
     rhs_u = momentum @ u.pack_interior()
     system = SaddleSystem(mesh, momentum, assemble_gradient(mesh),
-                          assemble_divergence(mesh), rhs_u, pinned_cell=0,
-                          dt=1.0, face_mass=dvol)
+                          assemble_divergence(mesh), rhs_u, dt=1.0,
+                          face_mass=dvol)
     # LU: without a viscous term the step's block preconditioner needs
     # thousands of GMRES iterations here
     velocity, _, _ = solve_oseen(system, method="direct", tol=1e-10)
@@ -477,76 +469,37 @@ def infsup_health(mesh: MacMesh) -> dict:
 
 def write_identity_reports(reports, path, cfg_hash=None, seed=None):
     """One CSV row per identity battery plus PASS/FAIL flags."""
-    with atomic_write(path) as fh:
-        standard_header(fh, "identity-reports", cfg_hash, seed=seed)
-        writer = csv.writer(fh)
-        writer.writerow(["name", "trials", "max_residual", "tolerance",
-                         "passed"])
-        for r in reports:
-            writer.writerow([r.name, r.trials, format_float(r.max_residual),
-                             format_float(r.tolerance), r.passed])
+    write_table(path, "identity-reports",
+                ["name", "trials", "max_residual", "tolerance", "passed"],
+                ((r.name, r.trials, r.max_residual, r.tolerance, r.passed)
+                 for r in reports), cfg_hash, seed)
 
 
 def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
-    """Per-step diagnostics time series of a run."""
+    """Per-step diagnostics time series of a run: one column per
+    :class:`StepDiagnostics` field."""
     record = collect_diagnostics(result)
-    columns = ["step", "t", "rho_min", "rho_max", "rho_l2", "mass",
-               "bound_violation", "div_l2", "kinetic_energy",
-               "ke_dissipation", "ke_numerical", "ke_work",
-               "mass_dual_resid", "kinetic_resid", "kinetic_remainder_max",
-               "u_h1", "u_l2", "transport_residual", "oseen_residual",
-               "oseen_iterations", "oseen_method", "oseen_fallback",
-               "precond_refresh"]
-    with atomic_write(path) as fh:
-        standard_header(fh, "run-diagnostics", cfg_hash, seed=seed,
-                        extra={"l2h1": format_float(record.l2h1),
-                               "linf_l2": format_float(record.linf_l2)})
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for d, h1, l2 in zip(record.steps, record.u_h1_per_step,
-                             record.u_l2_per_step):
-            writer.writerow([
-                d.step, format_float(d.t), format_float(d.rho_min),
-                format_float(d.rho_max), format_float(d.rho_l2),
-                format_float(d.mass), format_float(d.bound_violation),
-                format_float(d.div_l2), format_float(d.kinetic_energy),
-                format_float(d.ke_dissipation),
-                format_float(d.ke_numerical), format_float(d.ke_work),
-                format_float(d.mass_dual_resid),
-                format_float(d.kinetic_resid),
-                format_float(d.kinetic_remainder_max),
-                format_float(h1), format_float(l2),
-                format_float(d.transport_residual),
-                format_float(d.oseen_residual), d.oseen_iterations,
-                d.oseen_method, d.oseen_fallback, d.precond_refresh])
+    write_table(path, "run-diagnostics",
+                [f.name for f in fields(StepDiagnostics)],
+                map(astuple, record.steps), cfg_hash, seed,
+                extra={"l2h1": record.l2h1, "linf_l2": record.linf_l2})
 
 
 def write_translate_csv(report: TranslateReport, path, cfg_hash=None):
-    with atomic_write(path) as fh:
-        standard_header(fh, "translate-report", cfg_hash,
-                        extra={"slope": format_float(report.slope),
-                               "scale_factor":
-                                   format_float(report.scale_factor),
-                               "passed": report.passed})
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "integral"])
-        for tau, val in zip(report.taus, report.integrals):
-            writer.writerow([format_float(tau), format_float(val)])
+    write_table(path, "translate-report", ["tau", "integral"],
+                zip(report.taus, report.integrals), cfg_hash,
+                extra={"slope": report.slope,
+                       "scale_factor": report.scale_factor,
+                       "passed": report.passed})
 
 
 def write_convergence_csv(report: ConvergenceReport, path, cfg_hash=None):
-    with atomic_write(path) as fh:
-        standard_header(fh, "convergence-report", cfg_hash,
-                        extra={"threshold": format_float(report.threshold),
-                               "passed": report.passed})
-        writer = csv.writer(fh)
-        writer.writerow(["cells", "h", "dt", "eta", "err_u", "err_rho",
-                         "err_p", "l2h1", "linf_l2"])
-        for lv in report.levels:
-            writer.writerow(["x".join(map(str, lv.cells)),
-                             format_float(lv.h), format_float(lv.dt),
-                             format_float(lv.eta), format_float(lv.err_u),
-                             format_float(lv.err_rho),
-                             format_float(lv.err_p),
-                             format_float(lv.l2h1),
-                             format_float(lv.linf_l2)])
+    write_table(path, "convergence-report",
+                ["cells", "h", "dt", "eta", "err_u", "err_rho", "err_p",
+                 "l2h1", "linf_l2"],
+                (("x".join(map(str, lv.cells)), lv.h, lv.dt, lv.eta,
+                  lv.err_u, lv.err_rho, lv.err_p, lv.l2h1, lv.linf_l2)
+                 for lv in report.levels),
+                cfg_hash,
+                extra={"threshold": report.threshold,
+                       "passed": report.passed})

@@ -1,5 +1,7 @@
 """Mesh geometry against hand-computed oracles and validation rules."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -289,15 +291,22 @@ class TestValidation:
 
 def test_dump_mesh_tables(tmp_path, mesh2_uniform):
     path = tmp_path / "tables.csv"
-    dump_mesh_tables(mesh2_uniform, path)
-    lines = path.read_text().splitlines()
+    dump_mesh_tables(mesh2_uniform, path, cfg_hash="0123abcd")
+    text = path.read_text()
+    assert "# config_hash: 0123abcd\n" in text
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "id,direction,case,measure,neighbors"
     mesh = mesh2_uniform
-    expected = 0
+    measures = []
     for i in range(mesh.dim):
-        expected += mesh.faces[i].count + mesh.dual_case1[i].count
-        expected += sum(c2.count for c2 in mesh.dual_case2[i])
-        expected += sum(w.count for w in mesh.dual_walls[i])
-    assert len(lines) == 1 + expected
+        measures.extend(mesh.faces[i].measure)
+        measures.extend(mesh.dual_case1[i].measure)
+        for c2 in mesh.dual_case2[i]:
+            measures.extend(c2.measure)
+        for w in mesh.dual_walls[i]:
+            measures.extend(w.measure)
+    assert len(lines) == 1 + len(measures)
+    # every measure cell is a plain float literal equal to the table entry
+    assert [float(row[3]) for row in csv.reader(lines[1:])] == measures
     assert any("dual-case2" in line for line in lines)
     assert any("dual-wall" in line for line in lines)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import operators as ops
-from macflow.linsolve import (SaddleSolver, SolverFailure,
+from macflow.linsolve import (PINNED_CELL, SaddleSolver, SolverFailure,
                               assemble_divergence, assemble_gradient,
                               assemble_oseen, assemble_transport,
                               solve_oseen, solve_transport)
@@ -23,7 +23,7 @@ def random_velocity(mesh, rng):
                                 for i in range(mesh.dim)])
 
 
-def random_saddle(mesh, seed, dt=0.05, pinned_cell=0):
+def random_saddle(mesh, seed, dt=0.05):
     """One-step saddle system from random density, velocity and forcing."""
     rng = np.random.default_rng(seed)
     rho_old = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
@@ -32,7 +32,7 @@ def random_saddle(mesh, seed, dt=0.05, pinned_cell=0):
     forcing = [rng.standard_normal(mesh.faces[i].count)
                for i in range(mesh.dim)]
     return assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
-                          forcing=forcing, pinned_cell=pinned_cell)
+                          forcing=forcing)
 
 
 def stream_function_velocity(mesh, seed=0):
@@ -54,10 +54,9 @@ class TestTransport:
     def test_zero_velocity_is_identity(self, any_mesh):
         rng = np.random.default_rng(0)
         rho = ScalarField(any_mesh, rng.uniform(1, 2, any_mesh.n_cells))
-        rho_new, report = solve_transport(any_mesh, 0.1, rho,
-                                          VelocityField.zeros(any_mesh))
+        rho_new, _ = solve_transport(any_mesh, 0.1, rho,
+                                     VelocityField.zeros(any_mesh))
         np.testing.assert_allclose(rho_new.values, rho.values, rtol=1e-13)
-        assert report.converged
 
     def test_constant_density_preserved_divfree(self, mesh2_graded):
         # divergence-free advection leaves constants exactly invariant
@@ -155,8 +154,7 @@ class TestTransport:
         comps = [np.full(mesh.faces[0].count, 1.0), np.zeros(2 * n)]
         u = VelocityField(mesh, comps)
         rho = ScalarField.constant(mesh, 1.0)
-        rho_new, report = solve_transport(mesh, 0.5, rho, u)
-        assert report.converged
+        rho_new, _ = solve_transport(mesh, 0.5, rho, u)
         assert rho_new.min() < 1.0 - 1e-3  # genuinely below the old min
         assert rho_new.integral() == pytest.approx(rho.integral(),
                                                    rel=1e-12)
@@ -228,12 +226,11 @@ class TestSaddleBlocks:
     def test_full_matrix_matches_dense_blocks(self, any_mesh):
         # the pinned saddle matrix equals a dense build from its blocks
         # with the continuity row of the pinned cell replaced by a unit row
-        pin = any_mesh.n_cells // 2
-        system = random_saddle(any_mesh, seed=18, pinned_cell=pin)
+        system = random_saddle(any_mesh, seed=18)
         dense = np.block([
             [system.momentum.toarray(), system.grad.toarray()],
             [system.div.toarray(), np.zeros((system.n_p, system.n_p))]])
-        row = system.n_u + pin
+        row = system.n_u + PINNED_CELL
         dense[row] = 0.0
         dense[row, row] = 1.0
         np.testing.assert_array_equal(system.full_matrix().toarray(), dense)
@@ -247,11 +244,10 @@ class TestOseenSolve:
         rho = ScalarField.constant(mesh, 1.0)
         system = assemble_oseen(mesh, 0.1, rho, rho,
                                 VelocityField.zeros(mesh))
-        u, p, report = solve_oseen(system)
+        u, p, _ = solve_oseen(system)
         for c in u.components:
             assert np.abs(c).max() < 1e-14
         assert np.abs(p.values).max() < 1e-14
-        assert report.converged and report.pinned_cell == 0
 
     def test_matches_dense_solve(self):
         # full pipeline vs a dense numpy solve with the same pin and the
@@ -296,7 +292,7 @@ class TestOseenSolve:
         system = random_saddle(mesh, seed=15)
         u_d, p_d, _ = solve_oseen(system, method="direct")
         u_g, p_g, rep = solve_oseen(system, method="gmres", tol=1e-10)
-        assert rep.converged and rep.method == "gmres"
+        assert rep.method == "gmres"
         assert not rep.fallback
         np.testing.assert_allclose(u_g.pack_interior(), u_d.pack_interior(),
                                    rtol=1e-8, atol=1e-10)
@@ -342,8 +338,7 @@ class TestOseenSolve:
                    for i in range(mesh.dim)]
         system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
                                 forcing=forcing)
-        _, p, report = solve_oseen(system)
-        assert report.mean_shift is not None
+        _, p, _ = solve_oseen(system)
         assert abs(mesh.cell_volume @ p.values) < 1e-10
         assert p.zero_mean
 
@@ -371,8 +366,6 @@ class TestSaddleSolver:
         saddle.record(3, False)
         assert not factored(system)
         assert factored(random_saddle(mesh2_uniform, seed=18, dt=0.1))
-        assert factored(random_saddle(mesh2_uniform, seed=18, dt=0.1,
-                                      pinned_cell=3))
 
     def test_mesh_constant_blocks_shared(self, mesh2_graded):
         saddle = SaddleSolver(mesh2_graded)

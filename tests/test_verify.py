@@ -1,6 +1,8 @@
 """The verification harness itself: oracles for its measurements."""
 
+import csv
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from macflow.grid import build_uniform_mesh
 from macflow.fields import VelocityField, norm_lp_dual
 from macflow.presets import get_preset
-from macflow.timestepper import (SchemeConfig, SchemeState, initialize,
-                                 run, step)
+from macflow.timestepper import (SchemeConfig, SchemeState,
+                                 StepDiagnostics, initialize, run, step)
 from macflow import verify
 
 from conftest import graded_mesh
@@ -234,6 +236,13 @@ class TestReportWriters:
         rows = [ln for ln in path.read_text().splitlines()
                 if ln and not ln.startswith("#")]
         assert len(rows) == 1 + result.n_steps  # header + one per step
+        rows = list(csv.reader(rows))
+        assert rows[0] == [f.name for f in fields(StepDiagnostics)]
+        # every float cell reads back to the diagnostics value bit for bit
+        for row, diag in zip(rows[1:], result.diagnostics):
+            for cell, value in zip(row, astuple(diag), strict=True):
+                if isinstance(value, float):
+                    assert float(cell).hex() == value.hex()
 
     def test_translate_csv(self, tmp_path):
         result, _ = gyre_run(t_end=0.1, dt=0.005)
