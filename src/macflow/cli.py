@@ -284,7 +284,7 @@ def cmd_run(cfg, out_dir, seed) -> int:
             return 1
 
     record = verify.collect_diagnostics(result)
-    verify.write_diagnostics_csv(result,
+    verify.write_diagnostics_csv(record,
                                  os.path.join(out_dir, "diagnostics.csv"),
                                  cfg_hash=hash_value, seed=seed)
     _write_snapshots(result, out_dir, formats, hash_value)

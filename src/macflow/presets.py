@@ -5,12 +5,17 @@ known) the exact solution it was manufactured from.  Two constraints shape
 the manufactured presets:
 
 * the scheme admits no mass source, so the exact density must satisfy the
-  continuous transport equation exactly; both presets below use densities
-  that are constant along the streamlines of their velocity, which makes
-  the transport residual vanish identically;
+  continuous transport equation exactly;
 * the walls are impervious and no-slip, so exact velocities must vanish
-  on the boundary; both presets derive from stream functions with
-  double-zero boundary factors.
+  on the boundary.
+
+Both manufactured presets come from one builder, ``_stream_preset``: the
+velocity ``c(t) curl S`` of a stream shape ``S`` with double-zero boundary
+factors, and a density that is a function of ``S`` alone, hence constant
+along streamlines and exactly transported.  The momentum source is the
+non-conservative ``rho (d_t u + u . grad u) - lap u + grad p`` of
+:func:`manufactured_forcing`: exact because the density passes its
+symbolic transport check, and free of derivatives of the density.
 
 Presets
 -------
@@ -23,7 +28,7 @@ Presets
     reference problem for convergence studies, energy trackers, and
     time-translate measurements.
 ``rotating-patch``
-    Steady polynomial swirl ``(2A/16^3) [16 x(1-x) y(1-y)]^2`` whose core
+    Steady polynomial swirl ``(strength/8) [16 x(1-x) y(1-y)]^2`` whose core
     turns nearly rigidly, carrying a disk-shaped density blob aligned
     with the stream contours.  The velocity components have tangential
     degree 3 on every face, so the order-3 Gauss face means used at
@@ -45,6 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sym
 
+from .fields import sample_at_faces
 from .grid import MacMesh
 
 
@@ -80,14 +86,15 @@ def _wrap_space_time(fn, tv):
 
 def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
                          p_expr):
-    """Momentum source that makes the given symbolic fields an exact
-    solution: time derivative of momentum plus conservative convection
-    minus the Laplacian plus the pressure gradient, sampled at face
-    centers at the requested time.
+    """Momentum source ``rho (d_t u + u . grad u) - lap u + grad p`` that
+    makes the given symbolic fields an exact solution, sampled at the face
+    centers at the requested time (wall entries are zero).
 
     The density expression must satisfy the continuous transport equation
-    for the velocity expressions (the scheme has no mass source to absorb
-    a mismatch); this is checked symbolically.
+    ``d_t rho + div(rho u) = 0`` for the velocity expressions; this is
+    checked symbolically.  The source is exact because of that check:
+    the scheme's conservative terms ``d_t(rho u) + div(rho u (x) u)`` equal
+    ``rho (d_t u + u . grad u)`` plus ``u`` times the transport residual.
     """
     dim = len(u_exprs)
     transport = sym.diff(rho_expr, time_symbol)
@@ -100,26 +107,19 @@ def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
 
     f_exprs = []
     for i in range(dim):
-        expr = sym.diff(rho_expr * u_exprs[i], time_symbol)
+        accel = sym.diff(u_exprs[i], time_symbol)
+        expr = sym.diff(p_expr, space_symbols[i])
         for j in range(dim):
-            expr += sym.diff(rho_expr * u_exprs[j] * u_exprs[i],
-                             space_symbols[j])
+            accel += u_exprs[j] * sym.diff(u_exprs[i], space_symbols[j])
             expr -= sym.diff(u_exprs[i], space_symbols[j], 2)
-        expr += sym.diff(p_expr, space_symbols[i])
-        f_exprs.append(expr)
+        f_exprs.append(rho_expr * accel + expr)
 
     args = tuple(space_symbols) + (time_symbol,)
     f_fns = [sym.lambdify(args, fi, modules="numpy") for fi in f_exprs]
 
     def forcing(mesh: MacMesh, tv: float):
-        out = []
-        for i in range(dim):
-            c = mesh.faces[i].center
-            coords = [c[:, j] for j in range(dim)]
-            vals = f_fns[i](*coords, tv)
-            out.append(np.broadcast_to(np.asarray(vals, dtype=float),
-                                       (mesh.faces[i].count,)).copy())
-        return out
+        return sample_at_faces(
+            mesh, [_wrap_space_time(f, tv) for f in f_fns]).components
 
     return forcing
 
@@ -140,19 +140,21 @@ def make_rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:
         rho_bounds=(density, density))
 
 
-def _setup_from_symbolic(name, rho, u_exprs, p, x, y, t, rho_bounds):
-    """Package symbolic exact fields into a ProblemSetup."""
-    forcing = manufactured_forcing((x, y), t, rho, u_exprs, p)
-
-    rho_t = sym.lambdify((x, y, t), rho, modules="numpy")
-    u_fns = [sym.lambdify((x, y, t), ui, modules="numpy") for ui in u_exprs]
-    p_fn = sym.lambdify((x, y, t), p, modules="numpy")
-
+def _stream_preset(name, shape, modulation, density, pressure, rho_bounds):
+    """Exact solution in the unit square: with ``S = shape(x, y)``, the
+    velocity ``modulation(t) * (dS/dy, -dS/dx)``, the density
+    ``density(S)`` and the pressure ``pressure(x, y, t)``."""
+    x, y, t = sym.symbols("x y t", real=True)
+    s, c = shape(x, y), modulation(t)
+    rho, p = density(s), pressure(x, y, t)
+    u_exprs = (c * sym.diff(s, y), -c * sym.diff(s, x))
+    rho_t, p_fn, *u_fns = [sym.lambdify((x, y, t), e, modules="numpy")
+                           for e in (rho, p, *u_exprs)]
     return ProblemSetup(
         name=name, dim=2, domain=((0.0, 1.0), (0.0, 1.0)),
         rho0=_wrap_space_time(rho_t, 0.0),
         u0=[_wrap_space_time(f, 0.0) for f in u_fns],
-        forcing=forcing,
+        forcing=manufactured_forcing((x, y), t, rho, u_exprs, p),
         rho_exact=lambda tv: _wrap_space_time(rho_t, tv),
         u_exact=lambda tv: [_wrap_space_time(f, tv) for f in u_fns],
         p_exact=lambda tv: _wrap_space_time(p_fn, tv),
@@ -161,23 +163,18 @@ def _setup_from_symbolic(name, rho, u_exprs, p, x, y, t, rho_bounds):
 
 def make_gyre(amplitude: float = 0.15,
               pressure_amplitude: float = 0.1) -> ProblemSetup:
-    """Smooth unsteady recirculation in the unit square.
-
-    The velocity derives from the stream function ``A cos(2 pi t)
-    (sin(pi x) sin(pi y))^2`` (divergence-free, no-slip) and the density
-    ``1 + (sin(pi x) sin(pi y))^2 / 2`` is a function of the stream shape
-    alone, hence constant along streamlines and exactly transported for
-    every time modulation.  The momentum source is derived symbolically.
-    """
-    x, y, t = sym.symbols("x y t", real=True)
-    s = (sym.sin(sym.pi * x) * sym.sin(sym.pi * y)) ** 2
-    psi = amplitude * sym.cos(2 * sym.pi * t) * s
-    u_exprs = (sym.diff(psi, y), -sym.diff(psi, x))
-    rho = 1 + s / 2
-    p = (pressure_amplitude * sym.cos(2 * sym.pi * t)
-         * sym.cos(sym.pi * x) * sym.cos(sym.pi * y))
-    return _setup_from_symbolic("gyre", rho, u_exprs, p, x, y, t,
-                                rho_bounds=(1.0, 1.5))
+    """Smooth unsteady recirculation in the unit square: stream function
+    ``amplitude cos(2 pi t) S`` with ``S = (sin(pi x) sin(pi y))^2``,
+    density ``1 + S/2`` and pressure ``pressure_amplitude cos(2 pi t)
+    cos(pi x) cos(pi y)``."""
+    return _stream_preset(
+        "gyre",
+        shape=lambda x, y: (sym.sin(sym.pi * x) * sym.sin(sym.pi * y)) ** 2,
+        modulation=lambda t: amplitude * sym.cos(2 * sym.pi * t),
+        density=lambda s: 1 + s / 2,
+        pressure=lambda x, y, t: (pressure_amplitude * sym.cos(2 * sym.pi * t)
+                                  * sym.cos(sym.pi * x) * sym.cos(sym.pi * y)),
+        rho_bounds=(1.0, 1.5))
 
 
 def make_rotating_patch(strength: float = 0.5,
@@ -185,27 +182,25 @@ def make_rotating_patch(strength: float = 0.5,
                         width: float = 0.35) -> ProblemSetup:
     """Steady near-rigid swirl carrying a disk-shaped density blob.
 
-    Stream function ``(strength/8) q(x)^2 q(y)^2`` with ``q(s) = 4 s
-    (1 - s)``: polynomial, so the order-3 Gauss face means at
-    initialization are exact and the projected velocity is discretely
-    divergence-free to roundoff; near the center the swirl is a rigid
-    rotation with angular velocity ``strength`` to leading order.  The
-    density ``1 + amplitude * exp(-((q(x) q(y))^2 - 1)^2 / width^2)`` is
-    constant along streamlines: a centered disk that the flow spins in
-    place, exactly transported.  Zero exact pressure; the momentum source
-    balancing convection and viscosity is derived symbolically.
+    Stream function ``(strength/8) S`` with ``S = (q(x) q(y))^2`` and
+    ``q(s) = 4 s (1 - s)``; near the center the swirl is a rigid rotation
+    with angular velocity ``strength`` to leading order.  The density
+    ``1 + amplitude * exp(-(S - 1)^2 / width^2)`` is a centered disk that
+    the flow spins in place, heavy for ``amplitude > 0`` and light for
+    ``-1 < amplitude < 0``.  Zero exact pressure.
     """
-    x, y, t = sym.symbols("x y t", real=True)
-    qx = 4 * x * (1 - x)
-    qy = 4 * y * (1 - y)
-    shape = (qx * qy) ** 2
-    psi = sym.Rational(1, 8) * strength * shape
-    u_exprs = (sym.diff(psi, y), -sym.diff(psi, x))
-    rho = 1 + amplitude * sym.exp(-((shape - 1) / width) ** 2)
-    p = sym.Integer(0)
-    setup = _setup_from_symbolic("rotating-patch", rho, u_exprs, p, x, y, t,
-                                 rho_bounds=(1.0, 1.0 + amplitude))
-    return setup
+    if amplitude <= -1:
+        raise ValueError(f"amplitude must be > -1 for a positive density, "
+                         f"got {amplitude!r}")
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width!r}")
+    return _stream_preset(
+        "rotating-patch",
+        shape=lambda x, y: (4 * x * (1 - x) * 4 * y * (1 - y)) ** 2,
+        modulation=lambda t: sym.Rational(1, 8) * strength,
+        density=lambda s: 1 + amplitude * sym.exp(-((s - 1) / width) ** 2),
+        pressure=lambda x, y, t: sym.Integer(0),
+        rho_bounds=(min(1.0, 1.0 + amplitude), max(1.0, 1.0 + amplitude)))
 
 
 _REGISTRY = {
@@ -222,8 +217,9 @@ def available_presets():
 def get_preset(name: str, **kwargs) -> ProblemSetup:
     """Look up a preset by name; keyword arguments reach its factory.
 
-    A non-finite numeric parameter raises ``ValueError``: sympy would fold
-    it away (``nan * psi`` becomes a zero velocity) rather than fail.
+    A parameter that is not a finite real number (a ``bool``, a string,
+    ``nan``) raises ``ValueError`` naming it: sympy would fold a ``nan``
+    away (``nan * psi`` becomes a zero velocity) rather than fail.
     """
     try:
         factory = _REGISTRY[name]
@@ -231,7 +227,10 @@ def get_preset(name: str, **kwargs) -> ProblemSetup:
         raise KeyError(
             f"unknown preset {name!r}; available: {available_presets()}")
     for key, value in kwargs.items():
-        if isinstance(value, numbers.Real) and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"parameter {key!r} must be a real number, "
+                             f"got {value!r}")
+        if not math.isfinite(value):
             raise ValueError(f"parameter {key!r} must be finite, "
                              f"got {value!r}")
     return factory(**kwargs)

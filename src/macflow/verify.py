@@ -475,10 +475,11 @@ def write_identity_reports(reports, path, cfg_hash=None, seed=None):
                  for r in reports), cfg_hash, seed)
 
 
-def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
-    """Per-step diagnostics time series of a run: one column per
+def write_diagnostics_csv(record: DiagnosticsRecord, path, cfg_hash=None,
+                          seed=None):
+    """Per-step diagnostics time series of a run (its
+    :func:`collect_diagnostics` record): one column per
     :class:`StepDiagnostics` field."""
-    record = collect_diagnostics(result)
     write_table(path, "run-diagnostics",
                 [f.name for f in fields(StepDiagnostics)],
                 map(astuple, record.steps), cfg_hash, seed,

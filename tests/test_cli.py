@@ -129,6 +129,20 @@ class TestConfigValidation:
          "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
          "'problem.preset'"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: true}\n", "'time.dt'"),
+        (_RUNNABLE.replace("{preset: gyre}", "{preset: rotating-patch, "
+                           "params: {amplitude: -1}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "amplitude must be > -1"),
+        (_RUNNABLE.replace("{preset: gyre}", "{preset: rotating-patch, "
+                           "params: {width: 0}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "width must be positive"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           "{preset: gyre, params: {amplitude: true}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'amplitude' must be a real number"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           "{preset: gyre, params: {amplitude: 1e-1}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'amplitude' must be a real number"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -138,7 +152,8 @@ class TestConfigValidation:
             "null-formats", "fractional-cells", "scalar-cells",
             "text-cells", "text-coordinates", "text-domain",
             "scalar-domain", "3d-mesh-2d-preset",
-            "boolean-dt"])
+            "boolean-dt", "nonpositive-density-amplitude", "zero-width",
+            "boolean-preset-param", "text-preset-param"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"

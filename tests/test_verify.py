@@ -232,7 +232,7 @@ class TestReportWriters:
     def test_diagnostics_csv_row_count(self, tmp_path):
         result, _ = gyre_run(t_end=0.03, dt=0.01)
         path = tmp_path / "diag.csv"
-        verify.write_diagnostics_csv(result, path)
+        verify.write_diagnostics_csv(verify.collect_diagnostics(result), path)
         rows = [ln for ln in path.read_text().splitlines()
                 if ln and not ln.startswith("#")]
         assert len(rows) == 1 + result.n_steps  # header + one per step
