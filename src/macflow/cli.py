@@ -266,6 +266,10 @@ def cmd_run(cfg, out_dir, seed) -> int:
             and all(f in ("csv", "vtk") for f in formats)):
         raise ConfigError("'output.formats' must be a list of 'csv' and/or "
                           f"'vtk', got {formats!r}")
+    mesh_tables = cfg.get("output", {}).get("mesh_tables", False)
+    if not isinstance(mesh_tables, bool):
+        raise ConfigError("'output.mesh_tables' must be true or false, "
+                          f"got {mesh_tables!r}")
     problem = build_problem_from_config(cfg)
     if problem.dim != mesh.dim:
         raise ConfigError(f"'problem.preset' {problem.name!r} is "
@@ -288,7 +292,7 @@ def cmd_run(cfg, out_dir, seed) -> int:
                                  os.path.join(out_dir, "diagnostics.csv"),
                                  cfg_hash=hash_value, seed=seed)
     _write_snapshots(result, out_dir, formats, hash_value)
-    if cfg.get("output", {}).get("mesh_tables"):
+    if mesh_tables:
         dump_mesh_tables(mesh, os.path.join(out_dir, "mesh_tables.csv"),
                          cfg_hash=hash_value)
     ok = _write_run_summary(os.path.join(out_dir, "summary.txt"), result,
@@ -438,7 +442,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_dir = args.out or cfg.get("output", {}).get("directory", "out")
+        directory = cfg.get("output", {}).get("directory", "out")
+        if not isinstance(directory, str):
+            raise ConfigError("'output.directory' must be a string, "
+                              f"got {directory!r}")
+        out_dir = args.out or directory
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "run":
             return cmd_run(cfg, out_dir, args.seed)

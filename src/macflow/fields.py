@@ -66,9 +66,6 @@ class ScalarField:
     def constant(cls, mesh, value):
         return cls(mesh, np.full(mesh.n_cells, float(value)))
 
-    def copy(self):
-        return ScalarField(self.mesh, self.values.copy())
-
     def integral(self) -> float:
         return float(self.mesh.cell_volume @ self.values)
 
@@ -131,23 +128,34 @@ class VelocityField:
         return cls(mesh, comps)
 
 
+def _gauss_sums(mesh: MacMesh, shape, fn, flat=None) -> np.ndarray:
+    """Tensorized 3-point Gauss sums of ``fn`` over the boxes of the index
+    grid ``shape``: cells along every axis but ``flat``, along which a box
+    is the grid plane of its index (a face).  Divide by the box measures
+    for the means."""
+    dim = mesh.dim
+    idx = np.indices(shape).reshape(dim, -1)
+    axes = [j for j in range(dim) if j != flat]
+    rules = {j: _interval_rule(mesh.axis_coords[j][:-1],
+                               mesh.axis_coords[j][1:]) for j in axes}
+    coords = [None] * dim
+    if flat is not None:
+        coords[flat] = mesh.axis_coords[flat][idx[flat]]
+    total = np.zeros(idx.shape[1])
+    for combo in np.ndindex(*([3] * len(axes))):
+        w = np.ones(idx.shape[1])
+        for k, j in enumerate(axes):
+            coords[j] = rules[j][0][idx[j], combo[k]]
+            w *= rules[j][1][idx[j], combo[k]]
+        total += w * np.asarray(fn(*coords), dtype=float)
+    return total
+
+
 def cell_average(mesh: MacMesh, fn) -> ScalarField:
     """Cell means of ``fn(x, y[, z])`` by tensorized 3-point Gauss rules."""
-    dim = mesh.dim
-    rules = []
-    for j in range(dim):
-        lo = mesh.axis_coords[j][:-1]
-        hi = mesh.axis_coords[j][1:]
-        rules.append(_interval_rule(lo, hi))
-    idx = np.indices(mesh.cells).reshape(dim, -1)
-    total = np.zeros(mesh.n_cells)
-    for combo in np.ndindex(*([3] * dim)):
-        pts = [rules[j][0][idx[j], combo[j]] for j in range(dim)]
-        w = np.ones(mesh.n_cells)
-        for j in range(dim):
-            w *= rules[j][1][idx[j], combo[j]]
-        total += w * np.asarray(fn(*pts), dtype=float)
-    return ScalarField(mesh, total / mesh.cell_volume)
+    total = _gauss_sums(mesh, mesh.cells, fn)
+    total /= mesh.cell_volume
+    return ScalarField(mesh, total)
 
 
 def fortin_interpolate(mesh: MacMesh, component_fns) -> VelocityField:
@@ -158,28 +166,9 @@ def fortin_interpolate(mesh: MacMesh, component_fns) -> VelocityField:
     so the input should satisfy the no-slip condition for the divergence
     of the result to vanish.
     """
-    dim = mesh.dim
-    comps = []
-    for i in range(dim):
-        fs = mesh.faces[i]
-        tangent = [j for j in range(dim) if j != i]
-        rules = {}
-        for j in tangent:
-            lo = mesh.axis_coords[j][:-1]
-            hi = mesh.axis_coords[j][1:]
-            rules[j] = _interval_rule(lo, hi)
-        idx = np.indices(fs.shape).reshape(dim, -1)
-        total = np.zeros(fs.count)
-        for combo in np.ndindex(*([3] * len(tangent))):
-            coords = [None] * dim
-            w = np.ones(fs.count)
-            coords[i] = mesh.axis_coords[i][idx[i]]
-            for k, j in enumerate(tangent):
-                coords[j] = rules[j][0][idx[j], combo[k]]
-                w *= rules[j][1][idx[j], combo[k]]
-            total += w * np.asarray(component_fns[i](*coords), dtype=float)
-        comps.append(total / fs.measure)
-    return VelocityField(mesh, comps)
+    return VelocityField(mesh, [
+        _gauss_sums(mesh, fs.shape, component_fns[i], flat=i) / fs.measure
+        for i, fs in enumerate(mesh.faces)])
 
 
 def sample_at_faces(mesh: MacMesh, component_fns) -> VelocityField:
@@ -230,17 +219,11 @@ def norm_h1_squared(u: VelocityField) -> float:
     total = 0.0
     for i in range(mesh.dim):
         v = u.components[i]
-        c1 = mesh.dual_case1[i]
-        if c1.count:
-            jump = v[c1.face_lo] - v[c1.face_hi]
-            total += float((c1.measure / c1.dist) @ jump ** 2)
-        for c2 in mesh.dual_case2[i]:
-            if c2.count:
-                jump = v[c2.face_lo] - v[c2.face_hi]
-                total += float((c2.measure / c2.dist) @ jump ** 2)
+        for c in (mesh.dual_case1[i],) + mesh.dual_case2[i]:
+            jump = v[c.face_lo] - v[c.face_hi]
+            total += float((c.measure / c.dist) @ jump ** 2)
         for w in mesh.dual_walls[i]:
-            if w.count:
-                total += float((w.measure / w.dist) @ v[w.face] ** 2)
+            total += float((w.measure / w.dist) @ v[w.face] ** 2)
     return total
 
 

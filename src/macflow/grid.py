@@ -16,6 +16,7 @@ fall into two geometric situations, tabulated separately:
 
 Boundary strips of face-centered volumes (``wall`` tables) carry no mass
 flux; they only contribute Dirichlet terms to the diffusion operator.
+Case-2 interfaces and wall strips come from one strip construction.
 
 The dual operators read one stacked table per component,
 ``MacMesh.dual_interfaces[i]``: the case-1 rows, then each case-2 family,
@@ -58,14 +59,13 @@ class FaceSet:
     grid equals ``measure * dist`` exactly.
     """
 
-    def __init__(self, axis, shape, measure, center, line, cell_lo, cell_hi,
-                 dist, dvol, half_lo, half_hi):
+    def __init__(self, axis, shape, measure, center, cell_lo, cell_hi, dist,
+                 dvol, half_lo, half_hi):
         self.axis = int(axis)
         self.shape = tuple(shape)
         self.count = int(np.prod(self.shape))
         self.measure = _freeze(measure)
         self.center = _freeze(center)
-        self.line = _freeze(line)
         self.cell_lo = _freeze(cell_lo)
         self.cell_hi = _freeze(cell_hi)
         self.dist = _freeze(dist)
@@ -284,8 +284,8 @@ class MacMesh:
         dist = dline[g]
         half_lo = np.where(g > 0, 0.5 * measure * h[np.maximum(g - 1, 0)], 0.0)
         half_hi = np.where(g < n, 0.5 * measure * h[np.minimum(g, n - 1)], 0.0)
-        return FaceSet(axis, fshape, measure, center, g, cell_lo, cell_hi,
-                       dist, measure * dist, half_lo, half_hi)
+        return FaceSet(axis, fshape, measure, center, cell_lo, cell_hi, dist,
+                       measure * dist, half_lo, half_hi)
 
     def _build_case1(self, axis):
         dim = self.dim
@@ -301,81 +301,44 @@ class MacMesh:
         dist = self.spacings[axis][idx[axis]]
         return DualFaceCase1(cell, face_lo, face_hi, measure, dist)
 
-    def _build_case2(self, axis, ortho):
-        dim = self.dim
-        fshape = self._face_shape(axis)
+    def _strips(self, axis, ortho, ms, plane):
+        """Strips of the component-``axis`` face volumes on the ``ortho``
+        grid planes ``ms + plane``: the index rows of the component faces
+        off the ``axis`` walls at ortho indices ``ms``, the primal ``ortho``
+        faces ``tau_lo``/``tau_hi`` on the plane on either side of the
+        component grid line, and the half-sum of their measures."""
+        ranges = [np.arange(n) for n in self.cells]
+        ranges[axis] = np.arange(1, self.cells[axis])
+        ranges[ortho] = np.asarray(ms)
+        idx = np.stack([g.ravel()
+                        for g in np.meshgrid(*ranges, indexing="ij")])
         tshape = self._face_shape(ortho)
-        ranges = []
-        for a in range(dim):
-            if a == axis:
-                ranges.append(np.arange(1, self.cells[axis]))
-            elif a == ortho:
-                ranges.append(np.arange(self.cells[ortho] - 1))
-            else:
-                ranges.append(np.arange(self.cells[a]))
-        if any(r.size == 0 for r in ranges):
-            empty = np.empty(0, dtype=np.int64)
-            return DualFaceCase2(ortho, empty, empty, empty, empty,
-                                 np.empty(0), np.empty(0))
-        grids = np.meshgrid(*ranges, indexing="ij")
-        idx = np.stack([gr.ravel() for gr in grids])
-
-        lo = idx.copy()
-        face_lo = np.ravel_multi_index(lo, fshape)
-        hi = idx.copy()
-        hi[ortho] = idx[ortho] + 1
-        face_hi = np.ravel_multi_index(hi, fshape)
-
-        # tau faces: grid plane ortho-index m+1, on the two cell columns
-        # across the component grid line.
-        t_lo = idx.copy()
-        t_lo[ortho] = idx[ortho] + 1
-        t_lo[axis] = idx[axis] - 1
-        tau_lo = np.ravel_multi_index(t_lo, tshape)
-        t_hi = t_lo.copy()
-        t_hi[axis] = idx[axis]
-        tau_hi = np.ravel_multi_index(t_hi, tshape)
-
+        t = idx.copy()
+        t[ortho] += plane
+        t[axis] -= 1
+        tau_lo = np.ravel_multi_index(t, tshape)
+        t[axis] += 1
+        tau_hi = np.ravel_multi_index(t, tshape)
         tmeas = self.faces[ortho].measure
-        measure = 0.5 * (tmeas[tau_lo] + tmeas[tau_hi])
-        dist = (self.centers[ortho][idx[ortho] + 1]
-                - self.centers[ortho][idx[ortho]])
-        return DualFaceCase2(ortho, face_lo, face_hi, tau_lo, tau_hi,
-                             measure, dist)
+        return idx, tau_lo, tau_hi, 0.5 * (tmeas[tau_lo] + tmeas[tau_hi])
+
+    def _build_case2(self, axis, ortho):
+        idx, tau_lo, tau_hi, measure = self._strips(
+            axis, ortho, np.arange(self.cells[ortho] - 1), 1)
+        fshape = self._face_shape(axis)
+        hi = idx.copy()
+        hi[ortho] += 1
+        c = self.centers[ortho]
+        return DualFaceCase2(ortho, np.ravel_multi_index(idx, fshape),
+                             np.ravel_multi_index(hi, fshape), tau_lo, tau_hi,
+                             measure, c[idx[ortho] + 1] - c[idx[ortho]])
 
     def _build_walls(self, axis, ortho):
-        dim = self.dim
-        fshape = self._face_shape(axis)
-        tshape = self._face_shape(ortho)
+        # side s: the first or last cell layer, on grid plane 0 or n
         out = []
-        for side in (0, 1):
-            m = 0 if side == 0 else self.cells[ortho] - 1
-            ranges = []
-            for a in range(dim):
-                if a == axis:
-                    ranges.append(np.arange(1, self.cells[axis]))
-                elif a == ortho:
-                    ranges.append(np.array([m]))
-                else:
-                    ranges.append(np.arange(self.cells[a]))
-            if any(r.size == 0 for r in ranges):
-                empty = np.empty(0, dtype=np.int64)
-                out.append(DualFaceWall(ortho, side, empty,
-                                        np.empty(0), np.empty(0)))
-                continue
-            grids = np.meshgrid(*ranges, indexing="ij")
-            idx = np.stack([gr.ravel() for gr in grids])
-            face = np.ravel_multi_index(idx, fshape)
-
-            t_lo = idx.copy()
-            t_lo[ortho] = m if side == 0 else m + 1
-            t_lo[axis] = idx[axis] - 1
-            tau_lo = np.ravel_multi_index(t_lo, tshape)
-            t_hi = t_lo.copy()
-            t_hi[axis] = idx[axis]
-            tau_hi = np.ravel_multi_index(t_hi, tshape)
-            tmeas = self.faces[ortho].measure
-            measure = 0.5 * (tmeas[tau_lo] + tmeas[tau_hi])
+        for side, m in ((0, 0), (1, self.cells[ortho] - 1)):
+            idx, _, _, measure = self._strips(axis, ortho, [m], side)
+            face = np.ravel_multi_index(idx, self._face_shape(axis))
             dist = np.full(face.size, 0.5 * self.spacings[ortho][m])
             out.append(DualFaceWall(ortho, side, face, measure, dist))
         return out

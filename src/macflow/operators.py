@@ -26,7 +26,6 @@ import scipy.sparse as sp
 
 from .grid import MacMesh
 from .fields import ScalarField, VelocityField
-from .ioutil import write_table
 
 
 # -- primal transport -------------------------------------------------------
@@ -305,13 +304,3 @@ def dual_pairing(mesh: MacMesh, i, a: np.ndarray, b: np.ndarray) -> float:
     t = mesh.dual_interfaces[i]
     return float((t.measure * t.dist) @ (a * b))
 
-
-# -- matrix dump ----------------------------------------------------------------
-
-def dump_matrix_coo(mat, path, cfg_hash=None, name="matrix"):
-    """Write a sparse matrix as (row, col, value) CSV in COO layout."""
-    coo = sp.coo_matrix(mat)
-    order = np.lexsort((coo.col, coo.row))
-    write_table(path, f"coo-{name}", ["row", "col", "value"],
-                zip(coo.row[order], coo.col[order], coo.data[order].tolist()),
-                cfg_hash, extra={"shape": f"{coo.shape[0]}x{coo.shape[1]}"})

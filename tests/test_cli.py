@@ -143,6 +143,16 @@ class TestConfigValidation:
                            "{preset: gyre, params: {amplitude: 1e-1}}")
          + "time: {t_end: 0.02, dt: 0.01}\n",
          "'amplitude' must be a real number"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           "{preset: rest, params: {density: -1.0}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "density must be positive"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           "{preset: rest, params: {density: 0}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "density must be positive"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {directory: 3}\n", "'output.directory'"),
+        (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "output: {mesh_tables: maybe}\n", "'output.mesh_tables'"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -153,7 +163,9 @@ class TestConfigValidation:
             "text-cells", "text-coordinates", "text-domain",
             "scalar-domain", "3d-mesh-2d-preset",
             "boolean-dt", "nonpositive-density-amplitude", "zero-width",
-            "boolean-preset-param", "text-preset-param"])
+            "boolean-preset-param", "text-preset-param",
+            "rest-negative-density", "rest-zero-density", "number-directory",
+            "text-mesh-tables"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -174,9 +186,10 @@ class TestConfigValidation:
         ("verify", "verify: {tolerance: .nan}\n", [], "'verify.tolerance'"),
         ("study", "problem: {preset: rest, params: {dim: 4}}\n"
          "study: {levels: 3, base_cells: 2}\n", [], "dim must be 2 or 3"),
+        ("study", "output: {directory: [a]}\n", [], "'output.directory'"),
     ], ids=["text-threshold", "two-levels", "two-levels-flag",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
-            "zero-trials", "nan-tolerance", "rest-in-4d"])
+            "zero-trials", "nan-tolerance", "rest-in-4d", "list-directory"])
     def test_exit_code_2_on_bad_study_or_verify_config(
             self, tmp_path, capsys, command, text, extra, message):
         path = tmp_path / "c.yaml"

@@ -248,6 +248,48 @@ class TestTableClosure:
                     getattr(t, name)[:1] = 0
 
 
+def check_strip_geometry(mesh):
+    """Case-2 and wall strip families against closed forms that share no
+    code with the mesh construction: along component i, the strips on one
+    grid plane orthogonal to j measure (L_i - (h_i[0] + h_i[-1])/2) times
+    the lengths of the remaining axes, and n_j - 1 such planes are
+    interior."""
+    lengths = mesh.domain_box[:, 1] - mesh.domain_box[:, 0]
+    for i in range(mesh.dim):
+        h = mesh.spacings[i]
+        c2s, walls = iter(mesh.dual_case2[i]), iter(mesh.dual_walls[i])
+        for j in range(mesh.dim):
+            if j == i:
+                continue
+            plane = (lengths[i] - 0.5 * (h[0] + h[-1])) * np.prod(
+                [lengths[k] for k in range(mesh.dim) if k not in (i, j)])
+            c2 = next(c2s)
+            assert c2.ortho_axis == j
+            assert c2.measure.sum() == pytest.approx(
+                (mesh.cells[j] - 1) * plane, rel=1e-13)
+            for arr in (c2.face_lo, c2.face_hi, c2.tau_lo, c2.tau_hi):
+                assert arr.dtype == np.int64
+            for side, h_wall in enumerate((mesh.spacings[j][0],
+                                           mesh.spacings[j][-1])):
+                w = next(walls)
+                assert (w.ortho_axis, w.side) == (j, side)
+                assert w.measure.sum() == pytest.approx(plane, rel=1e-13)
+                np.testing.assert_allclose(w.dist, 0.5 * h_wall, rtol=1e-15)
+                assert w.face.dtype == np.int64
+
+
+class TestStripGeometry:
+    def test_meshes(self, any_mesh):
+        check_strip_geometry(any_mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        build_uniform_mesh([[0.0, 2.0], [0.0, 1.0]], (1, 4)),
+        graded_mesh((1, 2, 3), seed=44),
+    ], ids=["2d-1x4", "3d-graded-1x2x3"])
+    def test_one_cell_axis(self, mesh):
+        check_strip_geometry(mesh)
+
+
 class TestImmutability:
     def test_arrays_frozen(self, mesh2_uniform):
         with pytest.raises(ValueError):

@@ -574,15 +574,3 @@ class TestDualityIdentity:
                 ops.dual_gradient(mesh, i, w))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
-
-def test_dump_matrix_coo(tmp_path, mesh2_uniform):
-    mat = ops.diffusion_matrix(mesh2_uniform, 0)
-    path = tmp_path / "mat.csv"
-    ops.dump_matrix_coo(mat, path)
-    lines = [ln for ln in path.read_text().splitlines()
-             if not ln.startswith("#")]
-    assert lines[0] == "row,col,value"
-    assert len(lines) == 1 + mat.nnz
-    # rows sorted lexicographically by (row, col)
-    keys = [tuple(map(int, ln.split(",")[:2])) for ln in lines[1:]]
-    assert keys == sorted(keys)
