@@ -21,11 +21,13 @@ projection), which that preconditioner does not fit.  Either way the
 true residual of the pinned system decides convergence.
 
 A :class:`SaddleSolver` lives for one run on one mesh.  It builds the
-mesh-constant blocks (gradient, divergence, diffusion) once and keeps the
-preconditioner's LU factors from step to step: the density stays inside
-its initial bounds (discrete maximum principle), so the variable-density
-Poisson matrix moves within a bounded spectral band, and the momentum
-blocks move by O(dt).  The factors are rebuilt by a fixed rule (see
+CSR pattern of the pinned matrix once (:class:`SaddlePattern`: the
+mesh-constant gradient, divergence and diffusion values, and the
+positions the face masses and the convection land on), so a step only
+fills values.  It keeps the preconditioner's LU factors from step to
+step: the density stays inside its initial bounds (discrete maximum
+principle), so the variable-density Poisson matrix moves within a
+bounded spectral band, and the momentum blocks move by O(dt).  The factors are rebuilt by a fixed rule (see
 :class:`SaddleSolver`), and each solve reports whether it factored.
 Stale factors can cost iterations, never accuracy, since the true
 residual still decides convergence.
@@ -152,10 +154,19 @@ def pin_row(mat, row: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=mat.shape)
 
 
+def pinned_saddle(momentum, grad, div) -> sp.csr_matrix:
+    """The pinned saddle matrix ``[[momentum, grad], [div, 0]]``, with the
+    continuity row of ``PINNED_CELL`` replaced by the pressure pin."""
+    mat = sp.bmat([[momentum, grad], [div, None]], format="csr")
+    return pin_row(mat, momentum.shape[0] + PINNED_CELL)
+
+
 class SaddleSystem:
     """Assembled one-step momentum and continuity equations.
 
-    Blocks (volume-scaled):
+    ``matrix`` is the pinned saddle matrix of :func:`pinned_saddle`, with
+    the blocks (volume-scaled):
+
       momentum : per interior face, ``face_mass/dt`` on the diagonal
                  (``face_mass = dvol*rho_dual_new``) plus diffusion plus
                  convection by the frozen upwind mass fluxes;
@@ -166,33 +177,34 @@ class SaddleSystem:
                  from the cell outflow stencil; equals minus the transpose
                  of grad).
 
-    ``dt`` and ``face_mass`` are kept for the Krylov preconditioner.
-    ``fluxes`` (the upwind mass fluxes of the convection) and the dual
-    densities ``rho_dual_old``/``rho_dual_new`` that
+    ``grad``, ``dt`` and ``face_mass`` are kept for the Krylov
+    preconditioner.  ``fluxes`` (the upwind mass fluxes of the convection)
+    and the dual densities ``rho_dual_old``/``rho_dual_new`` that
     :func:`assemble_oseen` built the blocks from are kept for the step
     diagnostics.
     """
 
-    def __init__(self, mesh, momentum, grad, div, rhs_u, dt, face_mass,
+    def __init__(self, mesh, matrix, grad, rhs_u, dt, face_mass,
                  fluxes=None, rho_dual_old=None, rho_dual_new=None):
         self.mesh = mesh
-        self.momentum = momentum
+        self.matrix = matrix
         self.grad = grad
-        self.div = div
         self.rhs_u = rhs_u
         self.dt = float(dt)
         self.face_mass = face_mass
         self.fluxes = fluxes
         self.rho_dual_old = rho_dual_old
         self.rho_dual_new = rho_dual_new
-        self.n_u = momentum.shape[0]
-        self.n_p = div.shape[0]
+        self.n_u, self.n_p = grad.shape
+
+    @property
+    def momentum(self) -> sp.csr_matrix:
+        """The momentum block, sliced out of the pinned matrix."""
+        return self.matrix[:self.n_u, :self.n_u]
 
     def full_matrix(self) -> sp.csr_matrix:
         """Pinned saddle matrix (one continuity row swapped for the pin)."""
-        mat = sp.bmat([[self.momentum, self.grad],
-                       [self.div, None]], format="csr")
-        return pin_row(mat, self.n_u + PINNED_CELL)
+        return self.matrix
 
     def full_rhs(self) -> np.ndarray:
         rhs = np.concatenate([self.rhs_u, np.zeros(self.n_p)])
@@ -244,6 +256,91 @@ def assemble_gradient(mesh: MacMesh) -> sp.csr_matrix:
         shape=(offset, mesh.n_cells)).tocsr()
 
 
+class SaddlePattern:
+    """CSR pattern of the pinned saddle matrix of one mesh.
+
+    The MAC stencil fixes the sparsity of :func:`pinned_saddle`; only the
+    face masses and the convection values change from step to step.  The
+    pattern holds ``indptr`` and ``indices`` of the pinned matrix, its
+    mesh-constant data ``base`` (diffusion, gradient, divergence, the
+    pin's 1.0, and zeros where only the face mass or the convection
+    lands), the position ``diag`` of each momentum diagonal, and the
+    positions ``conv`` of the convection entries, listed in the order of
+    :func:`macflow.operators.convection_matrix`.  Entry ``k`` of ``conv``
+    takes the half dual flux ``conv_src[k]`` of the stacked components,
+    added for ``k < n_plus`` (low-side rows) and subtracted after.
+    Positions are ``int32``; the key table that finds them is dropped
+    after construction.
+    """
+
+    def __init__(self, mesh: MacMesh, grad, div):
+        starts = np.cumsum([0] + [fs.n_interior for fs in mesh.faces])
+        half_starts = np.cumsum(
+            [0] + [t.face_lo.size for t in mesh.dual_interfaces])
+        blocks = []
+        conv = {1.0: ([], [], []), -1.0: ([], [], [])}   # rows, cols, src
+        for i in range(mesh.dim):
+            fs = mesh.faces[i]
+            dof = fs.interior_dof
+            t = mesh.dual_interfaces[i]
+            dlo, dhi = dof[t.face_lo], dof[t.face_hi]
+            rows, cols = [], []
+            for r, sign in ((dlo, 1.0), (dhi, -1.0)):
+                for c in (dlo, dhi):
+                    keep = np.flatnonzero((r >= 0) & (c >= 0))
+                    rows.append(r[keep])
+                    cols.append(c[keep])
+                    conv[sign][0].append(starts[i] + r[keep])
+                    conv[sign][1].append(starts[i] + c[keep])
+                    conv[sign][2].append(half_starts[i] + keep)
+            # explicit zeros on the diagonal and the convection positions
+            # keep the pattern independent of the values
+            diff = ops.diffusion_matrix(mesh, i).tocoo()
+            diag = np.arange(fs.n_interior)
+            rows = np.concatenate([diff.row, diag] + rows)
+            cols = np.concatenate([diff.col, diag] + cols)
+            vals = np.zeros(rows.size)
+            vals[:diff.nnz] = diff.data
+            blocks.append(sp.coo_matrix(
+                (vals, (rows, cols)),
+                shape=(fs.n_interior, fs.n_interior)).tocsr())
+        template = pinned_saddle(sp.block_diag(blocks, format="csr"),
+                                 grad, div)
+
+        n = template.shape[0]
+        keys = (np.repeat(np.arange(n, dtype=np.int64),
+                          np.diff(template.indptr)) * n + template.indices)
+
+        def locate(rows, cols):
+            want = np.asarray(rows, dtype=np.int64) * n + cols
+            return np.searchsorted(keys, want).astype(np.int32)
+
+        self.shape = template.shape
+        self.indptr = template.indptr
+        self.indices = template.indices
+        self.base = template.data
+        self.diag = locate(np.arange(starts[-1]), np.arange(starts[-1]))
+        rows, cols, src = (np.concatenate(conv[1.0][k] + conv[-1.0][k])
+                           for k in range(3))
+        self.conv = locate(rows, cols)
+        self.conv_src = src.astype(np.int32)
+        self.n_plus = sum(a.size for a in conv[1.0][0])
+
+    def fill(self, diagonal, half_fluxes) -> sp.csr_matrix:
+        """The pinned matrix with ``diagonal`` (the face masses over dt)
+        added on the momentum diagonal and the convection of the stacked
+        ``half_fluxes`` (half the dual fluxes of each component)."""
+        data = self.base.copy()
+        data[self.diag] += diagonal
+        weights = half_fluxes[self.conv_src]
+        np.negative(weights[self.n_plus:], out=weights[self.n_plus:])
+        # bincount sums each position's entries in list order, the order
+        # in which the CSR conversion of convection_matrix sums them
+        data += np.bincount(self.conv, weights, minlength=data.size)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+
 def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
                    rho_old: ScalarField, u_old: VelocityField,
                    forcing=None,
@@ -254,34 +351,32 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     same fluxes that transported the density, which is what makes the
     dual mass balance and the kinetic energy identity exact.  ``forcing``
     is an optional list of per-direction face arrays (point values of the
-    momentum source at face centers).  The mesh-constant blocks come from
-    ``saddle``, the run's :class:`SaddleSolver` (a fresh one when
-    omitted).
+    momentum source at face centers).  The pinned matrix is filled on the
+    :class:`SaddlePattern` of ``saddle``, the run's :class:`SaddleSolver`
+    (a fresh one when omitted).
     """
     saddle = _saddle_for(mesh, saddle)
     fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
     rho_d_new = ops.dual_density(mesh, rho_new)
     rho_d_old = ops.dual_density(mesh, rho_old)
 
-    blocks = []
     masses = []
     rhs_parts = []
     for i in range(mesh.dim):
         fs = mesh.faces[i]
         idx = fs.interior_idx
         masses.append(fs.dvol[idx] * rho_d_new[i][idx])
-        block = (sp.diags(masses[-1] / dt) + saddle.diffusion[i]
-                 + ops.convection_matrix(mesh, fluxes, i))
-        blocks.append(block.tocsr())
         rhs = fs.dvol[idx] * rho_d_old[i][idx] * u_old.components[i][idx] / dt
         if forcing is not None:
             rhs = rhs + fs.dvol[idx] * np.asarray(forcing[i])[idx]
         rhs_parts.append(rhs)
 
-    momentum = sp.block_diag(blocks, format="csr")
-    return SaddleSystem(mesh, momentum, saddle.grad, saddle.div,
-                        np.concatenate(rhs_parts), dt, np.concatenate(masses),
-                        fluxes, rho_d_old, rho_d_new)
+    face_mass = np.concatenate(masses)
+    half = np.concatenate([0.5 * ops.dual_fluxes(mesh, fluxes, i)
+                           for i in range(mesh.dim)])
+    matrix = saddle.pattern.fill(face_mass / dt, half)
+    return SaddleSystem(mesh, matrix, saddle.grad, np.concatenate(rhs_parts),
+                        dt, face_mass, fluxes, rho_d_old, rho_d_new)
 
 
 def _factor_preconditioner(system: SaddleSystem):
@@ -303,7 +398,7 @@ def _factor_preconditioner(system: SaddleSystem):
                          options={"SymmetricMode": True})
 
     ends = np.cumsum([fs.n_interior for fs in system.mesh.faces])
-    components = [(lo, hi, factor(system.momentum[lo:hi, lo:hi]))
+    components = [(lo, hi, factor(system.matrix[lo:hi, lo:hi]))
                   for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)
                   if hi > lo]
     grad = system.grad
@@ -356,10 +451,12 @@ def _block_preconditioner(system: SaddleSystem, factors):
 class SaddleSolver:
     """Saddle-solve state of one run on one mesh.
 
-    Holds the mesh-constant blocks of :func:`assemble_oseen` (gradient,
-    divergence and the diffusion block of each velocity component),
-    built on first use, and the LU factors of the GMRES preconditioner,
-    kept from one solve to the next.  The factors are built again:
+    Holds the gradient block and the :class:`SaddlePattern` of the pinned
+    matrix (built once per mesh, on first use, with the divergence and
+    diffusion blocks folded into its data), on which
+    :func:`assemble_oseen` fills each step's matrix, and the LU factors of
+    the GMRES preconditioner, kept from one solve to the next.  The
+    factors are built again:
 
     * when the time step differs from the one they were built with (the
       Schur term is ``K^-1/dt``), and on first use;
@@ -383,13 +480,9 @@ class SaddleSolver:
         return assemble_gradient(self.mesh)
 
     @cached_property
-    def div(self) -> sp.csr_matrix:
-        return assemble_divergence(self.mesh)
-
-    @cached_property
-    def diffusion(self) -> list:
-        return [ops.diffusion_matrix(self.mesh, i)
-                for i in range(self.mesh.dim)]
+    def pattern(self) -> SaddlePattern:
+        return SaddlePattern(self.mesh, self.grad,
+                             assemble_divergence(self.mesh))
 
     def preconditioner(self, system: SaddleSystem):
         """The block preconditioner for ``system``, and whether its

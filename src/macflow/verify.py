@@ -30,7 +30,7 @@ from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
                      norm_h1, norm_h1_squared)
 from . import operators as ops
 from .linsolve import (SaddleSystem, assemble_divergence, assemble_gradient,
-                       solve_oseen)
+                       pinned_saddle, solve_oseen)
 from .timestepper import (RunResult, SchemeConfig, StepDiagnostics,
                           face_balances, run)
 from .ioutil import write_table
@@ -396,9 +396,10 @@ def project_divergence_free(mesh: MacMesh, u: VelocityField):
     dvol = np.concatenate([fs.dvol[fs.interior_idx] for fs in mesh.faces])
     momentum = sp.diags(dvol, format="csr")
     rhs_u = momentum @ u.pack_interior()
-    system = SaddleSystem(mesh, momentum, assemble_gradient(mesh),
-                          assemble_divergence(mesh), rhs_u, dt=1.0,
-                          face_mass=dvol)
+    grad = assemble_gradient(mesh)
+    system = SaddleSystem(mesh, pinned_saddle(momentum, grad,
+                                              assemble_divergence(mesh)),
+                          grad, rhs_u, dt=1.0, face_mass=dvol)
     # LU: without a viscous term the step's block preconditioner needs
     # thousands of GMRES iterations here
     velocity, _, _ = solve_oseen(system, method="direct", tol=1e-10)

@@ -9,7 +9,7 @@ from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import operators as ops
 from macflow.linsolve import (PINNED_CELL, SaddleSolver, SolverFailure,
                               assemble_divergence, assemble_gradient,
-                              assemble_oseen, assemble_transport,
+                              assemble_oseen, assemble_transport, pin_row,
                               solve_oseen, solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
@@ -223,17 +223,49 @@ class TestSaddleBlocks:
         expected = sp.block_diag(blocks).toarray()
         np.testing.assert_allclose(sym, expected, rtol=1e-10, atol=1e-12)
 
-    def test_full_matrix_matches_dense_blocks(self, any_mesh):
-        # the pinned saddle matrix equals a dense build from its blocks
-        # with the continuity row of the pinned cell replaced by a unit row
-        system = random_saddle(any_mesh, seed=18)
-        dense = np.block([
-            [system.momentum.toarray(), system.grad.toarray()],
-            [system.div.toarray(), np.zeros((system.n_p, system.n_p))]])
-        row = system.n_u + PINNED_CELL
-        dense[row] = 0.0
-        dense[row, row] = 1.0
-        np.testing.assert_array_equal(system.full_matrix().toarray(), dense)
+    @staticmethod
+    def check_pinned_matrix_matches_twins(mesh, seed):
+        # the pinned matrix filled on the once-per-mesh pattern equals,
+        # bit for bit, one built from the assembled operator twins with
+        # the blocks, stacking and pin of the direct construction
+        rng = np.random.default_rng(seed)
+        dt = 0.05
+        rho_old = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
+        u_old = random_velocity(mesh, rng)
+        rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
+        mat = assemble_oseen(mesh, dt, rho_new, rho_old,
+                             u_old).full_matrix()
+
+        fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
+        assert min(f.min() for f in fluxes) < 0 < max(f.max() for f in fluxes)
+        rho_d = ops.dual_density(mesh, rho_new)
+        blocks = []
+        for i in range(mesh.dim):
+            fs = mesh.faces[i]
+            idx = fs.interior_idx
+            blocks.append((sp.diags(fs.dvol[idx] * rho_d[i][idx] / dt)
+                           + ops.diffusion_matrix(mesh, i)
+                           + ops.convection_matrix(mesh, fluxes, i)).tocsr())
+        saddle = sp.bmat([[sp.block_diag(blocks, format="csr"),
+                           assemble_gradient(mesh)],
+                          [assemble_divergence(mesh), None]], format="csr")
+        expected = pin_row(saddle, saddle.shape[0] - mesh.n_cells
+                           + PINNED_CELL)
+        assert mat.shape == expected.shape
+        np.testing.assert_array_equal(mat.indptr, expected.indptr)
+        np.testing.assert_array_equal(mat.indices, expected.indices)
+        assert mat.data.tobytes() == expected.data.tobytes()
+
+    def test_pinned_matrix_matches_twins(self, any_mesh):
+        self.check_pinned_matrix_matches_twins(any_mesh, seed=18)
+
+    @pytest.mark.parametrize("mesh", [
+        build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (1, 4)),
+        graded_mesh((1, 2, 3), seed=7),
+        build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (32, 32)),
+    ], ids=["1x4", "graded-1x2x3", "32x32"])
+    def test_pinned_matrix_matches_twins_more_meshes(self, mesh):
+        self.check_pinned_matrix_matches_twins(mesh, seed=19)
 
 
 # -- saddle solves ----------------------------------------------------------------
@@ -374,7 +406,10 @@ class TestSaddleSolver:
         a = assemble_oseen(mesh2_graded, 0.1, rho, rho, u, saddle=saddle)
         b = assemble_oseen(mesh2_graded, 0.2, rho, rho, u, saddle=saddle)
         assert a.grad is b.grad is saddle.grad
-        assert a.div is b.div is saddle.div
+        pattern = saddle.pattern
+        for system in (a, b):
+            assert np.shares_memory(system.matrix.indptr, pattern.indptr)
+            assert np.shares_memory(system.matrix.indices, pattern.indices)
         fresh = assemble_oseen(mesh2_graded, 0.2, rho, rho, u)
         assert (fresh.momentum != b.momentum).nnz == 0
 
