@@ -249,7 +249,8 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                  f"{'yes' if record.rho_l2_monotone else 'no'}\n")
         fh.write("saddle solves that fell back to direct: "
                  f"{record.oseen_fallbacks} of {len(result.diagnostics)}\n")
-        fh.write("largest Krylov iteration count: "
+        fh.write(f"Krylov iterations: {record.total_oseen_iterations} in "
+                 f"{len(result.diagnostics)} steps, largest "
                  f"{record.max_oseen_iterations}\n")
         fh.write("preconditioner factorizations: "
                  f"{record.precond_refreshes} of "

@@ -24,11 +24,13 @@ A :class:`SaddleSolver` lives for one run on one mesh.  It builds the
 CSR pattern of the pinned matrix once (:class:`SaddlePattern`: the
 mesh-constant gradient, divergence and diffusion values, and the
 positions the face masses and the convection land on), so a step only
-fills values.  It keeps the preconditioner's LU factors from step to
-step: the density stays inside its initial bounds (discrete maximum
+fills values, and each GMRES solve starts from the last accepted
+solution.  It keeps the preconditioner's LU factors from step to step:
+the density stays inside its initial bounds (discrete maximum
 principle), so the variable-density Poisson matrix moves within a
-bounded spectral band, and the momentum blocks move by O(dt).  The factors are rebuilt by a fixed rule (see
-:class:`SaddleSolver`), and each solve reports whether it factored.
+bounded spectral band, and the momentum blocks move by O(dt).  The
+factors are rebuilt by a fixed rule (see :class:`SaddleSolver`), and
+each solve reports whether it factored.
 Stale factors can cost iterations, never accuracy, since the true
 residual still decides convergence.
 """
@@ -465,13 +467,20 @@ class SaddleSolver:
     * after a GMRES solve that took more than ``REFRESH_GROWTH`` times
       the iterations of the first solve after the last factorization.
 
-    The rule has no tunable input, so a run is as deterministic as
-    before.  :func:`macflow.timestepper.run` makes one per run; a step or
-    solve called without one makes a fresh one, which factors.
+    The rule counts GMRES iterations, and a solve that needs none (its
+    initial guess already met the tolerance) sets no base count.  The
+    rule has no tunable input, so a run is as deterministic as before.
+
+    ``solution`` is the last accepted pinned solution, from which the
+    next GMRES solve starts (consecutive steps differ by O(dt)); a fresh
+    solver starts from zero.  The stopping test does not depend on the
+    initial guess.  :func:`macflow.timestepper.run` makes one per run; a
+    step or solve called without one makes a fresh one, which factors.
     """
 
     def __init__(self, mesh: MacMesh):
         self.mesh = mesh
+        self.solution = None           # last accepted pinned solution
         self._factors = None           # (dt, factors)
         self._base_iterations = None   # first solve after factoring
 
@@ -497,12 +506,12 @@ class SaddleSolver:
     def record(self, iterations: int, fallback: bool):
         """Apply the refresh rule to the outcome of a GMRES solve with the
         current factors: drop them after a fallback or an iteration count
-        above ``REFRESH_GROWTH`` times the base count, else take the count
-        as the base when none is set yet."""
+        above ``REFRESH_GROWTH`` times the base count, else take a nonzero
+        count as the base when none is set yet."""
         if fallback or (self._base_iterations is not None and iterations
                         > REFRESH_GROWTH * self._base_iterations):
             self._factors = None
-        elif self._base_iterations is None:
+        elif self._base_iterations is None and iterations > 0:
             self._base_iterations = iterations
 
 
@@ -530,9 +539,11 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
     method, the relative true residual of the pinned system must be at
     most ``tol``, or :class:`SolverFailure` is raised.
 
-    GMRES takes its preconditioner factors from ``saddle``, the run's
-    :class:`SaddleSolver` (a fresh one, which factors, when omitted), and
-    reports in ``precond_refresh`` whether this solve factored.
+    GMRES takes its preconditioner factors and its initial guess (the
+    last accepted solution) from ``saddle``, the run's
+    :class:`SaddleSolver` (a fresh one, which factors and starts from
+    zero, when omitted), reports in ``precond_refresh`` whether this
+    solve factored, and leaves its accepted solution in ``saddle``.
     """
     if method not in ("direct", "gmres"):
         raise ValueError(f"unknown solver method {method!r}")
@@ -558,11 +569,12 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
         # continuity rows by the Schur inverse; that keeps the divergence
         # of the new velocity at the LU level (right preconditioning, on
         # the unweighted residual, left it three orders of magnitude
-        # larger).
+        # larger).  It stops at KRYLOV_TARGET * tol * |M^-1 rhs| whatever
+        # the initial guess, so the warm start does not loosen the test.
         solution, info = spla.gmres(
-            mat, rhs, rtol=KRYLOV_TARGET * tol, atol=0.0,
-            M=precond, restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
-            callback=cb, callback_type="pr_norm")
+            mat, rhs, x0=saddle.solution, rtol=KRYLOV_TARGET * tol,
+            atol=0.0, M=precond, restart=GMRES_RESTART,
+            maxiter=GMRES_MAXITER, callback=cb, callback_type="pr_norm")
         iterations = counter["n"]
         fallback = info != 0
         saddle.record(iterations, fallback)
@@ -585,6 +597,8 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
     if not rel <= tol:
         raise SolverFailure(
             f"saddle solve residual {rel:.3e} exceeds {tol:.1e}")
+    if method == "gmres":
+        saddle.solution = solution
     report = SolveReport(method=used, residual=float(rel),
                          iterations=iterations, fallback=fallback,
                          precond_refresh=refresh)

@@ -176,9 +176,10 @@ class DiagnosticsRecord:
     ``l2h1`` accumulates ``sqrt(sum dt * |u|_h1^2)`` and ``linf_l2`` the
     running maximum of the velocity L2 norm (initial state included).
     ``oseen_fallbacks`` counts the steps whose Krylov saddle solve fell
-    back to the direct one; ``max_oseen_iterations`` is the largest
-    Krylov iteration count of any step; ``precond_refreshes`` counts the
-    steps that factored the saddle preconditioner.
+    back to the direct one; ``total_oseen_iterations`` and
+    ``max_oseen_iterations`` are the run's total and largest Krylov
+    iteration counts; ``precond_refreshes`` counts the steps that
+    factored the saddle preconditioner.
     """
 
     steps: list
@@ -190,6 +191,7 @@ class DiagnosticsRecord:
     worst_div: float
     rho_l2_monotone: bool
     oseen_fallbacks: int
+    total_oseen_iterations: int
     max_oseen_iterations: int
     precond_refreshes: int
 
@@ -220,6 +222,8 @@ def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
         worst_div=max((d.div_l2 for d in result.diagnostics), default=0.0),
         rho_l2_monotone=monotone,
         oseen_fallbacks=sum(d.oseen_fallback for d in result.diagnostics),
+        total_oseen_iterations=sum(d.oseen_iterations
+                                   for d in result.diagnostics),
         max_oseen_iterations=max(
             (d.oseen_iterations for d in result.diagnostics), default=0),
         precond_refreshes=sum(d.precond_refresh

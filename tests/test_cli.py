@@ -285,6 +285,9 @@ class TestRunCommand:
         assert summary.count("[PASS]") == 4
         assert "[FAIL]" not in summary
         assert "saddle solves that fell back to direct: 0 of 5" in summary
+        counts = [int(r["oseen_iterations"]) for r in rows]
+        assert (f"Krylov iterations: {sum(counts)} in 5 steps, largest "
+                f"{max(counts)}\n") in summary
         assert "preconditioner factorizations: 1 of 5 steps" in summary
 
     def test_solver_fallback_reported(self, tmp_path, monkeypatch):
@@ -315,7 +318,7 @@ class TestRunCommand:
                    and r["precond_refresh"] == "True" for r in rows)
         summary = (out / "summary.txt").read_text()
         assert "saddle solves that fell back to direct: 5 of 5" in summary
-        assert "largest Krylov iteration count: 1" in summary
+        assert "Krylov iterations: 5 in 5 steps, largest 1" in summary
         assert "preconditioner factorizations: 5 of 5 steps" in summary
 
     def test_vtk_output(self, tmp_path):

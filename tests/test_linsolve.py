@@ -399,6 +399,48 @@ class TestSaddleSolver:
         assert not factored(system)
         assert factored(random_saddle(mesh2_uniform, seed=18, dt=0.1))
 
+    def test_zero_iterations_set_no_base(self, mesh2_uniform):
+        # a warm-started solve that needs no iteration must not become the
+        # base count, or every later solve would factor again
+        saddle = SaddleSolver(mesh2_uniform)
+        system = random_saddle(mesh2_uniform, seed=18)
+        assert saddle.preconditioner(system)[1]
+        saddle.record(0, False)
+        assert not saddle.preconditioner(system)[1]
+        saddle.record(10, False)     # the first nonzero count is the base
+        assert not saddle.preconditioner(system)[1]
+        saddle.record(15, False)
+        assert not saddle.preconditioner(system)[1]
+        saddle.record(16, False)
+        assert saddle.preconditioner(system)[1]
+
+    def test_warm_start_from_last_solution(self, any_mesh):
+        # the second solve of one system starts from the first one's
+        # solution: at most 2 iterations, and the same solution within tol
+        saddle = SaddleSolver(any_mesh)
+        system = random_saddle(any_mesh, seed=20)
+        tol = 1e-10
+        u1, p1, rep1 = solve_oseen(system, tol=tol, saddle=saddle)
+        first = saddle.solution.copy()
+        u2, p2, rep2 = solve_oseen(system, tol=tol, saddle=saddle)
+        assert rep1.iterations > 2 and not rep1.fallback
+        assert rep2.iterations <= 2 and not rep2.fallback
+        assert not rep2.precond_refresh
+        assert (np.linalg.norm(saddle.solution - first)
+                <= tol * np.linalg.norm(first))
+        np.testing.assert_allclose(u2.pack_interior(), u1.pack_interior(),
+                                   rtol=0, atol=tol * np.abs(first).max())
+        np.testing.assert_allclose(p2.values, p1.values, rtol=0,
+                                   atol=tol * np.abs(first).max())
+
+    def test_fresh_solver_starts_from_zero(self, mesh2_uniform):
+        system = random_saddle(mesh2_uniform, seed=21)
+        assert SaddleSolver(mesh2_uniform).solution is None
+        _, _, fresh = solve_oseen(system)
+        saddle = SaddleSolver(mesh2_uniform)
+        _, _, first = solve_oseen(system, saddle=saddle)
+        assert first.iterations == fresh.iterations > 2
+
     def test_mesh_constant_blocks_shared(self, mesh2_graded):
         saddle = SaddleSolver(mesh2_graded)
         rho = ScalarField.constant(mesh2_graded, 1.0)
@@ -432,7 +474,7 @@ class TestSaddleSolver:
         diags = result.diagnostics
         assert len(diags) == 20
         assert diags[0].precond_refresh
-        assert sum(d.precond_refresh for d in diags) < len(diags)
+        assert sum(d.precond_refresh for d in diags) == 1
         for d in diags:
             assert d.oseen_method == "gmres" and not d.oseen_fallback
             assert 0 < d.oseen_iterations <= 25
