@@ -84,6 +84,13 @@ def _wrap_space_time(fn, tv):
     return wrapped
 
 
+def _vanishes(expr) -> bool:
+    """Whether a symbolic expression is identically zero: first after
+    expanding its products, which settles polynomial cancellations
+    cheaply, and only then by the full ``simplify``."""
+    return sym.expand_mul(expr) == 0 or sym.simplify(expr) == 0
+
+
 def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
                          p_expr):
     """Momentum source ``rho (d_t u + u . grad u) - lap u + grad p`` that
@@ -100,7 +107,7 @@ def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
     transport = sym.diff(rho_expr, time_symbol)
     for j in range(dim):
         transport += sym.diff(rho_expr * u_exprs[j], space_symbols[j])
-    if sym.simplify(transport) != 0:
+    if not _vanishes(transport):
         raise ValueError(
             "density expression does not satisfy the transport equation "
             "for the given velocity")
