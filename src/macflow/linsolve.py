@@ -267,7 +267,8 @@ class SaddlePattern:
     mesh-constant data ``base`` (diffusion, gradient, divergence, the
     pin's 1.0, and zeros where only the face mass or the convection
     lands), the position ``diag`` of each momentum diagonal, and the
-    positions ``conv`` of the convection entries, listed in the order of
+    positions ``conv`` of the convection entries, which list the entries
+    of each position in the order of
     :func:`macflow.operators.convection_matrix`.  Entry ``k`` of ``conv``
     takes the half dual flux ``conv_src[k]`` of the stacked components,
     added for ``k < n_plus`` (low-side rows) and subtracted after.
@@ -279,35 +280,35 @@ class SaddlePattern:
         starts = np.cumsum([0] + [fs.n_interior for fs in mesh.faces])
         half_starts = np.cumsum(
             [0] + [t.face_lo.size for t in mesh.dual_interfaces])
-        blocks = []
-        conv = {1.0: ([], [], []), -1.0: ([], [], [])}   # rows, cols, src
+        n_u = starts[-1]
+        rows, cols, vals = [np.arange(n_u)], [np.arange(n_u)], [np.zeros(n_u)]
+        added, subtracted = [], []       # convection (rows, cols, src)
         for i in range(mesh.dim):
-            fs = mesh.faces[i]
-            dof = fs.interior_dof
+            diff = ops.diffusion_matrix(mesh, i).tocoo()
+            rows.append(starts[i] + diff.row)
+            cols.append(starts[i] + diff.col)
+            vals.append(diff.data)
+            dof = mesh.faces[i].interior_dof
             t = mesh.dual_interfaces[i]
             dlo, dhi = dof[t.face_lo], dof[t.face_hi]
-            rows, cols = [], []
-            for r, sign in ((dlo, 1.0), (dhi, -1.0)):
+            for entries, r in ((added, dlo), (subtracted, dhi)):
                 for c in (dlo, dhi):
                     keep = np.flatnonzero((r >= 0) & (c >= 0))
-                    rows.append(r[keep])
-                    cols.append(c[keep])
-                    conv[sign][0].append(starts[i] + r[keep])
-                    conv[sign][1].append(starts[i] + c[keep])
-                    conv[sign][2].append(half_starts[i] + keep)
-            # explicit zeros on the diagonal and the convection positions
-            # keep the pattern independent of the values
-            diff = ops.diffusion_matrix(mesh, i).tocoo()
-            diag = np.arange(fs.n_interior)
-            rows = np.concatenate([diff.row, diag] + rows)
-            cols = np.concatenate([diff.col, diag] + cols)
-            vals = np.zeros(rows.size)
-            vals[:diff.nnz] = diff.data
-            blocks.append(sp.coo_matrix(
-                (vals, (rows, cols)),
-                shape=(fs.n_interior, fs.n_interior)).tocsr())
-        template = pinned_saddle(sp.block_diag(blocks, format="csr"),
-                                 grad, div)
+                    entries.append((starts[i] + r[keep], starts[i] + c[keep],
+                                    half_starts[i] + keep))
+        # every component's added entries before the subtracted ones keeps
+        # each position's entries in the order of convection_matrix
+        conv_rows, conv_cols, conv_src = (
+            np.concatenate([e[k] for e in added + subtracted])
+            for k in range(3))
+        # explicit zeros on the diagonal and the convection positions keep
+        # the pattern independent of the values
+        momentum = sp.coo_matrix(
+            (np.concatenate(vals + [np.zeros(conv_rows.size)]),
+             (np.concatenate(rows + [conv_rows]),
+              np.concatenate(cols + [conv_cols]))),
+            shape=(n_u, n_u)).tocsr()
+        template = pinned_saddle(momentum, grad, div)
 
         n = template.shape[0]
         keys = (np.repeat(np.arange(n, dtype=np.int64),
@@ -321,12 +322,10 @@ class SaddlePattern:
         self.indptr = template.indptr
         self.indices = template.indices
         self.base = template.data
-        self.diag = locate(np.arange(starts[-1]), np.arange(starts[-1]))
-        rows, cols, src = (np.concatenate(conv[1.0][k] + conv[-1.0][k])
-                           for k in range(3))
-        self.conv = locate(rows, cols)
-        self.conv_src = src.astype(np.int32)
-        self.n_plus = sum(a.size for a in conv[1.0][0])
+        self.diag = locate(np.arange(n_u), np.arange(n_u))
+        self.conv = locate(conv_rows, conv_cols)
+        self.conv_src = conv_src.astype(np.int32)
+        self.n_plus = sum(e[0].size for e in added)
 
     def fill(self, diagonal, half_fluxes) -> sp.csr_matrix:
         """The pinned matrix with ``diagonal`` (the face masses over dt)
@@ -336,8 +335,9 @@ class SaddlePattern:
         data[self.diag] += diagonal
         weights = half_fluxes[self.conv_src]
         np.negative(weights[self.n_plus:], out=weights[self.n_plus:])
-        # bincount sums each position's entries in list order, the order
-        # in which the CSR conversion of convection_matrix sums them
+        # bincount sums each position's entries in list order, as the CSR
+        # conversion of convection_matrix does, so the values keep their
+        # bits
         data += np.bincount(self.conv, weights, minlength=data.size)
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
