@@ -264,68 +264,71 @@ class SaddlePattern:
     The MAC stencil fixes the sparsity of :func:`pinned_saddle`; only the
     face masses and the convection values change from step to step.  The
     pattern holds ``indptr`` and ``indices`` of the pinned matrix, its
-    mesh-constant data ``base`` (diffusion, gradient, divergence, the
-    pin's 1.0, and zeros where only the face mass or the convection
-    lands), the position ``diag`` of each momentum diagonal, and the
-    positions ``conv`` of the convection entries, which list the entries
-    of each position in the order of
-    :func:`macflow.operators.convection_matrix`.  Entry ``k`` of ``conv``
-    takes the half dual flux ``conv_src[k]`` of the stacked components,
-    added for ``k < n_plus`` (low-side rows) and subtracted after.
-    Positions are ``int32``; the key table that finds them is dropped
-    after construction.
+    mesh-constant data ``base`` (diffusion, gradient, divergence and the
+    pin's 1.0), the position ``diag`` of each momentum diagonal, and what
+    places the convection of :func:`macflow.operators.convection_matrix`:
+
+    * each dual interface with two interior faces puts its half flux at
+      the position ``upper`` of (low face, high face) and minus it at
+      ``lower``, (high face, low face), taking it from ``off_src`` of the
+      stacked half fluxes; no other interface reaches those positions;
+    * a diagonal sums the half fluxes ``diag_src`` of its interfaces,
+      plus on the rows ``diag_rows[:n_low]`` (low sides), minus on the
+      rest, in the order in which the CSR conversion of
+      ``convection_matrix`` sums them, so every value keeps its bits.
+
+    Indices are ``int32``; the key table that finds the positions is
+    dropped after construction.
     """
 
     def __init__(self, mesh: MacMesh, grad, div):
-        starts = np.cumsum([0] + [fs.n_interior for fs in mesh.faces])
-        half_starts = np.cumsum(
-            [0] + [t.face_lo.size for t in mesh.dual_interfaces])
-        n_u = starts[-1]
-        rows, cols, vals = [np.arange(n_u)], [np.arange(n_u)], [np.zeros(n_u)]
-        added, subtracted = [], []       # convection (rows, cols, src)
-        for i in range(mesh.dim):
-            diff = ops.diffusion_matrix(mesh, i).tocoo()
-            rows.append(starts[i] + diff.row)
-            cols.append(starts[i] + diff.col)
-            vals.append(diff.data)
-            dof = mesh.faces[i].interior_dof
-            t = mesh.dual_interfaces[i]
-            dlo, dhi = dof[t.face_lo], dof[t.face_hi]
-            for entries, r in ((added, dlo), (subtracted, dhi)):
-                for c in (dlo, dhi):
-                    keep = np.flatnonzero((r >= 0) & (c >= 0))
-                    entries.append((starts[i] + r[keep], starts[i] + c[keep],
-                                    half_starts[i] + keep))
-        # every component's added entries before the subtracted ones keeps
-        # each position's entries in the order of convection_matrix
-        conv_rows, conv_cols, conv_src = (
-            np.concatenate([e[k] for e in added + subtracted])
-            for k in range(3))
-        # explicit zeros on the diagonal and the convection positions keep
-        # the pattern independent of the values
-        momentum = sp.coo_matrix(
-            (np.concatenate(vals + [np.zeros(conv_rows.size)]),
-             (np.concatenate(rows + [conv_rows]),
-              np.concatenate(cols + [conv_cols]))),
-            shape=(n_u, n_u)).tocsr()
-        template = pinned_saddle(momentum, grad, div)
-
+        # The diffusion stencil couples the two faces of every dual
+        # interface and puts each interior face on the diagonal, so it
+        # covers every position the face masses and convection reach.
+        template = pinned_saddle(
+            sp.block_diag([ops.diffusion_matrix(mesh, i)
+                           for i in range(mesh.dim)], format="csr"),
+            grad, div)
         n = template.shape[0]
         keys = (np.repeat(np.arange(n, dtype=np.int64),
                           np.diff(template.indptr)) * n + template.indices)
 
         def locate(rows, cols):
-            want = np.asarray(rows, dtype=np.int64) * n + cols
-            return np.searchsorted(keys, want).astype(np.int32)
+            return np.searchsorted(keys, rows.astype(np.int64) * n + cols
+                                   ).astype(np.int32)
 
+        n_u = grad.shape[0]
         self.shape = template.shape
         self.indptr = template.indptr
         self.indices = template.indices
         self.base = template.data
         self.diag = locate(np.arange(n_u), np.arange(n_u))
-        self.conv = locate(conv_rows, conv_cols)
-        self.conv_src = conv_src.astype(np.int32)
-        self.n_plus = sum(e[0].size for e in added)
+
+        rows, src = ([], []), ([], [])   # diagonal entries: low, high
+        upper, lower, off_src = [], [], []
+        start = half_start = 0
+        for fs, t in zip(mesh.faces, mesh.dual_interfaces):
+            lo = start + fs.interior_dof[t.face_lo]
+            hi = start + fs.interior_dof[t.face_hi]
+            for k, side in enumerate((lo, hi)):
+                keep = np.flatnonzero(side >= start)
+                rows[k].append(side[keep])
+                src[k].append(half_start + keep)
+            both = np.flatnonzero((lo >= start) & (hi >= start))
+            upper.append(locate(lo[both], hi[both]))
+            lower.append(locate(hi[both], lo[both]))
+            off_src.append(half_start + both)
+            start += fs.n_interior
+            half_start += t.face_lo.size
+
+        def stack(arrays):
+            return np.concatenate(arrays).astype(np.int32)
+
+        self.diag_rows = stack(rows[0] + rows[1])
+        self.diag_src = stack(src[0] + src[1])
+        self.n_low = sum(r.size for r in rows[0])
+        self.upper, self.lower = stack(upper), stack(lower)
+        self.off_src = stack(off_src)
 
     def fill(self, diagonal, half_fluxes) -> sp.csr_matrix:
         """The pinned matrix with ``diagonal`` (the face masses over dt)
@@ -333,12 +336,13 @@ class SaddlePattern:
         ``half_fluxes`` (half the dual fluxes of each component)."""
         data = self.base.copy()
         data[self.diag] += diagonal
-        weights = half_fluxes[self.conv_src]
-        np.negative(weights[self.n_plus:], out=weights[self.n_plus:])
-        # bincount sums each position's entries in list order, as the CSR
-        # conversion of convection_matrix does, so the values keep their
-        # bits
-        data += np.bincount(self.conv, weights, minlength=data.size)
+        weights = half_fluxes[self.diag_src]
+        np.negative(weights[self.n_low:], out=weights[self.n_low:])
+        data[self.diag] += np.bincount(self.diag_rows, weights,
+                                       minlength=self.diag.size)
+        weights = half_fluxes[self.off_src]
+        data[self.upper] += weights
+        data[self.lower] -= weights
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
