@@ -294,16 +294,14 @@ class SaddlePattern:
                           np.diff(template.indptr)) * n + template.indices)
 
         def locate(rows, cols):
-            return np.searchsorted(keys, rows.astype(np.int64) * n + cols
-                                   ).astype(np.int32)
+            return np.searchsorted(keys, rows.astype(np.int64) * n + cols)
 
-        n_u = grad.shape[0]
         self.shape = template.shape
         self.indptr = template.indptr
         self.indices = template.indices
         self.base = template.data
-        self.diag = locate(np.arange(n_u), np.arange(n_u))
 
+        n_u = grad.shape[0]
         rows, src = ([], []), ([], [])   # diagonal entries: low, high
         upper, lower, off_src = [], [], []
         start = half_start = 0
@@ -320,15 +318,18 @@ class SaddlePattern:
             off_src.append(half_start + both)
             start += fs.n_interior
             half_start += t.face_lo.size
-
-        def stack(arrays):
-            return np.concatenate(arrays).astype(np.int32)
-
-        self.diag_rows = stack(rows[0] + rows[1])
-        self.diag_src = stack(src[0] + src[1])
         self.n_low = sum(r.size for r in rows[0])
-        self.upper, self.lower = stack(upper), stack(lower)
-        self.off_src = stack(off_src)
+
+        # One int32 buffer holds every index array: a single long-lived
+        # allocation, which leaves no pieces in the heap among the
+        # temporaries of the steps.
+        parts = ([locate(np.arange(n_u), np.arange(n_u))], rows[0] + rows[1],
+                 src[0] + src[1], upper, lower, off_src)
+        buf = np.concatenate([a for part in parts for a in part],
+                             dtype=np.int32)
+        sizes = [sum(a.size for a in part) for part in parts]
+        (self.diag, self.diag_rows, self.diag_src, self.upper, self.lower,
+         self.off_src) = np.split(buf, np.cumsum(sizes)[:-1])
 
     def fill(self, diagonal, half_fluxes) -> sp.csr_matrix:
         """The pinned matrix with ``diagonal`` (the face masses over dt)

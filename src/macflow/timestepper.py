@@ -163,9 +163,9 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
     the running (min, max) density interval used for the
     maximum-principle guard; the current density's own bounds are used
     when omitted.  ``saddle`` is the run's
-    :class:`~macflow.linsolve.SaddleSolver`, which keeps the
-    mesh-constant blocks and the preconditioner factors across steps; a
-    fresh one is made when omitted.
+    :class:`~macflow.linsolve.SaddleSolver`, which keeps the saddle
+    matrix pattern, the preconditioner factors and the last solution
+    across steps; a fresh one is made when omitted.
     """
     dt = cfg.dt
     t_new = state.t + dt
