@@ -53,14 +53,16 @@ _SCHEMA = {
 
 def load_config(path) -> dict:
     """Parse and validate a YAML configuration against the whitelist."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            where = f" (line {mark.line + 1})" if mark else ""
-            raise ConfigError(f"malformed YAML{where}: "
-                              f"{getattr(exc, 'problem', exc)}") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1})" if mark else ""
+        raise ConfigError(f"malformed YAML{where}: "
+                          f"{getattr(exc, 'problem', exc)}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -332,8 +334,9 @@ def cmd_verify(cfg, out_dir, seed) -> int:
     tol = _number(ver.get("tolerance", 1e-12), "verify.tolerance")
     hash_value = config_hash(cfg)
 
+    meshes = _verification_meshes(seed)
     reports = []
-    for tag, mesh in _verification_meshes(seed):
+    for tag, mesh in meshes:
         for check in (verify.check_duality, verify.check_adjointness,
                       verify.check_coercivity):
             rep = check(mesh, trials=trials, seed=seed, tol=tol)
@@ -341,7 +344,7 @@ def cmd_verify(cfg, out_dir, seed) -> int:
             reports.append(rep)
 
     monitors = []
-    for tag, mesh in _verification_meshes(seed)[:2]:
+    for tag, mesh in meshes[:2]:
         bound = verify.measure_convection_bound(mesh, samples=10, seed=seed)
         monitors.append(f"convection trilinear ratio [{tag}]: "
                         f"max {format_float(bound['max'])} over "
@@ -442,6 +445,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        _number(args.seed, "--seed", integer=True, least=0)
         cfg = load_config(args.config)
         directory = cfg.get("output", {}).get("directory", "out")
         if not isinstance(directory, str):
@@ -455,10 +459,7 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, out_dir, args.seed)
         return cmd_study(cfg, out_dir, args.seed,
                          levels_override=args.levels)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

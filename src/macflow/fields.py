@@ -108,9 +108,7 @@ class VelocityField:
     # -- flat interior-unknown packing, used by the linear solvers -------
 
     def pack_interior(self) -> np.ndarray:
-        return np.concatenate([
-            self.components[i][self.mesh.faces[i].interior_idx]
-            for i in range(self.mesh.dim)])
+        return self.mesh.pack_interior(self.components)
 
     @classmethod
     def from_interior(cls, mesh, vec):

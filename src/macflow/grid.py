@@ -361,6 +361,13 @@ class MacMesh:
             np.concatenate([w.face for w in walls]),
             np.concatenate([w.measure / w.dist for w in walls]))
 
+    def pack_interior(self, arrays) -> np.ndarray:
+        """The interior-face entries of per-direction face ``arrays``,
+        stacked by component: the velocity unknowns' order in the saddle
+        system."""
+        return np.concatenate([np.asarray(a)[fs.interior_idx]
+                               for a, fs in zip(arrays, self.faces)])
+
     def __repr__(self):
         cells = "x".join(str(n) for n in self.cells)
         return f"MacMesh({self.dim}D, {cells} cells)"

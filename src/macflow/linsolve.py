@@ -15,14 +15,17 @@ A time step solves the pinned saddle system by GMRES with a
 Cahouet-Chabard block preconditioner: one LU per velocity component for
 the momentum block, and a variable-density pressure Poisson solve plus a
 pressure mass solve for the Schur complement.  Sparse LU of the whole
-pinned matrix is the reported fallback when GMRES does not converge, and
-the solver of systems without a viscous term (the divergence-free
-projection), which that preconditioner does not fit.  Either way the
-true residual of the pinned system decides convergence.
+pinned matrix is the reported fallback when GMRES does not converge.
+Either way the true residual of the pinned system decides convergence
+(:func:`checked_residual`, which also judges the transport solve).  The
+pinned Poisson matrix of the Schur term, :func:`pinned_poisson`, with
+unit density also serves the divergence-free projection of
+:mod:`macflow.verify`.
 
-A :class:`SaddleSolver` lives for one run on one mesh.  It builds the
-CSR pattern of the pinned matrix once (:class:`SaddlePattern`: the
-mesh-constant gradient, divergence and diffusion values, and the
+A :class:`SaddleSolver` lives for one run on one mesh, and every
+:class:`SaddleSystem` carries the solver that assembled it.  The solver
+builds the CSR pattern of the pinned matrix once (:class:`SaddlePattern`:
+the mesh-constant gradient, divergence and diffusion values, and the
 positions the face masses and the convection land on), so a step only
 fills values, and each GMRES solve starts from the last accepted
 solution.  It keeps the preconditioner's LU factors from step to step:
@@ -70,6 +73,18 @@ REFRESH_GROWTH = 1.5
 
 class SolverFailure(RuntimeError):
     """A linear solve did not reach its required residual tolerance."""
+
+
+def checked_residual(mat, x, rhs, tol: float, what: str) -> float:
+    """Relative true residual of ``mat x = rhs`` (absolute when ``rhs``
+    vanishes); raises :class:`SolverFailure`, naming ``what``, when it
+    exceeds ``tol``."""
+    resid = np.linalg.norm(mat @ x - rhs)
+    scale = np.linalg.norm(rhs)
+    rel = float(resid / scale if scale > 0 else resid)
+    if not rel <= tol:
+        raise SolverFailure(f"{what} residual {rel:.3e} exceeds {tol:.1e}")
+    return rel
 
 
 @dataclass
@@ -130,16 +145,9 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
                     u: VelocityField, tol: float = 1e-12):
     """Advance the density by one implicit upwind transport step."""
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
-    lu = spla.splu(mat.tocsc())
-    values = lu.solve(rhs)
-    resid = np.linalg.norm(mat @ values - rhs)
-    scale = np.linalg.norm(rhs)
-    rel = resid / scale if scale > 0 else resid
-    if not rel <= tol:
-        raise SolverFailure(
-            f"transport solve residual {rel:.3e} exceeds {tol:.1e}")
-    report = SolveReport(method="direct", residual=float(rel))
-    return ScalarField(mesh, values), report
+    values = spla.splu(mat.tocsc()).solve(rhs)
+    rel = checked_residual(mat, values, rhs, tol, "transport solve")
+    return ScalarField(mesh, values), SolveReport("direct", rel)
 
 
 # -- momentum/pressure saddle system ------------------------------------------
@@ -156,18 +164,19 @@ def pin_row(mat, row: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=mat.shape)
 
 
-def pinned_saddle(momentum, grad, div) -> sp.csr_matrix:
-    """The pinned saddle matrix ``[[momentum, grad], [div, 0]]``, with the
-    continuity row of ``PINNED_CELL`` replaced by the pressure pin."""
-    mat = sp.bmat([[momentum, grad], [div, None]], format="csr")
-    return pin_row(mat, momentum.shape[0] + PINNED_CELL)
+def pinned_poisson(grad, weights) -> sp.csr_matrix:
+    """The pressure Poisson matrix ``grad^T diag(weights) grad`` with the
+    row of ``PINNED_CELL`` replaced by the pin, which removes its
+    constant nullspace."""
+    return pin_row(grad.T @ sp.diags(weights) @ grad, PINNED_CELL)
 
 
 class SaddleSystem:
     """Assembled one-step momentum and continuity equations.
 
-    ``matrix`` is the pinned saddle matrix of :func:`pinned_saddle`, with
-    the blocks (volume-scaled):
+    ``matrix`` is the saddle matrix ``[[momentum, grad], [div, 0]]``
+    with the continuity row of ``PINNED_CELL`` replaced by the pressure
+    pin, and the blocks (volume-scaled):
 
       momentum : per interior face, ``face_mass/dt`` on the diagonal
                  (``face_mass = dvol*rho_dual_new``) plus diffusion plus
@@ -179,30 +188,27 @@ class SaddleSystem:
                  from the cell outflow stencil; equals minus the transpose
                  of grad).
 
-    ``grad``, ``dt`` and ``face_mass`` are kept for the Krylov
-    preconditioner.  ``fluxes`` (the upwind mass fluxes of the convection)
-    and the dual densities ``rho_dual_old``/``rho_dual_new`` that
-    :func:`assemble_oseen` built the blocks from are kept for the step
-    diagnostics.
+    ``saddle`` is the :class:`SaddleSolver` that assembled the system and
+    solves it; ``mesh`` and ``grad`` are its own.  ``dt`` and
+    ``face_mass`` are kept for the Krylov preconditioner.  ``fluxes`` (the
+    upwind mass fluxes of the convection) and the dual densities
+    ``rho_dual_old``/``rho_dual_new`` that :func:`assemble_oseen` built
+    the blocks from are kept for the step diagnostics.
     """
 
-    def __init__(self, mesh, matrix, grad, rhs_u, dt, face_mass,
-                 fluxes=None, rho_dual_old=None, rho_dual_new=None):
-        self.mesh = mesh
+    def __init__(self, saddle, matrix, rhs_u, dt, face_mass, fluxes,
+                 rho_dual_old, rho_dual_new):
+        self.saddle = saddle
+        self.mesh = saddle.mesh
+        self.grad = saddle.grad
         self.matrix = matrix
-        self.grad = grad
         self.rhs_u = rhs_u
         self.dt = float(dt)
         self.face_mass = face_mass
         self.fluxes = fluxes
         self.rho_dual_old = rho_dual_old
         self.rho_dual_new = rho_dual_new
-        self.n_u, self.n_p = grad.shape
-
-    @property
-    def momentum(self) -> sp.csr_matrix:
-        """The momentum block, sliced out of the pinned matrix."""
-        return self.matrix[:self.n_u, :self.n_u]
+        self.n_u, self.n_p = self.grad.shape
 
     def full_matrix(self) -> sp.csr_matrix:
         """Pinned saddle matrix (one continuity row swapped for the pin)."""
@@ -261,9 +267,9 @@ def assemble_gradient(mesh: MacMesh) -> sp.csr_matrix:
 class SaddlePattern:
     """CSR pattern of the pinned saddle matrix of one mesh.
 
-    The MAC stencil fixes the sparsity of :func:`pinned_saddle`; only the
-    face masses and the convection values change from step to step.  The
-    pattern holds ``indptr`` and ``indices`` of the pinned matrix, its
+    The MAC stencil fixes the sparsity of :attr:`SaddleSystem.matrix`;
+    only the face masses and the convection values change from step to
+    step.  The pattern holds ``indptr`` and ``indices`` of that matrix, its
     mesh-constant data ``base`` (diffusion, gradient, divergence and the
     pin's 1.0), the position ``diag`` of each momentum diagonal, and what
     places the convection of :func:`macflow.operators.convection_matrix`:
@@ -285,10 +291,11 @@ class SaddlePattern:
         # The diffusion stencil couples the two faces of every dual
         # interface and puts each interior face on the diagonal, so it
         # covers every position the face masses and convection reach.
-        template = pinned_saddle(
-            sp.block_diag([ops.diffusion_matrix(mesh, i)
-                           for i in range(mesh.dim)], format="csr"),
-            grad, div)
+        n_u = grad.shape[0]
+        diffusion = sp.block_diag([ops.diffusion_matrix(mesh, i)
+                                   for i in range(mesh.dim)], format="csr")
+        template = pin_row(sp.bmat([[diffusion, grad], [div, None]],
+                                   format="csr"), n_u + PINNED_CELL)
         n = template.shape[0]
         keys = (np.repeat(np.arange(n, dtype=np.int64),
                           np.diff(template.indptr)) * n + template.indices)
@@ -301,7 +308,6 @@ class SaddlePattern:
         self.indices = template.indices
         self.base = template.data
 
-        n_u = grad.shape[0]
         rows, src = ([], []), ([], [])   # diagonal entries: low, high
         upper, lower, off_src = [], [], []
         start = half_start = 0
@@ -360,30 +366,27 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     is an optional list of per-direction face arrays (point values of the
     momentum source at face centers).  The pinned matrix is filled on the
     :class:`SaddlePattern` of ``saddle``, the run's :class:`SaddleSolver`
-    (a fresh one when omitted).
+    (a fresh one when omitted), which the system carries to
+    :func:`solve_oseen`.
     """
-    saddle = _saddle_for(mesh, saddle)
+    if saddle is None:
+        saddle = SaddleSolver(mesh)
+    elif saddle.mesh is not mesh:
+        raise ValueError("the saddle solver was built for another mesh")
     fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
     rho_d_new = ops.dual_density(mesh, rho_new)
     rho_d_old = ops.dual_density(mesh, rho_old)
 
-    masses = []
-    rhs_parts = []
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
-        idx = fs.interior_idx
-        masses.append(fs.dvol[idx] * rho_d_new[i][idx])
-        rhs = fs.dvol[idx] * rho_d_old[i][idx] * u_old.components[i][idx] / dt
-        if forcing is not None:
-            rhs = rhs + fs.dvol[idx] * np.asarray(forcing[i])[idx]
-        rhs_parts.append(rhs)
-
-    face_mass = np.concatenate(masses)
+    dvol = mesh.pack_interior([fs.dvol for fs in mesh.faces])
+    face_mass = dvol * mesh.pack_interior(rho_d_new)
+    rhs_u = dvol * mesh.pack_interior(rho_d_old) * u_old.pack_interior() / dt
+    if forcing is not None:
+        rhs_u = rhs_u + dvol * mesh.pack_interior(forcing)
     half = np.concatenate([0.5 * ops.dual_fluxes(mesh, fluxes, i)
                            for i in range(mesh.dim)])
     matrix = saddle.pattern.fill(face_mass / dt, half)
-    return SaddleSystem(mesh, matrix, saddle.grad, np.concatenate(rhs_parts),
-                        dt, face_mass, fluxes, rho_d_old, rho_d_new)
+    return SaddleSystem(saddle, matrix, rhs_u, dt, face_mass, fluxes,
+                        rho_d_old, rho_d_new)
 
 
 def _factor_preconditioner(system: SaddleSystem):
@@ -408,10 +411,8 @@ def _factor_preconditioner(system: SaddleSystem):
     components = [(lo, hi, factor(system.matrix[lo:hi, lo:hi]))
                   for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)
                   if hi > lo]
-    grad = system.grad
-    lu_k = factor(pin_row(grad.T @ sp.diags(1.0 / system.face_mass) @ grad,
-                          PINNED_CELL))
-    return components, lu_k
+    return components, factor(pinned_poisson(system.grad,
+                                             1.0 / system.face_mass))
 
 
 def _block_preconditioner(system: SaddleSystem, factors):
@@ -480,7 +481,7 @@ class SaddleSolver:
     next GMRES solve starts (consecutive steps differ by O(dt)); a fresh
     solver starts from zero.  The stopping test does not depend on the
     initial guess.  :func:`macflow.timestepper.run` makes one per run; a
-    step or solve called without one makes a fresh one, which factors.
+    system assembled without one gets a fresh one, which factors.
     """
 
     def __init__(self, mesh: MacMesh):
@@ -520,50 +521,37 @@ class SaddleSolver:
             self._base_iterations = iterations
 
 
-def _saddle_for(mesh: MacMesh, saddle: SaddleSolver | None) -> SaddleSolver:
-    """``saddle``, checked to belong to ``mesh``, or a fresh one."""
-    if saddle is None:
-        return SaddleSolver(mesh)
-    if saddle.mesh is not mesh:
-        raise ValueError("the saddle solver was built for another mesh")
-    return saddle
-
-
 def solve_oseen(system: SaddleSystem, method: str = "gmres",
-                tol: float = 1e-10, saddle: SaddleSolver | None = None):
+                tol: float = 1e-10):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
     a report.  ``method`` is ``gmres`` (GMRES on the pinned matrix,
     preconditioned by :func:`_block_preconditioner`, to a relative true
     residual of ``KRYLOV_TARGET * tol``), which the time step uses, or
-    ``direct`` (sparse LU of the pinned matrix), for systems the
-    preconditioner does not fit.  When GMRES does not converge the
-    solve falls back to ``direct`` and the report says so (``fallback``
-    set, ``method`` the one that produced the solution).  Whatever the
-    method, the relative true residual of the pinned system must be at
-    most ``tol``, or :class:`SolverFailure` is raised.
+    ``direct`` (sparse LU of the pinned matrix).  When GMRES does not
+    converge the solve falls back to ``direct`` and the report says so
+    (``fallback`` set, ``method`` the one that produced the solution).
+    Whatever the method, the relative true residual of the pinned system
+    must be at most ``tol``, or :class:`SolverFailure` is raised.
 
     GMRES takes its preconditioner factors and its initial guess (the
-    last accepted solution) from ``saddle``, the run's
-    :class:`SaddleSolver` (a fresh one, which factors and starts from
-    zero, when omitted), reports in ``precond_refresh`` whether this
-    solve factored, and leaves its accepted solution in ``saddle``.
+    last accepted solution) from ``system.saddle``, the
+    :class:`SaddleSolver` that assembled the system, reports in
+    ``precond_refresh`` whether this solve factored, and leaves its
+    accepted solution there.
     """
     if method not in ("direct", "gmres"):
         raise ValueError(f"unknown solver method {method!r}")
-    mesh = system.mesh
+    mesh, saddle = system.mesh, system.saddle
     mat = system.full_matrix()
     rhs = system.full_rhs()
-    scale = np.linalg.norm(rhs)
     iterations = 0
-    fallback = False
-    refresh = False
+    fallback = refresh = False
 
     solution = None
     used = method
     if method == "gmres":
-        saddle = _saddle_for(mesh, saddle)
         precond, refresh = saddle.preconditioner(system)
         counter = {"n": 0}
 
@@ -588,25 +576,15 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
 
     if solution is None:
         used = "direct"
-        lu = spla.splu(mat.tocsc())
-        solution = lu.solve(rhs)
+        solution = spla.splu(mat.tocsc()).solve(rhs)
 
-    resid = np.linalg.norm(mat @ solution - rhs)
-    rel = resid / scale if scale > 0 else resid
-
-    u_vec = solution[:system.n_u]
-    p_values = solution[system.n_u:]
-    shift = float(mesh.cell_volume @ p_values) / mesh.volume
-    p_values = p_values - shift
-
-    if not rel <= tol:
-        raise SolverFailure(
-            f"saddle solve residual {rel:.3e} exceeds {tol:.1e}")
+    rel = checked_residual(mat, solution, rhs, tol, "saddle solve")
     if method == "gmres":
         saddle.solution = solution
-    report = SolveReport(method=used, residual=float(rel),
-                         iterations=iterations, fallback=fallback,
-                         precond_refresh=refresh)
-    velocity = VelocityField.from_interior(mesh, u_vec)
+    p_values = solution[system.n_u:]
+    p_values = p_values - float(mesh.cell_volume @ p_values) / mesh.volume
+    report = SolveReport(method=used, residual=rel, iterations=iterations,
+                         fallback=fallback, precond_refresh=refresh)
+    velocity = VelocityField.from_interior(mesh, solution[:system.n_u])
     pressure = ScalarField(mesh, p_values, zero_mean=True)
     return velocity, pressure, report

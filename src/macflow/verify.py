@@ -22,15 +22,15 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .grid import MacMesh, build_uniform_mesh, regularity, mesh_step
 from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
                      fortin_interpolate, norm_l2_cells, norm_lp_dual,
                      norm_h1, norm_h1_squared)
 from . import operators as ops
-from .linsolve import (SaddleSystem, assemble_divergence, assemble_gradient,
-                       pinned_saddle, solve_oseen)
+from .linsolve import (assemble_divergence, assemble_gradient,
+                       checked_residual, pinned_poisson)
 from .timestepper import (RunResult, SchemeConfig, StepDiagnostics,
                           face_balances, run)
 from .ioutil import write_table
@@ -396,18 +396,25 @@ def convergence_study(problem, levels: int = 3, base_cells: int = 16,
 
 def project_divergence_free(mesh: MacMesh, u: VelocityField):
     """Closest discretely divergence-free velocity in the dual-volume
-    metric, via a saddle solve with identity-scaled momentum."""
-    dvol = np.concatenate([fs.dvol[fs.interior_idx] for fs in mesh.faces])
-    momentum = sp.diags(dvol, format="csr")
-    rhs_u = momentum @ u.pack_interior()
+    metric.
+
+    With ``G`` the gradient block and ``K = G^T diag(1/dvol) G`` the
+    unit-density pressure Poisson matrix, the projection is
+    ``v = u + diag(1/dvol) G q`` with ``K q = -G^T u``.  A second pass on
+    the same LU of the pinned ``K`` removes the divergence the first one
+    leaves by rounding.
+    """
     grad = assemble_gradient(mesh)
-    system = SaddleSystem(mesh, pinned_saddle(momentum, grad,
-                                              assemble_divergence(mesh)),
-                          grad, rhs_u, dt=1.0, face_mass=dvol)
-    # LU: without a viscous term the step's block preconditioner needs
-    # thousands of GMRES iterations here
-    velocity, _, _ = solve_oseen(system, method="direct", tol=1e-10)
-    return velocity
+    inv_dvol = 1.0 / mesh.pack_interior([fs.dvol for fs in mesh.faces])
+    poisson = pinned_poisson(grad, inv_dvol)
+    lu = spla.splu(poisson.tocsc())
+    v = u.pack_interior()
+    for _ in range(2):
+        rhs = -(grad.T @ v)
+        q = lu.solve(rhs)
+        checked_residual(poisson, q, rhs, 1e-10, "projection")
+        v = v + inv_dvol * (grad @ q)
+    return VelocityField.from_interior(mesh, v)
 
 
 def measure_convection_bound(mesh: MacMesh, samples: int = 20,

@@ -153,6 +153,8 @@ class TestConfigValidation:
          "output: {directory: 3}\n", "'output.directory'"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "output: {mesh_tables: maybe}\n", "'output.mesh_tables'"),
+        (None, "cannot read"),
+        (b"problem: {preset: gyre}\n# caf\xe9\n", "cannot read"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -165,11 +167,16 @@ class TestConfigValidation:
             "boolean-dt", "nonpositive-density-amplitude", "zero-width",
             "boolean-preset-param", "text-preset-param",
             "rest-negative-density", "rest-zero-density", "number-directory",
-            "text-mesh-tables"])
+            "text-mesh-tables", "directory-config", "latin1-config"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
-        path.write_text(text)
+        if text is None:  # a directory where the file should be
+            path.mkdir()
+        elif isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         code = main(["run", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert_config_error(code, capsys, message)
@@ -187,9 +194,14 @@ class TestConfigValidation:
         ("study", "problem: {preset: rest, params: {dim: 4}}\n"
          "study: {levels: 3, base_cells: 2}\n", [], "dim must be 2 or 3"),
         ("study", "output: {directory: [a]}\n", [], "'output.directory'"),
+        ("verify", "", ["--seed", "-1"], "'--seed'"),
+        ("study", "", ["--seed", "-1"], "'--seed'"),
+        ("run", "", ["--seed", "-1"], "'--seed'"),
     ], ids=["text-threshold", "two-levels", "two-levels-flag",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
-            "zero-trials", "nan-tolerance", "rest-in-4d", "list-directory"])
+            "zero-trials", "nan-tolerance", "rest-in-4d", "list-directory",
+            "negative-seed-verify", "negative-seed-study",
+            "negative-seed-run"])
     def test_exit_code_2_on_bad_study_or_verify_config(
             self, tmp_path, capsys, command, text, extra, message):
         path = tmp_path / "c.yaml"

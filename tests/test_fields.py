@@ -63,6 +63,33 @@ class TestVelocityField:
         for i in range(mesh.dim):
             np.testing.assert_array_equal(u.components[i], v.components[i])
 
+    @staticmethod
+    def check_mesh_pack_round_trip(mesh):
+        # the mesh packs per-direction face arrays in the unknown order of
+        # the saddle system, which from_interior reads back
+        rng = np.random.default_rng(6)
+        arrays = [rng.standard_normal(fs.count) for fs in mesh.faces]
+        vec = mesh.pack_interior(arrays)
+        assert vec.size == sum(fs.n_interior for fs in mesh.faces)
+        u = VelocityField.from_interior(mesh, vec)
+        for a, c, fs in zip(arrays, u.components, mesh.faces):
+            np.testing.assert_array_equal(c[fs.interior_idx],
+                                          a[fs.interior_idx])
+            assert not c[fs.exterior_idx].any()
+        np.testing.assert_array_equal(u.pack_interior(), vec)
+
+    def test_mesh_pack_round_trip(self, any_mesh):
+        self.check_mesh_pack_round_trip(any_mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (1, 4)),
+        graded_mesh((1, 2, 3), seed=7),
+    ], ids=["1x4", "graded-1x2x3"])
+    def test_mesh_pack_round_trip_thin_meshes(self, mesh):
+        # one cell across an axis leaves that component no unknowns
+        assert mesh.faces[0].n_interior == 0
+        self.check_mesh_pack_round_trip(mesh)
+
     def test_from_interior_length_checked(self, mesh2_uniform):
         with pytest.raises(ValueError):
             VelocityField.from_interior(mesh2_uniform, np.zeros(3))

@@ -205,7 +205,7 @@ class TestSaddleBlocks:
         u_old = random_velocity(mesh, rng)
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
         system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old)
-        a = system.momentum.toarray()
+        a = system.matrix[:system.n_u, :system.n_u].toarray()
         sym = 0.5 * (a + a.T)
         eigs = np.linalg.eigvalsh(sym)
         assert eigs.min() > 0
@@ -417,12 +417,12 @@ class TestSaddleSolver:
     def test_warm_start_from_last_solution(self, any_mesh):
         # the second solve of one system starts from the first one's
         # solution: at most 2 iterations, and the same solution within tol
-        saddle = SaddleSolver(any_mesh)
         system = random_saddle(any_mesh, seed=20)
+        saddle = system.saddle
         tol = 1e-10
-        u1, p1, rep1 = solve_oseen(system, tol=tol, saddle=saddle)
+        u1, p1, rep1 = solve_oseen(system, tol=tol)
         first = saddle.solution.copy()
-        u2, p2, rep2 = solve_oseen(system, tol=tol, saddle=saddle)
+        u2, p2, rep2 = solve_oseen(system, tol=tol)
         assert rep1.iterations > 2 and not rep1.fallback
         assert rep2.iterations <= 2 and not rep2.fallback
         assert not rep2.precond_refresh
@@ -434,12 +434,17 @@ class TestSaddleSolver:
                                    atol=tol * np.abs(first).max())
 
     def test_fresh_solver_starts_from_zero(self, mesh2_uniform):
-        system = random_saddle(mesh2_uniform, seed=21)
-        assert SaddleSolver(mesh2_uniform).solution is None
-        _, _, fresh = solve_oseen(system)
-        saddle = SaddleSolver(mesh2_uniform)
-        _, _, first = solve_oseen(system, saddle=saddle)
-        assert first.iterations == fresh.iterations > 2
+        # a system assembled without a solver gets a fresh one, whose
+        # first solve starts from zero and factors
+        fresh = random_saddle(mesh2_uniform, seed=21)
+        assert fresh.saddle.solution is None
+        _, _, first = solve_oseen(fresh)
+        assert fresh.saddle.solution is not None
+        zero = random_saddle(mesh2_uniform, seed=21)
+        zero.saddle.solution = np.zeros(zero.n_u + zero.n_p)
+        _, _, from_zero = solve_oseen(zero)
+        assert first.precond_refresh and from_zero.precond_refresh
+        assert first.iterations == from_zero.iterations > 2
 
     def test_mesh_constant_blocks_shared(self, mesh2_graded):
         saddle = SaddleSolver(mesh2_graded)
@@ -447,19 +452,19 @@ class TestSaddleSolver:
         u = VelocityField.zeros(mesh2_graded)
         a = assemble_oseen(mesh2_graded, 0.1, rho, rho, u, saddle=saddle)
         b = assemble_oseen(mesh2_graded, 0.2, rho, rho, u, saddle=saddle)
+        assert a.saddle is b.saddle is saddle
         assert a.grad is b.grad is saddle.grad
         pattern = saddle.pattern
         for system in (a, b):
             assert np.shares_memory(system.matrix.indptr, pattern.indptr)
             assert np.shares_memory(system.matrix.indices, pattern.indices)
         fresh = assemble_oseen(mesh2_graded, 0.2, rho, rho, u)
-        assert (fresh.momentum != b.momentum).nnz == 0
+        assert fresh.saddle is not saddle
+        n_u = b.n_u
+        assert (fresh.matrix[:n_u, :n_u] != b.matrix[:n_u, :n_u]).nnz == 0
 
     def test_other_mesh_rejected(self, mesh2_uniform, mesh2_graded):
         saddle = SaddleSolver(mesh2_uniform)
-        system = random_saddle(mesh2_graded, seed=19)
-        with pytest.raises(ValueError, match="another mesh"):
-            solve_oseen(system, saddle=saddle)
         rho = ScalarField.constant(mesh2_graded, 1.0)
         with pytest.raises(ValueError, match="another mesh"):
             assemble_oseen(mesh2_graded, 0.1, rho, rho,
@@ -494,3 +499,24 @@ class TestProjection:
         ppu = project_divergence_free(mesh, pu)
         np.testing.assert_allclose(ppu.pack_interior(), pu.pack_interior(),
                                    rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("cells", [(7, 5), (3, 4, 2)],
+                             ids=["graded-7x5", "graded-3x4x2"])
+    def test_projection_matches_dense_kkt(self, cells):
+        # the closest divergence-free field in the dual-volume metric
+        # solves [[diag(dvol), G], [D, 0]] [v, p] = [dvol u, 0], pinned
+        # like the step; a projection in another metric fails here
+        mesh = graded_mesh(cells, seed=23)
+        u = random_velocity(mesh, np.random.default_rng(24))
+        dvol = mesh.pack_interior([fs.dvol for fs in mesh.faces])
+        n_u, n_p = dvol.size, mesh.n_cells
+        kkt = np.block([[np.diag(dvol), assemble_gradient(mesh).toarray()],
+                        [assemble_divergence(mesh).toarray(),
+                         np.zeros((n_p, n_p))]])
+        kkt[n_u + PINNED_CELL] = 0.0
+        kkt[n_u + PINNED_CELL, n_u + PINNED_CELL] = 1.0
+        rhs = np.concatenate([dvol * u.pack_interior(), np.zeros(n_p)])
+        expected = np.linalg.solve(kkt, rhs)[:n_u]
+        got = project_divergence_free(mesh, u).pack_interior()
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
