@@ -9,8 +9,9 @@ from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import operators as ops
 from macflow.linsolve import (PINNED_CELL, SaddleSolver, SolverFailure,
                               assemble_divergence, assemble_gradient,
-                              assemble_oseen, assemble_transport, pin_row,
-                              solve_oseen, solve_transport)
+                              assemble_oseen, assemble_transport,
+                              checked_residual, pin_row, solve_oseen,
+                              solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
 from macflow.verify import project_divergence_free
@@ -167,6 +168,24 @@ class TestTransport:
         rho_new, _ = solve_transport(any_mesh, 0.02, rho, u)
         assert rho_new.integral() == pytest.approx(rho.integral(),
                                                    rel=1e-12)
+
+
+def test_checked_residual():
+    # one residual check for every solve: relative to the right-hand
+    # side, absolute when that vanishes, and a NaN never passes
+    mat = sp.identity(3, format="csr")
+    rhs = np.array([3.0, 0.0, 4.0])
+    off = rhs + np.array([0.0, 5e-3, 0.0])
+    assert checked_residual(mat, rhs, rhs, 0.0, "solve") == 0.0
+    assert checked_residual(mat, off, rhs, 1e-3, "solve") == pytest.approx(
+        1e-3, rel=1e-12)
+    with pytest.raises(SolverFailure,
+                       match="transport solve residual 1.000e-03 exceeds"):
+        checked_residual(mat, off, rhs, 1e-4, "transport solve")
+    assert checked_residual(mat, np.full(3, 1e-20), np.zeros(3), 1e-12,
+                            "solve") == pytest.approx(np.sqrt(3) * 1e-20)
+    with pytest.raises(SolverFailure):
+        checked_residual(mat, np.full(3, np.nan), rhs, 1.0, "solve")
 
 
 # -- saddle blocks ----------------------------------------------------------------
