@@ -452,7 +452,11 @@ def main(argv=None) -> int:
             raise ConfigError("'output.directory' must be a string, "
                               f"got {directory!r}")
         out_dir = args.out or directory
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror}") from None
         if args.command == "run":
             return cmd_run(cfg, out_dir, args.seed)
         if args.command == "verify":

@@ -113,17 +113,13 @@ class VelocityField:
     @classmethod
     def from_interior(cls, mesh, vec):
         vec = np.asarray(vec, dtype=float)
-        comps = []
-        offset = 0
-        for i in range(mesh.dim):
-            fs = mesh.faces[i]
-            arr = np.zeros(fs.count)
-            arr[fs.interior_idx] = vec[offset:offset + fs.n_interior]
-            offset += fs.n_interior
-            comps.append(arr)
-        if offset != vec.size:
+        if vec.size != mesh.n_unknowns:
             raise ValueError("interior vector has wrong length")
-        return cls(mesh, comps)
+        field = cls(mesh)
+        for arr, fs, part in zip(field.components, mesh.faces,
+                                 mesh.interior_slices):
+            arr[fs.interior_idx] = vec[part]
+        return field
 
 
 def _gauss_sums(mesh: MacMesh, shape, fn, flat=None) -> np.ndarray:

@@ -179,6 +179,10 @@ class MacMesh:
         orthogonal to ``i``.
     dual_interfaces : one :class:`DualInterfaces` per component, the
         families above stacked for the dual operators.
+    interior_slices, n_unknowns, interior_dvol : the layout of the
+        saddle's ``n_unknowns`` velocity unknowns, in which component
+        ``i``'s interior faces fill ``interior_slices[i]``, and their dual
+        volumes in that order.
     """
 
     def __init__(self, domain_box, axis_coords):
@@ -241,6 +245,11 @@ class MacMesh:
         self.dual_walls = tuple(walls)
         self.dual_interfaces = tuple(
             self._stack_interfaces(i) for i in range(dim))
+        ends = np.cumsum([0] + [fs.n_interior for fs in self.faces]).tolist()
+        self.interior_slices = tuple(map(slice, ends[:-1], ends[1:]))
+        self.n_unknowns = ends[-1]
+        self.interior_dvol = _freeze(
+            self.pack_interior([fs.dvol for fs in self.faces]))
 
     # -- construction helpers -------------------------------------------
 

@@ -15,12 +15,13 @@ A time step solves the pinned saddle system by GMRES with a
 Cahouet-Chabard block preconditioner: one LU per velocity component for
 the momentum block, and a variable-density pressure Poisson solve plus a
 pressure mass solve for the Schur complement.  Sparse LU of the whole
-pinned matrix is the reported fallback when GMRES does not converge.
-Either way the true residual of the pinned system decides convergence
-(:func:`checked_residual`, which also judges the transport solve).  The
-pinned Poisson matrix of the Schur term, :func:`pinned_poisson`, with
-unit density also serves the divergence-free projection of
-:mod:`macflow.verify`.
+pinned matrix, with partial pivoting, is the reported fallback when
+GMRES does not converge; every other LU (transport, preconditioner,
+projection) is :func:`factor`, which does not pivot.  The true residual
+decides convergence (:func:`checked_residual`, which also judges the
+transport solve).  The pinned Poisson matrix of the Schur term,
+:func:`pinned_poisson`, with unit density also serves the
+divergence-free projection of :mod:`macflow.verify`.
 
 A :class:`SaddleSolver` lives for one run on one mesh, and every
 :class:`SaddleSystem` carries the solver that assembled it.  The solver
@@ -33,9 +34,8 @@ the density stays inside its initial bounds (discrete maximum
 principle), so the variable-density Poisson matrix moves within a
 bounded spectral band, and the momentum blocks move by O(dt).  The
 factors are rebuilt by a fixed rule (see :class:`SaddleSolver`), and
-each solve reports whether it factored.
-Stale factors can cost iterations, never accuracy, since the true
-residual still decides convergence.
+each solve reports whether it factored.  Stale factors can cost
+iterations, never accuracy, since the true residual decides.
 """
 
 from __future__ import annotations
@@ -85,6 +85,22 @@ def checked_residual(mat, x, rhs, tol: float, what: str) -> float:
     if not rel <= tol:
         raise SolverFailure(f"{what} residual {rel:.3e} exceeds {tol:.1e}")
     return rel
+
+
+def factor(mat):
+    """Sparse LU of ``mat`` without pivoting, on a minimum-degree ordering
+    of ``mat + mat^T`` (about half the fill of the default ordering).
+
+    None of the three kinds of matrix factored here needs pivoting (Golub
+    & Van Loan, *Matrix Computations*, 4th ed., 3.4): the upwind transport
+    matrix has diagonally dominant columns for any velocity, the momentum
+    blocks have a positive definite symmetric part, and the pinned
+    pressure Poisson matrices are positive definite once the pin removes
+    the constant nullspace.  Each caller checks its true residual.
+    """
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 @dataclass
@@ -145,7 +161,7 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
                     u: VelocityField, tol: float = 1e-12):
     """Advance the density by one implicit upwind transport step."""
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
-    values = spla.splu(mat.tocsc()).solve(rhs)
+    values = factor(mat).solve(rhs)
     rel = checked_residual(mat, values, rhs, tol, "transport solve")
     return ScalarField(mesh, values), SolveReport("direct", rel)
 
@@ -215,9 +231,7 @@ class SaddleSystem:
         return self.matrix
 
     def full_rhs(self) -> np.ndarray:
-        rhs = np.concatenate([self.rhs_u, np.zeros(self.n_p)])
-        rhs[self.n_u + PINNED_CELL] = 0.0
-        return rhs
+        return np.concatenate([self.rhs_u, np.zeros(self.n_p)])
 
 
 def assemble_divergence(mesh: MacMesh) -> sp.csr_matrix:
@@ -227,20 +241,17 @@ def assemble_divergence(mesh: MacMesh) -> sp.csr_matrix:
     indexed by interior-face unknowns (wall faces carry no unknown).
     """
     rows, cols, vals = [], [], []
-    offset = 0
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
-        c1 = mesh.dual_case1[i]
+    for fs, c1, part in zip(mesh.faces, mesh.dual_case1,
+                            mesh.interior_slices):
         for faces, sign in ((c1.face_hi, 1.0), (c1.face_lo, -1.0)):
             dof = fs.interior_dof[faces]
             keep = dof >= 0
             rows.append(c1.cell[keep])
-            cols.append(offset + dof[keep])
+            cols.append(part.start + dof[keep])
             vals.append(sign * fs.measure[faces[keep]])
-        offset += fs.n_interior
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_cells, offset)).tocsr()
+        shape=(mesh.n_cells, mesh.n_unknowns)).tocsr()
 
 
 def assemble_gradient(mesh: MacMesh) -> sp.csr_matrix:
@@ -250,18 +261,15 @@ def assemble_gradient(mesh: MacMesh) -> sp.csr_matrix:
     adjacency, independently of :func:`assemble_divergence`.
     """
     rows, cols, vals = [], [], []
-    offset = 0
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
+    for fs, part in zip(mesh.faces, mesh.interior_slices):
         idx = fs.interior_idx
-        dof = offset + fs.interior_dof[idx]
+        dof = part.start + fs.interior_dof[idx]
         rows.extend([dof, dof])
         cols.extend([fs.cell_hi[idx], fs.cell_lo[idx]])
         vals.extend([fs.measure[idx], -fs.measure[idx]])
-        offset += fs.n_interior
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(offset, mesh.n_cells)).tocsr()
+        shape=(mesh.n_unknowns, mesh.n_cells)).tocsr()
 
 
 class SaddlePattern:
@@ -291,7 +299,7 @@ class SaddlePattern:
         # The diffusion stencil couples the two faces of every dual
         # interface and puts each interior face on the diagonal, so it
         # covers every position the face masses and convection reach.
-        n_u = grad.shape[0]
+        n_u = mesh.n_unknowns
         diffusion = sp.block_diag([ops.diffusion_matrix(mesh, i)
                                    for i in range(mesh.dim)], format="csr")
         template = pin_row(sp.bmat([[diffusion, grad], [div, None]],
@@ -310,8 +318,9 @@ class SaddlePattern:
 
         rows, src = ([], []), ([], [])   # diagonal entries: low, high
         upper, lower, off_src = [], [], []
-        start = half_start = 0
-        for fs, t in zip(mesh.faces, mesh.dual_interfaces):
+        half_start = 0
+        for fs, t, start in zip(mesh.faces, mesh.dual_interfaces,
+                                (s.start for s in mesh.interior_slices)):
             lo = start + fs.interior_dof[t.face_lo]
             hi = start + fs.interior_dof[t.face_hi]
             for k, side in enumerate((lo, hi)):
@@ -322,7 +331,6 @@ class SaddlePattern:
             upper.append(locate(lo[both], hi[both]))
             lower.append(locate(hi[both], lo[both]))
             off_src.append(half_start + both)
-            start += fs.n_interior
             half_start += t.face_lo.size
         self.n_low = sum(r.size for r in rows[0])
 
@@ -377,7 +385,7 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     rho_d_new = ops.dual_density(mesh, rho_new)
     rho_d_old = ops.dual_density(mesh, rho_old)
 
-    dvol = mesh.pack_interior([fs.dvol for fs in mesh.faces])
+    dvol = mesh.interior_dvol
     face_mass = dvol * mesh.pack_interior(rho_d_new)
     rhs_u = dvol * mesh.pack_interior(rho_d_old) * u_old.pack_interior() / dt
     if forcing is not None:
@@ -387,32 +395,6 @@ def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
     matrix = saddle.pattern.fill(face_mass / dt, half)
     return SaddleSystem(saddle, matrix, rhs_u, dt, face_mass, fluxes,
                         rho_d_old, rho_d_new)
-
-
-def _factor_preconditioner(system: SaddleSystem):
-    """LU factors of the blocks of :func:`_block_preconditioner`: a list
-    of ``(lo, hi, lu)`` for the momentum block of each velocity component
-    with unknowns, and the LU of the pinned pressure Poisson matrix ``K``.
-    """
-
-    def factor(block):
-        # Both kinds of block have symmetric sparsity and admit LU without
-        # pivoting: the momentum blocks have a positive definite symmetric
-        # part, and K is positive definite once the pin removes its
-        # constant nullspace.  A minimum-degree ordering of A + A^T then
-        # roughly halves the fill of the default ordering.  A weak factor
-        # would only cost iterations: the true residual decides
-        # convergence.
-        return spla.splu(block.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=0.0,
-                         options={"SymmetricMode": True})
-
-    ends = np.cumsum([fs.n_interior for fs in system.mesh.faces])
-    components = [(lo, hi, factor(system.matrix[lo:hi, lo:hi]))
-                  for lo, hi in zip(np.concatenate([[0], ends[:-1]]), ends)
-                  if hi > lo]
-    return components, factor(pinned_poisson(system.grad,
-                                             1.0 / system.face_mass))
 
 
 def _block_preconditioner(system: SaddleSystem, factors):
@@ -430,9 +412,9 @@ def _block_preconditioner(system: SaddleSystem, factors):
     volumes (unit-viscosity limit).  ``K`` is pinned like the saddle, and
     ``M_p^-1`` vanishes at the pinned cell.
 
-    ``factors`` are the LU factors of :func:`_factor_preconditioner` for
-    ``A`` and ``K``, built from this system or from an earlier step's
-    system with the same ``dt`` (the lagged factors of a
+    ``factors`` are the LU factors for ``A`` (``(slice, lu)`` per velocity
+    component with unknowns) and ``K``, built from this system or from an
+    earlier step's system with the same ``dt`` (the lagged factors of a
     :class:`SaddleSolver`): they then invert the momentum block and
     density of that step, which still steers GMRES while the density and
     velocity move little, at the cost of a few iterations.
@@ -448,8 +430,8 @@ def _block_preconditioner(system: SaddleSystem, factors):
         z_p = lu_k.solve(r_p) / system.dt + inv_mass_p * r_p
         r_u = r[:n_u] - grad @ z_p
         z_u = np.zeros(n_u)
-        for lo, hi, lu in components:
-            z_u[lo:hi] = lu.solve(r_u[lo:hi])
+        for part, lu in components:
+            z_u[part] = lu.solve(r_u[part])
         return np.concatenate([z_u, z_p])
 
     return spla.LinearOperator((n_u + n_p, n_u + n_p), matvec=apply,
@@ -505,7 +487,15 @@ class SaddleSolver:
         refresh = self._factors is None or self._factors[0] != system.dt
         if refresh:
             self._factors = None  # release the old factors first
-            self._factors = (system.dt, _factor_preconditioner(system))
+            # One LU per component, not one of the whole momentum block:
+            # at 128^2 both have a fill of 1,317,006, but the single LU
+            # peaks at 24.2 MiB against 13.4 MiB, and it raised the peak
+            # RSS of a 128^2 gyre run from 165 to 171-173 MiB.
+            components = [(part, factor(system.matrix[part, part]))
+                          for part in self.mesh.interior_slices
+                          if part.stop > part.start]
+            lu_k = factor(pinned_poisson(self.grad, 1.0 / system.face_mass))
+            self._factors = (system.dt, (components, lu_k))
             self._base_iterations = None
         return _block_preconditioner(system, self._factors[1]), refresh
 
@@ -575,6 +565,7 @@ def solve_oseen(system: SaddleSystem, method: str = "gmres",
             solution = None
 
     if solution is None:
+        # the one LU with partial pivoting: the pinned saddle is indefinite
         used = "direct"
         solution = spla.splu(mat.tocsc()).solve(rhs)
 

@@ -238,7 +238,7 @@ def face_balances(mesh: MacMesh, dt: float, fluxes, rho_d_old, rho_d_new,
     conv = pack(ops.convection_apply(mesh, fluxes, u_new))
     lap = pack(ops.laplacian_apply(mesh, u_new))
     grad = pack(ops.grad_pressure(mesh, p_new))
-    dv = pack([fs.dvol for fs in mesh.faces])
+    dv = mesh.interior_dvol
     un, uo = u_new.pack_interior(), u_old.pack_interior()
     rn, ro = pack(rho_d_new), pack(rho_d_old)
     fterm = pack(f_arrays) if f_arrays is not None else np.zeros(un.size)

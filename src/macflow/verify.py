@@ -22,7 +22,6 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse.linalg as spla
 
 from .grid import MacMesh, build_uniform_mesh, regularity, mesh_step
 from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
@@ -30,7 +29,7 @@ from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
                      norm_h1, norm_h1_squared)
 from . import operators as ops
 from .linsolve import (assemble_divergence, assemble_gradient,
-                       checked_residual, pinned_poisson)
+                       checked_residual, factor, pinned_poisson)
 from .timestepper import (RunResult, SchemeConfig, StepDiagnostics,
                           face_balances, run)
 from .ioutil import write_table
@@ -405,9 +404,9 @@ def project_divergence_free(mesh: MacMesh, u: VelocityField):
     leaves by rounding.
     """
     grad = assemble_gradient(mesh)
-    inv_dvol = 1.0 / mesh.pack_interior([fs.dvol for fs in mesh.faces])
+    inv_dvol = 1.0 / mesh.interior_dvol
     poisson = pinned_poisson(grad, inv_dvol)
-    lu = spla.splu(poisson.tocsc())
+    lu = factor(poisson)
     v = u.pack_interior()
     for _ in range(2):
         rhs = -(grad.T @ v)

@@ -212,6 +212,20 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out"), *extra])
         assert_config_error(code, capsys, message)
 
+    @pytest.mark.parametrize("where", ["out", "out-below", "directory"])
+    def test_exit_code_2_on_uncreatable_output_directory(
+            self, tmp_path, capsys, where):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = tmp_path / "c.yaml"
+        path.write_text(_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+                        f"output: {{directory: {blocker}}}\n")
+        extra = {"out": ["--out", str(blocker)],
+                 "out-below": ["--out", str(blocker / "sub")],
+                 "directory": []}[where]
+        code = main(["run", "--config", str(path), *extra])
+        assert_config_error(code, capsys, "cannot create output directory")
+
     def test_study_mesh_error_is_config_error(self, tmp_path, capsys,
                                               monkeypatch):
         def bad_study(problem, **kwargs):

@@ -120,6 +120,24 @@ class TestTransport:
         np.testing.assert_allclose(dense.sum(axis=0),
                                    mesh.cell_volume / dt, rtol=1e-10)
 
+    def test_columns_diagonally_dominant_any_velocity(self, any_mesh):
+        # what linsolve.factor relies on to factor the transport without
+        # pivoting: for any velocity, divergence-free or not, the
+        # off-diagonal entries are nonpositive and every column sums to
+        # |K|/dt
+        mesh = any_mesh
+        dt = 0.07
+        rng = np.random.default_rng(11)
+        u = VelocityField(mesh, [rng.standard_normal(fs.count)
+                                 for fs in mesh.faces])
+        mat, _ = assemble_transport(mesh, dt,
+                                    ScalarField.constant(mesh, 1.0), u)
+        dense = mat.toarray()
+        assert not np.allclose(dense.sum(axis=1), mesh.cell_volume / dt)
+        assert np.all(dense - np.diag(np.diag(dense)) <= 0.0)
+        np.testing.assert_allclose(dense.sum(axis=0),
+                                   mesh.cell_volume / dt, rtol=1e-12)
+
     def test_max_principle_divfree(self, mesh2_graded):
         mesh = mesh2_graded
         u = stream_function_velocity(mesh, seed=5)

@@ -37,6 +37,22 @@ class TestRestFixedPoint:
             assert d.bound_violation == 0.0
 
 
+class TestEmptyVelocityComponents:
+    # one cell across an axis leaves that velocity component without
+    # interior faces: an empty slice of the unknown layout, and on 1x1
+    # no velocity unknown at all
+    @pytest.mark.parametrize("preset, cells", [
+        ("rest", (1, 1)), ("rest", (1, 4)), ("rest", (1, 1, 3)),
+        ("gyre", (1, 8))])
+    def test_run_completes_without_fallback(self, preset, cells):
+        problem = get_preset(preset, **({"dim": 3} if len(cells) == 3
+                                        else {}))
+        mesh = build_uniform_mesh(problem.domain, cells)
+        result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.03))
+        assert result.n_steps == len(result.diagnostics) == 3
+        assert not any(d.oseen_fallback for d in result.diagnostics)
+
+
 class TestOneStepResidual:
     def test_momentum_resubstitution(self):
         # recompute every term of the momentum equation from the returned
