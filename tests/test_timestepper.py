@@ -41,12 +41,11 @@ class TestEmptyVelocityComponents:
     # one cell across an axis leaves that velocity component without
     # interior faces: an empty slice of the unknown layout, and on 1x1
     # no velocity unknown at all
-    @pytest.mark.parametrize("preset, cells", [
-        ("rest", (1, 1)), ("rest", (1, 4)), ("rest", (1, 1, 3)),
-        ("gyre", (1, 8))])
-    def test_run_completes_without_fallback(self, preset, cells):
-        problem = get_preset(preset, **({"dim": 3} if len(cells) == 3
-                                        else {}))
+    @pytest.mark.parametrize("preset, params, cells", [
+        ("rest", {}, (1, 1)), ("rest", {}, (1, 4)),
+        ("rest", {"dim": 3}, (1, 1, 3)), ("gyre", {}, (1, 8))])
+    def test_run_completes_without_fallback(self, preset, params, cells):
+        problem = get_preset(preset, **params)
         mesh = build_uniform_mesh(problem.domain, cells)
         result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.03))
         assert result.n_steps == len(result.diagnostics) == 3
