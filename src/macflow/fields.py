@@ -258,20 +258,31 @@ def scalar_to_csv(field: ScalarField, path, cfg_hash=None, extra=None):
                 enumerate(field.values.tolist()), cfg_hash, extra=extra)
 
 
-def scalar_from_csv(mesh: MacMesh, path) -> ScalarField:
-    values = np.zeros(mesh.n_cells)
-    seen = 0
+def _table_rows(path, columns) -> list:
+    """The data rows of a CSV table whose header starts with ``columns``."""
     with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows)
-        if header[:2] != ["id", "value"]:
-            raise ValueError(f"{path}: unexpected scalar CSV header {header}")
-        for row in rows:
-            values[int(row[0])] = float(row[1])
-            seen += 1
-    if seen != mesh.n_cells:
-        raise ValueError(f"{path}: expected {mesh.n_cells} rows, got {seen}")
-    return ScalarField(mesh, values)
+        header, *rows = csv.reader(line for line in fh
+                                   if not line.startswith("#"))
+    if header[:len(columns)] != columns:
+        raise ValueError(f"{path}: unexpected CSV header {header}")
+    return rows
+
+
+def _by_id(path, what, rows, n) -> np.ndarray:
+    """The values of (id, value) ``rows`` placed at their ids, which must
+    be 0..n-1, once each."""
+    ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    if not np.array_equal(np.sort(ids), np.arange(n)):
+        raise ValueError(f"{path}: {what} needs ids 0..{n - 1}, each once "
+                         f"({ids.size} rows)")
+    out = np.empty(n)
+    out[ids] = [float(row[1]) for row in rows]
+    return out
+
+
+def scalar_from_csv(mesh: MacMesh, path) -> ScalarField:
+    rows = _table_rows(path, ["id", "value"])
+    return ScalarField(mesh, _by_id(path, "the field", rows, mesh.n_cells))
 
 
 def velocity_to_csv(u: VelocityField, path, cfg_hash=None, extra=None):
@@ -283,24 +294,16 @@ def velocity_to_csv(u: VelocityField, path, cfg_hash=None, extra=None):
 
 
 def velocity_from_csv(mesh: MacMesh, path) -> VelocityField:
-    comps = [np.zeros(mesh.faces[i].count) for i in range(mesh.dim)]
-    counts = [0] * mesh.dim
-    with open(path, newline="") as fh:
-        rows = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(rows)
-        if header[:3] != ["direction", "id", "value"]:
-            raise ValueError(
-                f"{path}: unexpected velocity CSV header {header}")
-        for row in rows:
-            i = int(row[0])
-            comps[i][int(row[1])] = float(row[2])
-            counts[i] += 1
-    for i in range(mesh.dim):
-        if counts[i] != mesh.faces[i].count:
-            raise ValueError(
-                f"{path}: component {i} has {counts[i]} rows, "
-                f"expected {mesh.faces[i].count}")
-    return VelocityField(mesh, comps)
+    parts = [[] for _ in range(mesh.dim)]
+    for row in _table_rows(path, ["direction", "id", "value"]):
+        i = int(row[0])
+        if not 0 <= i < mesh.dim:
+            raise ValueError(f"{path}: direction {i} outside "
+                             f"0..{mesh.dim - 1}")
+        parts[i].append(row[1:])
+    return VelocityField(mesh, [
+        _by_id(path, f"component {i}", part, fs.count)
+        for i, (part, fs) in enumerate(zip(parts, mesh.faces))])
 
 
 # -- VTK output -----------------------------------------------------------

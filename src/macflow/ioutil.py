@@ -25,15 +25,15 @@ def format_float(x) -> str:
 
 
 @contextmanager
-def atomic_write(path, mode="w"):
-    """Open a temporary file and rename it onto ``path`` on success."""
+def atomic_write(path):
+    """Open a temporary text file and rename it onto ``path`` on success."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
-        with os.fdopen(fd, mode, newline="") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

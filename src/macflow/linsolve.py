@@ -16,12 +16,13 @@ Cahouet-Chabard block preconditioner: one LU per velocity component for
 the momentum block, and a variable-density pressure Poisson solve plus a
 pressure mass solve for the Schur complement.  Sparse LU of the whole
 pinned matrix, with partial pivoting, is the reported fallback when
-GMRES does not converge; every other LU (transport, preconditioner,
-projection) is :func:`factor`, which does not pivot.  The true residual
-decides convergence (:func:`checked_residual`, which also judges the
-transport solve).  The pinned Poisson matrix of the Schur term,
-:func:`pinned_poisson`, with unit density also serves the
-divergence-free projection of :mod:`macflow.verify`.
+GMRES does not converge; there is no other saddle solve.  Every other
+LU (transport, preconditioner, projection) is :func:`factor`, which
+does not pivot.  The true residual decides convergence
+(:func:`checked_residual`, which also judges the transport solve).  The
+pinned Poisson matrix of the Schur term, :func:`pinned_poisson`, with
+unit density also serves the divergence-free projection of
+:mod:`macflow.verify`, which factors it once per mesh.
 
 A :class:`SaddleSolver` lives for one run on one mesh, and every
 :class:`SaddleSystem` carries the solver that assembled it.  The solver
@@ -511,70 +512,55 @@ class SaddleSolver:
             self._base_iterations = iterations
 
 
-def solve_oseen(system: SaddleSystem, method: str = "gmres",
-                tol: float = 1e-10):
+def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
-    a report.  ``method`` is ``gmres`` (GMRES on the pinned matrix,
-    preconditioned by :func:`_block_preconditioner`, to a relative true
-    residual of ``KRYLOV_TARGET * tol``), which the time step uses, or
-    ``direct`` (sparse LU of the pinned matrix).  When GMRES does not
-    converge the solve falls back to ``direct`` and the report says so
-    (``fallback`` set, ``method`` the one that produced the solution).
-    Whatever the method, the relative true residual of the pinned system
-    must be at most ``tol``, or :class:`SolverFailure` is raised.
+    a report.  The solve is GMRES on the pinned matrix, preconditioned by
+    :func:`_block_preconditioner`, to a relative true residual of
+    ``KRYLOV_TARGET * tol``.  When GMRES does not converge, sparse LU of
+    the pinned matrix produces the solution and the report says so
+    (``fallback`` set, ``method`` ``direct``).  Either way the relative
+    true residual of the pinned system must be at most ``tol``, or
+    :class:`SolverFailure` is raised.
 
     GMRES takes its preconditioner factors and its initial guess (the
     last accepted solution) from ``system.saddle``, the
     :class:`SaddleSolver` that assembled the system, reports in
-    ``precond_refresh`` whether this solve factored, and leaves its
+    ``precond_refresh`` whether this solve factored, and leaves the
     accepted solution there.
     """
-    if method not in ("direct", "gmres"):
-        raise ValueError(f"unknown solver method {method!r}")
     mesh, saddle = system.mesh, system.saddle
     mat = system.full_matrix()
     rhs = system.full_rhs()
-    iterations = 0
-    fallback = refresh = False
+    precond, refresh = saddle.preconditioner(system)
+    counter = {"n": 0}
 
-    solution = None
-    used = method
-    if method == "gmres":
-        precond, refresh = saddle.preconditioner(system)
-        counter = {"n": 0}
+    def cb(_):
+        counter["n"] += 1
 
-        def cb(_):
-            counter["n"] += 1
-
-        # SciPy applies M on the left, so the Arnoldi residual weights the
-        # continuity rows by the Schur inverse; that keeps the divergence
-        # of the new velocity at the LU level (right preconditioning, on
-        # the unweighted residual, left it three orders of magnitude
-        # larger).  It stops at KRYLOV_TARGET * tol * |M^-1 rhs| whatever
-        # the initial guess, so the warm start does not loosen the test.
-        solution, info = spla.gmres(
-            mat, rhs, x0=saddle.solution, rtol=KRYLOV_TARGET * tol,
-            atol=0.0, M=precond, restart=GMRES_RESTART,
-            maxiter=GMRES_MAXITER, callback=cb, callback_type="pr_norm")
-        iterations = counter["n"]
-        fallback = info != 0
-        saddle.record(iterations, fallback)
-        if fallback:
-            solution = None
-
-    if solution is None:
+    # SciPy applies M on the left, so the Arnoldi residual weights the
+    # continuity rows by the Schur inverse; that keeps the divergence of
+    # the new velocity at the LU level (right preconditioning, on the
+    # unweighted residual, left it three orders of magnitude larger).  It
+    # stops at KRYLOV_TARGET * tol * |M^-1 rhs| whatever the initial
+    # guess, so the warm start does not loosen the test.
+    solution, info = spla.gmres(
+        mat, rhs, x0=saddle.solution, rtol=KRYLOV_TARGET * tol, atol=0.0,
+        M=precond, restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+        callback=cb, callback_type="pr_norm")
+    fallback = info != 0
+    saddle.record(counter["n"], fallback)
+    if fallback:
         # the one LU with partial pivoting: the pinned saddle is indefinite
-        used = "direct"
         solution = spla.splu(mat.tocsc()).solve(rhs)
 
     rel = checked_residual(mat, solution, rhs, tol, "saddle solve")
-    if method == "gmres":
-        saddle.solution = solution
+    saddle.solution = solution
     p_values = solution[system.n_u:]
     p_values = p_values - float(mesh.cell_volume @ p_values) / mesh.volume
-    report = SolveReport(method=used, residual=rel, iterations=iterations,
+    report = SolveReport(method="direct" if fallback else "gmres",
+                         residual=rel, iterations=counter["n"],
                          fallback=fallback, precond_refresh=refresh)
     velocity = VelocityField.from_interior(mesh, solution[:system.n_u])
     pressure = ScalarField(mesh, p_values, zero_mean=True)

@@ -219,7 +219,7 @@ def test_criterion_11_saddle_matches_dense():
     p_ref = sol[system.n_u:]
     p_ref = p_ref - (mesh.cell_volume @ p_ref) / mesh.volume
 
-    u, p, _ = solve_oseen(system, method="direct")
+    u, p, _ = solve_oseen(system)
     worst = max(float(np.abs(u.pack_interior() - sol[:system.n_u]).max()),
                 float(np.abs(p.values - p_ref).max()))
     report(11, "one-step saddle solve matches dense reference on 8x8",

@@ -227,6 +227,39 @@ class TestSerialization:
         with pytest.raises(ValueError):
             scalar_from_csv(mesh2_uniform, path)
 
+    # a 2x2 mesh has 4 cells and 6 faces per direction; each bad file
+    # differs from a good one in one row
+    @pytest.mark.parametrize("ids", [[0, 0, 2, 3], [0, 1, 2, -1],
+                                     [0, 1, 2, 4]],
+                             ids=["duplicate", "negative", "past-end"])
+    def test_scalar_ids_checked(self, tmp_path, ids):
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], (2, 2))
+        path = tmp_path / "bad.csv"
+        path.write_text("id,value\n" + "".join(
+            f"{k},{n + 1}.0\n" for n, k in enumerate(ids)))
+        with pytest.raises(ValueError, match="ids 0..3, each once"):
+            scalar_from_csv(mesh, path)
+
+    @pytest.mark.parametrize("row", ["0,0", "0,-1", "0,6"],
+                             ids=["duplicate", "negative", "past-end"])
+    def test_velocity_ids_checked(self, tmp_path, row):
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], (2, 2))
+        rows = [f"{i},{k},1.0" for i in range(2) for k in range(6)]
+        rows[1] = f"{row},1.0"
+        path = tmp_path / "bad.csv"
+        path.write_text("direction,id,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="component 0 needs ids 0..5"):
+            velocity_from_csv(mesh, path)
+
+    def test_velocity_direction_checked(self, tmp_path):
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], (2, 2))
+        rows = [f"{i},{k},1.0" for i in range(2) for k in range(6)]
+        rows[1] = "2,1,1.0"
+        path = tmp_path / "bad.csv"
+        path.write_text("direction,id,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="direction 2 outside 0..1"):
+            velocity_from_csv(mesh, path)
+
     def test_header_content(self, tmp_path, mesh2_uniform):
         f = ScalarField.constant(mesh2_uniform, 1.0)
         path = tmp_path / "f.csv"

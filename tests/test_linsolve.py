@@ -1,12 +1,15 @@
 """Transport and saddle solvers against dense oracles and structure checks."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
-from macflow import operators as ops
+from macflow import linsolve, operators as ops
 from macflow.linsolve import (PINNED_CELL, SaddleSolver, SolverFailure,
                               assemble_divergence, assemble_gradient,
                               assemble_oseen, assemble_transport,
@@ -14,7 +17,7 @@ from macflow.linsolve import (PINNED_CELL, SaddleSolver, SolverFailure,
                               solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
-from macflow.verify import project_divergence_free
+from macflow.verify import collect_diagnostics, project_divergence_free
 
 from conftest import graded_mesh
 
@@ -318,9 +321,19 @@ class TestOseenSolve:
             assert np.abs(c).max() < 1e-14
         assert np.abs(p.values).max() < 1e-14
 
+    @staticmethod
+    def dense_solution(system):
+        """Velocity unknowns and zero-mean pressure from a dense numpy
+        solve with the same pin and the same zero-mean shift."""
+        mesh = system.mesh
+        sol = np.linalg.solve(system.full_matrix().toarray(),
+                              system.full_rhs())
+        p = sol[system.n_u:]
+        return sol[:system.n_u], p - (mesh.cell_volume @ p) / mesh.volume
+
     def test_matches_dense_solve(self):
-        # full pipeline vs a dense numpy solve with the same pin and the
-        # same zero-mean shift, on a mesh small enough to invert densely
+        # full pipeline vs a dense numpy solve, on a mesh small enough to
+        # invert densely
         mesh = graded_mesh((6, 5), seed=12)
         rng = np.random.default_rng(13)
         dt = 0.04
@@ -331,18 +344,35 @@ class TestOseenSolve:
                    for i in range(mesh.dim)]
         system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
                                 forcing=forcing)
+        u_dense, p_dense = self.dense_solution(system)
 
-        dense = system.full_matrix().toarray()
-        rhs = system.full_rhs()
-        sol = np.linalg.solve(dense, rhs)
-        p_dense = sol[system.n_u:]
-        p_dense = p_dense - (mesh.cell_volume @ p_dense) / mesh.volume
-
-        u, p, _ = solve_oseen(system, method="direct")
-        np.testing.assert_allclose(u.pack_interior(), sol[:system.n_u],
+        u, p, _ = solve_oseen(system)
+        np.testing.assert_allclose(u.pack_interior(), u_dense,
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(p.values, p_dense, rtol=1e-10,
                                    atol=1e-12)
+
+    @staticmethod
+    def check_fallback_matches_dense(mesh, monkeypatch):
+        # a Krylov solve capped at one iteration cannot converge: the
+        # pivoting LU produces the solution, reported as the fallback
+        monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)
+        monkeypatch.setattr(linsolve, "GMRES_MAXITER", 1)
+        system = random_saddle(mesh, seed=25)
+        u_dense, p_dense = TestOseenSolve.dense_solution(system)
+        u, p, rep = solve_oseen(system)
+        assert rep.fallback and rep.method == "direct"
+        np.testing.assert_allclose(u.pack_interior(), u_dense,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(p.values, p_dense, rtol=1e-10,
+                                   atol=1e-12)
+
+    def test_fallback_matches_dense(self, any_mesh, monkeypatch):
+        self.check_fallback_matches_dense(any_mesh, monkeypatch)
+
+    def test_fallback_matches_dense_single_column(self, monkeypatch):
+        mesh = build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (1, 4))
+        self.check_fallback_matches_dense(mesh, monkeypatch)
 
     def test_solution_is_divergence_free(self, any_mesh):
         rng = np.random.default_rng(14)
@@ -359,14 +389,16 @@ class TestOseenSolve:
     @staticmethod
     def check_gmres_matches_direct(mesh):
         system = random_saddle(mesh, seed=15)
-        u_d, p_d, _ = solve_oseen(system, method="direct")
-        u_g, p_g, rep = solve_oseen(system, method="gmres", tol=1e-10)
+        sol = spla.splu(system.full_matrix().tocsc()).solve(
+            system.full_rhs())
+        p_d = sol[system.n_u:]
+        p_d = p_d - (mesh.cell_volume @ p_d) / mesh.volume
+        u_g, p_g, rep = solve_oseen(system, tol=1e-10)
         assert rep.method == "gmres"
         assert not rep.fallback
-        np.testing.assert_allclose(u_g.pack_interior(), u_d.pack_interior(),
+        np.testing.assert_allclose(u_g.pack_interior(), sol[:system.n_u],
                                    rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(p_g.values, p_d.values, rtol=1e-8,
-                                   atol=1e-10)
+        np.testing.assert_allclose(p_g.values, p_d, rtol=1e-8, atol=1e-10)
 
     def test_gmres_matches_direct(self, any_mesh):
         self.check_gmres_matches_direct(any_mesh)
@@ -388,13 +420,6 @@ class TestOseenSolve:
                        forcing=problem.forcing)
         assert diag.oseen_method == "gmres" and not diag.oseen_fallback
         assert 0 < diag.oseen_iterations <= 25
-
-    def test_unknown_method_rejected(self, mesh2_uniform):
-        rho = ScalarField.constant(mesh2_uniform, 1.0)
-        system = assemble_oseen(mesh2_uniform, 0.1, rho, rho,
-                                VelocityField.zeros(mesh2_uniform))
-        with pytest.raises(ValueError):
-            solve_oseen(system, method="bogus")
 
     def test_pressure_mean_shift_recorded(self, mesh2_graded):
         mesh = mesh2_graded
@@ -525,17 +550,71 @@ class TestSaddleSolver:
             assert d.kinetic_resid <= 1e-13
 
 
+def patch_run(ratio, dt, steps=5):
+    """``rotating-patch`` at 32^2 with density ratio ``ratio``."""
+    problem = get_preset("rotating-patch", amplitude=ratio - 1.0)
+    mesh = build_uniform_mesh(problem.domain, (32, 32))
+    return run(mesh, problem, SchemeConfig(dt=dt, t_end=steps * dt))
+
+
+class TestDensityRatioSweep:
+    # the step's identities must hold at a large density ratio and a
+    # large time step too, not only at the ratio 1.5 and small dt of the
+    # other gates
+    @pytest.mark.parametrize("dt", [0.01, 1.0])
+    @pytest.mark.parametrize("ratio", [1.5, 10, 100, 1000])
+    def test_sweep_point(self, ratio, dt):
+        result = patch_run(ratio, dt)
+        record = collect_diagnostics(result)
+        counts = [d.oseen_iterations for d in result.diagnostics]
+        print(f"ratio {ratio:g}, dt {dt:g}: Krylov iterations "
+              f"{sum(counts)} {counts}, worst divergence "
+              f"{record.worst_div:.3e}")
+        assert not any(d.oseen_fallback for d in result.diagnostics)
+        assert record.worst_bound_violation == 0.0
+        assert record.rho_l2_monotone
+        assert record.worst_div <= 1e-9
+
+    def test_refresh_rule_saves_iterations(self, monkeypatch):
+        # at ratio 1000 and dt = 1 the factors go stale within 5 steps:
+        # the rule factors again and the run takes fewer iterations than
+        # with the first step's factors kept throughout
+        def totals():
+            diags = patch_run(1000, 1.0).diagnostics
+            return (sum(d.oseen_iterations for d in diags),
+                    sum(d.precond_refresh for d in diags))
+
+        with_rule, factored = totals()
+        monkeypatch.setattr(linsolve, "REFRESH_GROWTH", math.inf)
+        without_rule, factored_once = totals()
+        print(f"Krylov iterations {with_rule} with the refresh rule, "
+              f"{without_rule} without")
+        assert factored == 2 and factored_once == 1
+        assert with_rule < without_rule
+
+
 class TestProjection:
     def test_projection_is_divergence_free_and_idempotent(self,
                                                           mesh2_graded):
         mesh = mesh2_graded
         rng = np.random.default_rng(17)
         u = random_velocity(mesh, rng)
-        pu = project_divergence_free(mesh, u)
+        [pu] = project_divergence_free(mesh, [u])
         assert np.abs(ops.div_velocity(mesh, pu)).max() < 1e-9
-        ppu = project_divergence_free(mesh, pu)
+        [ppu] = project_divergence_free(mesh, [pu])
         np.testing.assert_allclose(ppu.pack_interior(), pu.pack_interior(),
                                    rtol=1e-9, atol=1e-11)
+
+    def test_projection_of_a_sequence_is_per_entry(self, mesh3_graded):
+        # one factor serves every entry; each entry projects as on its own
+        rng = np.random.default_rng(26)
+        u = [random_velocity(mesh3_graded, rng) for _ in range(3)]
+        together = project_divergence_free(mesh3_graded, u)
+        assert len(together) == 3
+        for a, b in zip(u, together):
+            [alone] = project_divergence_free(mesh3_graded, [a])
+            for x, y in zip(alone.components, b.components):
+                assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("cells", [(7, 5), (3, 4, 2)],
                              ids=["graded-7x5", "graded-3x4x2"])
@@ -554,6 +633,6 @@ class TestProjection:
         kkt[n_u + PINNED_CELL, n_u + PINNED_CELL] = 1.0
         rhs = np.concatenate([dvol * u.pack_interior(), np.zeros(n_p)])
         expected = np.linalg.solve(kkt, rhs)[:n_u]
-        got = project_divergence_free(mesh, u).pack_interior()
-        np.testing.assert_allclose(got, expected, rtol=0,
+        [got] = project_divergence_free(mesh, [u])
+        np.testing.assert_allclose(got.pack_interior(), expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())

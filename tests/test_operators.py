@@ -460,7 +460,7 @@ class TestConvection:
         mesh = mesh2_uniform
         rng = np.random.default_rng(15)
         from macflow.verify import project_divergence_free
-        u = project_divergence_free(mesh, random_velocity(mesh, rng))
+        [u] = project_divergence_free(mesh, [random_velocity(mesh, rng)])
         div = ops.div_velocity(mesh, u)
         assert np.abs(div).max() < 1e-10
         rho = ScalarField.constant(mesh, 1.3)

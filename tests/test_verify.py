@@ -9,6 +9,7 @@ import pytest
 
 from macflow.grid import build_uniform_mesh
 from macflow.fields import VelocityField, norm_lp_dual
+from macflow.linsolve import factor
 from macflow.presets import get_preset
 from macflow.timestepper import (SchemeConfig, SchemeState,
                                  StepDiagnostics, initialize, run, step)
@@ -184,6 +185,21 @@ class TestMonitors:
         assert stats["samples"] == 5
         assert 0 <= stats["mean"] <= stats["max"]
         assert math.isfinite(stats["max"])
+
+    def test_convection_bound_factors_once(self, monkeypatch):
+        # every sample lives on one mesh, so one Poisson LU serves the
+        # projections of all of them
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], (16, 16))
+        calls = []
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return factor(mat)
+
+        monkeypatch.setattr(verify, "factor", counted)
+        stats = verify.measure_convection_bound(mesh, samples=10)
+        assert stats["samples"] == 10
+        assert calls == [(mesh.n_cells, mesh.n_cells)]
 
     def test_infsup_positive_with_single_nullvector(self, mesh2_uniform):
         health = verify.infsup_health(mesh2_uniform)
