@@ -249,6 +249,12 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                  f"{format_float(record.linf_l2)}\n")
         fh.write("density L2 monotone: "
                  f"{'yes' if record.rho_l2_monotone else 'no'}\n")
+        fh.write("transport solves that fell back to LU: "
+                 f"{record.transport_fallbacks} of "
+                 f"{len(result.diagnostics)}\n")
+        fh.write(f"transport sweeps: {record.total_transport_sweeps} in "
+                 f"{len(result.diagnostics)} steps, largest "
+                 f"{record.max_transport_sweeps}\n")
         fh.write("saddle solves that fell back to direct: "
                  f"{record.oseen_fallbacks} of {len(result.diagnostics)}\n")
         fh.write(f"Krylov iterations: {record.total_oseen_iterations} in "

@@ -42,8 +42,9 @@ class SchemeConfig:
     """Numerical parameters of a run, with the defaults used everywhere.
 
     ``transport_tol`` and ``oseen_tol`` bound the relative true residuals
-    of the two linear solves of a step; the saddle solve always runs
-    preconditioned GMRES (see :func:`macflow.linsolve.solve_oseen`).
+    of the two linear solves of a step; the transport solve runs Jacobi
+    sweeps (see :func:`macflow.linsolve.solve_transport`) and the saddle
+    solve preconditioned GMRES (see :func:`macflow.linsolve.solve_oseen`).
     ``bounds_margin`` and ``div_guard`` are the guards whose violation
     stops a run with :class:`InvariantViolation`.
     """
@@ -93,6 +94,8 @@ class StepDiagnostics:
     u_h1: float
     u_l2: float
     transport_residual: float
+    transport_sweeps: int
+    transport_fallback: bool
     oseen_residual: float
     oseen_iterations: int
     oseen_method: str
@@ -206,7 +209,9 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
                         system.rho_dual_new, state.u, u_new, p_new,
                         f_arrays),
         u_h1=math.sqrt(ke_dissipation / dt), u_l2=norm_lp_dual(u_new, 2),
-        transport_residual=rep_t.residual, oseen_residual=rep_o.residual,
+        transport_residual=rep_t.residual,
+        transport_sweeps=rep_t.iterations,
+        transport_fallback=rep_t.fallback, oseen_residual=rep_o.residual,
         oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
         oseen_fallback=rep_o.fallback,
         precond_refresh=rep_o.precond_refresh)

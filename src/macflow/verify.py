@@ -174,6 +174,9 @@ class DiagnosticsRecord:
 
     ``l2h1`` accumulates ``sqrt(sum dt * |u|_h1^2)`` and ``linf_l2`` the
     running maximum of the velocity L2 norm (initial state included).
+    ``transport_fallbacks`` counts the steps whose Jacobi transport solve
+    fell back to LU; ``total_transport_sweeps`` and
+    ``max_transport_sweeps`` are the run's total and largest sweep counts.
     ``oseen_fallbacks`` counts the steps whose Krylov saddle solve fell
     back to the direct one; ``total_oseen_iterations`` and
     ``max_oseen_iterations`` are the run's total and largest Krylov
@@ -189,6 +192,9 @@ class DiagnosticsRecord:
     worst_kinetic: float
     worst_div: float
     rho_l2_monotone: bool
+    transport_fallbacks: int
+    total_transport_sweeps: int
+    max_transport_sweeps: int
     oseen_fallbacks: int
     total_oseen_iterations: int
     max_oseen_iterations: int
@@ -220,6 +226,12 @@ def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
             (d.kinetic_resid for d in result.diagnostics), default=0.0),
         worst_div=max((d.div_l2 for d in result.diagnostics), default=0.0),
         rho_l2_monotone=monotone,
+        transport_fallbacks=sum(d.transport_fallback
+                                for d in result.diagnostics),
+        total_transport_sweeps=sum(d.transport_sweeps
+                                   for d in result.diagnostics),
+        max_transport_sweeps=max(
+            (d.transport_sweeps for d in result.diagnostics), default=0),
         oseen_fallbacks=sum(d.oseen_fallback for d in result.diagnostics),
         total_oseen_iterations=sum(d.oseen_iterations
                                    for d in result.diagnostics),

@@ -310,6 +310,11 @@ class TestRunCommand:
         summary = (out / "summary.txt").read_text()
         assert summary.count("[PASS]") == 4
         assert "[FAIL]" not in summary
+        assert all(r["transport_fallback"] == "False" for r in rows)
+        sweeps = [int(r["transport_sweeps"]) for r in rows]
+        assert "transport solves that fell back to LU: 0 of 5" in summary
+        assert (f"transport sweeps: {sum(sweeps)} in 5 steps, largest "
+                f"{max(sweeps)}\n") in summary
         assert "saddle solves that fell back to direct: 0 of 5" in summary
         counts = [int(r["oseen_iterations"]) for r in rows]
         assert (f"Krylov iterations: {sum(counts)} in 5 steps, largest "
@@ -346,6 +351,21 @@ class TestRunCommand:
         assert "saddle solves that fell back to direct: 5 of 5" in summary
         assert "Krylov iterations: 5 in 5 steps, largest 1" in summary
         assert "preconditioner factorizations: 5 of 5 steps" in summary
+
+    def test_transport_fallback_reported(self, tmp_path, monkeypatch):
+        # one sweep cannot converge: every transport solve falls back to
+        # LU, and the outputs must say so
+        monkeypatch.setattr(linsolve, "JACOBI_MAXITER", 1)
+        path = run_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        rows = diagnostics_rows(out)
+        assert all(r["transport_fallback"] == "True"
+                   and r["transport_sweeps"] == "1" for r in rows)
+        summary = (out / "summary.txt").read_text()
+        assert "transport solves that fell back to LU: 5 of 5" in summary
+        assert "transport sweeps: 5 in 5 steps, largest 1" in summary
+        assert "overall: PASS" in summary
 
     def test_vtk_output(self, tmp_path):
         path = run_config(tmp_path, output={"formats": ["csv", "vtk"]})

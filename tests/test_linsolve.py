@@ -10,10 +10,11 @@ import scipy.sparse.linalg as spla
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import linsolve, operators as ops
-from macflow.linsolve import (PINNED_CELL, SaddleSolver, SolverFailure,
-                              assemble_divergence, assemble_gradient,
-                              assemble_oseen, assemble_transport,
-                              checked_residual, pin_row, solve_oseen,
+from macflow.linsolve import (JACOBI_MAXITER, PINNED_CELL, SaddleSolver,
+                              SolverFailure, assemble_divergence,
+                              assemble_gradient, assemble_oseen,
+                              assemble_transport, checked_residual, factor,
+                              jacobi_sweeps, pin_row, solve_oseen,
                               solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
@@ -124,10 +125,10 @@ class TestTransport:
                                    mesh.cell_volume / dt, rtol=1e-10)
 
     def test_columns_diagonally_dominant_any_velocity(self, any_mesh):
-        # what linsolve.factor relies on to factor the transport without
-        # pivoting: for any velocity, divergence-free or not, the
-        # off-diagonal entries are nonpositive and every column sums to
-        # |K|/dt
+        # what the Jacobi sweeps rely on to converge, and linsolve.factor
+        # to factor the transport without pivoting: for any velocity,
+        # divergence-free or not, the off-diagonal entries are
+        # nonpositive and every column sums to |K|/dt
         mesh = any_mesh
         dt = 0.07
         rng = np.random.default_rng(11)
@@ -151,6 +152,59 @@ class TestTransport:
             cur, _ = solve_transport(mesh, 0.05, cur, u)
             assert cur.min() >= rho.min() - 1e-12
             assert cur.max() <= rho.max() + 1e-12
+
+    @pytest.mark.parametrize("mesh_name", ["mesh2_graded", "mesh3_graded"])
+    def test_every_sweep_keeps_bounds(self, mesh_name, request):
+        # from the old density, each Jacobi sweep is a convex combination
+        # of the old density and upwind neighbours, so every iterate stays
+        # in the old bounds, not only the converged solution
+        mesh = request.getfixturevalue(mesh_name)
+        rng = np.random.default_rng(31)
+        raw = random_velocity(mesh, rng)
+        u = project_divergence_free(mesh, [raw])[0]
+        rho = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
+        lo, hi = rho.min(), rho.max()
+        mat, rhs = assemble_transport(mesh, 0.5, rho, u)
+        iterates = []
+        for k in range(1, 9):
+            x, sweeps = jacobi_sweeps(mat, rhs, rho.values, 0.0, k)
+            assert sweeps == k  # the cap, not the target, stopped it
+            assert x.min() >= lo - 1e-12 and x.max() <= hi + 1e-12
+            iterates.append(x)
+        assert all(np.any(a != b) for a, b in zip(iterates, iterates[1:]))
+        # the divergence-free velocity is what keeps the bounds: with the
+        # raw velocity some iterate leaves them
+        mat, rhs = assemble_transport(mesh, 0.5, rho, raw)
+        escaped = [jacobi_sweeps(mat, rhs, rho.values, 0.0, k)[0]
+                   for k in range(1, 9)]
+        assert any(x.min() < lo - 1e-3 or x.max() > hi + 1e-3
+                   for x in escaped)
+
+    def test_jacobi_matches_lu(self, any_mesh):
+        rng = np.random.default_rng(32)
+        rho = ScalarField(any_mesh, rng.uniform(1, 2, any_mesh.n_cells))
+        u = random_velocity(any_mesh, rng)
+        rho_new, rep = solve_transport(any_mesh, 0.05, rho, u)
+        assert rep.method == "jacobi" and not rep.fallback
+        assert 0 < rep.iterations < JACOBI_MAXITER
+        mat, rhs = assemble_transport(any_mesh, 0.05, rho, u)
+        lu = factor(mat).solve(rhs)
+        assert (np.linalg.norm(rho_new.values - lu)
+                <= 1e-12 * np.linalg.norm(lu))
+
+    def test_fallback_reported_and_exact(self, any_mesh, monkeypatch):
+        # one sweep cannot reach the target: LU produces the density,
+        # reported as the fallback
+        monkeypatch.setattr(linsolve, "JACOBI_MAXITER", 1)
+        rng = np.random.default_rng(33)
+        rho = ScalarField(any_mesh, rng.uniform(1, 2, any_mesh.n_cells))
+        u = random_velocity(any_mesh, rng)
+        rho_new, rep = solve_transport(any_mesh, 0.05, rho, u)
+        assert rep.method == "direct" and rep.fallback
+        assert rep.iterations == 1
+        mat, rhs = assemble_transport(any_mesh, 0.05, rho, u)
+        np.testing.assert_allclose(rho_new.values, factor(mat).solve(rhs),
+                                   rtol=1e-13)
 
     def test_l2_contraction_divfree(self, mesh2_graded):
         mesh = mesh2_graded
@@ -549,6 +603,26 @@ class TestSaddleSolver:
             assert d.mass_dual_resid <= 1e-13
             assert d.kinetic_resid <= 1e-13
 
+    def test_no_transport_factorization(self, monkeypatch):
+        # on a benchmark-like flow the transport converges by sweeps: the
+        # only factorizations of the run are the preconditioner's, one
+        # per velocity component and one of K
+        calls = []
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return factor(mat)
+
+        monkeypatch.setattr(linsolve, "factor", counted)
+        problem = get_preset("gyre")
+        mesh = build_uniform_mesh(problem.domain, (32, 32))
+        result = run(mesh, problem, SchemeConfig(dt=0.005, t_end=0.1))
+        assert len(result.diagnostics) == 20
+        for d in result.diagnostics:
+            assert not d.transport_fallback and d.transport_sweeps > 0
+        assert len(calls) == 3
+        assert calls[-1] == (mesh.n_cells, mesh.n_cells)
+
 
 def patch_run(ratio, dt, steps=5):
     """``rotating-patch`` at 32^2 with density ratio ``ratio``."""
@@ -568,9 +642,11 @@ class TestDensityRatioSweep:
         record = collect_diagnostics(result)
         counts = [d.oseen_iterations for d in result.diagnostics]
         print(f"ratio {ratio:g}, dt {dt:g}: Krylov iterations "
-              f"{sum(counts)} {counts}, worst divergence "
+              f"{sum(counts)} {counts}, transport sweeps "
+              f"{record.total_transport_sweeps}, worst divergence "
               f"{record.worst_div:.3e}")
         assert not any(d.oseen_fallback for d in result.diagnostics)
+        assert record.transport_fallbacks == 0
         assert record.worst_bound_violation == 0.0
         assert record.rho_l2_monotone
         assert record.worst_div <= 1e-9
