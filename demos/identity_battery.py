@@ -13,14 +13,8 @@ Run with:  python3 demos/identity_battery.py
 import numpy as np
 
 from macflow import (build_mesh, build_uniform_mesh, check_adjointness,
-                     check_coercivity, check_duality, infsup_health,
-                     measure_convection_bound)
-
-
-def graded(n, rng):
-    w = rng.uniform(0.5, 1.5, n)
-    coords = np.concatenate([[0.0], np.cumsum(w)])
-    return coords / coords[-1]
+                     check_coercivity, check_duality, graded_coords,
+                     infsup_health, measure_convection_bound)
 
 
 def main():
@@ -28,10 +22,12 @@ def main():
     meshes = [
         ("uniform 2D, 12 x 10", build_uniform_mesh([[0, 2], [0, 1]], (12, 10))),
         ("graded 2D, 12 x 10", build_mesh([[0, 1], [0, 1]],
-                                          [graded(12, rng), graded(10, rng)])),
+                                          [graded_coords(12, rng),
+                                           graded_coords(10, rng)])),
         ("uniform 3D, 5^3", build_uniform_mesh([[0, 1]] * 3, (5, 5, 5))),
         ("graded 3D, 5^3", build_mesh([[0, 1]] * 3,
-                                      [graded(5, rng) for _ in range(3)])),
+                                      [graded_coords(5, rng)
+                                       for _ in range(3)])),
     ]
 
     for label, mesh in meshes:

@@ -21,8 +21,8 @@ The pieces compose bottom-up:
 """
 
 from .grid import (MacMesh, MeshValidationError, build_mesh,
-                   build_uniform_mesh, dump_mesh_tables, mesh_step,
-                   regularity)
+                   build_uniform_mesh, dump_mesh_tables, graded_coords,
+                   mesh_step, regularity)
 from .fields import (ScalarField, Trajectory, VelocityField, cell_average,
                      cell_centered_velocity, fortin_interpolate,
                      norm_h1, norm_h1_squared, norm_l2_cells, norm_lp_dual,

@@ -27,13 +27,13 @@ import numpy as np
 import yaml
 
 from .grid import (MeshValidationError, build_mesh, build_uniform_mesh,
-                   dump_mesh_tables)
+                   dump_mesh_tables, graded_coords)
 from .fields import scalar_to_csv, velocity_to_csv, write_vtk
 from .presets import available_presets, get_preset
 from .timestepper import InvariantViolation, SchemeConfig, run
 from .linsolve import SolverFailure
 from . import verify
-from .ioutil import atomic_write, config_hash, format_float
+from .ioutil import config_hash, format_float, write_summary
 
 
 class ConfigError(ValueError):
@@ -220,50 +220,37 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                        seed):
     cfg = result.config
     checks = [
-        ("density bounds", record.worst_bound_violation,
-         cfg.bounds_margin,
-         record.worst_bound_violation <= cfg.bounds_margin),
-        ("velocity divergence", record.worst_div, cfg.div_guard,
-         record.worst_div <= cfg.div_guard),
+        ("density bounds", record.worst_bound_violation, cfg.bounds_margin),
+        ("velocity divergence", record.worst_div, cfg.div_guard),
         ("dual mass balance", record.worst_mass_dual,
-         10 * cfg.transport_tol,
-         record.worst_mass_dual <= 10 * cfg.transport_tol),
-        ("kinetic energy balance", record.worst_kinetic,
-         10 * cfg.oseen_tol, record.worst_kinetic <= 10 * cfg.oseen_tol),
+         10 * cfg.transport_tol),
+        ("kinetic energy balance", record.worst_kinetic, 10 * cfg.oseen_tol),
     ]
-    all_pass = all(ok for *_, ok in checks) and not interrupted
-    with atomic_write(path) as fh:
-        fh.write(f"# kind: run-summary\n# config_hash: {cfg_hash_value}\n")
-        fh.write(f"# seed: {seed}\n")
-        fh.write(f"steps completed: {len(result.diagnostics)} of "
-                 f"{result.n_steps}\n")
-        if interrupted:
-            fh.write(f"INTERRUPTED: {interrupted}\n")
-        for name, value, tol, ok in checks:
-            status = "PASS" if ok else "FAIL"
-            fh.write(f"[{status}] {name}: worst "
-                     f"{format_float(value)} (tolerance "
-                     f"{format_float(tol)})\n")
-        fh.write(f"velocity L2(H1) tracker: {format_float(record.l2h1)}\n")
-        fh.write("velocity Linf(L2) tracker: "
-                 f"{format_float(record.linf_l2)}\n")
-        fh.write("density L2 monotone: "
-                 f"{'yes' if record.rho_l2_monotone else 'no'}\n")
-        fh.write("transport solves that fell back to LU: "
-                 f"{record.transport_fallbacks} of "
-                 f"{len(result.diagnostics)}\n")
-        fh.write(f"transport sweeps: {record.total_transport_sweeps} in "
-                 f"{len(result.diagnostics)} steps, largest "
-                 f"{record.max_transport_sweeps}\n")
-        fh.write("saddle solves that fell back to direct: "
-                 f"{record.oseen_fallbacks} of {len(result.diagnostics)}\n")
-        fh.write(f"Krylov iterations: {record.total_oseen_iterations} in "
-                 f"{len(result.diagnostics)} steps, largest "
-                 f"{record.max_oseen_iterations}\n")
-        fh.write("preconditioner factorizations: "
-                 f"{record.precond_refreshes} of "
-                 f"{len(result.diagnostics)} steps\n")
-        fh.write(f"overall: {'PASS' if all_pass else 'FAIL'}\n")
+    passed = [value <= tol for _, value, tol in checks]
+    all_pass = all(passed) and not interrupted
+    steps = len(result.diagnostics)
+    lines = [f"steps completed: {steps} of {result.n_steps}"]
+    if interrupted:
+        lines.append(f"INTERRUPTED: {interrupted}")
+    lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: worst "
+              f"{format_float(value)} (tolerance {format_float(tol)})"
+              for (name, value, tol), ok in zip(checks, passed)]
+    lines += [
+        f"velocity L2(H1) tracker: {format_float(record.l2h1)}",
+        f"velocity Linf(L2) tracker: {format_float(record.linf_l2)}",
+        f"density L2 monotone: {'yes' if record.rho_l2_monotone else 'no'}",
+        "transport solves that fell back to LU: "
+        f"{record.transport_fallbacks} of {steps}",
+        f"transport sweeps: {record.total_transport_sweeps} in {steps} "
+        f"steps, largest {record.max_transport_sweeps}",
+        "saddle solves that fell back to direct: "
+        f"{record.oseen_fallbacks} of {steps}",
+        f"Krylov iterations: {record.total_oseen_iterations} in {steps} "
+        f"steps, largest {record.max_oseen_iterations}",
+        f"preconditioner factorizations: {record.precond_refreshes} of "
+        f"{steps} steps",
+    ]
+    write_summary(path, "run-summary", cfg_hash_value, seed, lines, all_pass)
     return all_pass
 
 
@@ -317,19 +304,13 @@ def _verification_meshes(seed):
     """The standard identity-battery meshes: uniform and graded-random
     spacing, in two and three dimensions."""
     rng = np.random.default_rng(seed)
-
-    def random_coords(n):
-        steps = rng.uniform(0.5, 1.5, n)
-        coords = np.concatenate([[0.0], np.cumsum(steps)])
-        return coords / coords[-1]
-
     return [
         ("uniform-2d", build_uniform_mesh([[0, 1], [0, 1]], (5, 4))),
         ("graded-2d", build_mesh([[0, 1], [0, 1]],
-                                 [random_coords(5), random_coords(4)])),
+                                 [graded_coords(n, rng) for n in (5, 4)])),
         ("uniform-3d", build_uniform_mesh([[0, 1]] * 3, (3, 3, 3))),
         ("graded-3d", build_mesh([[0, 1]] * 3,
-                                 [random_coords(3) for _ in range(3)])),
+                                 [graded_coords(3, rng) for _ in range(3)])),
     ]
 
 
@@ -364,14 +345,9 @@ def cmd_verify(cfg, out_dir, seed) -> int:
         reports, os.path.join(out_dir, "identity_reports.csv"),
         cfg_hash=hash_value, seed=seed)
     all_pass = all(r.passed for r in reports)
-    with atomic_write(os.path.join(out_dir, "summary.txt")) as fh:
-        fh.write(f"# kind: verify-summary\n# config_hash: {hash_value}\n")
-        fh.write(f"# seed: {seed}\n")
-        for r in reports:
-            fh.write(r.line() + "\n")
-        for line in monitors:
-            fh.write(line + "\n")
-        fh.write(f"overall: {'PASS' if all_pass else 'FAIL'}\n")
+    write_summary(os.path.join(out_dir, "summary.txt"), "verify-summary",
+                  hash_value, seed, [r.line() for r in reports] + monitors,
+                  all_pass)
     for r in reports:
         print(r.line())
     print(f"overall: {'PASS' if all_pass else 'FAIL'}")
@@ -401,22 +377,17 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
     verify.write_convergence_csv(report,
                                  os.path.join(out_dir, "convergence.csv"),
                                  cfg_hash=hash_value)
-    with atomic_write(os.path.join(out_dir, "summary.txt")) as fh:
-        fh.write(f"# kind: study-summary\n# config_hash: {hash_value}\n")
-        fh.write(f"# seed: {seed}\n")
-        for lv in report.levels:
-            fh.write(f"cells {'x'.join(map(str, lv.cells))}: "
-                     f"err_u {format_float(lv.err_u)} "
-                     f"err_rho {format_float(lv.err_rho)} "
-                     f"err_p {format_float(lv.err_p)}\n")
-        fh.write("velocity reduction factors: "
-                 + ", ".join(format_float(f) for f in report.factors_u)
-                 + "\n")
-        fh.write("density reduction factors: "
-                 + ", ".join(format_float(f) for f in report.factors_rho)
-                 + "\n")
-        fh.write(f"threshold: {format_float(report.threshold)}\n")
-        fh.write(f"overall: {'PASS' if report.passed else 'FAIL'}\n")
+    lines = [f"cells {'x'.join(map(str, lv.cells))}: "
+             f"err_u {format_float(lv.err_u)} "
+             f"err_rho {format_float(lv.err_rho)} "
+             f"err_p {format_float(lv.err_p)}" for lv in report.levels]
+    lines += [f"{name} reduction factors: "
+              + ", ".join(format_float(f) for f in factors)
+              for name, factors in (("velocity", report.factors_u),
+                                    ("density", report.factors_rho))]
+    lines.append(f"threshold: {format_float(report.threshold)}")
+    write_summary(os.path.join(out_dir, "summary.txt"), "study-summary",
+                  hash_value, seed, lines, report.passed)
     for lv in report.levels:
         print(f"cells {'x'.join(map(str, lv.cells))}: "
               f"err_u {lv.err_u:.6e} err_rho {lv.err_rho:.6e}")

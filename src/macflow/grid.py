@@ -395,6 +395,14 @@ def build_uniform_mesh(domain_box, cells) -> MacMesh:
     return MacMesh(domain_box, coords)
 
 
+def graded_coords(n, rng) -> np.ndarray:
+    """Random strictly increasing coordinates on [0, 1] with ``n`` cells:
+    spacings drawn uniform(0.5, 1.5) from ``rng``, normalised."""
+    steps = rng.uniform(0.5, 1.5, n)
+    coords = np.concatenate([[0.0], np.cumsum(steps)])
+    return coords / coords[-1]
+
+
 def regularity(mesh: MacMesh) -> float:
     """Largest face-measure ratio across distinct component directions.
 

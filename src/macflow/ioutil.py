@@ -6,7 +6,8 @@ destination, so readers never observe a half-written file.  Floats are
 serialized with :func:`format_float` (shortest round-trip repr) so that
 identical runs produce bit-identical files.  Every CSV table goes through
 :func:`write_table`, which adds the self-describing header (kind, units,
-configuration hash, seed) and formats every float cell.
+configuration hash, seed) and formats every float cell, and every
+``summary.txt`` through :func:`write_summary`.
 """
 
 from __future__ import annotations
@@ -76,3 +77,15 @@ def write_table(path, kind: str, columns, rows, cfg_hash: str | None = None,
         writer.writerow(columns)
         writer.writerows([format_float(v) if isinstance(v, float) else v
                           for v in row] for row in rows)
+
+
+def write_summary(path, kind: str, cfg_hash: str, seed, lines,
+                  passed: bool) -> None:
+    """Write a summary atomically: the ``kind``, configuration hash and
+    seed header lines, one line per entry of ``lines``, and the verdict
+    ``overall: PASS`` or ``overall: FAIL``."""
+    with atomic_write(path) as fh:
+        for line in [f"# kind: {kind}", f"# config_hash: {cfg_hash}",
+                     f"# seed: {seed}", *lines,
+                     f"overall: {'PASS' if passed else 'FAIL'}"]:
+            fh.write(f"{line}\n")

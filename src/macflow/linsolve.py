@@ -27,19 +27,20 @@ pinned Poisson matrix of the Schur term, :func:`pinned_poisson`, with
 unit density also serves the divergence-free projection of
 :mod:`macflow.verify`, which factors it once per mesh.
 
-A :class:`SaddleSolver` lives for one run on one mesh, and every
-:class:`SaddleSystem` carries the solver that assembled it.  The solver
-builds the CSR pattern of the pinned matrix once (:class:`SaddlePattern`:
-the mesh-constant gradient, divergence and diffusion values, and the
-positions the face masses and the convection land on), so a step only
-fills values, and each GMRES solve starts from the last accepted
-solution.  It keeps the preconditioner's LU factors from step to step:
-the density stays inside its initial bounds (discrete maximum
-principle), so the variable-density Poisson matrix moves within a
-bounded spectral band, and the momentum blocks move by O(dt).  The
-factors are rebuilt by a fixed rule (see :class:`SaddleSolver`), and
-each solve reports whether it factored.  Stale factors can cost
-iterations, never accuracy, since the true residual decides.
+A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
+:class:`SaddleSystem` of the run, and each system carries it to
+:func:`solve_oseen`.  The solver builds the CSR pattern of the pinned
+matrix once (:class:`SaddlePattern`: the mesh-constant gradient,
+divergence and diffusion values, and the positions the face masses and
+the convection land on), so a step only fills values, and each GMRES
+solve starts from the last accepted solution.  It keeps the
+preconditioner's LU factors from step to step: the density stays inside
+its initial bounds (discrete maximum principle), so the variable-density
+Poisson matrix moves within a bounded spectral band, and the momentum
+blocks move by O(dt).  The factors are rebuilt by a fixed rule (see
+:class:`SaddleSolver`), and each solve reports whether it factored.
+Stale factors can cost iterations, never accuracy, since the true
+residual decides.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ from . import operators as ops
 KRYLOV_TARGET = 1e-3
 
 # Restart length and iteration cap of the GMRES saddle solve; a solve
-# that reaches the cap falls back to LU.
+# that reaches the cap falls back to LU.  SciPy counts its ``maxiter`` in
+# restart cycles, so the solve passes the whole cycles that cover the cap.
 GMRES_RESTART = 50
 GMRES_MAXITER = 300
 
@@ -174,26 +176,31 @@ def assemble_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
 
 def jacobi_sweeps(mat, rhs, x, target: float, cap: int):
     """Jacobi sweeps ``x += (rhs - mat x) / diag(mat)`` from ``x`` until
-    the relative residual is at most ``target``, or ``cap`` sweeps.
+    the relative residual is at most ``target``, a sweep fails to lower
+    the 1-norm of the residual, or ``cap`` sweeps.
 
     Returns the last iterate (a new array) and the number of sweeps made;
-    ``cap`` sweeps means the target was not reached.  On the transport
+    ``cap`` sweeps means neither stop was reached.  On the transport
     matrix, from the old density, a sweep sets each cell to a convex
     combination of its old density and the current upwind neighbours (the
     diagonal is ``|K|/dt`` plus the outflow, which equals the inflow when
     the velocity is divergence-free), so every iterate stays inside the
-    bounds of the old density.  For any velocity the sweeps converge: the
-    columns are diagonally dominant, so the 1-norm of
-    ``I - mat diag(mat)^-1`` is below one (Varga, *Matrix Iterative
-    Analysis*, ch. 3).
+    bounds of the old density.  Each sweep multiplies the residual by
+    ``I - mat diag(mat)^-1``, whose 1-norm is below one for any velocity
+    since the columns are diagonally dominant (Varga, *Matrix Iterative
+    Analysis*, ch. 3): the sweeps converge, and a sweep that does not
+    lower the residual's 1-norm has reached rounding.
     """
     x = np.array(x, dtype=float)
     inv_diag = 1.0 / mat.diagonal()
     bound = target * np.linalg.norm(rhs)
+    last = np.inf
     for sweeps in range(cap):
         resid = rhs - mat @ x
-        if np.linalg.norm(resid) <= bound:
+        size = np.linalg.norm(resid, 1)
+        if np.linalg.norm(resid) <= bound or size >= last:
             return x, sweeps
+        last = size
         x += inv_diag * resid
     return x, cap
 
@@ -203,20 +210,25 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     """Advance the density by one implicit upwind transport step.
 
     Jacobi sweeps from the old density (:func:`jacobi_sweeps`) run to a
-    relative residual of ``KRYLOV_TARGET * tol``; the report gives the
-    sweeps (``method`` ``jacobi``).  When they reach ``JACOBI_MAXITER``,
-    LU of the matrix produces the solution and the report says so
-    (``fallback`` set, ``method`` ``direct``).  Either way the relative
-    true residual must be at most ``tol``, or :class:`SolverFailure` is
-    raised.
+    relative residual of ``KRYLOV_TARGET * tol``, or until rounding stops
+    them; the report gives the sweeps (``method`` ``jacobi``).  When they
+    reach ``JACOBI_MAXITER``, or stop short of ``tol``, LU of the matrix
+    produces the solution and the report says so (``fallback`` set,
+    ``method`` ``direct``).  Either way the relative true residual must
+    be at most ``tol``, or :class:`SolverFailure` is raised.
     """
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
     values, sweeps = jacobi_sweeps(mat, rhs, rho_old.values,
                                    KRYLOV_TARGET * tol, JACOBI_MAXITER)
     fallback = sweeps == JACOBI_MAXITER
+    if not fallback:
+        try:
+            rel = checked_residual(mat, values, rhs, tol, "transport solve")
+        except SolverFailure:
+            fallback = True
     if fallback:
         values = factor(mat).solve(rhs)
-    rel = checked_residual(mat, values, rhs, tol, "transport solve")
+        rel = checked_residual(mat, values, rhs, tol, "transport solve")
     report = SolveReport(method="direct" if fallback else "jacobi",
                          residual=rel, iterations=sweeps, fallback=fallback)
     return ScalarField(mesh, values), report
@@ -418,25 +430,21 @@ class SaddlePattern:
                              shape=self.shape)
 
 
-def assemble_oseen(mesh: MacMesh, dt: float, rho_new: ScalarField,
+def assemble_oseen(saddle: SaddleSolver, dt: float, rho_new: ScalarField,
                    rho_old: ScalarField, u_old: VelocityField,
-                   forcing=None,
-                   saddle: SaddleSolver | None = None) -> SaddleSystem:
-    """Build the linearized momentum/continuity system of one time step.
+                   forcing=None) -> SaddleSystem:
+    """Build the linearized momentum/continuity system of one time step
+    on the mesh of ``saddle``, the run's :class:`SaddleSolver`.
 
     Convection uses the upwind mass fluxes of ``(rho_new, u_old)``, the
     same fluxes that transported the density, which is what makes the
     dual mass balance and the kinetic energy identity exact.  ``forcing``
     is an optional list of per-direction face arrays (point values of the
     momentum source at face centers).  The pinned matrix is filled on the
-    :class:`SaddlePattern` of ``saddle``, the run's :class:`SaddleSolver`
-    (a fresh one when omitted), which the system carries to
+    :class:`SaddlePattern` of ``saddle``, which the system carries to
     :func:`solve_oseen`.
     """
-    if saddle is None:
-        saddle = SaddleSolver(mesh)
-    elif saddle.mesh is not mesh:
-        raise ValueError("the saddle solver was built for another mesh")
+    mesh = saddle.mesh
     fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
     rho_d_new = ops.dual_density(mesh, rho_new)
     rho_d_old = ops.dual_density(mesh, rho_old)
@@ -516,10 +524,9 @@ class SaddleSolver:
     rule has no tunable input, so a run is as deterministic as before.
 
     ``solution`` is the last accepted pinned solution, from which the
-    next GMRES solve starts (consecutive steps differ by O(dt)); a fresh
+    next GMRES solve starts (consecutive steps differ by O(dt)); a new
     solver starts from zero.  The stopping test does not depend on the
-    initial guess.  :func:`macflow.timestepper.run` makes one per run; a
-    system assembled without one gets a fresh one, which factors.
+    initial guess.
     """
 
     def __init__(self, mesh: MacMesh):
@@ -602,7 +609,8 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     # guess, so the warm start does not loosen the test.
     solution, info = spla.gmres(
         mat, rhs, x0=saddle.solution, rtol=KRYLOV_TARGET * tol, atol=0.0,
-        M=precond, restart=GMRES_RESTART, maxiter=GMRES_MAXITER,
+        M=precond, restart=GMRES_RESTART,
+        maxiter=-(-GMRES_MAXITER // GMRES_RESTART),
         callback=cb, callback_type="pr_norm")
     fallback = info != 0
     saddle.record(counter["n"], fallback)

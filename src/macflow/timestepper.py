@@ -156,19 +156,18 @@ def _divergence_field(mesh, u):
 
 
 def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
-         forcing=None, bounds=None, saddle: SaddleSolver | None = None):
+         saddle: SaddleSolver, forcing=None, bounds=None):
     """Advance one time level; returns (new_state, StepDiagnostics).
 
-    ``forcing`` is an optional callable ``(mesh, t) -> per-direction face
-    arrays`` evaluated at the new time level; a non-finite value on an
-    interior face raises :class:`InvariantViolation` before the saddle
-    solve (wall faces carry no unknown and are not read).  ``bounds`` is
-    the running (min, max) density interval used for the
-    maximum-principle guard; the current density's own bounds are used
-    when omitted.  ``saddle`` is the run's
-    :class:`~macflow.linsolve.SaddleSolver`, which keeps the saddle
-    matrix pattern, the preconditioner factors and the last solution
-    across steps; a fresh one is made when omitted.
+    ``saddle`` is the run's :class:`~macflow.linsolve.SaddleSolver` for
+    ``mesh``; it keeps the matrix pattern, the preconditioner factors and
+    the last solution across steps.  ``forcing`` is an optional callable
+    ``(mesh, t) -> per-direction face arrays`` evaluated at the new time
+    level; a non-finite value on an interior face raises
+    :class:`InvariantViolation` before the saddle solve (wall faces carry
+    no unknown and are not read).  ``bounds`` is the running (min, max)
+    density interval used for the maximum-principle guard; the current
+    density's own bounds are used when omitted.
     """
     dt = cfg.dt
     t_new = state.t + dt
@@ -188,8 +187,8 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
     if f_arrays is not None and not np.isfinite(
             mesh.pack_interior(f_arrays)).all():
         raise InvariantViolation(f"forcing is not finite at t={t_new:.6g}")
-    system = assemble_oseen(mesh, dt, rho_new, state.rho, state.u,
-                            forcing=f_arrays, saddle=saddle)
+    system = assemble_oseen(saddle, dt, rho_new, state.rho, state.u,
+                            forcing=f_arrays)
     u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol)
 
     div_l2 = norm_l2_cells(_divergence_field(mesh, u_new))
@@ -300,8 +299,8 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     saddle = SaddleSolver(mesh)
     for k in range(n_steps):
         try:
-            state, diag = step(mesh, state, cfg_eff, forcing=forcing,
-                               bounds=bounds, saddle=saddle)
+            state, diag = step(mesh, state, cfg_eff, saddle,
+                               forcing=forcing, bounds=bounds)
         except (InvariantViolation, SolverFailure) as exc:
             # attach what completed so callers can keep the partial record
             exc.partial = result

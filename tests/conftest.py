@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from macflow.grid import build_mesh, build_uniform_mesh
+from macflow.grid import build_mesh, build_uniform_mesh, graded_coords
 
 # One line per acceptance criterion, filled by tests/test_acceptance.py
 # and echoed after the run so the verdicts are visible without -s/-rA.
@@ -15,13 +15,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-def graded_coords(n, rng, lo=0.5, hi=1.5):
-    """Random strictly increasing coordinates on [0, 1] with n cells."""
-    steps = rng.uniform(lo, hi, n)
-    coords = np.concatenate([[0.0], np.cumsum(steps)])
-    return coords / coords[-1]
 
 
 def graded_mesh(cells, seed=0):

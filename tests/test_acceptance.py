@@ -22,7 +22,8 @@ import conftest
 from conftest import graded_mesh
 from macflow.grid import build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField
-from macflow.linsolve import assemble_oseen, solve_oseen, solve_transport
+from macflow.linsolve import (SaddleSolver, assemble_oseen, solve_oseen,
+                              solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, run
 from macflow import verify
@@ -211,7 +212,7 @@ def test_criterion_11_saddle_matches_dense():
     rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
     forcing = [rng.standard_normal(mesh.faces[i].count)
                for i in range(mesh.dim)]
-    system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
+    system = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old, u_old,
                             forcing=forcing)
 
     dense = system.full_matrix().toarray()

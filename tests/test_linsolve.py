@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import linsolve, operators as ops
-from macflow.linsolve import (JACOBI_MAXITER, PINNED_CELL, SaddleSolver,
+from macflow.linsolve import (GMRES_MAXITER, JACOBI_MAXITER, PINNED_CELL,
+                              SaddleSolver,
                               SolverFailure, assemble_divergence,
                               assemble_gradient, assemble_oseen,
                               assemble_transport, checked_residual, factor,
@@ -29,14 +30,15 @@ def random_velocity(mesh, rng):
 
 
 def random_saddle(mesh, seed, dt=0.05):
-    """One-step saddle system from random density, velocity and forcing."""
+    """One-step saddle system, on a new solver, from random density,
+    velocity and forcing."""
     rng = np.random.default_rng(seed)
     rho_old = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
     u_old = random_velocity(mesh, rng)
     rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
     forcing = [rng.standard_normal(mesh.faces[i].count)
                for i in range(mesh.dim)]
-    return assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
+    return assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old, u_old,
                           forcing=forcing)
 
 
@@ -206,6 +208,20 @@ class TestTransport:
         np.testing.assert_allclose(rho_new.values, factor(mat).solve(rhs),
                                    rtol=1e-13)
 
+    def test_sweeps_stop_at_rounding(self):
+        # a tolerance of 1e-14 puts the sweep target at 1e-17, below
+        # double rounding: the sweeps stop once a sweep no longer lowers
+        # the residual, and the iterate meets the tolerance without LU
+        problem = get_preset("rotating-patch")
+        mesh = build_uniform_mesh(problem.domain, (32, 32))
+        result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.05,
+                                                 transport_tol=1e-14))
+        assert len(result.diagnostics) == 5
+        for d in result.diagnostics:
+            assert not d.transport_fallback
+            assert 0 < d.transport_sweeps < JACOBI_MAXITER
+            assert d.transport_residual <= 1e-14
+
     def test_l2_contraction_divfree(self, mesh2_graded):
         mesh = mesh2_graded
         u = stream_function_velocity(mesh, seed=7)
@@ -298,7 +314,8 @@ class TestSaddleBlocks:
         rho_old = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
         u_old = random_velocity(mesh, rng)
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
-        system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old)
+        system = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old,
+                                u_old)
         a = system.matrix[:system.n_u, :system.n_u].toarray()
         sym = 0.5 * (a + a.T)
         eigs = np.linalg.eigvalsh(sym)
@@ -327,7 +344,7 @@ class TestSaddleBlocks:
         rho_old = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
         u_old = random_velocity(mesh, rng)
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
-        mat = assemble_oseen(mesh, dt, rho_new, rho_old,
+        mat = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old,
                              u_old).full_matrix()
 
         fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
@@ -368,7 +385,7 @@ class TestOseenSolve:
     def test_zero_data_zero_solution(self, mesh2_uniform):
         mesh = mesh2_uniform
         rho = ScalarField.constant(mesh, 1.0)
-        system = assemble_oseen(mesh, 0.1, rho, rho,
+        system = assemble_oseen(SaddleSolver(mesh), 0.1, rho, rho,
                                 VelocityField.zeros(mesh))
         u, p, _ = solve_oseen(system)
         for c in u.components:
@@ -396,8 +413,8 @@ class TestOseenSolve:
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
         forcing = [rng.standard_normal(mesh.faces[i].count)
                    for i in range(mesh.dim)]
-        system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
-                                forcing=forcing)
+        system = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old,
+                                u_old, forcing=forcing)
         u_dense, p_dense = self.dense_solution(system)
 
         u, p, _ = solve_oseen(system)
@@ -435,7 +452,8 @@ class TestOseenSolve:
                               rng.uniform(1.0, 2.0, any_mesh.n_cells))
         u_old = random_velocity(any_mesh, rng)
         rho_new, _ = solve_transport(any_mesh, dt, rho_old, u_old)
-        system = assemble_oseen(any_mesh, dt, rho_new, rho_old, u_old)
+        system = assemble_oseen(SaddleSolver(any_mesh), dt, rho_new, rho_old,
+                                u_old)
         u, _, _ = solve_oseen(system)
         div = ops.div_velocity(any_mesh, u)
         assert norm_l2_cells(ScalarField(any_mesh, div)) < 1e-10
@@ -471,9 +489,22 @@ class TestOseenSolve:
         mesh = build_uniform_mesh(problem.domain, (cells, cells))
         cfg = SchemeConfig(dt=0.005, t_end=0.005)
         _, diag = step(mesh, initialize(mesh, problem), cfg,
-                       forcing=problem.forcing)
+                       SaddleSolver(mesh), forcing=problem.forcing)
         assert diag.oseen_method == "gmres" and not diag.oseen_fallback
         assert 0 < diag.oseen_iterations <= 25
+
+    def test_iteration_cap_counts_iterations(self):
+        # at oseen_tol = 1e-13 GMRES cannot reach its target: it gives up
+        # after GMRES_MAXITER iterations, not restart cycles, and LU
+        # produces the solution
+        problem = get_preset("rotating-patch")
+        mesh = build_uniform_mesh(problem.domain, (16, 16))
+        result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.02,
+                                                 oseen_tol=1e-13))
+        assert len(result.diagnostics) == 2
+        for d in result.diagnostics:
+            assert d.oseen_fallback and d.oseen_method == "direct"
+            assert 0 < d.oseen_iterations <= GMRES_MAXITER
 
     def test_pressure_mean_shift_recorded(self, mesh2_graded):
         mesh = mesh2_graded
@@ -484,8 +515,8 @@ class TestOseenSolve:
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
         forcing = [rng.standard_normal(mesh.faces[i].count)
                    for i in range(mesh.dim)]
-        system = assemble_oseen(mesh, dt, rho_new, rho_old, u_old,
-                                forcing=forcing)
+        system = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old,
+                                u_old, forcing=forcing)
         _, p, _ = solve_oseen(system)
         assert abs(mesh.cell_volume @ p.values) < 1e-10
         assert p.zero_mean
@@ -550,8 +581,8 @@ class TestSaddleSolver:
                                    atol=tol * np.abs(first).max())
 
     def test_fresh_solver_starts_from_zero(self, mesh2_uniform):
-        # a system assembled without a solver gets a fresh one, whose
-        # first solve starts from zero and factors
+        # a new solver has no solution yet: its first solve starts from
+        # zero and factors
         fresh = random_saddle(mesh2_uniform, seed=21)
         assert fresh.saddle.solution is None
         _, _, first = solve_oseen(fresh)
@@ -566,25 +597,20 @@ class TestSaddleSolver:
         saddle = SaddleSolver(mesh2_graded)
         rho = ScalarField.constant(mesh2_graded, 1.0)
         u = VelocityField.zeros(mesh2_graded)
-        a = assemble_oseen(mesh2_graded, 0.1, rho, rho, u, saddle=saddle)
-        b = assemble_oseen(mesh2_graded, 0.2, rho, rho, u, saddle=saddle)
+        a = assemble_oseen(saddle, 0.1, rho, rho, u)
+        b = assemble_oseen(saddle, 0.2, rho, rho, u)
         assert a.saddle is b.saddle is saddle
         assert a.grad is b.grad is saddle.grad
         pattern = saddle.pattern
         for system in (a, b):
             assert np.shares_memory(system.matrix.indptr, pattern.indptr)
             assert np.shares_memory(system.matrix.indices, pattern.indices)
-        fresh = assemble_oseen(mesh2_graded, 0.2, rho, rho, u)
+        # a new solver on the same mesh builds its own pattern, and the
+        # same matrix on it
+        fresh = assemble_oseen(SaddleSolver(mesh2_graded), 0.2, rho, rho, u)
         assert fresh.saddle is not saddle
-        n_u = b.n_u
-        assert (fresh.matrix[:n_u, :n_u] != b.matrix[:n_u, :n_u]).nnz == 0
-
-    def test_other_mesh_rejected(self, mesh2_uniform, mesh2_graded):
-        saddle = SaddleSolver(mesh2_uniform)
-        rho = ScalarField.constant(mesh2_graded, 1.0)
-        with pytest.raises(ValueError, match="another mesh"):
-            assemble_oseen(mesh2_graded, 0.1, rho, rho,
-                           VelocityField.zeros(mesh2_graded), saddle=saddle)
+        assert not np.shares_memory(fresh.matrix.indptr, pattern.indptr)
+        assert fresh.matrix.data.tobytes() == b.matrix.data.tobytes()
 
     def test_preconditioner_factors_reused(self):
         # a run keeps its factors while the iteration count holds, and

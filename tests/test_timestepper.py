@@ -9,6 +9,7 @@ import pytest
 from macflow.grid import build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import operators as ops
+from macflow.linsolve import SaddleSolver
 from macflow.presets import get_preset
 from macflow.timestepper import (InvariantViolation, SchemeConfig,
                                  SchemeState, initialize, kinetic_energy,
@@ -52,6 +53,28 @@ class TestEmptyVelocityComponents:
         assert not any(d.oseen_fallback for d in result.diagnostics)
 
 
+class TestRunIsHandLoop:
+    def test_run_matches_hand_loop(self):
+        # run is initialize plus step with one shared solver and the
+        # initial density bounds, to the last bit of every field
+        problem = get_preset("rotating-patch")
+        mesh = mesh16()
+        result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.04))
+        state = initialize(mesh, problem)
+        bounds = (state.rho.min(), state.rho.max())
+        saddle = SaddleSolver(mesh)
+        traj = result.trajectory
+        assert len(traj) == 5
+        for k in range(1, 5):
+            state, diag = step(mesh, state, result.config, saddle,
+                               forcing=problem.forcing, bounds=bounds)
+            assert diag == result.diagnostics[k - 1]
+            assert state.rho.values.tobytes() == traj.rho[k].values.tobytes()
+            assert state.p.values.tobytes() == traj.p[k].values.tobytes()
+            for a, b in zip(state.u.components, traj.u[k].components):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestOneStepResidual:
     def test_momentum_resubstitution(self):
         # recompute every term of the momentum equation from the returned
@@ -60,7 +83,7 @@ class TestOneStepResidual:
         mesh = mesh16()
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         state = initialize(mesh, problem)
-        new, diag = step(mesh, state, cfg,
+        new, diag = step(mesh, state, cfg, SaddleSolver(mesh),
                          forcing=problem.forcing)
 
         f = problem.forcing(mesh, new.t)
@@ -89,7 +112,8 @@ class TestOneStepResidual:
         mesh = mesh16()
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         state = initialize(mesh, problem)
-        new, diag = step(mesh, state, cfg, forcing=problem.forcing)
+        new, diag = step(mesh, state, cfg, SaddleSolver(mesh),
+                         forcing=problem.forcing)
         div = ops.div_velocity(mesh, new.u)
         assert norm_l2_cells(ScalarField(mesh, div)) < 1e-9
         assert diag.div_l2 < 1e-9
@@ -112,7 +136,8 @@ class TestForcingGuard:
             return arrays
 
         cfg = SchemeConfig(dt=0.01, t_end=0.01)
-        return step(mesh, initialize(mesh, problem), cfg, forcing=forcing)
+        return step(mesh, initialize(mesh, problem), cfg, SaddleSolver(mesh),
+                    forcing=forcing)
 
     def test_non_finite_interior_forcing_rejected(self):
         with pytest.raises(InvariantViolation,

@@ -9,7 +9,7 @@ import pytest
 
 from macflow.grid import build_uniform_mesh
 from macflow.fields import VelocityField, norm_lp_dual
-from macflow.linsolve import factor
+from macflow.linsolve import SaddleSolver, factor
 from macflow.presets import get_preset
 from macflow.timestepper import (SchemeConfig, SchemeState,
                                  StepDiagnostics, initialize, run, step)
@@ -90,8 +90,10 @@ class TestKineticCheck:
         problem = get_preset(preset)
         cfg = SchemeConfig(dt=0.01, t_end=0.03)
         state = initialize(mesh, problem)
+        saddle = SaddleSolver(mesh)
         for _ in range(3):
-            new, diag = step(mesh, state, cfg, forcing=problem.forcing)
+            new, diag = step(mesh, state, cfg, saddle,
+                             forcing=problem.forcing)
             rep = verify.check_kinetic(
                 mesh, state, new, cfg.dt,
                 forcing_arrays=problem.forcing(mesh, new.t))
