@@ -44,7 +44,7 @@ def main():
           f"max {mon['max']:.3e} (mesh regularity eta = {mon['eta']:.3f})")
     health = infsup_health(mesh)
     print(f"inf-sup constant: {health['beta']:.4f} "
-          f"(pressure nullspace dimension {health['nullspace_dim']})")
+          f"({health['iterations']} LOBPCG iterations)")
 
 
 if __name__ == "__main__":

@@ -339,7 +339,7 @@ def cmd_verify(cfg, out_dir, seed) -> int:
         health = verify.infsup_health(mesh)
         monitors.append(f"inf-sup constant [{tag}]: "
                         f"{format_float(health['beta'])} "
-                        f"(nullspace dimension {health['nullspace_dim']})")
+                        f"({health['iterations']} LOBPCG iterations)")
 
     verify.write_identity_reports(
         reports, os.path.join(out_dir, "identity_reports.csv"),

@@ -167,12 +167,8 @@ def fortin_interpolate(mesh: MacMesh, component_fns) -> VelocityField:
 
 def sample_at_faces(mesh: MacMesh, component_fns) -> VelocityField:
     """Velocity from point values of the input at the face centers."""
-    comps = []
-    for i in range(mesh.dim):
-        c = mesh.faces[i].center
-        coords = [c[:, j] for j in range(mesh.dim)]
-        comps.append(np.asarray(component_fns[i](*coords), dtype=float))
-    return VelocityField(mesh, comps)
+    return VelocityField(mesh, [np.asarray(fn(*fs.center.T), dtype=float)
+                                for fn, fs in zip(component_fns, mesh.faces)])
 
 
 # -- norms ----------------------------------------------------------------
@@ -191,14 +187,12 @@ def norm_lp_dual(u: VelocityField, p) -> float:
     """
     mesh = u.mesh
     if p == np.inf:
-        return float(max(np.abs(u.components[i]).max()
-                         for i in range(mesh.dim)))
+        return float(max(np.abs(c).max() for c in u.components))
     if p not in (2, 4, 6):
         raise ValueError(f"unsupported exponent {p!r}; use 2, 4, 6 or inf")
     total = 0.0
-    for i in range(mesh.dim):
-        total += float(mesh.faces[i].dvol
-                       @ np.abs(u.components[i]) ** p)
+    for fs, c in zip(mesh.faces, u.components):
+        total += float(fs.dvol @ np.abs(c) ** p)
     return float(total ** (1.0 / p))
 
 
@@ -324,19 +318,12 @@ def write_vtk(path, mesh: MacMesh, rho: ScalarField | None = None,
               u: VelocityField | None = None, title="macflow snapshot"):
     """Write a legacy-format rectilinear-grid VTK file with cell data."""
     buf = io.StringIO()
-    buf.write("# vtk DataFile Version 3.0\n")
-    buf.write(f"{title}\n")
-    buf.write("ASCII\n")
-    buf.write("DATASET RECTILINEAR_GRID\n")
-    npts = [mesh.cells[i] + 1 for i in range(mesh.dim)]
-    while len(npts) < 3:
-        npts.append(1)
-    buf.write(f"DIMENSIONS {npts[0]} {npts[1]} {npts[2]}\n")
+    npts = [n + 1 for n in mesh.cells] + [1] * (3 - mesh.dim)
+    buf.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+              f"DATASET RECTILINEAR_GRID\nDIMENSIONS {npts[0]} {npts[1]} "
+              f"{npts[2]}\n")
     for j, name in enumerate(("X", "Y", "Z")):
-        if j < mesh.dim:
-            coords = mesh.axis_coords[j]
-        else:
-            coords = np.array([0.0])
+        coords = mesh.axis_coords[j] if j < mesh.dim else np.array([0.0])
         buf.write(f"{name}_COORDINATES {coords.size} double\n")
         buf.write(" ".join(format_float(c) for c in coords) + "\n")
     # VTK wants the first axis fastest; flat ids are C-order (last axis

@@ -409,24 +409,19 @@ def regularity(mesh: MacMesh) -> float:
     Equals 1 on uniform square/cubic meshes and grows with anisotropy,
     e.g. 2 for a 2D mesh with spacings (1, 2).
     """
-    lo = [mesh.faces[i].measure.min() for i in range(mesh.dim)]
-    hi = [mesh.faces[i].measure.max() for i in range(mesh.dim)]
-    eta = 0.0
-    for i in range(mesh.dim):
-        for j in range(mesh.dim):
-            if i != j:
-                eta = max(eta, hi[i] / lo[j])
-    return float(eta)
+    lo = [fs.measure.min() for fs in mesh.faces]
+    hi = [fs.measure.max() for fs in mesh.faces]
+    return float(max(hi[i] / lo[j] for i in range(mesh.dim)
+                     for j in range(mesh.dim) if i != j))
 
 
 def mesh_step(mesh: MacMesh) -> float:
-    """Largest cell diameter (Euclidean, over all cells)."""
-    diag2 = np.zeros(mesh.cells)
-    for i in range(mesh.dim):
-        shape = [1] * mesh.dim
-        shape[i] = mesh.cells[i]
-        diag2 = diag2 + (mesh.spacings[i] ** 2).reshape(shape)
-    return float(np.sqrt(diag2.max()))
+    """Largest cell diameter (Euclidean, over all cells): on a tensor grid,
+    that of the cell with the largest spacing along every axis."""
+    diag2 = 0.0
+    for h in mesh.spacings:
+        diag2 += (h ** 2).max()
+    return float(np.sqrt(diag2))
 
 
 def dump_mesh_tables(mesh: MacMesh, path, cfg_hash=None) -> None:

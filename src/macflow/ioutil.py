@@ -63,8 +63,7 @@ def write_table(path, kind: str, columns, rows, cfg_hash: str | None = None,
     :func:`format_float`, every other value as its ``str``.
     """
     with atomic_write(path) as fh:
-        fh.write(f"# kind: {kind}\n")
-        fh.write("# units: nondimensional\n")
+        fh.write(f"# kind: {kind}\n# units: nondimensional\n")
         if cfg_hash is not None:
             fh.write(f"# config_hash: {cfg_hash}\n")
         if seed is not None:

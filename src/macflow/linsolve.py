@@ -20,12 +20,12 @@ GMRES does not converge; there is no other saddle solve.  The transport
 step is solved by Jacobi sweeps from the old density, which keep it
 inside its bounds at every iterate, with :func:`factor` as the reported
 fallback.  Every LU other than the saddle fallback (preconditioner,
-projection, transport fallback) is :func:`factor`, which does not pivot.
-The true residual decides convergence (:func:`checked_residual`, which
-judges the transport, saddle and projection solves).  The
-pinned Poisson matrix of the Schur term, :func:`pinned_poisson`, with
-unit density also serves the divergence-free projection of
-:mod:`macflow.verify`, which factors it once per mesh.
+projection, transport fallback, inf-sup monitor) is :func:`factor`,
+which does not pivot.  The true residual decides convergence
+(:func:`checked_residual`, which judges the transport, saddle and
+projection solves).  The pinned Poisson matrix of the Schur term,
+:func:`pinned_poisson`, with unit density also serves the divergence-free
+projection of :mod:`macflow.verify`, which factors it once per mesh.
 
 A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
 :class:`SaddleSystem` of the run, and each system carries it to
@@ -108,14 +108,31 @@ def factor(mat):
     None of the three kinds of matrix factored here needs pivoting (Golub
     & Van Loan, *Matrix Computations*, 4th ed., 3.4): the upwind transport
     matrix, factored only when its Jacobi sweeps reach their cap, has
-    diagonally dominant columns for any velocity, the momentum blocks
-    have a positive definite symmetric part, and the pinned pressure
-    Poisson matrices are positive definite once the pin removes the
-    constant nullspace.  Each caller checks its true residual.
+    diagonally dominant columns for any velocity, the momentum and
+    diffusion blocks have a positive definite symmetric part, and the
+    pinned pressure Poisson matrices are positive definite once the pin
+    removes the constant nullspace.  Each caller checks its true residual.
     """
     return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
+
+
+def component_solver(mesh: MacMesh, matrix):
+    """Solve with the velocity block of ``matrix`` taken block-diagonal by
+    component, one :func:`factor` per component; the returned function
+    maps interior velocity vectors (or 2D arrays of them) to solutions.
+    """
+    factors = [(part, factor(matrix[part, part]))
+               for part in mesh.interior_slices if part.stop > part.start]
+
+    def solve(r):
+        z = np.zeros(r.shape)
+        for part, lu in factors:
+            z[part] = lu.solve(r[part])
+        return z
+
+    return solve
 
 
 @dataclass
@@ -476,15 +493,15 @@ def _block_preconditioner(system: SaddleSystem, factors):
     volumes (unit-viscosity limit).  ``K`` is pinned like the saddle, and
     ``M_p^-1`` vanishes at the pinned cell.
 
-    ``factors`` are the LU factors for ``A`` (``(slice, lu)`` per velocity
-    component with unknowns) and ``K``, built from this system or from an
+    ``factors`` are the solve with ``A`` (:func:`component_solver`) and
+    the LU factors of ``K``, built from this system or from an
     earlier step's system with the same ``dt`` (the lagged factors of a
     :class:`SaddleSolver`): they then invert the momentum block and
     density of that step, which still steers GMRES while the density and
     velocity move little, at the cost of a few iterations.
     """
     n_u, n_p = system.n_u, system.n_p
-    components, lu_k = factors
+    solve_u, lu_k = factors
     grad = system.grad
     inv_mass_p = 1.0 / system.mesh.cell_volume
     inv_mass_p[PINNED_CELL] = 0.0
@@ -492,10 +509,7 @@ def _block_preconditioner(system: SaddleSystem, factors):
     def apply(r):
         r_p = r[n_u:]
         z_p = lu_k.solve(r_p) / system.dt + inv_mass_p * r_p
-        r_u = r[:n_u] - grad @ z_p
-        z_u = np.zeros(n_u)
-        for part, lu in components:
-            z_u[part] = lu.solve(r_u[part])
+        z_u = solve_u(r[:n_u] - grad @ z_p)
         return np.concatenate([z_u, z_p])
 
     return spla.LinearOperator((n_u + n_p, n_u + n_p), matvec=apply,
@@ -554,11 +568,9 @@ class SaddleSolver:
             # at 128^2 both have a fill of 1,317,006, but the single LU
             # peaks at 24.2 MiB against 13.4 MiB, and it raised the peak
             # RSS of a 128^2 gyre run from 165 to 171-173 MiB.
-            components = [(part, factor(system.matrix[part, part]))
-                          for part in self.mesh.interior_slices
-                          if part.stop > part.start]
+            solve_u = component_solver(self.mesh, system.matrix)
             lu_k = factor(pinned_poisson(self.grad, 1.0 / system.face_mass))
-            self._factors = (system.dt, (components, lu_k))
+            self._factors = (system.dt, (solve_u, lu_k))
             self._base_iterations = None
         return _block_preconditioner(system, self._factors[1]), refresh
 

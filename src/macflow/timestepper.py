@@ -151,25 +151,21 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
     return SchemeState(t=0.0, index=0, rho=rho, u=u, p=None)
 
 
-def _divergence_field(mesh, u):
-    return ScalarField(mesh, ops.div_velocity(mesh, u))
-
-
-def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
-         saddle: SaddleSolver, forcing=None, bounds=None):
+def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
+         forcing=None, bounds=None):
     """Advance one time level; returns (new_state, StepDiagnostics).
 
-    ``saddle`` is the run's :class:`~macflow.linsolve.SaddleSolver` for
-    ``mesh``; it keeps the matrix pattern, the preconditioner factors and
-    the last solution across steps.  ``forcing`` is an optional callable
-    ``(mesh, t) -> per-direction face arrays`` evaluated at the new time
-    level; a non-finite value on an interior face raises
-    :class:`InvariantViolation` before the saddle solve (wall faces carry
-    no unknown and are not read).  ``bounds`` is the running (min, max)
-    density interval used for the maximum-principle guard; the current
-    density's own bounds are used when omitted.
+    ``saddle`` is the run's :class:`~macflow.linsolve.SaddleSolver`; the
+    step runs on its mesh, and it keeps the matrix pattern, the
+    preconditioner factors and the last solution across steps.
+    ``forcing`` is an optional callable ``(mesh, t) -> per-direction face
+    arrays`` evaluated at the new time level; a non-finite value on an
+    interior face raises :class:`InvariantViolation` before the saddle
+    solve (wall faces carry no unknown and are not read).  ``bounds`` is
+    the running (min, max) density interval used for the maximum-principle
+    guard; the current density's own bounds are used when omitted.
     """
-    dt = cfg.dt
+    mesh, dt = saddle.mesh, cfg.dt
     t_new = state.t + dt
     if bounds is None:
         bounds = (state.rho.min(), state.rho.max())
@@ -191,7 +187,7 @@ def step(mesh: MacMesh, state: SchemeState, cfg: SchemeConfig,
                             forcing=f_arrays)
     u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol)
 
-    div_l2 = norm_l2_cells(_divergence_field(mesh, u_new))
+    div_l2 = norm_l2_cells(ScalarField(mesh, ops.div_velocity(mesh, u_new)))
     if div_l2 > cfg.div_guard:
         raise InvariantViolation(
             f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
@@ -291,16 +287,16 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     bounds = (state.rho.min(), state.rho.max())
     result = RunResult(mesh=mesh, config=cfg_eff, dt=dt, n_steps=n_steps,
                        trajectory=Trajectory(mesh),
-                       initial_div_l2=norm_l2_cells(
-                           _divergence_field(mesh, state.u)))
+                       initial_div_l2=norm_l2_cells(ScalarField(
+                           mesh, ops.div_velocity(mesh, state.u))))
     result.trajectory.append(state.t, state.rho, state.u, None)
 
     forcing = getattr(problem, "forcing", None)
     saddle = SaddleSolver(mesh)
     for k in range(n_steps):
         try:
-            state, diag = step(mesh, state, cfg_eff, saddle,
-                               forcing=forcing, bounds=bounds)
+            state, diag = step(saddle, state, cfg_eff, forcing=forcing,
+                               bounds=bounds)
         except (InvariantViolation, SolverFailure) as exc:
             # attach what completed so callers can keep the partial record
             exc.partial = result

@@ -8,8 +8,8 @@ Three kinds of checks live here:
   per-face kinetic energy balance): random inputs, residuals compared
   against absolute thresholds around 1e-12;
 * bounded-quantity trackers (velocity energy norms, convection trilinear
-  ratios, saddle-point inf-sup health): reported and compared across
-  meshes, no universal constant asserted;
+  ratios, the saddle-point inf-sup constant by sparse LOBPCG): reported
+  and compared across meshes, no universal constant asserted;
 * refinement behavior (time-translate scaling of the velocity, space-time
   convergence against manufactured solutions): fitted slopes and
   level-to-level error reduction factors.
@@ -18,21 +18,28 @@ Three kinds of checks live here:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-import scipy.linalg as la
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .grid import MacMesh, build_uniform_mesh, regularity, mesh_step
 from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
                      fortin_interpolate, norm_l2_cells, norm_lp_dual,
                      norm_h1, norm_h1_squared)
 from . import operators as ops
-from .linsolve import (assemble_divergence, assemble_gradient,
-                       checked_residual, factor, pinned_poisson)
+from .linsolve import (SolverFailure, assemble_divergence,
+                       assemble_gradient, checked_residual, component_solver,
+                       factor, pinned_poisson)
 from .timestepper import (RunResult, SchemeConfig, StepDiagnostics,
                           face_balances, run)
 from .ioutil import write_table
+
+# LOBPCG residual tolerance and iteration cap of the inf-sup monitor.
+INFSUP_TOL = 1e-9
+INFSUP_MAXITER = 300
 
 
 @dataclass
@@ -203,42 +210,35 @@ class DiagnosticsRecord:
 
 def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
     """Aggregate a run's per-step diagnostics into the cumulative record."""
-    u0 = result.trajectory.u[0]
+    steps = result.diagnostics
+
+    def column(name):
+        return [getattr(d, name) for d in steps]
+
     h1_sq_sum = 0.0
-    linf_l2 = norm_lp_dual(u0, 2)
+    linf_l2 = norm_lp_dual(result.trajectory.u[0], 2)
     rho_l2_prev = norm_l2_cells(result.trajectory.rho[0])
     monotone = True
-    for d in result.diagnostics:
+    for d in steps:
         h1_sq_sum += d.ke_dissipation
         linf_l2 = max(linf_l2, d.u_l2)
         if d.rho_l2 > rho_l2_prev * (1 + 1e-12):
             monotone = False
         rho_l2_prev = d.rho_l2
     return DiagnosticsRecord(
-        steps=result.diagnostics,
-        l2h1=math.sqrt(h1_sq_sum),
-        linf_l2=linf_l2,
-        worst_bound_violation=max(
-            (d.bound_violation for d in result.diagnostics), default=0.0),
-        worst_mass_dual=max(
-            (d.mass_dual_resid for d in result.diagnostics), default=0.0),
-        worst_kinetic=max(
-            (d.kinetic_resid for d in result.diagnostics), default=0.0),
-        worst_div=max((d.div_l2 for d in result.diagnostics), default=0.0),
+        steps=steps, l2h1=math.sqrt(h1_sq_sum), linf_l2=linf_l2,
+        worst_bound_violation=max(column("bound_violation"), default=0.0),
+        worst_mass_dual=max(column("mass_dual_resid"), default=0.0),
+        worst_kinetic=max(column("kinetic_resid"), default=0.0),
+        worst_div=max(column("div_l2"), default=0.0),
         rho_l2_monotone=monotone,
-        transport_fallbacks=sum(d.transport_fallback
-                                for d in result.diagnostics),
-        total_transport_sweeps=sum(d.transport_sweeps
-                                   for d in result.diagnostics),
-        max_transport_sweeps=max(
-            (d.transport_sweeps for d in result.diagnostics), default=0),
-        oseen_fallbacks=sum(d.oseen_fallback for d in result.diagnostics),
-        total_oseen_iterations=sum(d.oseen_iterations
-                                   for d in result.diagnostics),
-        max_oseen_iterations=max(
-            (d.oseen_iterations for d in result.diagnostics), default=0),
-        precond_refreshes=sum(d.precond_refresh
-                              for d in result.diagnostics))
+        transport_fallbacks=sum(column("transport_fallback")),
+        total_transport_sweeps=sum(column("transport_sweeps")),
+        max_transport_sweeps=max(column("transport_sweeps"), default=0),
+        oseen_fallbacks=sum(column("oseen_fallback")),
+        total_oseen_iterations=sum(column("oseen_iterations")),
+        max_oseen_iterations=max(column("oseen_iterations"), default=0),
+        precond_refreshes=sum(column("precond_refresh")))
 
 
 # -- time translates -----------------------------------------------------------
@@ -375,6 +375,8 @@ def convergence_study(problem, levels: int = 3, base_cells: int = 16,
     """
     if levels < 3:
         raise ValueError("a convergence study needs at least 3 levels")
+    if base_cells < 2:
+        raise ValueError("a convergence study needs at least 2 base cells")
     if problem.u_exact is None or problem.rho_exact is None:
         raise ValueError(f"preset {problem.name!r} has no exact solution")
     if base_dt is None:
@@ -463,34 +465,41 @@ def measure_convection_bound(mesh: MacMesh, samples: int = 20,
 
 
 def infsup_health(mesh: MacMesh) -> dict:
-    """Smallest nonzero singular value of the scaled divergence block.
+    """Discrete inf-sup constant ``beta`` of the velocity H1 /
+    zero-mean-pressure pairing, and the LOBPCG iterations that found it.
 
-    The divergence block is normalized by the square roots of the cell
-    volumes (rows) and of the component diffusion forms (columns), which
-    makes the value the discrete inf-sup constant of the velocity H1 /
-    zero-mean-pressure pairing.  Dense computation; intended for small
-    monitoring meshes.
+    ``beta**2`` is the smallest eigenvalue of ``D A^-1 D^T p = lam M_p p``
+    (divergence ``D``, component diffusion blocks ``A``, cell volumes
+    ``M_p``, which also precondition it) on pressures ``M_p``-orthogonal
+    to the constants.  The block holds ``dim + 1`` seeded vectors, as the
+    eigenvalue can be ``dim``-fold on a uniform mesh, and LOBPCG needs
+    five unknowns per vector.  Raises :class:`SolverFailure` when the
+    residual exceeds ``INFSUP_TOL`` after ``INFSUP_MAXITER`` iterations.
     """
-    if mesh.n_cells > 4096:
-        raise ValueError("inf-sup monitor is a dense, small-mesh diagnostic")
-    div = assemble_divergence(mesh).toarray()
-    blocks = [ops.diffusion_matrix(mesh, i).toarray()
-              for i in range(mesh.dim)]
-    cols = []
-    for i, blk in enumerate(blocks):
-        if blk.shape[0] == 0:
-            continue
-        w, q = la.eigh(blk)
-        w = np.maximum(w, 1e-300)
-        cols.append(q @ np.diag(1.0 / np.sqrt(w)) @ q.T)
-    inv_sqrt = la.block_diag(*cols) if cols else np.zeros((0, 0))
-    scaled = np.diag(1.0 / np.sqrt(mesh.cell_volume)) @ div @ inv_sqrt
-    svals = np.sort(la.svd(scaled, compute_uv=False))
-    # one zero singular value from the constant-pressure nullspace
-    nonzero = svals[svals > 1e-10 * max(svals.max(), 1e-300)]
-    beta = float(nonzero.min()) if nonzero.size else 0.0
-    return {"beta": beta, "n_cells": mesh.n_cells,
-            "nullspace_dim": int(svals.size - nonzero.size)}
+    n, size = mesh.n_cells, mesh.dim + 1
+    if n - 1 < 5 * size:
+        raise ValueError(f"inf-sup monitor needs at least {5 * size + 1} "
+                         f"cells in {mesh.dim}D (LOBPCG floor), got {n}")
+    div = assemble_divergence(mesh)
+    solve = component_solver(mesh, sp.block_diag(
+        [ops.diffusion_matrix(mesh, i) for i in range(mesh.dim)], "csr"))
+    with warnings.catch_warnings():
+        # non-convergence is judged from the residuals below
+        warnings.filterwarnings("ignore", "(?s).*requested tolerance",
+                                UserWarning)
+        lam, _, history = spla.lobpcg(
+            lambda p: div @ solve(div.T @ p),
+            np.random.default_rng(0).standard_normal((n, size)),
+            B=sp.diags(mesh.cell_volume), M=sp.diags(1.0 / mesh.cell_volume),
+            Y=np.ones((n, 1)), tol=INFSUP_TOL, maxiter=INFSUP_MAXITER,
+            largest=False, retResidualNormsHistory=True)
+    resid = np.max(history[-1])
+    if not resid <= INFSUP_TOL:
+        raise SolverFailure(f"inf-sup LOBPCG residual {resid:.3e} exceeds "
+                            f"{INFSUP_TOL:.1e}")
+    # history rows: the start, each iteration, the final Rayleigh-Ritz step
+    return {"beta": math.sqrt(lam.min()), "n_cells": n,
+            "iterations": len(history) - 2}
 
 
 # -- report output ---------------------------------------------------------------

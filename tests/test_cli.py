@@ -433,8 +433,8 @@ class TestVerifyCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["verify", "--config", path, "--out", str(a)]) == 0
         assert main(["verify", "--config", path, "--out", str(b)]) == 0
-        assert (a / "identity_reports.csv").read_bytes() == \
-            (b / "identity_reports.csv").read_bytes()
+        for name in ("identity_reports.csv", "summary.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestStudyCommand:

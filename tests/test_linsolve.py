@@ -14,9 +14,9 @@ from macflow.linsolve import (GMRES_MAXITER, JACOBI_MAXITER, PINNED_CELL,
                               SaddleSolver,
                               SolverFailure, assemble_divergence,
                               assemble_gradient, assemble_oseen,
-                              assemble_transport, checked_residual, factor,
-                              jacobi_sweeps, pin_row, solve_oseen,
-                              solve_transport)
+                              assemble_transport, checked_residual,
+                              component_solver, factor, jacobi_sweeps,
+                              pin_row, solve_oseen, solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
 from macflow.verify import collect_diagnostics, project_divergence_free
@@ -488,8 +488,8 @@ class TestOseenSolve:
         problem = get_preset("gyre")
         mesh = build_uniform_mesh(problem.domain, (cells, cells))
         cfg = SchemeConfig(dt=0.005, t_end=0.005)
-        _, diag = step(mesh, initialize(mesh, problem), cfg,
-                       SaddleSolver(mesh), forcing=problem.forcing)
+        _, diag = step(SaddleSolver(mesh), initialize(mesh, problem), cfg,
+                       forcing=problem.forcing)
         assert diag.oseen_method == "gmres" and not diag.oseen_fallback
         assert 0 < diag.oseen_iterations <= 25
 
@@ -523,6 +523,19 @@ class TestOseenSolve:
 
 
 class TestSaddleSolver:
+    @pytest.mark.parametrize("cells", [(5, 4), (1, 6), (3, 2, 4)],
+                             ids=["5x4", "1x6", "3x2x4"])
+    def test_component_solver_solves_each_block(self, cells):
+        # a one-cell axis leaves its component without unknowns
+        mesh = graded_mesh(cells, seed=3)
+        matrix = sp.block_diag([ops.diffusion_matrix(mesh, i)
+                                for i in range(mesh.dim)], format="csr")
+        rhs = np.random.default_rng(4).standard_normal((mesh.n_unknowns, 3))
+        solve = component_solver(mesh, matrix)
+        np.testing.assert_allclose(matrix @ solve(rhs), rhs, atol=1e-12)
+        np.testing.assert_allclose(matrix @ solve(rhs[:, 0]), rhs[:, 0],
+                                   atol=1e-12)
+
     def test_refresh_rule(self, mesh2_uniform):
         saddle = SaddleSolver(mesh2_uniform)
         system = random_saddle(mesh2_uniform, seed=18)

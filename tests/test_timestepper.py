@@ -66,7 +66,7 @@ class TestRunIsHandLoop:
         traj = result.trajectory
         assert len(traj) == 5
         for k in range(1, 5):
-            state, diag = step(mesh, state, result.config, saddle,
+            state, diag = step(saddle, state, result.config,
                                forcing=problem.forcing, bounds=bounds)
             assert diag == result.diagnostics[k - 1]
             assert state.rho.values.tobytes() == traj.rho[k].values.tobytes()
@@ -83,7 +83,7 @@ class TestOneStepResidual:
         mesh = mesh16()
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         state = initialize(mesh, problem)
-        new, diag = step(mesh, state, cfg, SaddleSolver(mesh),
+        new, diag = step(SaddleSolver(mesh), state, cfg,
                          forcing=problem.forcing)
 
         f = problem.forcing(mesh, new.t)
@@ -112,7 +112,7 @@ class TestOneStepResidual:
         mesh = mesh16()
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         state = initialize(mesh, problem)
-        new, diag = step(mesh, state, cfg, SaddleSolver(mesh),
+        new, diag = step(SaddleSolver(mesh), state, cfg,
                          forcing=problem.forcing)
         div = ops.div_velocity(mesh, new.u)
         assert norm_l2_cells(ScalarField(mesh, div)) < 1e-9
@@ -136,7 +136,7 @@ class TestForcingGuard:
             return arrays
 
         cfg = SchemeConfig(dt=0.01, t_end=0.01)
-        return step(mesh, initialize(mesh, problem), cfg, SaddleSolver(mesh),
+        return step(SaddleSolver(mesh), initialize(mesh, problem), cfg,
                     forcing=forcing)
 
     def test_non_finite_interior_forcing_rejected(self):

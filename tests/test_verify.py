@@ -6,16 +6,36 @@ from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+from macflow import operators as ops
 from macflow.grid import build_uniform_mesh
 from macflow.fields import VelocityField, norm_lp_dual
-from macflow.linsolve import SaddleSolver, factor
+from macflow.linsolve import (SaddleSolver, SolverFailure,
+                              assemble_divergence, factor)
 from macflow.presets import get_preset
 from macflow.timestepper import (SchemeConfig, SchemeState,
                                  StepDiagnostics, initialize, run, step)
 from macflow import verify
 
 from conftest import graded_mesh
+
+
+def dense_infsup(mesh):
+    """Dense oracle of the inf-sup monitor: the singular values, in
+    ascending order, and left singular vectors of the divergence block
+    scaled by the inverse square roots of the cell volumes (rows) and of
+    the component diffusion blocks (columns)."""
+    cols = []
+    for i in range(mesh.dim):
+        blk = ops.diffusion_matrix(mesh, i).toarray()
+        if blk.shape[0]:
+            w, q = la.eigh(blk)
+            cols.append(q @ np.diag(1.0 / np.sqrt(w)) @ q.T)
+    scaled = (assemble_divergence(mesh).toarray() @ la.block_diag(*cols)
+              / np.sqrt(mesh.cell_volume)[:, None])
+    left, svals, _ = la.svd(scaled)
+    return svals[::-1], left[:, ::-1]
 
 
 def gyre_run(n=16, dt=0.005, t_end=0.1):
@@ -92,8 +112,7 @@ class TestKineticCheck:
         state = initialize(mesh, problem)
         saddle = SaddleSolver(mesh)
         for _ in range(3):
-            new, diag = step(mesh, state, cfg, saddle,
-                             forcing=problem.forcing)
+            new, diag = step(saddle, state, cfg, forcing=problem.forcing)
             rep = verify.check_kinetic(
                 mesh, state, new, cfg.dt,
                 forcing_arrays=problem.forcing(mesh, new.t))
@@ -173,6 +192,12 @@ class TestConvergence:
         with pytest.raises(ValueError):
             verify.convergence_study(problem, levels=2)
 
+    @pytest.mark.parametrize("base_cells", [0, 1])
+    def test_requires_two_base_cells(self, base_cells):
+        problem = get_preset("rest")
+        with pytest.raises(ValueError, match="base cells"):
+            verify.convergence_study(problem, base_cells=base_cells)
+
     def test_requires_exact_solution(self):
         problem = get_preset("rest")
         object.__setattr__(problem, "u_exact", None)
@@ -204,14 +229,46 @@ class TestMonitors:
         assert calls == [(mesh.n_cells, mesh.n_cells)]
 
     def test_infsup_positive_with_single_nullvector(self, mesh2_uniform):
-        health = verify.infsup_health(mesh2_uniform)
-        assert health["beta"] > 0
-        assert health["nullspace_dim"] == 1
+        assert verify.infsup_health(mesh2_uniform)["beta"] > 0
+        # the oracle's only pressure null vector is the constant
+        svals, left = dense_infsup(mesh2_uniform)
+        assert svals[0] < 1e-12 * svals[-1] < svals[1]
+        null = left[:, 0] / np.sqrt(mesh2_uniform.cell_volume)
+        np.testing.assert_allclose(null / null[0], 1.0, rtol=1e-10)
 
-    def test_infsup_rejects_large_mesh(self):
+    @pytest.mark.parametrize("cells,graded", [
+        ((5, 4), False), ((5, 4), True), ((3, 3, 3), False),
+        ((3, 3, 3), True), ((16, 16), False), ((16, 16), True),
+        ((8, 8, 8), False)], ids=lambda v: (
+            "x".join(map(str, v)) if isinstance(v, tuple)
+            else "graded" if v else "uniform"))
+    def test_infsup_matches_dense_oracle(self, cells, graded):
+        mesh = (graded_mesh(cells, seed=7) if graded else
+                build_uniform_mesh([[0, 1]] * len(cells), cells))
+        svals, _ = dense_infsup(mesh)
+        assert svals[0] < 1e-12 * svals[-1] < svals[1]
+        health = verify.infsup_health(mesh)
+        assert health["n_cells"] == mesh.n_cells
+        assert 0 < health["iterations"] < verify.INFSUP_MAXITER
+        assert abs(health["beta"] - svals[1]) <= 1e-12 * svals[1]
+
+    def test_infsup_on_large_mesh(self):
+        # beta falls with refinement and flattens: 0.4763 at 64^2, 0.4659
+        # at 128^2
         mesh = build_uniform_mesh([[0, 1], [0, 1]], (80, 80))
-        with pytest.raises(ValueError):
+        assert 0.4659 < verify.infsup_health(mesh)["beta"] < 0.4763
+
+    @pytest.mark.parametrize("cells", [(1, 1), (2, 1)], ids=["1x1", "2x1"])
+    def test_infsup_rejects_mesh_below_floor(self, cells):
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], cells)
+        with pytest.raises(ValueError, match="LOBPCG floor"):
             verify.infsup_health(mesh)
+
+    def test_infsup_raises_without_convergence(self, mesh2_uniform,
+                                               monkeypatch):
+        monkeypatch.setattr(verify, "INFSUP_MAXITER", 1)
+        with pytest.raises(SolverFailure, match="inf-sup"):
+            verify.infsup_health(mesh2_uniform)
 
 
 class TestCollectDiagnostics:
