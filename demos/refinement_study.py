@@ -1,7 +1,7 @@
 """Measure convergence rates against an exact unsteady solution.
 
 The time-modulated gyre has closed-form density, velocity, and pressure;
-a symbolically derived momentum source makes them an exact solution of
+a closed-form momentum source makes them an exact solution of
 the continuous equations.  Halving the mesh width and the time step
 together should roughly quarter the velocity error (the staggered
 layout is second-order accurate in space on uniform meshes) and halve

@@ -14,7 +14,7 @@ The pieces compose bottom-up:
 * :mod:`macflow.timestepper` -- the two-stage time loop (mass transport,
   then velocity/pressure update) with invariant guards and diagnostics;
 * :mod:`macflow.presets` -- manufactured problems with closed-form
-  solutions and symbolically derived forcing;
+  solutions and forcing;
 * :mod:`macflow.verify` -- identity batteries, estimate trackers, and
   refinement studies;
 * :mod:`macflow.cli` -- the ``macflow`` command (run / verify / study).

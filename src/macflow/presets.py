@@ -9,13 +9,18 @@ the manufactured presets:
 * the walls are impervious and no-slip, so exact velocities must vanish
   on the boundary.
 
-Both manufactured presets come from one builder, ``_stream_preset``: the
-velocity ``c(t) curl S`` of a stream shape ``S`` with double-zero boundary
-factors, and a density that is a function of ``S`` alone, hence constant
-along streamlines and exactly transported.  The momentum source is the
-non-conservative ``rho (d_t u + u . grad u) - lap u + grad p`` of
-:func:`manufactured_forcing`: exact because the density passes its
-symbolic transport check, and free of derivatives of the density.
+Both manufactured presets come from one builder, ``_stream_preset``, in
+closed form: a separable stream shape ``S = a(x) a(y)`` whose profile
+``a`` has a double zero at both walls, the velocity ``c(t) curl S``, and a
+density that is a function of ``S`` alone, hence constant along
+streamlines and exactly transported.  The momentum source is the
+non-conservative ``rho (d_t u + u . grad u) - lap u + grad p``, written
+out from the profile's first three derivatives; it takes no derivative of
+the density, and equals the scheme's conservative form because the
+density is transported.  Every preset callable evaluates numpy
+expressions only.  :func:`manufactured_forcing` derives the same source
+symbolically, with a transport check, for fields given as sympy
+expressions.
 
 Presets
 -------
@@ -42,6 +47,7 @@ centers for the requested time.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,7 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sym
 
-from .fields import sample_at_faces
+from .fields import VelocityField, sample_at_faces
 from .grid import MacMesh
 
 
@@ -74,14 +80,6 @@ def _constant(value):
     def fn(*coords):
         return np.full_like(np.asarray(coords[0], dtype=float), value)
     return fn
-
-
-def _wrap_space_time(fn, tv):
-    def wrapped(*coords):
-        out = fn(*coords, tv)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               np.asarray(coords[0]).shape).copy()
-    return wrapped
 
 
 def _vanishes(expr) -> bool:
@@ -125,8 +123,10 @@ def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
     f_fns = [sym.lambdify(args, fi, modules="numpy") for fi in f_exprs]
 
     def forcing(mesh: MacMesh, tv: float):
-        return sample_at_faces(
-            mesh, [_wrap_space_time(f, tv) for f in f_fns]).components
+        # a constant expression lambdifies to a scalar
+        return VelocityField(mesh, [
+            np.broadcast_to(f(*fs.center.T, tv), (fs.count,))
+            for f, fs in zip(f_fns, mesh.faces)]).components
 
     return forcing
 
@@ -149,25 +149,74 @@ def make_rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:
         rho_bounds=(density, density))
 
 
-def _stream_preset(name, shape, modulation, density, pressure, rho_bounds):
-    """Exact solution in the unit square: with ``S = shape(x, y)``, the
-    velocity ``modulation(t) * (dS/dy, -dS/dx)``, the density
-    ``density(S)`` and the pressure ``pressure(x, y, t)``."""
-    x, y, t = sym.symbols("x y t", real=True)
-    s, c = shape(x, y), modulation(t)
-    rho, p = density(s), pressure(x, y, t)
-    u_exprs = (c * sym.diff(s, y), -c * sym.diff(s, x))
-    rho_t, p_fn, *u_fns = [sym.lambdify((x, y, t), e, modules="numpy")
-                           for e in (rho, p, *u_exprs)]
+def _stream_preset(name, profile, modulation, density, pressure,
+                   rho_bounds):
+    """Exact solution in the unit square, in closed form: the stream shape
+    ``S = a(x) a(y)`` with ``profile(s) -> (a, a', a'', a''')``, the
+    velocity ``c (dS/dy, -dS/dx)`` with ``modulation(t) -> (c, c')``, the
+    density ``density(S)`` and the pressure with its gradient,
+    ``pressure(x, y, t) -> (p, dp/dx, dp/dy)``.
+
+    The density is transported without a check: it is a function of the
+    steady ``S``, which the velocity ``c curl S`` carries along its own
+    level sets.
+    """
+    def rho(x, y):
+        return density(profile(x)[0] * profile(y)[0])
+
+    def velocity(tv):
+        c = modulation(tv)[0]
+        return [lambda x, y: c * profile(x)[0] * profile(y)[1],
+                lambda x, y: -c * profile(x)[1] * profile(y)[0]]
+
+    def forcing(mesh: MacMesh, tv: float):
+        c, dc = modulation(tv)
+
+        # a, a1, a2, a3 profile x and b, b1, b2, b3 profile y, so that
+        # S_x = a1 b, S_y = a b1, S_xx = a2 b, S_xy = a1 b1, S_yy = a b2
+        def f_x(x, y):
+            (a, a1, a2, a3), (b, b1, b2, b3) = profile(x), profile(y)
+            s_x, s_y = a1 * b, a * b1
+            accel = dc * s_y + c * c * (s_y * a1 * b1 - s_x * a * b2)
+            return (density(a * b) * accel - c * (a2 * b1 + a * b3)
+                    + pressure(x, y, tv)[1])
+
+        def f_y(x, y):
+            (a, a1, a2, a3), (b, b1, b2, b3) = profile(x), profile(y)
+            s_x, s_y = a1 * b, a * b1
+            accel = -dc * s_x + c * c * (s_x * a1 * b1 - s_y * a2 * b)
+            return (density(a * b) * accel + c * (a3 * b + a1 * b2)
+                    + pressure(x, y, tv)[2])
+
+        return sample_at_faces(mesh, [f_x, f_y]).components
+
     return ProblemSetup(
         name=name, dim=2, domain=((0.0, 1.0), (0.0, 1.0)),
-        rho0=_wrap_space_time(rho_t, 0.0),
-        u0=[_wrap_space_time(f, 0.0) for f in u_fns],
-        forcing=manufactured_forcing((x, y), t, rho, u_exprs, p),
-        rho_exact=lambda tv: _wrap_space_time(rho_t, tv),
-        u_exact=lambda tv: [_wrap_space_time(f, tv) for f in u_fns],
-        p_exact=lambda tv: _wrap_space_time(p_fn, tv),
+        rho0=rho, u0=velocity(0.0), forcing=forcing,
+        rho_exact=lambda tv: rho, u_exact=velocity,
+        p_exact=lambda tv: lambda x, y: pressure(x, y, tv)[0],
         rho_bounds=rho_bounds)
+
+
+def _zero_pressure(x, y, tv):
+    zero = np.zeros_like(x)
+    return zero, zero, zero
+
+
+def _sine_profile(s):
+    """``sin(pi s)^2`` and its first three derivatives ``pi sin(2 pi s)``,
+    ``2 pi^2 cos(2 pi s)`` and ``-4 pi^3 sin(2 pi s)``, from one sine and
+    one cosine of ``pi s``."""
+    sn, cs = np.sin(np.pi * s), np.cos(np.pi * s)
+    a1 = 2 * np.pi * sn * cs
+    return (sn * sn, a1, 2 * np.pi ** 2 * (cs - sn) * (cs + sn),
+            -4 * np.pi ** 2 * a1)
+
+
+def _quartic_profile(s):
+    """``q^2`` with ``q = 4 s (1 - s)``, and its first three derivatives."""
+    q, dq = 4 * s * (1 - s), 4 - 8 * s
+    return q * q, 2 * q * dq, 2 * (dq * dq - 8 * q), -48 * dq
 
 
 def make_gyre(amplitude: float = 0.15,
@@ -176,13 +225,19 @@ def make_gyre(amplitude: float = 0.15,
     ``amplitude cos(2 pi t) S`` with ``S = (sin(pi x) sin(pi y))^2``,
     density ``1 + S/2`` and pressure ``pressure_amplitude cos(2 pi t)
     cos(pi x) cos(pi y)``."""
+    def modulation(tv):
+        return (amplitude * math.cos(2 * math.pi * tv),
+                -2 * math.pi * amplitude * math.sin(2 * math.pi * tv))
+
+    def pressure(x, y, tv):
+        amp = pressure_amplitude * math.cos(2 * math.pi * tv)
+        cx, cy = np.cos(np.pi * x), np.cos(np.pi * y)
+        return (amp * cx * cy, -np.pi * amp * np.sin(np.pi * x) * cy,
+                -np.pi * amp * cx * np.sin(np.pi * y))
+
     return _stream_preset(
-        "gyre",
-        shape=lambda x, y: (sym.sin(sym.pi * x) * sym.sin(sym.pi * y)) ** 2,
-        modulation=lambda t: amplitude * sym.cos(2 * sym.pi * t),
-        density=lambda s: 1 + s / 2,
-        pressure=lambda x, y, t: (pressure_amplitude * sym.cos(2 * sym.pi * t)
-                                  * sym.cos(sym.pi * x) * sym.cos(sym.pi * y)),
+        "gyre", profile=_sine_profile, modulation=modulation,
+        density=lambda s: 1 + s / 2, pressure=pressure,
         rho_bounds=(1.0, 1.5))
 
 
@@ -204,11 +259,10 @@ def make_rotating_patch(strength: float = 0.5,
     if width <= 0:
         raise ValueError(f"width must be positive, got {width!r}")
     return _stream_preset(
-        "rotating-patch",
-        shape=lambda x, y: (4 * x * (1 - x) * 4 * y * (1 - y)) ** 2,
-        modulation=lambda t: sym.Rational(1, 8) * strength,
-        density=lambda s: 1 + amplitude * sym.exp(-((s - 1) / width) ** 2),
-        pressure=lambda x, y, t: sym.Integer(0),
+        "rotating-patch", profile=_quartic_profile,
+        modulation=lambda tv: (strength / 8, 0.0),
+        density=lambda s: 1 + amplitude * np.exp(-((s - 1) / width) ** 2),
+        pressure=_zero_pressure,
         rho_bounds=(min(1.0, 1.0 + amplitude), max(1.0, 1.0 + amplitude)))
 
 
@@ -226,16 +280,22 @@ def available_presets():
 def get_preset(name: str, **kwargs) -> ProblemSetup:
     """Look up a preset by name; keyword arguments reach its factory.
 
-    A parameter that is not a finite real number (a ``bool``, a string,
-    ``nan``) raises ``ValueError`` naming it: sympy would fold a ``nan``
-    away (``nan * psi`` becomes a zero velocity) rather than fail.
+    A keyword the preset does not take raises ``TypeError`` naming the
+    parameters it accepts.  A parameter that is not a finite real number
+    (a ``bool``, a string, ``nan``) raises ``ValueError`` naming it: a
+    ``nan`` would otherwise flow silently into the closed-form initial data
+    and forcing, and fail only later, far from its cause.
     """
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {available_presets()}")
+    accepted = inspect.signature(factory).parameters
     for key, value in kwargs.items():
+        if key not in accepted:
+            raise TypeError(f"preset {name!r} has no parameter {key!r}; "
+                            f"it accepts {', '.join(accepted)}")
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"parameter {key!r} must be a real number, "
                              f"got {value!r}")

@@ -143,6 +143,11 @@ class TestConfigValidation:
                            "{preset: gyre, params: {amplitude: 1e-1}}")
          + "time: {t_end: 0.02, dt: 0.01}\n",
          "'amplitude' must be a real number"),
+        (_RUNNABLE.replace("{preset: gyre}", "{preset: rotating-patch, "
+                           "params: {foo: 1}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "preset 'rotating-patch' has no parameter 'foo'; it accepts "
+         "strength, amplitude, width"),
         (_RUNNABLE.replace("{preset: gyre}",
                            "{preset: rest, params: {density: -1.0}}")
          + "time: {t_end: 0.02, dt: 0.01}\n", "density must be positive"),
@@ -166,6 +171,7 @@ class TestConfigValidation:
             "scalar-domain", "3d-mesh-2d-preset",
             "boolean-dt", "nonpositive-density-amplitude", "zero-width",
             "boolean-preset-param", "text-preset-param",
+            "unknown-preset-param",
             "rest-negative-density", "rest-zero-density", "number-directory",
             "text-mesh-tables", "directory-config", "latin1-config"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,

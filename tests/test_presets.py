@@ -7,7 +7,7 @@ import sympy as sym
 from conftest import graded_mesh
 from macflow.grid import build_uniform_mesh
 from macflow.presets import _vanishes, get_preset, manufactured_forcing
-from macflow.timestepper import SchemeConfig, run
+from macflow.timestepper import SchemeConfig, initialize, run
 
 x, y, t = sym.symbols("x y t", real=True)
 GYRE_SHAPE = (sym.sin(sym.pi * x) * sym.sin(sym.pi * y)) ** 2
@@ -73,14 +73,38 @@ ORACLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name, tv", [("gyre", 0.0), ("gyre", 0.3),
-                                      ("rotating-patch", 0.0)])
+def transport_residual(psi, rho):
+    """``d_t rho + div(rho u)`` for the velocity ``(d psi/dy, -d psi/dx)``."""
+    return (sym.diff(rho, t) + sym.diff(rho * sym.diff(psi, y), x)
+            - sym.diff(rho * sym.diff(psi, x), y))
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_oracle_density_is_transported(name):
+    # the built-in presets run no symbolic transport check; this is it
+    _, psi, rho, _ = ORACLE_CASES[name]
+    assert sym.expand_mul(transport_residual(psi, rho)) == 0
+
+
+def assert_matches(got, want, least=0.0):
+    scale = np.abs(want).max()
+    assert scale >= least
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name, tv", [(name, tv) for name in ORACLE_CASES
+                                      for tv in (0.0, 0.3, 0.55)])
 def test_forcing_matches_conservative_source(name, tv):
+    # every callable of the preset against its symbolic oracle: the
+    # forcing at interior faces, the velocity at all faces, the density
+    # and the pressure at cell centers
     params, psi, rho, p = ORACLE_CASES[name]
     problem = get_preset(name, **params)
     mesh = graded_mesh((11, 9), seed=5)
     forcing = problem.forcing(mesh, tv)
     oracle = conservative_source(psi, rho, p)
+    u_oracle = [sym.lambdify((x, y, t), e, modules="numpy")
+                for e in (sym.diff(psi, y), -sym.diff(psi, x))]
     got, want = [], []
     for i in range(2):
         faces = mesh.faces[i]
@@ -88,10 +112,30 @@ def test_forcing_matches_conservative_source(name, tv):
         got.append(forcing[i][faces.interior_idx])
         want.append(np.broadcast_to(oracle[i](c[:, 0], c[:, 1], tv),
                                     (faces.n_interior,)))
-    got, want = np.concatenate(got), np.concatenate(want)
-    scale = np.abs(want).max()
-    assert scale > 0.1
-    assert np.abs(got - want).max() <= 1e-13 * scale
+        xf, yf = faces.center.T
+        assert_matches(problem.u_exact(tv)[i](xf, yf),
+                       u_oracle[i](xf, yf, tv), least=1e-3)
+    assert_matches(np.concatenate(got), np.concatenate(want), least=0.1)
+    xc, yc = mesh.cell_center.T
+    for exact, expr in ((problem.rho_exact, rho), (problem.p_exact, p)):
+        fn = sym.lambdify((x, y, t), expr, modules="numpy")
+        assert_matches(exact(tv)(xc, yc),
+                       np.broadcast_to(fn(xc, yc, tv), xc.shape))
+
+
+def test_presets_run_without_symbolic_tooling(monkeypatch):
+    # the built-in presets are closed forms: building, forcing and
+    # initializing them must not differentiate, lambdify or simplify
+    def refuse(*args, **kwargs):
+        raise AssertionError("symbolic tooling on the run path")
+
+    for tool in ("diff", "lambdify", "simplify", "expand_mul"):
+        monkeypatch.setattr(sym, tool, refuse)
+    mesh = build_uniform_mesh(((0.0, 1.0), (0.0, 1.0)), (8, 8))
+    for name in ("gyre", "rotating-patch"):
+        problem = get_preset(name)
+        assert all(np.isfinite(f).all() for f in problem.forcing(mesh, 0.3))
+        initialize(mesh, problem)
 
 
 def test_light_patch_keeps_density_in_bounds():
