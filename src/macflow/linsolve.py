@@ -14,16 +14,15 @@ to zero volume-weighted mean afterwards.
 A time step solves the pinned saddle system by GMRES with a
 Cahouet-Chabard block preconditioner: one LU per velocity component for
 the momentum block, and a variable-density pressure Poisson solve plus a
-pressure mass solve for the Schur complement.  Sparse LU of the whole
-pinned matrix, with partial pivoting, is the reported fallback when
-GMRES does not converge; there is no other saddle solve.  The transport
-step is solved by Jacobi sweeps from the old density, which keep it
-inside its bounds at every iterate, with :func:`factor` as the reported
-fallback.  Every LU other than the saddle fallback (preconditioner,
+pressure mass solve for the Schur complement.  The transport step is
+solved by Jacobi sweeps from the old density, which keep it inside its
+bounds at every iterate.  One routine, :func:`_accept`, decides the
+outcome of both solves: it keeps the iterate when the iteration
+converged and the true residual passes (:func:`checked_residual`), and
+otherwise solves by LU and reports the fallback.  The saddle fallback is
+the one LU with partial pivoting; every other LU (preconditioner,
 projection, transport fallback, inf-sup monitor) is :func:`factor`,
-which does not pivot.  The true residual decides convergence
-(:func:`checked_residual`, which judges the transport, saddle and
-projection solves).  The pinned Poisson matrix of the Schur term,
+which does not pivot.  The pinned Poisson matrix of the Schur term,
 :func:`pinned_poisson`, with unit density also serves the divergence-free
 projection of :mod:`macflow.verify`, which factors it once per mesh.
 
@@ -33,14 +32,14 @@ A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
 matrix once (:class:`SaddlePattern`: the mesh-constant gradient,
 divergence and diffusion values, and the positions the face masses and
 the convection land on), so a step only fills values, and each GMRES
-solve starts from the last accepted solution.  It keeps the
-preconditioner's LU factors from step to step: the density stays inside
-its initial bounds (discrete maximum principle), so the variable-density
-Poisson matrix moves within a bounded spectral band, and the momentum
-blocks move by O(dt).  The factors are rebuilt by a fixed rule (see
-:class:`SaddleSolver`), and each solve reports whether it factored.
-Stale factors can cost iterations, never accuracy, since the true
-residual decides.
+solve starts from the last accepted solution.  It builds, keeps and
+applies the block preconditioner, whose LU factors live from step to
+step: the density stays inside its initial bounds (discrete maximum
+principle), so the variable-density Poisson matrix moves within a
+bounded spectral band, and the momentum blocks move by O(dt).  The
+factors are rebuilt by a fixed rule (see :class:`SaddleSolver`), and
+each solve reports whether it factored.  Stale factors can cost
+iterations, never accuracy, since the true residual decides.
 """
 
 from __future__ import annotations
@@ -65,11 +64,11 @@ from . import operators as ops
 # tolerance itself, 2.0e-15 at 1e-3 of it (3.2e-16 with LU).
 KRYLOV_TARGET = 1e-3
 
-# Restart length and iteration cap of the GMRES saddle solve; a solve
-# that reaches the cap falls back to LU.  SciPy counts its ``maxiter`` in
-# restart cycles, so the solve passes the whole cycles that cover the cap.
+# Restart length and cycle cap of the GMRES saddle solve: at most 300
+# iterations, fewer when a cycle ends early on SciPy's inner test; a solve
+# that reaches the cap falls back to LU.
 GMRES_RESTART = 50
-GMRES_MAXITER = 300
+GMRES_CYCLES = 6
 
 # Sweep cap of the Jacobi transport solve; a solve that reaches it falls
 # back to LU.  A sweep contracts the error by about CFL/(1+CFL): the
@@ -152,6 +151,28 @@ class SolveReport:
     precond_refresh: bool = False
 
 
+def _accept(mat, rhs, x, converged: bool, tol: float, what: str,
+            method: str, direct, **counts):
+    """The solution of ``mat x = rhs`` and its :class:`SolveReport`.
+
+    The iterate ``x`` of ``method`` is kept when the iteration
+    ``converged`` and its relative true residual is at most ``tol``.
+    Otherwise LU, ``direct(mat)`` of the CSC matrix, produces the solution,
+    reported as ``method`` ``direct`` with ``fallback`` set.  Its residual
+    must pass too, or :class:`SolverFailure`, naming ``what``, is raised.
+    ``counts`` (iterations, refresh) go into the report as they are.
+    """
+    if converged:
+        try:
+            rel = checked_residual(mat, x, rhs, tol, what)
+            return x, SolveReport(method, rel, **counts)
+        except SolverFailure:
+            pass
+    x = direct(mat.tocsc()).solve(rhs)
+    rel = checked_residual(mat, x, rhs, tol, what)
+    return x, SolveReport("direct", rel, fallback=True, **counts)
+
+
 # -- transport ---------------------------------------------------------------
 
 def assemble_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
@@ -164,11 +185,8 @@ def assemble_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     sums of the flux part vanish, which yields the discrete maximum
     principle and the L2 contraction of the solve.
     """
-    rows, cols, vals = [], [], []
-    diag = mesh.cell_volume / dt
-    rows.append(np.arange(mesh.n_cells))
-    cols.append(np.arange(mesh.n_cells))
-    vals.append(diag)
+    cells = np.arange(mesh.n_cells)
+    rows, cols, vals = [cells], [cells], [mesh.cell_volume / dt]
     for i in range(mesh.dim):
         fs = mesh.faces[i]
         idx = fs.interior_idx
@@ -229,25 +247,15 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     Jacobi sweeps from the old density (:func:`jacobi_sweeps`) run to a
     relative residual of ``KRYLOV_TARGET * tol``, or until rounding stops
     them; the report gives the sweeps (``method`` ``jacobi``).  When they
-    reach ``JACOBI_MAXITER``, or stop short of ``tol``, LU of the matrix
-    produces the solution and the report says so (``fallback`` set,
-    ``method`` ``direct``).  Either way the relative true residual must
-    be at most ``tol``, or :class:`SolverFailure` is raised.
+    reach ``JACOBI_MAXITER``, or stop short of ``tol``, :func:`_accept`
+    solves by :func:`factor` and reports the fallback.
     """
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
     values, sweeps = jacobi_sweeps(mat, rhs, rho_old.values,
                                    KRYLOV_TARGET * tol, JACOBI_MAXITER)
-    fallback = sweeps == JACOBI_MAXITER
-    if not fallback:
-        try:
-            rel = checked_residual(mat, values, rhs, tol, "transport solve")
-        except SolverFailure:
-            fallback = True
-    if fallback:
-        values = factor(mat).solve(rhs)
-        rel = checked_residual(mat, values, rhs, tol, "transport solve")
-    report = SolveReport(method="direct" if fallback else "jacobi",
-                         residual=rel, iterations=sweeps, fallback=fallback)
+    values, report = _accept(mat, rhs, values, sweeps < JACOBI_MAXITER, tol,
+                             "transport solve", "jacobi", factor,
+                             iterations=sweeps)
     return ScalarField(mesh, values), report
 
 
@@ -272,6 +280,7 @@ def pinned_poisson(grad, weights) -> sp.csr_matrix:
     return pin_row(grad.T @ sp.diags(weights) @ grad, PINNED_CELL)
 
 
+@dataclass
 class SaddleSystem:
     """Assembled one-step momentum and continuity equations.
 
@@ -289,34 +298,28 @@ class SaddleSystem:
                  from the cell outflow stencil; equals minus the transpose
                  of grad).
 
-    ``saddle`` is the :class:`SaddleSolver` that assembled the system and
-    solves it; ``mesh`` and ``grad`` are its own.  ``dt`` and
-    ``face_mass`` are kept for the Krylov preconditioner.  ``fluxes`` (the
-    upwind mass fluxes of the convection) and the dual densities
-    ``rho_dual_old``/``rho_dual_new`` that :func:`assemble_oseen` built
-    the blocks from are kept for the step diagnostics.
+    ``rhs`` is the right-hand side of the pinned system (zero in the
+    continuity rows).  ``saddle`` is the :class:`SaddleSolver` that
+    assembled the system and solves it; its mesh and gradient block are
+    the system's.  ``dt`` and ``face_mass`` are kept for the Krylov
+    preconditioner.  ``fluxes`` (the upwind mass fluxes of the convection)
+    and the dual densities ``rho_dual_old``/``rho_dual_new`` that
+    :func:`assemble_oseen` built the blocks from are kept for the step
+    diagnostics.
     """
 
-    def __init__(self, saddle, matrix, rhs_u, dt, face_mass, fluxes,
-                 rho_dual_old, rho_dual_new):
-        self.saddle = saddle
-        self.mesh = saddle.mesh
-        self.grad = saddle.grad
-        self.matrix = matrix
-        self.rhs_u = rhs_u
-        self.dt = float(dt)
-        self.face_mass = face_mass
-        self.fluxes = fluxes
-        self.rho_dual_old = rho_dual_old
-        self.rho_dual_new = rho_dual_new
-        self.n_u, self.n_p = self.grad.shape
+    saddle: SaddleSolver
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    dt: float
+    face_mass: np.ndarray
+    fluxes: list
+    rho_dual_old: list
+    rho_dual_new: list
 
     def full_matrix(self) -> sp.csr_matrix:
         """Pinned saddle matrix (one continuity row swapped for the pin)."""
         return self.matrix
-
-    def full_rhs(self) -> np.ndarray:
-        return np.concatenate([self.rhs_u, np.zeros(self.n_p)])
 
 
 def assemble_divergence(mesh: MacMesh) -> sp.csr_matrix:
@@ -364,20 +367,17 @@ class SaddlePattern:
     only the face masses and the convection values change from step to
     step.  The pattern holds ``indptr`` and ``indices`` of that matrix, its
     mesh-constant data ``base`` (diffusion, gradient, divergence and the
-    pin's 1.0), the position ``diag`` of each momentum diagonal, and what
-    places the convection of :func:`macflow.operators.convection_matrix`:
+    pin's 1.0), the position ``diag`` of each momentum diagonal, and one
+    scatter for the convection: ``conv`` holds the position of every COO
+    entry of :func:`macflow.operators.convection_matrix` in its COO order
+    (each component's low rows, then its high rows), and ``src`` the half
+    flux it takes from ``[half_fluxes, -half_fluxes]``, so the second half
+    gives the high rows their minus sign.  Summed in that order, each
+    diagonal keeps the bits of the CSR conversion of
+    ``convection_matrix``; every other position gets one entry.
 
-    * each dual interface with two interior faces puts its half flux at
-      the position ``upper`` of (low face, high face) and minus it at
-      ``lower``, (high face, low face), taking it from ``off_src`` of the
-      stacked half fluxes; no other interface reaches those positions;
-    * a diagonal sums the half fluxes ``diag_src`` of its interfaces,
-      plus on the rows ``diag_rows[:n_low]`` (low sides), minus on the
-      rest, in the order in which the CSR conversion of
-      ``convection_matrix`` sums them, so every value keeps its bits.
-
-    Indices are ``int32``; the key table that finds the positions is
-    dropped after construction.
+    Indices are ``int32``, in one buffer; the key table that finds the
+    positions is dropped after construction.
     """
 
     def __init__(self, mesh: MacMesh, grad, div):
@@ -401,34 +401,26 @@ class SaddlePattern:
         self.indices = template.indices
         self.base = template.data
 
-        rows, src = ([], []), ([], [])   # diagonal entries: low, high
-        upper, lower, off_src = [], [], []
-        half_start = 0
+        n_half = sum(t.face_lo.size for t in mesh.dual_interfaces)
+        conv, src, half_start = [], [], 0
         for fs, t, start in zip(mesh.faces, mesh.dual_interfaces,
                                 (s.start for s in mesh.interior_slices)):
             lo = start + fs.interior_dof[t.face_lo]
             hi = start + fs.interior_dof[t.face_hi]
-            for k, side in enumerate((lo, hi)):
-                keep = np.flatnonzero(side >= start)
-                rows[k].append(side[keep])
-                src[k].append(half_start + keep)
-            both = np.flatnonzero((lo >= start) & (hi >= start))
-            upper.append(locate(lo[both], hi[both]))
-            lower.append(locate(hi[both], lo[both]))
-            off_src.append(half_start + both)
+            for row, first in ((lo, half_start), (hi, n_half + half_start)):
+                for col in (lo, hi):
+                    keep = np.flatnonzero((row >= start) & (col >= start))
+                    conv.append(locate(row[keep], col[keep]))
+                    src.append(first + keep)
             half_start += t.face_lo.size
-        self.n_low = sum(r.size for r in rows[0])
 
         # One int32 buffer holds every index array: a single long-lived
         # allocation, which leaves no pieces in the heap among the
         # temporaries of the steps.
-        parts = ([locate(np.arange(n_u), np.arange(n_u))], rows[0] + rows[1],
-                 src[0] + src[1], upper, lower, off_src)
-        buf = np.concatenate([a for part in parts for a in part],
-                             dtype=np.int32)
-        sizes = [sum(a.size for a in part) for part in parts]
-        (self.diag, self.diag_rows, self.diag_src, self.upper, self.lower,
-         self.off_src) = np.split(buf, np.cumsum(sizes)[:-1])
+        buf = np.concatenate([locate(np.arange(n_u), np.arange(n_u))]
+                             + conv + src, dtype=np.int32)
+        n_conv = sum(a.size for a in conv)
+        self.diag, self.conv, self.src = np.split(buf, [n_u, n_u + n_conv])
 
     def fill(self, diagonal, half_fluxes) -> sp.csr_matrix:
         """The pinned matrix with ``diagonal`` (the face masses over dt)
@@ -436,13 +428,8 @@ class SaddlePattern:
         ``half_fluxes`` (half the dual fluxes of each component)."""
         data = self.base.copy()
         data[self.diag] += diagonal
-        weights = half_fluxes[self.diag_src]
-        np.negative(weights[self.n_low:], out=weights[self.n_low:])
-        data[self.diag] += np.bincount(self.diag_rows, weights,
-                                       minlength=self.diag.size)
-        weights = half_fluxes[self.off_src]
-        data[self.upper] += weights
-        data[self.lower] -= weights
+        signed = np.concatenate([half_fluxes, -half_fluxes])[self.src]
+        data += np.bincount(self.conv, signed, minlength=data.size)
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=self.shape)
 
@@ -474,46 +461,9 @@ def assemble_oseen(saddle: SaddleSolver, dt: float, rho_new: ScalarField,
     half = np.concatenate([0.5 * ops.dual_fluxes(mesh, fluxes, i)
                            for i in range(mesh.dim)])
     matrix = saddle.pattern.fill(face_mass / dt, half)
-    return SaddleSystem(saddle, matrix, rhs_u, dt, face_mass, fluxes,
+    rhs = np.concatenate([rhs_u, np.zeros(mesh.n_cells)])
+    return SaddleSystem(saddle, matrix, rhs, float(dt), face_mass, fluxes,
                         rho_d_old, rho_d_new)
-
-
-def _block_preconditioner(system: SaddleSystem, factors):
-    """Cahouet-Chabard block upper-triangular preconditioner.
-
-    Applies the inverse of ``P = [[A, G], [0, S]]``, where ``A`` is the
-    momentum block, inverted by one LU per velocity component, and ``S``
-    approximates the Schur complement ``+G^T A^-1 G`` of the saddle
-    (``div = -G^T``) through its inverse
-
-        ``S^-1 r = K^-1 r / dt + M_p^-1 r``,
-
-    with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
-    Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the cell
-    volumes (unit-viscosity limit).  ``K`` is pinned like the saddle, and
-    ``M_p^-1`` vanishes at the pinned cell.
-
-    ``factors`` are the solve with ``A`` (:func:`component_solver`) and
-    the LU factors of ``K``, built from this system or from an
-    earlier step's system with the same ``dt`` (the lagged factors of a
-    :class:`SaddleSolver`): they then invert the momentum block and
-    density of that step, which still steers GMRES while the density and
-    velocity move little, at the cost of a few iterations.
-    """
-    n_u, n_p = system.n_u, system.n_p
-    solve_u, lu_k = factors
-    grad = system.grad
-    inv_mass_p = 1.0 / system.mesh.cell_volume
-    inv_mass_p[PINNED_CELL] = 0.0
-
-    def apply(r):
-        r_p = r[n_u:]
-        z_p = lu_k.solve(r_p) / system.dt + inv_mass_p * r_p
-        z_u = solve_u(r[:n_u] - grad @ z_p)
-        return np.concatenate([z_u, z_p])
-
-    return spla.LinearOperator((n_u + n_p, n_u + n_p), matvec=apply,
-                               dtype=float)
 
 
 class SaddleSolver:
@@ -522,9 +472,10 @@ class SaddleSolver:
     Holds the gradient block and the :class:`SaddlePattern` of the pinned
     matrix (built once per mesh, on first use, with the divergence and
     diffusion blocks folded into its data), on which
-    :func:`assemble_oseen` fills each step's matrix, and the LU factors of
-    the GMRES preconditioner, kept from one solve to the next.  The
-    factors are built again:
+    :func:`assemble_oseen` fills each step's matrix, the pressure mass
+    inverse ``M_p^-1`` (built once, zero at the pinned cell), and the
+    GMRES block preconditioner with its LU factors, kept from one solve to
+    the next (:meth:`preconditioner`).  The factors are built again:
 
     * when the time step differs from the one they were built with (the
       Schur term is ``K^-1/dt``), and on first use;
@@ -546,8 +497,10 @@ class SaddleSolver:
     def __init__(self, mesh: MacMesh):
         self.mesh = mesh
         self.solution = None           # last accepted pinned solution
-        self._factors = None           # (dt, factors)
+        self._precond = None           # (dt, block preconditioner)
         self._base_iterations = None   # first solve after factoring
+        self._inv_mass_p = 1.0 / mesh.cell_volume
+        self._inv_mass_p[PINNED_CELL] = 0.0
 
     @cached_property
     def grad(self) -> sp.csr_matrix:
@@ -559,20 +512,50 @@ class SaddleSolver:
                              assemble_divergence(self.mesh))
 
     def preconditioner(self, system: SaddleSystem):
-        """The block preconditioner for ``system``, and whether its
-        factors were built for it (``False``: reused)."""
-        refresh = self._factors is None or self._factors[0] != system.dt
+        """The Cahouet-Chabard block preconditioner for ``system``, and
+        whether its factors were built for it (``False``: kept).
+
+        It applies the inverse of the block upper-triangular
+        ``P = [[A, G], [0, S]]``, where ``A`` is the momentum block,
+        inverted by one LU per velocity component
+        (:func:`component_solver`), and ``S`` approximates the Schur
+        complement ``+G^T A^-1 G`` of the saddle (``div = -G^T``) through
+        its inverse
+
+            ``S^-1 r = K^-1 r / dt + M_p^-1 r``,
+
+        with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
+        Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the
+        cell volumes (unit-viscosity limit).  ``K`` is pinned like the
+        saddle, and ``M_p^-1`` vanishes at the pinned cell.
+
+        Kept factors come from an earlier step's system with the same
+        ``dt``: they invert the momentum block and density of that step,
+        which still steers GMRES while the density and velocity move
+        little, at the cost of a few iterations.
+        """
+        refresh = self._precond is None or self._precond[0] != system.dt
         if refresh:
-            self._factors = None  # release the old factors first
+            self._precond = None  # release the old factors first
             # One LU per component, not one of the whole momentum block:
             # at 128^2 both have a fill of 1,317,006, but the single LU
             # peaks at 24.2 MiB against 13.4 MiB, and it raised the peak
             # RSS of a 128^2 gyre run from 165 to 171-173 MiB.
             solve_u = component_solver(self.mesh, system.matrix)
             lu_k = factor(pinned_poisson(self.grad, 1.0 / system.face_mass))
-            self._factors = (system.dt, (solve_u, lu_k))
+            # locals, not self: the kept operator must not hold the solver
+            grad, inv_mass_p, dt = self.grad, self._inv_mass_p, system.dt
+
+            def apply(r):
+                r_u, r_p = np.split(r, [grad.shape[0]])
+                z_p = lu_k.solve(r_p) / dt + inv_mass_p * r_p
+                z_u = solve_u(r_u - grad @ z_p)
+                return np.concatenate([z_u, z_p])
+
+            self._precond = (dt, spla.LinearOperator(
+                (system.rhs.size,) * 2, matvec=apply, dtype=float))
             self._base_iterations = None
-        return _block_preconditioner(system, self._factors[1]), refresh
+        return self._precond[1], refresh
 
     def record(self, iterations: int, fallback: bool):
         """Apply the refresh rule to the outcome of a GMRES solve with the
@@ -581,7 +564,7 @@ class SaddleSolver:
         count as the base when none is set yet."""
         if fallback or (self._base_iterations is not None and iterations
                         > REFRESH_GROWTH * self._base_iterations):
-            self._factors = None
+            self._precond = None
         elif self._base_iterations is None and iterations > 0:
             self._base_iterations = iterations
 
@@ -591,52 +574,39 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
     a report.  The solve is GMRES on the pinned matrix, preconditioned by
-    :func:`_block_preconditioner`, to a relative true residual of
-    ``KRYLOV_TARGET * tol``.  When GMRES does not converge, sparse LU of
-    the pinned matrix produces the solution and the report says so
-    (``fallback`` set, ``method`` ``direct``).  Either way the relative
-    true residual of the pinned system must be at most ``tol``, or
-    :class:`SolverFailure` is raised.
+    :meth:`SaddleSolver.preconditioner`, to a relative true residual of
+    ``KRYLOV_TARGET * tol``.  When GMRES does not converge, or its
+    iterate misses ``tol``, :func:`_accept` solves by sparse LU with
+    partial pivoting and reports the fallback.
 
-    GMRES takes its preconditioner factors and its initial guess (the
-    last accepted solution) from ``system.saddle``, the
-    :class:`SaddleSolver` that assembled the system, reports in
-    ``precond_refresh`` whether this solve factored, and leaves the
-    accepted solution there.
+    GMRES takes its preconditioner and its initial guess (the last
+    accepted solution) from ``system.saddle``, the :class:`SaddleSolver`
+    that assembled the system, reports in ``precond_refresh`` whether this
+    solve factored, and leaves the accepted solution there.
     """
-    mesh, saddle = system.mesh, system.saddle
-    mat = system.full_matrix()
-    rhs = system.full_rhs()
+    saddle, mesh = system.saddle, system.saddle.mesh
+    mat, rhs = system.full_matrix(), system.rhs
     precond, refresh = saddle.preconditioner(system)
-    counter = {"n": 0}
-
-    def cb(_):
-        counter["n"] += 1
-
-    # SciPy applies M on the left, so the Arnoldi residual weights the
-    # continuity rows by the Schur inverse; that keeps the divergence of
-    # the new velocity at the LU level (right preconditioning, on the
-    # unweighted residual, left it three orders of magnitude larger).  It
-    # stops at KRYLOV_TARGET * tol * |M^-1 rhs| whatever the initial
-    # guess, so the warm start does not loosen the test.
+    residuals = []   # preconditioned, one per GMRES iteration
+    # SciPy applies M on the left: a restart cycle minimizes the residual
+    # weighted by M (the Schur inverse on the continuity rows), which keeps
+    # the divergence of the new velocity at the LU level (right
+    # preconditioning left it three orders of magnitude larger).  The solve
+    # stops only when |rhs - mat x| <= KRYLOV_TARGET * tol * |rhs|, whatever
+    # the initial guess, so the warm start does not loosen the test.
     solution, info = spla.gmres(
         mat, rhs, x0=saddle.solution, rtol=KRYLOV_TARGET * tol, atol=0.0,
-        M=precond, restart=GMRES_RESTART,
-        maxiter=-(-GMRES_MAXITER // GMRES_RESTART),
-        callback=cb, callback_type="pr_norm")
-    fallback = info != 0
-    saddle.record(counter["n"], fallback)
-    if fallback:
-        # the one LU with partial pivoting: the pinned saddle is indefinite
-        solution = spla.splu(mat.tocsc()).solve(rhs)
-
-    rel = checked_residual(mat, solution, rhs, tol, "saddle solve")
+        M=precond, restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
+        callback=residuals.append, callback_type="pr_norm")
+    # the one LU with partial pivoting: the pinned saddle is indefinite
+    solution, report = _accept(mat, rhs, solution, info == 0, tol,
+                               "saddle solve", "gmres", spla.splu,
+                               iterations=len(residuals),
+                               precond_refresh=refresh)
+    saddle.record(report.iterations, report.fallback)
     saddle.solution = solution
-    p_values = solution[system.n_u:]
+    u_values, p_values = np.split(solution, [mesh.n_unknowns])
     p_values = p_values - float(mesh.cell_volume @ p_values) / mesh.volume
-    report = SolveReport(method="direct" if fallback else "gmres",
-                         residual=rel, iterations=counter["n"],
-                         fallback=fallback, precond_refresh=refresh)
-    velocity = VelocityField.from_interior(mesh, solution[:system.n_u])
+    velocity = VelocityField.from_interior(mesh, u_values)
     pressure = ScalarField(mesh, p_values, zero_mean=True)
     return velocity, pressure, report

@@ -152,7 +152,8 @@ def make_rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:
 def _stream_preset(name, profile, modulation, density, pressure,
                    rho_bounds):
     """Exact solution in the unit square, in closed form: the stream shape
-    ``S = a(x) a(y)`` with ``profile(s) -> (a, a', a'', a''')``, the
+    ``S = a(x) a(y)`` with ``profile(s, n)`` the first ``n`` of
+    ``(a, a', a'', a''')`` (all four by default), the
     velocity ``c (dS/dy, -dS/dx)`` with ``modulation(t) -> (c, c')``, the
     density ``density(S)`` and the pressure with its gradient,
     ``pressure(x, y, t) -> (p, dp/dx, dp/dy)``.
@@ -162,12 +163,12 @@ def _stream_preset(name, profile, modulation, density, pressure,
     level sets.
     """
     def rho(x, y):
-        return density(profile(x)[0] * profile(y)[0])
+        return density(profile(x, 1)[0] * profile(y, 1)[0])
 
     def velocity(tv):
         c = modulation(tv)[0]
-        return [lambda x, y: c * profile(x)[0] * profile(y)[1],
-                lambda x, y: -c * profile(x)[1] * profile(y)[0]]
+        return [lambda x, y: c * profile(x, 1)[0] * profile(y, 2)[1],
+                lambda x, y: -c * profile(x, 2)[1] * profile(y, 1)[0]]
 
     def forcing(mesh: MacMesh, tv: float):
         c, dc = modulation(tv)
@@ -203,19 +204,30 @@ def _zero_pressure(x, y, tv):
     return zero, zero, zero
 
 
-def _sine_profile(s):
-    """``sin(pi s)^2`` and its first three derivatives ``pi sin(2 pi s)``,
-    ``2 pi^2 cos(2 pi s)`` and ``-4 pi^3 sin(2 pi s)``, from one sine and
-    one cosine of ``pi s``."""
-    sn, cs = np.sin(np.pi * s), np.cos(np.pi * s)
+def _sine_profile(s, n=4):
+    """The first ``n`` of ``sin(pi s)^2`` and its derivatives
+    ``pi sin(2 pi s)``, ``2 pi^2 cos(2 pi s)`` and ``-4 pi^3 sin(2 pi s)``,
+    from one sine and, past the value, one cosine of ``pi s``."""
+    sn = np.sin(np.pi * s)
+    if n == 1:
+        return (sn * sn,)
+    cs = np.cos(np.pi * s)
     a1 = 2 * np.pi * sn * cs
+    if n == 2:
+        return sn * sn, a1
     return (sn * sn, a1, 2 * np.pi ** 2 * (cs - sn) * (cs + sn),
             -4 * np.pi ** 2 * a1)
 
 
-def _quartic_profile(s):
-    """``q^2`` with ``q = 4 s (1 - s)``, and its first three derivatives."""
-    q, dq = 4 * s * (1 - s), 4 - 8 * s
+def _quartic_profile(s, n=4):
+    """The first ``n`` of ``q^2``, with ``q = 4 s (1 - s)``, and its first
+    three derivatives."""
+    q = 4 * s * (1 - s)
+    if n == 1:
+        return (q * q,)
+    dq = 4 - 8 * s
+    if n == 2:
+        return q * q, 2 * q * dq
     return q * q, 2 * q * dq, 2 * (dq * dq - 8 * q), -48 * dq
 
 

@@ -216,12 +216,13 @@ def test_criterion_11_saddle_matches_dense():
                             forcing=forcing)
 
     dense = system.full_matrix().toarray()
-    sol = np.linalg.solve(dense, system.full_rhs())
-    p_ref = sol[system.n_u:]
+    sol = np.linalg.solve(dense, system.rhs)
+    n_u = mesh.n_unknowns
+    p_ref = sol[n_u:]
     p_ref = p_ref - (mesh.cell_volume @ p_ref) / mesh.volume
 
     u, p, _ = solve_oseen(system)
-    worst = max(float(np.abs(u.pack_interior() - sol[:system.n_u]).max()),
+    worst = max(float(np.abs(u.pack_interior() - sol[:n_u]).max()),
                 float(np.abs(p.values - p_ref).max()))
     report(11, "one-step saddle solve matches dense reference on 8x8",
            worst <= 1e-10, f"max |difference| {worst:.3e} <= 1e-10")

@@ -338,7 +338,7 @@ class TestRunCommand:
             return out
 
         monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)
-        monkeypatch.setattr(linsolve, "GMRES_MAXITER", 1)
+        monkeypatch.setattr(linsolve, "GMRES_CYCLES", 1)
         monkeypatch.setattr(timestepper, "solve_oseen", recorded)
         path = run_config(tmp_path)
         out = tmp_path / "out"

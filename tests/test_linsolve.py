@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import linsolve, operators as ops
-from macflow.linsolve import (GMRES_MAXITER, JACOBI_MAXITER, PINNED_CELL,
-                              SaddleSolver,
+from macflow.linsolve import (GMRES_CYCLES, GMRES_RESTART, JACOBI_MAXITER,
+                              PINNED_CELL, SaddleSolver,
                               SolverFailure, assemble_divergence,
                               assemble_gradient, assemble_oseen,
                               assemble_transport, checked_residual,
@@ -316,7 +316,8 @@ class TestSaddleBlocks:
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
         system = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old,
                                 u_old)
-        a = system.matrix[:system.n_u, :system.n_u].toarray()
+        n_u = mesh.n_unknowns
+        a = system.matrix[:n_u, :n_u].toarray()
         sym = 0.5 * (a + a.T)
         eigs = np.linalg.eigvalsh(sym)
         assert eigs.min() > 0
@@ -396,11 +397,11 @@ class TestOseenSolve:
     def dense_solution(system):
         """Velocity unknowns and zero-mean pressure from a dense numpy
         solve with the same pin and the same zero-mean shift."""
-        mesh = system.mesh
-        sol = np.linalg.solve(system.full_matrix().toarray(),
-                              system.full_rhs())
-        p = sol[system.n_u:]
-        return sol[:system.n_u], p - (mesh.cell_volume @ p) / mesh.volume
+        mesh = system.saddle.mesh
+        sol = np.linalg.solve(system.full_matrix().toarray(), system.rhs)
+        n_u = mesh.n_unknowns
+        p = sol[n_u:]
+        return sol[:n_u], p - (mesh.cell_volume @ p) / mesh.volume
 
     def test_matches_dense_solve(self):
         # full pipeline vs a dense numpy solve, on a mesh small enough to
@@ -428,7 +429,7 @@ class TestOseenSolve:
         # a Krylov solve capped at one iteration cannot converge: the
         # pivoting LU produces the solution, reported as the fallback
         monkeypatch.setattr(linsolve, "GMRES_RESTART", 1)
-        monkeypatch.setattr(linsolve, "GMRES_MAXITER", 1)
+        monkeypatch.setattr(linsolve, "GMRES_CYCLES", 1)
         system = random_saddle(mesh, seed=25)
         u_dense, p_dense = TestOseenSolve.dense_solution(system)
         u, p, rep = solve_oseen(system)
@@ -444,6 +445,31 @@ class TestOseenSolve:
     def test_fallback_matches_dense_single_column(self, monkeypatch):
         mesh = build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (1, 4))
         self.check_fallback_matches_dense(mesh, monkeypatch)
+
+    def test_rejected_iterate_falls_back(self, mesh2_uniform, monkeypatch):
+        # a GMRES that claims success with a perturbed iterate: the true
+        # residual rejects it and the pivoting LU solves, as for the
+        # transport, instead of the solve raising; the preconditioner
+        # failed, so the next solve factors again
+        gmres = spla.gmres
+
+        def perturbed(*args, **kwargs):
+            x, _ = gmres(*args, **kwargs)
+            return x + 1e-6, 0
+
+        monkeypatch.setattr(spla, "gmres", perturbed)
+        system = random_saddle(mesh2_uniform, seed=26)
+        u_dense, p_dense = self.dense_solution(system)
+        u, p, rep = solve_oseen(system)
+        assert rep.fallback and rep.method == "direct"
+        assert rep.precond_refresh and rep.iterations > 0
+        assert rep.residual <= 1e-10
+        np.testing.assert_allclose(u.pack_interior(), u_dense,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(p.values, p_dense, rtol=1e-10,
+                                   atol=1e-12)
+        _, _, again = solve_oseen(system)
+        assert again.precond_refresh and again.fallback
 
     def test_solution_is_divergence_free(self, any_mesh):
         rng = np.random.default_rng(14)
@@ -461,14 +487,14 @@ class TestOseenSolve:
     @staticmethod
     def check_gmres_matches_direct(mesh):
         system = random_saddle(mesh, seed=15)
-        sol = spla.splu(system.full_matrix().tocsc()).solve(
-            system.full_rhs())
-        p_d = sol[system.n_u:]
+        sol = spla.splu(system.full_matrix().tocsc()).solve(system.rhs)
+        n_u = mesh.n_unknowns
+        p_d = sol[n_u:]
         p_d = p_d - (mesh.cell_volume @ p_d) / mesh.volume
         u_g, p_g, rep = solve_oseen(system, tol=1e-10)
         assert rep.method == "gmres"
         assert not rep.fallback
-        np.testing.assert_allclose(u_g.pack_interior(), sol[:system.n_u],
+        np.testing.assert_allclose(u_g.pack_interior(), sol[:n_u],
                                    rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(p_g.values, p_d, rtol=1e-8, atol=1e-10)
 
@@ -493,10 +519,11 @@ class TestOseenSolve:
         assert diag.oseen_method == "gmres" and not diag.oseen_fallback
         assert 0 < diag.oseen_iterations <= 25
 
-    def test_iteration_cap_counts_iterations(self):
+    def test_iteration_cap_counts_cycles(self):
         # at oseen_tol = 1e-13 GMRES cannot reach its target: it gives up
-        # after GMRES_MAXITER iterations, not restart cycles, and LU
-        # produces the solution
+        # after GMRES_CYCLES restart cycles, at most 300 iterations (77-80
+        # here, since a cycle ends early when its inner test passes and the
+        # true one fails), and LU produces the solution
         problem = get_preset("rotating-patch")
         mesh = build_uniform_mesh(problem.domain, (16, 16))
         result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.02,
@@ -504,7 +531,8 @@ class TestOseenSolve:
         assert len(result.diagnostics) == 2
         for d in result.diagnostics:
             assert d.oseen_fallback and d.oseen_method == "direct"
-            assert 0 < d.oseen_iterations <= GMRES_MAXITER
+            assert 0 < d.oseen_iterations <= GMRES_CYCLES * GMRES_RESTART
+        assert GMRES_CYCLES * GMRES_RESTART == 300
 
     def test_pressure_mean_shift_recorded(self, mesh2_graded):
         mesh = mesh2_graded
@@ -601,7 +629,7 @@ class TestSaddleSolver:
         _, _, first = solve_oseen(fresh)
         assert fresh.saddle.solution is not None
         zero = random_saddle(mesh2_uniform, seed=21)
-        zero.saddle.solution = np.zeros(zero.n_u + zero.n_p)
+        zero.saddle.solution = np.zeros(zero.rhs.size)
         _, _, from_zero = solve_oseen(zero)
         assert first.precond_refresh and from_zero.precond_refresh
         assert first.iterations == from_zero.iterations > 2
@@ -613,7 +641,6 @@ class TestSaddleSolver:
         a = assemble_oseen(saddle, 0.1, rho, rho, u)
         b = assemble_oseen(saddle, 0.2, rho, rho, u)
         assert a.saddle is b.saddle is saddle
-        assert a.grad is b.grad is saddle.grad
         pattern = saddle.pattern
         for system in (a, b):
             assert np.shares_memory(system.matrix.indptr, pattern.indptr)

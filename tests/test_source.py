@@ -44,3 +44,26 @@ def test_guard_sees_dense_code():
             "w = la.eigh(m.toarray())\n")
     found = list(_dense_uses(ast.parse(code)))
     assert len(found) == 4
+
+
+def _report_calls(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "SolveReport"]
+
+
+def test_one_home_per_solve_decision():
+    # linsolve._accept builds every solve report, so one routine decides
+    # each fallback of both step solves; the block preconditioner lives in
+    # SaddleSolver, not in a free function beside it
+    homes = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        accept = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_accept"]
+        inside = sum(len(_report_calls(node)) for node in accept)
+        assert len(_report_calls(tree)) == inside, path.name
+        homes += [path.name] * inside
+        assert "_block_preconditioner" not in path.read_text(), path.name
+    assert homes == ["linsolve.py", "linsolve.py"]
