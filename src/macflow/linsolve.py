@@ -317,10 +317,6 @@ class SaddleSystem:
     rho_dual_old: list
     rho_dual_new: list
 
-    def full_matrix(self) -> sp.csr_matrix:
-        """Pinned saddle matrix (one continuity row swapped for the pin)."""
-        return self.matrix
-
 
 def assemble_divergence(mesh: MacMesh) -> sp.csr_matrix:
     """Volume-scaled divergence block from the cell outflow stencil.
@@ -585,7 +581,7 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     solve factored, and leaves the accepted solution there.
     """
     saddle, mesh = system.saddle, system.saddle.mesh
-    mat, rhs = system.full_matrix(), system.rhs
+    mat, rhs = system.matrix, system.rhs
     precond, refresh = saddle.preconditioner(system)
     residuals = []   # preconditioned, one per GMRES iteration
     # SciPy applies M on the left: a restart cycle minimizes the residual

@@ -269,6 +269,17 @@ def face_balances(mesh: MacMesh, dt: float, fluxes, rho_d_old, rho_d_new,
             "ke_work": dt * float((dv * fterm) @ un)}
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps that reach ``t_end`` with steps of at most ``dt``."""
+    if not all(math.isfinite(v) and v > 0 for v in (dt, t_end)):
+        raise ValueError("dt and t_end must be positive and finite")
+    ratio = t_end / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"the step count t_end / dt = {t_end!r} / {dt!r} "
+                         "is not finite")
+    return max(1, math.ceil(ratio - 1e-12))
+
+
 def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     """Integrate from the projected initial data to ``cfg.t_end``.
 
@@ -277,9 +288,7 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     ``store_every`` steps (always including the first and last states).
     Every step shares one :class:`~macflow.linsolve.SaddleSolver`.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (cfg.dt, cfg.t_end)):
-        raise ValueError("dt and t_end must be positive and finite")
-    n_steps = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
+    n_steps = step_count(cfg.t_end, cfg.dt)
     dt = cfg.t_end / n_steps
     cfg_eff = SchemeConfig(**{**cfg.__dict__, "dt": dt})
 

@@ -215,7 +215,7 @@ def test_criterion_11_saddle_matches_dense():
     system = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old, u_old,
                             forcing=forcing)
 
-    dense = system.full_matrix().toarray()
+    dense = system.matrix.toarray()
     sol = np.linalg.solve(dense, system.rhs)
     n_u = mesh.n_unknowns
     p_ref = sol[n_u:]

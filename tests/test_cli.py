@@ -82,6 +82,8 @@ class TestConfigValidation:
         (_RUNNABLE + "time: {t_end: 0.02, dt: -0.01}\n", "time.dt"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: .nan}\n", "time.dt"),
         (_RUNNABLE + "time: {t_end: .inf, dt: 0.01}\n", "time.t_end"),
+        (_RUNNABLE + "time: {t_end: 1.0e+10, dt: 1.0e-310}\n",
+         "step count t_end / dt"),
         (_RUNNABLE.replace("[8, 8]", "[0, 8]")
          + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
         ("mesh: {coordinates: [[0, 0.6, 0.5, 1], [0, 1]]}\n"
@@ -161,7 +163,7 @@ class TestConfigValidation:
         (None, "cannot read"),
         (b"problem: {preset: gyre}\n# caf\xe9\n", "cannot read"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
-            "inf-t-end", "empty-mesh-axis", "non-increasing-coordinates",
+            "inf-t-end", "overflowing-step-count", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
             "text-oseen-tol", "nan-oseen-tol", "negative-transport-tol",
             "negative-bounds-margin", "negative-snapshots",

@@ -346,7 +346,7 @@ class TestSaddleBlocks:
         u_old = random_velocity(mesh, rng)
         rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
         mat = assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old,
-                             u_old).full_matrix()
+                             u_old).matrix
 
         fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
         assert min(f.min() for f in fluxes) < 0 < max(f.max() for f in fluxes)
@@ -398,7 +398,7 @@ class TestOseenSolve:
         """Velocity unknowns and zero-mean pressure from a dense numpy
         solve with the same pin and the same zero-mean shift."""
         mesh = system.saddle.mesh
-        sol = np.linalg.solve(system.full_matrix().toarray(), system.rhs)
+        sol = np.linalg.solve(system.matrix.toarray(), system.rhs)
         n_u = mesh.n_unknowns
         p = sol[n_u:]
         return sol[:n_u], p - (mesh.cell_volume @ p) / mesh.volume
@@ -487,7 +487,7 @@ class TestOseenSolve:
     @staticmethod
     def check_gmres_matches_direct(mesh):
         system = random_saddle(mesh, seed=15)
-        sol = spla.splu(system.full_matrix().tocsc()).solve(system.rhs)
+        sol = spla.splu(system.matrix.tocsc()).solve(system.rhs)
         n_u = mesh.n_unknowns
         p_d = sol[n_u:]
         p_d = p_d - (mesh.cell_volume @ p_d) / mesh.volume

@@ -1,7 +1,11 @@
 """Guards on the package source itself."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +71,39 @@ def test_one_home_per_solve_decision():
         homes += [path.name] * inside
         assert "_block_preconditioner" not in path.read_text(), path.name
     assert homes == ["linsolve.py", "linsolve.py"]
+
+
+COLD_IMPORT = """
+import importlib.metadata, json, sys
+import numpy as np
+import macflow, macflow.cli
+cold = "sympy.core" not in sys.modules
+version = sys.modules["sympy"].__version__
+sym = macflow.presets.sym
+x, y, t = sym.symbols("x y t")
+forcing = macflow.manufactured_forcing(
+    (x, y), t, sym.Integer(1), [sym.Integer(0), sym.Integer(0)], x * y)
+mesh = macflow.build_uniform_mesh(((0, 1), (0, 1)), (4, 4))
+faces = forcing(mesh, 0.0)
+print(json.dumps({
+    "cold": cold, "version": version,
+    "installed": importlib.metadata.version("sympy"),
+    "sizes": [f.size for f in faces],
+    "finite": all(bool(np.isfinite(f).all()) for f in faces)}))
+"""
+
+
+def test_import_leaves_sympy_unloaded():
+    # a fresh interpreter: sympy is registered but unexecuted until
+    # manufactured_forcing needs it, and reading its version loads it
+    src = str(pathlib.Path(macflow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["cold"], "import macflow loaded sympy.core"
+    assert out["version"] == out["installed"]
+    assert out["sizes"] == [20, 20]
+    assert out["finite"]

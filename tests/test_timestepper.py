@@ -241,6 +241,12 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError, match="finite"):
             run(mesh16(), get_preset("rest"), SchemeConfig(dt=dt, t_end=t_end))
 
+    def test_overflowing_step_count_rejected(self):
+        # each value is finite and positive, but t_end / dt is not
+        with pytest.raises(ValueError, match="step count"):
+            run(mesh16(), get_preset("rest"),
+                SchemeConfig(dt=1e-310, t_end=1e10))
+
     def test_guard_failure_attaches_partial_result(self):
         problem = get_preset("gyre")
         # an impossible divergence guard trips on the first step
