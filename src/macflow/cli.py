@@ -259,6 +259,16 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
     return all_pass
 
 
+def _create_output_directory(out_dir):
+    """Create ``out_dir``; each command calls this once its inputs are
+    built, so a rejected configuration leaves nothing behind."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: "
+                          f"{exc.strerror}") from None
+
+
 def cmd_run(cfg, out_dir, seed) -> int:
     scheme = build_scheme_config(cfg)
     mesh = build_mesh_from_config(cfg)
@@ -276,6 +286,7 @@ def cmd_run(cfg, out_dir, seed) -> int:
         raise ConfigError(f"'problem.preset' {problem.name!r} is "
                           f"{problem.dim}D but the mesh is {mesh.dim}D")
     hash_value = config_hash(cfg)
+    _create_output_directory(out_dir)
 
     interrupted = None
     try:
@@ -325,6 +336,7 @@ def cmd_verify(cfg, out_dir, seed) -> int:
                      least=1)
     tol = _number(ver.get("tolerance", 1e-12), "verify.tolerance")
     hash_value = config_hash(cfg)
+    _create_output_directory(out_dir)
 
     meshes = _verification_meshes(seed)
     reports = []
@@ -373,6 +385,7 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
                                   least=_STUDY_LEAST["levels"])
     problem = build_problem_from_config(cfg)
     hash_value = config_hash(cfg)
+    _create_output_directory(out_dir)
 
     try:
         report = verify.convergence_study(problem, **study)
@@ -434,11 +447,6 @@ def main(argv=None) -> int:
             raise ConfigError("'output.directory' must be a string, "
                               f"got {directory!r}")
         out_dir = args.out or directory
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {out_dir}: "
-                              f"{exc.strerror}") from None
         if args.command == "run":
             return cmd_run(cfg, out_dir, args.seed)
         if args.command == "verify":

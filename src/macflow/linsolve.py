@@ -14,12 +14,15 @@ to zero volume-weighted mean afterwards.
 A time step solves the pinned saddle system by GMRES with a
 Cahouet-Chabard block preconditioner: one LU per velocity component for
 the momentum block, and a variable-density pressure Poisson solve plus a
-pressure mass solve for the Schur complement.  The transport step is
-solved by Jacobi sweeps from the old density, which keep it inside its
-bounds at every iterate.  One routine, :func:`_accept`, decides the
-outcome of both solves: it keeps the iterate when the iteration
-converged and the true residual passes (:func:`checked_residual`), and
-otherwise solves by LU and reports the fallback.  The saddle fallback is
+pressure mass solve for the Schur complement.  The GMRES loop is
+:func:`gmres`, which does the arithmetic of SciPy's ``gmres`` in its
+order, bit for bit, without its per-iteration Python overhead.  The
+transport step is solved by Jacobi sweeps from the old density, which
+keep it inside its bounds at every iterate.  One routine,
+:func:`_accept`, decides the outcome of both solves: it keeps the iterate
+when the iteration converged and the true residual passes
+(:func:`checked_residual`), and otherwise solves by LU and reports the
+fallback.  The saddle fallback is
 the one LU with partial pivoting; every other LU (preconditioner,
 projection, transport fallback, inf-sup monitor) is :func:`factor`,
 which does not pivot.  The pinned Poisson matrix of the Schur term,
@@ -44,6 +47,8 @@ iterations, never accuracy, since the true residual decides.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,7 +70,7 @@ from . import operators as ops
 KRYLOV_TARGET = 1e-3
 
 # Restart length and cycle cap of the GMRES saddle solve: at most 300
-# iterations, fewer when a cycle ends early on SciPy's inner test; a solve
+# iterations, fewer when a cycle ends early on its inner test; a solve
 # that reaches the cap falls back to LU.
 GMRES_RESTART = 50
 GMRES_CYCLES = 6
@@ -120,13 +125,14 @@ def factor(mat):
 def component_solver(mesh: MacMesh, matrix):
     """Solve with the velocity block of ``matrix`` taken block-diagonal by
     component, one :func:`factor` per component; the returned function
-    maps interior velocity vectors (or 2D arrays of them) to solutions.
+    maps interior velocity vectors (or 2D arrays of them) to solutions,
+    written into ``out`` when it is given.
     """
     factors = [(part, factor(matrix[part, part]))
                for part in mesh.interior_slices if part.stop > part.start]
 
-    def solve(r):
-        z = np.zeros(r.shape)
+    def solve(r, out=None):
+        z = np.zeros(r.shape) if out is None else out
         for part, lu in factors:
             z[part] = lu.solve(r[part])
         return z
@@ -462,6 +468,114 @@ def assemble_oseen(saddle: SaddleSolver, dt: float, rho_new: ScalarField,
                         rho_d_old, rho_d_new)
 
 
+def _givens(f: float, g: float):
+    """The plane rotation ``(c, s, r)`` with ``c f + s g = r`` and
+    ``-s f + c g = 0``, by the formula of LAPACK's ``dlartg`` (3.10 on):
+    ``c >= 0``, ``r`` takes the sign of ``f``, and ``f``, ``g`` are scaled
+    first only when a square could overflow or underflow."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    safmin = sys.float_info.min
+    low, high = math.sqrt(safmin), math.sqrt(0.5 / safmin)
+    scale = 1.0
+    if not (low < abs(f) < high and low < abs(g) < high):
+        scale = min(1.0 / safmin, max(safmin, abs(f), abs(g)))
+        f, g = f / scale, g / scale
+    d = math.sqrt(f * f + g * g)
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r * scale
+
+
+def gmres(mat, rhs, x0, precond, target: float):
+    """Restarted GMRES for ``mat x = rhs`` from ``x0`` (zero when
+    ``None``), preconditioned on the left by ``precond(r, out)``, which
+    writes ``M^-1 r`` into ``out``.
+
+    Returns the iterate, the number of iterations and whether the true
+    residual ``|rhs - mat x|`` is at most ``target * |rhs|``.  The loop
+    does the arithmetic of ``scipy.sparse.linalg.gmres`` (SciPy 1.17) in
+    its order, so both give the same iterates bit for bit: restart cycles
+    of ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi steps on ``M^-1
+    mat``, :func:`_givens` rotations on Python floats, and a cycle that
+    ends once its preconditioned residual passes an inner bound.  That
+    bound starts at ``target |M^-1 rhs|``.  After each cycle whose true
+    residual fails, it becomes the cycle's preconditioned residual times
+    the smaller of ``target |rhs| / |rhs - mat x|`` and a factor that
+    starts at 1 and is multiplied by 0.25 after a cycle that passed the
+    inner bound and by 1.5 (up to 1) after one that did not.  At most
+    ``GMRES_CYCLES`` cycles run; the iteration also stops at an exact
+    solution of the Krylov space (breakdown) or a zero ``rhs``.
+    """
+    bnorm = np.linalg.norm(rhs)
+    if bnorm == 0.0:
+        return rhs.copy(), 0, True
+    x = np.zeros(rhs.size) if x0 is None else np.array(x0, dtype=float)
+    atol = target * bnorm
+    restart = min(GMRES_RESTART, rhs.size)
+    basis = np.empty((restart + 1, rhs.size))
+    scratch = np.empty(rhs.size)
+    precond(rhs, basis[0])
+    inner = np.linalg.norm(basis[0]) * min(1.0, atol / bnorm)
+    eps = np.finfo(float).eps
+    r = rhs - mat @ x if x.any() else rhs
+    if np.linalg.norm(r) < atol:
+        return x, 0, True
+    iterations, shrink, converged = 0, 1.0, False
+    for _ in range(GMRES_CYCLES):
+        precond(r, basis[0])
+        beta = float(np.linalg.norm(basis[0]))
+        basis[0] *= 1 / beta
+        g = [beta]         # rotated right-hand side of the small problem
+        cols, rots = [], []   # rotated Hessenberg columns, rotations
+        for col in range(restart):
+            w = basis[col + 1]
+            precond(mat @ basis[col], w)
+            h0 = np.linalg.norm(w)
+            h = []
+            for v in basis[:col + 1]:
+                h.append(float(v.dot(w)))
+                w -= np.multiply(h[-1], v, out=scratch)
+            h1 = float(np.linalg.norm(w))
+            breakdown = h1 <= eps * h0
+            if not breakdown:
+                w *= 1 / h1
+            for k, (c, s) in enumerate(rots):
+                h[k], h[k + 1] = (c * h[k] + s * h[k + 1],
+                                  -s * h[k] + c * h[k + 1])
+            c, s, h[col] = _givens(h[col], 0.0 if breakdown else h1)
+            rots.append((c, s))
+            cols.append(h)
+            g[col:] = [c * g[col], -s * g[col]]
+            presid = abs(g[-1])
+            iterations += 1
+            if presid <= inner or breakdown:
+                break
+        if cols[col][col] == 0.0:
+            g[col] = 0.0
+        y = g[:col + 1]    # back substitution, column by column
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= cols[k][k]
+                for j in range(k):
+                    y[j] -= y[k] * cols[k][j]
+        if y[0] != 0.0:
+            y[0] /= cols[0][0]
+        x += np.array(y) @ basis[:col + 1]
+        r = rhs - mat @ x
+        rnorm = np.linalg.norm(r)
+        converged = bool(rnorm <= atol)
+        if converged or breakdown:
+            break
+        if presid <= inner:
+            shrink = max(eps, 0.25 * shrink)
+        else:
+            shrink = min(1.0, 1.5 * shrink)
+        inner = presid * min(shrink, atol / rnorm)
+    return x, iterations, converged
+
+
 class SaddleSolver:
     """Saddle-solve state of one run on one mesh.
 
@@ -508,8 +622,9 @@ class SaddleSolver:
                              assemble_divergence(self.mesh))
 
     def preconditioner(self, system: SaddleSystem):
-        """The Cahouet-Chabard block preconditioner for ``system``, and
-        whether its factors were built for it (``False``: kept).
+        """The Cahouet-Chabard block preconditioner for ``system``, as a
+        function ``apply(r, out)`` that writes ``P^-1 r`` into ``out``,
+        and whether its factors were built for it (``False``: kept).
 
         It applies the inverse of the block upper-triangular
         ``P = [[A, G], [0, S]]``, where ``A`` is the momentum block,
@@ -539,17 +654,17 @@ class SaddleSolver:
             # RSS of a 128^2 gyre run from 165 to 171-173 MiB.
             solve_u = component_solver(self.mesh, system.matrix)
             lu_k = factor(pinned_poisson(self.grad, 1.0 / system.face_mass))
-            # locals, not self: the kept operator must not hold the solver
+            # locals, not self: the kept function must not hold the solver
             grad, inv_mass_p, dt = self.grad, self._inv_mass_p, system.dt
+            n_u = grad.shape[0]
 
-            def apply(r):
-                r_u, r_p = np.split(r, [grad.shape[0]])
-                z_p = lu_k.solve(r_p) / dt + inv_mass_p * r_p
-                z_u = solve_u(r_u - grad @ z_p)
-                return np.concatenate([z_u, z_p])
+            def apply(r, out):
+                r_p, z_p = r[n_u:], out[n_u:]
+                np.divide(lu_k.solve(r_p), dt, out=z_p)
+                z_p += inv_mass_p * r_p
+                solve_u(r[:n_u] - grad @ z_p, out=out[:n_u])
 
-            self._precond = (dt, spla.LinearOperator(
-                (system.rhs.size,) * 2, matvec=apply, dtype=float))
+            self._precond = (dt, apply)
             self._base_iterations = None
         return self._precond[1], refresh
 
@@ -569,11 +684,11 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     """Solve the saddle system for (velocity, pressure).
 
     Returns interior velocity unknowns, the zero-mean pressure field, and
-    a report.  The solve is GMRES on the pinned matrix, preconditioned by
-    :meth:`SaddleSolver.preconditioner`, to a relative true residual of
-    ``KRYLOV_TARGET * tol``.  When GMRES does not converge, or its
-    iterate misses ``tol``, :func:`_accept` solves by sparse LU with
-    partial pivoting and reports the fallback.
+    a report.  The solve is :func:`gmres` on the pinned matrix,
+    preconditioned by :meth:`SaddleSolver.preconditioner`, to a relative
+    true residual of ``KRYLOV_TARGET * tol``.  When GMRES does not
+    converge, or its iterate misses ``tol``, :func:`_accept` solves by
+    sparse LU with partial pivoting and reports the fallback.
 
     GMRES takes its preconditioner and its initial guess (the last
     accepted solution) from ``system.saddle``, the :class:`SaddleSolver`
@@ -583,21 +698,18 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     saddle, mesh = system.saddle, system.saddle.mesh
     mat, rhs = system.matrix, system.rhs
     precond, refresh = saddle.preconditioner(system)
-    residuals = []   # preconditioned, one per GMRES iteration
-    # SciPy applies M on the left: a restart cycle minimizes the residual
-    # weighted by M (the Schur inverse on the continuity rows), which keeps
-    # the divergence of the new velocity at the LU level (right
+    # M on the left: a restart cycle minimizes the residual weighted by M
+    # (the Schur inverse on the continuity rows), which keeps the
+    # divergence of the new velocity at the LU level (right
     # preconditioning left it three orders of magnitude larger).  The solve
     # stops only when |rhs - mat x| <= KRYLOV_TARGET * tol * |rhs|, whatever
     # the initial guess, so the warm start does not loosen the test.
-    solution, info = spla.gmres(
-        mat, rhs, x0=saddle.solution, rtol=KRYLOV_TARGET * tol, atol=0.0,
-        M=precond, restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
-        callback=residuals.append, callback_type="pr_norm")
+    solution, iterations, converged = gmres(
+        mat, rhs, saddle.solution, precond, KRYLOV_TARGET * tol)
     # the one LU with partial pivoting: the pinned saddle is indefinite
-    solution, report = _accept(mat, rhs, solution, info == 0, tol,
+    solution, report = _accept(mat, rhs, solution, converged, tol,
                                "saddle solve", "gmres", spla.splu,
-                               iterations=len(residuals),
+                               iterations=iterations,
                                precond_refresh=refresh)
     saddle.record(report.iterations, report.fallback)
     saddle.solution = solution

@@ -58,11 +58,6 @@ def div_from_fluxes(mesh: MacMesh, fluxes) -> np.ndarray:
     return out / mesh.cell_volume
 
 
-def div_primal(mesh: MacMesh, rho: ScalarField, u: VelocityField):
-    """Upwind divergence of the mass flux, one value per cell."""
-    return div_from_fluxes(mesh, upwind_face_flux(mesh, rho, u))
-
-
 def volume_fluxes(mesh: MacMesh, u: VelocityField):
     """Signed volume fluxes ``measure * u`` per face (unit density)."""
     return [mesh.faces[i].measure * u.components[i]
@@ -214,11 +209,6 @@ def div_dual_from_fluxes(mesh: MacMesh, fluxes):
                        dual_fluxes(mesh, fluxes, i))
         out.append(_per_volume(fs, acc))
     return out
-
-
-def div_dual(mesh: MacMesh, rho: ScalarField, u: VelocityField):
-    """Upwind mass divergence on the face control volumes."""
-    return div_dual_from_fluxes(mesh, upwind_face_flux(mesh, rho, u))
 
 
 # -- convection ----------------------------------------------------------------

@@ -220,6 +220,23 @@ class TestConfigValidation:
                      "--out", str(tmp_path / "out"), *extra])
         assert_config_error(code, capsys, message)
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("run", _RUNNABLE + "time: {t_end: 1.0e+10, dt: 1.0e-310}\n",
+         "'time': the step count"),
+        ("verify", "verify: {trials: 0}\n", "'verify.trials'"),
+        ("study", "problem: {preset: gyre}\nstudy: {levels: 2}\n",
+         "'study.levels'"),
+    ], ids=["run", "verify", "study"])
+    def test_rejected_config_leaves_no_output_directory(
+            self, tmp_path, capsys, command, text, message):
+        # every input is built before the output directory is created
+        path = tmp_path / "c.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out)])
+        assert_config_error(code, capsys, message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("where", ["out", "out-below", "directory"])
     def test_exit_code_2_on_uncreatable_output_directory(
             self, tmp_path, capsys, where):

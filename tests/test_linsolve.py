@@ -15,8 +15,9 @@ from macflow.linsolve import (GMRES_CYCLES, GMRES_RESTART, JACOBI_MAXITER,
                               SolverFailure, assemble_divergence,
                               assemble_gradient, assemble_oseen,
                               assemble_transport, checked_residual,
-                              component_solver, factor, jacobi_sweeps,
-                              pin_row, solve_oseen, solve_transport)
+                              component_solver, factor, gmres,
+                              jacobi_sweeps, pin_row, solve_oseen,
+                              solve_transport)
 from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
 from macflow.verify import collect_diagnostics, project_divergence_free
@@ -451,13 +452,13 @@ class TestOseenSolve:
         # residual rejects it and the pivoting LU solves, as for the
         # transport, instead of the solve raising; the preconditioner
         # failed, so the next solve factors again
-        gmres = spla.gmres
+        gmres = linsolve.gmres
 
         def perturbed(*args, **kwargs):
-            x, _ = gmres(*args, **kwargs)
-            return x + 1e-6, 0
+            x, iterations, _ = gmres(*args, **kwargs)
+            return x + 1e-6, iterations, True
 
-        monkeypatch.setattr(spla, "gmres", perturbed)
+        monkeypatch.setattr(linsolve, "gmres", perturbed)
         system = random_saddle(mesh2_uniform, seed=26)
         u_dense, p_dense = self.dense_solution(system)
         u, p, rep = solve_oseen(system)
@@ -548,6 +549,94 @@ class TestOseenSolve:
         _, p, _ = solve_oseen(system)
         assert abs(mesh.cell_volume @ p.values) < 1e-10
         assert p.zero_mean
+
+
+def scipy_gmres(system, x0, target):
+    """``scipy.sparse.linalg.gmres`` on ``system`` with macflow's
+    preconditioner and restart settings: the oracle of :func:`gmres`.
+    Returns the iterate, the iteration count and whether it converged."""
+    precond, _ = system.saddle.preconditioner(system)
+    n = system.rhs.size
+
+    def apply(r):
+        out = np.empty(n)
+        precond(r, out)
+        return out
+
+    residuals = []
+    x, info = spla.gmres(
+        system.matrix, system.rhs, x0=x0, rtol=target, atol=0.0,
+        M=spla.LinearOperator((n, n), matvec=apply, dtype=float),
+        restart=linsolve.GMRES_RESTART, maxiter=linsolve.GMRES_CYCLES,
+        callback=residuals.append, callback_type="pr_norm")
+    return x, len(residuals), info == 0
+
+
+class TestGmres:
+    @staticmethod
+    def solve(system, x0, target):
+        precond, _ = system.saddle.preconditioner(system)
+        return gmres(system.matrix, system.rhs, x0, precond, target)
+
+    @staticmethod
+    def warm_start(system, seed):
+        """The solution of a neighbouring system on the same mesh, as a
+        run's next step starts from."""
+        other = random_saddle(system.saddle.mesh, seed=seed)
+        return spla.splu(other.matrix.tocsc()).solve(other.rhs)
+
+    @pytest.mark.parametrize("target", [1e-16, 1e-13, 1e-8])
+    @pytest.mark.parametrize("start", ["zero", "warm"])
+    def test_matches_scipy(self, any_mesh, start, target):
+        # the same arithmetic in the same order: the same iteration count
+        # and the same iterate up to rounding, on both sides of the cap;
+        # 1e-16 is below rounding, so its cycles end early on the inner
+        # test and tighten it
+        for seed in (30, 31):
+            system = random_saddle(any_mesh, seed=seed)
+            x0 = None if start == "zero" else self.warm_start(system, 40)
+            x, iterations, converged = self.solve(system, x0, target)
+            ref, ref_iterations, ref_converged = scipy_gmres(system, x0,
+                                                             target)
+            assert iterations == ref_iterations > 0
+            assert converged == ref_converged
+            assert (np.linalg.norm(x - ref)
+                    <= 1e-12 * np.linalg.norm(ref))
+
+    def test_zero_rhs_gives_zero(self, mesh2_uniform):
+        system = random_saddle(mesh2_uniform, seed=32)
+        precond, _ = system.saddle.preconditioner(system)
+        rhs = np.zeros(system.rhs.size)
+        x0 = np.ones(rhs.size)
+        x, iterations, converged = gmres(system.matrix, rhs, x0, precond,
+                                         1e-13)
+        assert iterations == 0 and converged
+        assert not x.any()
+
+    def test_start_meeting_target_takes_no_iteration(self, any_mesh):
+        system = random_saddle(any_mesh, seed=33)
+        x0 = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        x, iterations, converged = self.solve(system, x0, 1e-10)
+        assert iterations == 0 and converged
+        assert x.tobytes() == x0.tobytes() and x is not x0
+
+    def test_cap_reports_no_convergence(self, mesh2_uniform, monkeypatch):
+        # GMRES_CYCLES cycles of GMRES_RESTART iterations cannot reach the
+        # target: the solve says so, and _accept falls back to LU
+        monkeypatch.setattr(linsolve, "GMRES_RESTART", 2)
+        monkeypatch.setattr(linsolve, "GMRES_CYCLES", 2)
+        system = random_saddle(mesh2_uniform, seed=34)
+        x, iterations, converged = self.solve(system, None, 1e-13)
+        ref, ref_iterations, ref_converged = scipy_gmres(system, None,
+                                                         1e-13)
+        assert iterations == ref_iterations == 4
+        assert not converged and not ref_converged
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        _, report = linsolve._accept(system.matrix, system.rhs, x, converged,
+                                     1e-10, "saddle solve", "gmres",
+                                     spla.splu, iterations=iterations)
+        assert report.fallback and report.method == "direct"
+        assert report.iterations == 4 and report.residual <= 1e-10
 
 
 class TestSaddleSolver:

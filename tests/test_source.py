@@ -73,6 +73,35 @@ def test_one_home_per_solve_decision():
     assert homes == ["linsolve.py", "linsolve.py"]
 
 
+# SciPy names that would run a second Krylov loop beside linsolve.gmres.
+SCIPY_KRYLOV = {"gmres", "LinearOperator"}
+
+
+def _scipy_krylov_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in SCIPY_KRYLOV:
+            yield f"line {node.lineno}: .{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in SCIPY_KRYLOV | {"splu"}:
+                    yield f"line {node.lineno}: import {alias.name}"
+
+
+def test_one_krylov_implementation():
+    # the saddle GMRES is linsolve.gmres, with no SciPy solver or operator
+    # wrapper beside it; the LUs go through the module attribute spla.splu,
+    # where a benchmark tracer can count them
+    path = pathlib.Path(macflow.__file__).parent / "linsolve.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert not list(_scipy_krylov_uses(tree))
+    assert any(isinstance(node, ast.Attribute) and node.attr == "splu"
+               and isinstance(node.value, ast.Name)
+               and node.value.id == "spla" for node in ast.walk(tree))
+    code = ("from scipy.sparse.linalg import splu\n"
+            "x, info = spla.gmres(a, b, M=spla.LinearOperator(s, f))\n")
+    assert len(list(_scipy_krylov_uses(ast.parse(code)))) == 3
+
+
 COLD_IMPORT = """
 import importlib.metadata, json, sys
 import numpy as np
