@@ -109,6 +109,8 @@ def _per_direction(raw, name, what, size=None):
 
 def build_mesh_from_config(cfg) -> "MacMesh":
     mesh_cfg = _require(cfg, "mesh")
+    if "cells" in mesh_cfg and "coordinates" in mesh_cfg:
+        raise ConfigError("give 'mesh.cells' or 'mesh.coordinates', not both")
     if "domain" in mesh_cfg:
         domain = _per_direction(mesh_cfg["domain"], "mesh.domain",
                                 "[lo, hi] pair of numbers", size=2)
@@ -260,8 +262,8 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
 
 
 def _create_output_directory(out_dir):
-    """Create ``out_dir``; each command calls this once its inputs are
-    built, so a rejected configuration leaves nothing behind."""
+    """Create ``out_dir``, once a command's inputs (``study``: its report)
+    are built, so a rejected configuration leaves nothing behind."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -384,13 +386,14 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
         study["levels"] = _number(levels_override, "--levels", integer=True,
                                   least=_STUDY_LEAST["levels"])
     problem = build_problem_from_config(cfg)
-    hash_value = config_hash(cfg)
-    _create_output_directory(out_dir)
-
     try:
         report = verify.convergence_study(problem, **study)
     except MeshValidationError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from None
+    except ValueError as exc:  # a level whose step count overflows, say
+        raise ConfigError(f"'study': {exc}") from None
+    hash_value = config_hash(cfg)
+    _create_output_directory(out_dir)
 
     verify.write_convergence_csv(report,
                                  os.path.join(out_dir, "convergence.csv"),

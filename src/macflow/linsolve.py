@@ -20,14 +20,14 @@ order, bit for bit, without its per-iteration Python overhead.  The
 transport step is solved by Jacobi sweeps from the old density, which
 keep it inside its bounds at every iterate.  One routine,
 :func:`_accept`, decides the outcome of both solves: it keeps the iterate
-when the iteration converged and the true residual passes
-(:func:`checked_residual`), and otherwise solves by LU and reports the
-fallback.  The saddle fallback is
-the one LU with partial pivoting; every other LU (preconditioner,
-projection, transport fallback, inf-sup monitor) is :func:`factor`,
-which does not pivot.  The pinned Poisson matrix of the Schur term,
-:func:`pinned_poisson`, with unit density also serves the divergence-free
-projection of :mod:`macflow.verify`, which factors it once per mesh.
+when the true residual its iteration stopped on passes, and otherwise
+solves by LU, measures that (:func:`checked_residual`) and reports the
+fallback.  The saddle fallback is the one LU with partial pivoting;
+every other LU (preconditioner, projection, transport fallback, inf-sup
+monitor) is :func:`factor`, which does not pivot.  The pinned Poisson
+matrix of the Schur term, :func:`pinned_poisson`, with unit density also
+serves the divergence-free projection of :mod:`macflow.verify`, which
+factors it once per mesh.
 
 A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
 :class:`SaddleSystem` of the run, and each system carries it to
@@ -157,23 +157,19 @@ class SolveReport:
     precond_refresh: bool = False
 
 
-def _accept(mat, rhs, x, converged: bool, tol: float, what: str,
-            method: str, direct, **counts):
+def _accept(mat, rhs, x, residual, tol: float, what: str, method: str,
+            direct, **counts):
     """The solution of ``mat x = rhs`` and its :class:`SolveReport`.
 
-    The iterate ``x`` of ``method`` is kept when the iteration
-    ``converged`` and its relative true residual is at most ``tol``.
-    Otherwise LU, ``direct(mat)`` of the CSC matrix, produces the solution,
+    The iterate ``x`` of ``method`` is kept when ``residual``, the relative
+    true residual it stopped on (``None``: it did not converge), is at
+    most ``tol``.  Otherwise LU, ``direct(mat)`` of the CSC matrix, solves,
     reported as ``method`` ``direct`` with ``fallback`` set.  Its residual
     must pass too, or :class:`SolverFailure`, naming ``what``, is raised.
     ``counts`` (iterations, refresh) go into the report as they are.
     """
-    if converged:
-        try:
-            rel = checked_residual(mat, x, rhs, tol, what)
-            return x, SolveReport(method, rel, **counts)
-        except SolverFailure:
-            pass
+    if residual is not None and residual <= tol:
+        return x, SolveReport(method, residual, **counts)
     x = direct(mat.tocsc()).solve(rhs)
     rel = checked_residual(mat, x, rhs, tol, what)
     return x, SolveReport("direct", rel, fallback=True, **counts)
@@ -220,8 +216,9 @@ def jacobi_sweeps(mat, rhs, x, target: float, cap: int):
     the relative residual is at most ``target``, a sweep fails to lower
     the 1-norm of the residual, or ``cap`` sweeps.
 
-    Returns the last iterate (a new array) and the number of sweeps made;
-    ``cap`` sweeps means neither stop was reached.  On the transport
+    Returns the last iterate (a new array), the sweeps made and the true
+    residual a stop met, relative as in :func:`checked_residual`, or
+    ``None`` after ``cap`` sweeps.  On the transport
     matrix, from the old density, a sweep sets each cell to a convex
     combination of its old density and the current upwind neighbours (the
     diagonal is ``|K|/dt`` plus the outflow, which equals the inflow when
@@ -234,16 +231,16 @@ def jacobi_sweeps(mat, rhs, x, target: float, cap: int):
     """
     x = np.array(x, dtype=float)
     inv_diag = 1.0 / mat.diagonal()
-    bound = target * np.linalg.norm(rhs)
+    scale = np.linalg.norm(rhs)
     last = np.inf
     for sweeps in range(cap):
         resid = rhs - mat @ x
-        size = np.linalg.norm(resid, 1)
-        if np.linalg.norm(resid) <= bound or size >= last:
-            return x, sweeps
+        size, norm = np.linalg.norm(resid, 1), np.linalg.norm(resid)
+        if norm <= target * scale or size >= last:
+            return x, sweeps, float(norm / scale if scale > 0 else norm)
         last = size
         x += inv_diag * resid
-    return x, cap
+    return x, cap, None
 
 
 def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
@@ -257,9 +254,9 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     solves by :func:`factor` and reports the fallback.
     """
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
-    values, sweeps = jacobi_sweeps(mat, rhs, rho_old.values,
-                                   KRYLOV_TARGET * tol, JACOBI_MAXITER)
-    values, report = _accept(mat, rhs, values, sweeps < JACOBI_MAXITER, tol,
+    values, sweeps, residual = jacobi_sweeps(
+        mat, rhs, rho_old.values, KRYLOV_TARGET * tol, JACOBI_MAXITER)
+    values, report = _accept(mat, rhs, values, residual, tol,
                              "transport solve", "jacobi", factor,
                              iterations=sweeps)
     return ScalarField(mesh, values), report
@@ -493,8 +490,9 @@ def gmres(mat, rhs, x0, precond, target: float):
     ``None``), preconditioned on the left by ``precond(r, out)``, which
     writes ``M^-1 r`` into ``out``.
 
-    Returns the iterate, the number of iterations and whether the true
-    residual ``|rhs - mat x|`` is at most ``target * |rhs|``.  The loop
+    Returns the iterate, the number of iterations and the relative true
+    residual ``|rhs - mat x| / |rhs|`` once it is at most ``target`` (0.0
+    for a zero ``rhs``), else ``None``.  The loop
     does the arithmetic of ``scipy.sparse.linalg.gmres`` (SciPy 1.17) in
     its order, so both give the same iterates bit for bit: restart cycles
     of ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi steps on ``M^-1
@@ -510,7 +508,7 @@ def gmres(mat, rhs, x0, precond, target: float):
     """
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
-        return rhs.copy(), 0, True
+        return rhs.copy(), 0, 0.0
     x = np.zeros(rhs.size) if x0 is None else np.array(x0, dtype=float)
     atol = target * bnorm
     restart = min(GMRES_RESTART, rhs.size)
@@ -520,9 +518,10 @@ def gmres(mat, rhs, x0, precond, target: float):
     inner = np.linalg.norm(basis[0]) * min(1.0, atol / bnorm)
     eps = np.finfo(float).eps
     r = rhs - mat @ x if x.any() else rhs
-    if np.linalg.norm(r) < atol:
-        return x, 0, True
-    iterations, shrink, converged = 0, 1.0, False
+    rnorm = np.linalg.norm(r)
+    if rnorm < atol:
+        return x, 0, float(rnorm / bnorm)
+    iterations, shrink = 0, 1.0
     for _ in range(GMRES_CYCLES):
         precond(r, basis[0])
         beta = float(np.linalg.norm(basis[0]))
@@ -565,15 +564,16 @@ def gmres(mat, rhs, x0, precond, target: float):
         x += np.array(y) @ basis[:col + 1]
         r = rhs - mat @ x
         rnorm = np.linalg.norm(r)
-        converged = bool(rnorm <= atol)
-        if converged or breakdown:
+        if rnorm <= atol:
+            return x, iterations, float(rnorm / bnorm)
+        if breakdown:
             break
         if presid <= inner:
             shrink = max(eps, 0.25 * shrink)
         else:
             shrink = min(1.0, 1.5 * shrink)
         inner = presid * min(shrink, atol / rnorm)
-    return x, iterations, converged
+    return x, iterations, None
 
 
 class SaddleSolver:
@@ -584,19 +584,17 @@ class SaddleSolver:
     diffusion blocks folded into its data), on which
     :func:`assemble_oseen` fills each step's matrix, the pressure mass
     inverse ``M_p^-1`` (built once, zero at the pinned cell), and the
-    GMRES block preconditioner with its LU factors, kept from one solve to
-    the next (:meth:`preconditioner`).  The factors are built again:
+    GMRES block preconditioner, whose LU factors are kept from one solve
+    to the next (:meth:`preconditioner`), built on first use and again:
 
-    * when the time step differs from the one they were built with (the
-      Schur term is ``K^-1/dt``), and on first use;
     * after a solve that fell back to ``direct``, since the preconditioner
       failed there;
     * after a GMRES solve that took more than ``REFRESH_GROWTH`` times
       the iterations of the first solve after the last factorization.
 
     The rule counts GMRES iterations, and a solve that needs none (its
-    initial guess already met the tolerance) sets no base count.  The
-    rule has no tunable input, so a run is as deterministic as before.
+    initial guess already met the tolerance) sets no base count; it has
+    no tunable input.
 
     ``solution`` is the last accepted pinned solution, from which the
     next GMRES solve starts (consecutive steps differ by O(dt)); a new
@@ -607,7 +605,7 @@ class SaddleSolver:
     def __init__(self, mesh: MacMesh):
         self.mesh = mesh
         self.solution = None           # last accepted pinned solution
-        self._precond = None           # (dt, block preconditioner)
+        self._precond = None           # block preconditioner
         self._base_iterations = None   # first solve after factoring
         self._inv_mass_p = 1.0 / mesh.cell_volume
         self._inv_mass_p[PINNED_CELL] = 0.0
@@ -640,14 +638,13 @@ class SaddleSolver:
         cell volumes (unit-viscosity limit).  ``K`` is pinned like the
         saddle, and ``M_p^-1`` vanishes at the pinned cell.
 
-        Kept factors come from an earlier step's system with the same
-        ``dt``: they invert the momentum block and density of that step,
-        which still steers GMRES while the density and velocity move
-        little, at the cost of a few iterations.
+        Kept factors come from an earlier step's system: they invert the
+        momentum block, density and ``dt`` of that step, which still
+        steers GMRES while the density and velocity move little, at the
+        cost of a few iterations.
         """
-        refresh = self._precond is None or self._precond[0] != system.dt
+        refresh = self._precond is None
         if refresh:
-            self._precond = None  # release the old factors first
             # One LU per component, not one of the whole momentum block:
             # at 128^2 both have a fill of 1,317,006, but the single LU
             # peaks at 24.2 MiB against 13.4 MiB, and it raised the peak
@@ -664,9 +661,9 @@ class SaddleSolver:
                 z_p += inv_mass_p * r_p
                 solve_u(r[:n_u] - grad @ z_p, out=out[:n_u])
 
-            self._precond = (dt, apply)
+            self._precond = apply
             self._base_iterations = None
-        return self._precond[1], refresh
+        return self._precond, refresh
 
     def record(self, iterations: int, fallback: bool):
         """Apply the refresh rule to the outcome of a GMRES solve with the
@@ -686,9 +683,9 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     Returns interior velocity unknowns, the zero-mean pressure field, and
     a report.  The solve is :func:`gmres` on the pinned matrix,
     preconditioned by :meth:`SaddleSolver.preconditioner`, to a relative
-    true residual of ``KRYLOV_TARGET * tol``.  When GMRES does not
-    converge, or its iterate misses ``tol``, :func:`_accept` solves by
-    sparse LU with partial pivoting and reports the fallback.
+    true residual of ``KRYLOV_TARGET * tol``.  When GMRES stops short of
+    it, :func:`_accept` solves by sparse LU with partial pivoting and
+    reports the fallback.
 
     GMRES takes its preconditioner and its initial guess (the last
     accepted solution) from ``system.saddle``, the :class:`SaddleSolver`
@@ -701,13 +698,12 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     # M on the left: a restart cycle minimizes the residual weighted by M
     # (the Schur inverse on the continuity rows), which keeps the
     # divergence of the new velocity at the LU level (right
-    # preconditioning left it three orders of magnitude larger).  The solve
-    # stops only when |rhs - mat x| <= KRYLOV_TARGET * tol * |rhs|, whatever
-    # the initial guess, so the warm start does not loosen the test.
-    solution, iterations, converged = gmres(
+    # preconditioning left it three orders of magnitude larger).  Its
+    # true-residual stop does not depend on the warm start.
+    solution, iterations, residual = gmres(
         mat, rhs, saddle.solution, precond, KRYLOV_TARGET * tol)
     # the one LU with partial pivoting: the pinned saddle is indefinite
-    solution, report = _accept(mat, rhs, solution, converged, tol,
+    solution, report = _accept(mat, rhs, solution, residual, tol,
                                "saddle solve", "gmres", spla.splu,
                                iterations=iterations,
                                precond_refresh=refresh)

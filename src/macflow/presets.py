@@ -162,6 +162,7 @@ def make_rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:
     """Fluid at rest in the unit box of ``dim`` (2 or 3) directions."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+    dim = int(dim)
     if density <= 0:
         raise ValueError(f"density must be positive, got {density!r}")
     domain = tuple((0.0, 1.0) for _ in range(dim))

@@ -156,6 +156,12 @@ class TestConfigValidation:
         (_RUNNABLE.replace("{preset: gyre}",
                            "{preset: rest, params: {density: 0}}")
          + "time: {t_end: 0.02, dt: 0.01}\n", "density must be positive"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           "{preset: rest, params: {dim: 2.5}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "dim must be 2 or 3, got 2.5"),
+        ("mesh: {cells: [40, 40], coordinates: [[0, 0.5, 1], [0, 0.5, 1]]}\n"
+         "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
+         "give 'mesh.cells' or 'mesh.coordinates', not both"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "output: {directory: 3}\n", "'output.directory'"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
@@ -174,7 +180,9 @@ class TestConfigValidation:
             "boolean-dt", "nonpositive-density-amplitude", "zero-width",
             "boolean-preset-param", "text-preset-param",
             "unknown-preset-param",
-            "rest-negative-density", "rest-zero-density", "number-directory",
+            "rest-negative-density", "rest-zero-density",
+            "rest-fractional-dim", "cells-and-coordinates",
+            "number-directory",
             "text-mesh-tables", "directory-config", "latin1-config"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
@@ -202,12 +210,15 @@ class TestConfigValidation:
         ("study", "problem: {preset: rest, params: {dim: 4}}\n"
          "study: {levels: 3, base_cells: 2}\n", [], "dim must be 2 or 3"),
         ("study", "output: {directory: [a]}\n", [], "'output.directory'"),
+        ("study", "study: {t_end: 1.0e+10, base_dt: 1.0e-310}\n", [],
+         "'study': the step count"),
         ("verify", "", ["--seed", "-1"], "'--seed'"),
         ("study", "", ["--seed", "-1"], "'--seed'"),
         ("run", "", ["--seed", "-1"], "'--seed'"),
     ], ids=["text-threshold", "two-levels", "two-levels-flag",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
             "zero-trials", "nan-tolerance", "rest-in-4d", "list-directory",
+            "overflowing-step-count",
             "negative-seed-verify", "negative-seed-study",
             "negative-seed-run"])
     def test_exit_code_2_on_bad_study_or_verify_config(
@@ -226,7 +237,10 @@ class TestConfigValidation:
         ("verify", "verify: {trials: 0}\n", "'verify.trials'"),
         ("study", "problem: {preset: gyre}\nstudy: {levels: 2}\n",
          "'study.levels'"),
-    ], ids=["run", "verify", "study"])
+        ("study", "problem: {preset: gyre}\n"
+         "study: {t_end: 1.0e+10, base_dt: 1.0e-310}\n",
+         "'study': the step count"),
+    ], ids=["run", "verify", "study", "study-step-count"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created
@@ -262,6 +276,7 @@ class TestConfigValidation:
         code = main(["study", "--config", str(path),
                      "--out", str(tmp_path / "out")])
         assert_config_error(code, capsys, "invalid mesh: cells must be")
+        assert not (tmp_path / "out").exists()
 
     def test_solver_keys_override_scheme_defaults(self, tmp_path):
         path = run_config(tmp_path, solver={"bounds_margin": 0,
@@ -319,6 +334,14 @@ class TestRunCommand:
         np.testing.assert_array_equal(rho0.values, rho1.values)
         summary = (out / "summary.txt").read_text()
         assert "overall: PASS" in summary
+
+    def test_rest_dim_as_integral_float(self, tmp_path, capsys):
+        # dim 2.0 names the dimension 2, as YAML writes it with a point
+        path = run_config(tmp_path, problem={"preset": "rest",
+                                             "params": {"dim": 2.0}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert "overall: PASS" in (out / "summary.txt").read_text()
 
     def test_rotating_patch_diagnostics(self, tmp_path):
         path = run_config(tmp_path)

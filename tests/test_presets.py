@@ -138,6 +138,14 @@ def test_presets_run_without_symbolic_tooling(monkeypatch):
         initialize(mesh, problem)
 
 
+@pytest.mark.parametrize("dim", [2.0, 3.0])
+def test_rest_takes_integral_dimension(dim):
+    # an integral float names its dimension, as YAML writes it with a point
+    problem = get_preset("rest", dim=dim)
+    assert problem.dim == int(dim) and type(problem.dim) is int
+    assert len(problem.domain) == len(problem.u0) == int(dim)
+
+
 def test_light_patch_keeps_density_in_bounds():
     problem = get_preset("rotating-patch", amplitude=-0.5)
     assert problem.rho_bounds == (0.5, 1.0)

@@ -73,6 +73,27 @@ def test_one_home_per_solve_decision():
     assert homes == ["linsolve.py", "linsolve.py"]
 
 
+def _call_lines(tree, name):
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name]
+
+
+def test_kept_iterate_measured_once():
+    # gmres and jacobi_sweeps hand _accept the residual they stopped on;
+    # in linsolve only _accept calls checked_residual, and only on the LU
+    # solution, after direct
+    path = pathlib.Path(macflow.__file__).parent / "linsolve.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [accept] = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "_accept"]
+    checks = _call_lines(accept, "checked_residual")
+    assert len(checks) == 1
+    assert min(_call_lines(accept, "direct")) < checks[0]
+    assert len(_call_lines(tree, "checked_residual")) == 1
+
+
 # SciPy names that would run a second Krylov loop beside linsolve.gmres.
 SCIPY_KRYLOV = {"gmres", "LinearOperator"}
 
