@@ -30,7 +30,7 @@ from .grid import (MeshValidationError, build_mesh, build_uniform_mesh,
                    dump_mesh_tables, graded_coords)
 from .fields import scalar_to_csv, velocity_to_csv, write_vtk
 from .presets import available_presets, get_preset
-from .timestepper import InvariantViolation, SchemeConfig, run, step_count
+from .timestepper import InvariantViolation, SchemeConfig, run, time_steps
 from .linsolve import SolverFailure
 from . import verify
 from .ioutil import config_hash, format_float, write_summary
@@ -188,17 +188,12 @@ def build_scheme_config(cfg) -> SchemeConfig:
               for key, raw in cfg.get("solver", {}).items()}
     # the command line stores only the first and last states by default
     snapshots = cfg.get("output", {}).get("snapshots", 0)
-    scheme = SchemeConfig(
+    return SchemeConfig(
         dt=_number(_require(cfg, "time", "dt"), "time.dt"),
         t_end=_number(_require(cfg, "time", "t_end"), "time.t_end"),
         store_every=_number(snapshots, "output.snapshots", integer=True,
                             least=0),
         **solver)
-    try:
-        step_count(scheme.t_end, scheme.dt)
-    except ValueError as exc:
-        raise ConfigError(f"'time': {exc}") from None
-    return scheme
 
 
 def _write_snapshots(result, out_dir, formats, cfg_hash_value):
@@ -287,6 +282,10 @@ def cmd_run(cfg, out_dir, seed) -> int:
     if problem.dim != mesh.dim:
         raise ConfigError(f"'problem.preset' {problem.name!r} is "
                           f"{problem.dim}D but the mesh is {mesh.dim}D")
+    try:
+        time_steps(mesh, problem, scheme)
+    except ValueError as exc:
+        raise ConfigError(f"'time': {exc}") from None
     hash_value = config_hash(cfg)
     _create_output_directory(out_dir)
 

@@ -34,8 +34,10 @@ A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
 :func:`solve_oseen`.  The solver builds the CSR pattern of the pinned
 matrix once (:class:`SaddlePattern`: the mesh-constant gradient,
 divergence and diffusion values, and the positions the face masses and
-the convection land on), so a step only fills values, and each GMRES
-solve starts from the last accepted solution.  It builds, keeps and
+the convection land on), so a step only fills values.  Each GMRES solve
+starts from the weighted least-squares fit of its system over the span
+of the last ``HISTORY`` accepted solutions, which the solver keeps as an
+orthonormal basis (:meth:`SaddleSolver.start`).  It builds, keeps and
 applies the block preconditioner, whose LU factors live from step to
 step: the density stays inside its initial bounds (discrete maximum
 principle), so the variable-density Poisson matrix moves within a
@@ -87,6 +89,12 @@ PINNED_CELL = 0
 # this multiple of the iterations of the first solve after the last
 # factorization.
 REFRESH_GROWTH = 1.5
+
+# Accepted saddle solutions whose span the next GMRES start is drawn from.
+# On the 32^2 rotating patch (100 steps of dt = 0.01) 4 of them took 814
+# Krylov iterations, 8 took 566 and 12 took 553, against 1449 from the
+# last solution alone.
+HISTORY = 8
 
 
 class SolverFailure(RuntimeError):
@@ -596,19 +604,31 @@ class SaddleSolver:
     initial guess already met the tolerance) sets no base count; it has
     no tunable input.
 
-    ``solution`` is the last accepted pinned solution, from which the
-    next GMRES solve starts (consecutive steps differ by O(dt)); a new
-    solver starts from zero.  The stopping test does not depend on the
-    initial guess.
+    It also keeps an orthonormal basis ``Q`` of the span of the last
+    ``HISTORY`` accepted pinned solutions (:meth:`remember`), from which
+    each GMRES solve starts (:meth:`start`): consecutive systems differ by
+    O(dt), so the best combination of the last solutions is a closer
+    guess than the last one alone (Fischer, *Comput. Methods Appl. Mech.
+    Engrg.* 163, 1998).  A new solver has an empty history and starts
+    from zero.  The stopping test does not depend on the initial guess.
     """
 
     def __init__(self, mesh: MacMesh):
         self.mesh = mesh
-        self.solution = None           # last accepted pinned solution
         self._precond = None           # block preconditioner
         self._base_iterations = None   # first solve after factoring
         self._inv_mass_p = 1.0 / mesh.cell_volume
         self._inv_mass_p[PINNED_CELL] = 0.0
+        # rows 0.._size-1 hold Q, the newest solution's direction first;
+        # np.empty leaves the pages of unused rows unwritten
+        self._basis = np.empty((HISTORY, mesh.n_unknowns + mesh.n_cells))
+        self._size = 0
+
+    @property
+    def history(self) -> np.ndarray:
+        """The orthonormal basis ``Q`` of the remembered solutions, one
+        row per direction, the newest solution's first (a view)."""
+        return self._basis[:self._size]
 
     @cached_property
     def grad(self) -> sp.csr_matrix:
@@ -665,6 +685,63 @@ class SaddleSolver:
             self._base_iterations = None
         return self._precond, refresh
 
+    def start(self, system: SaddleSystem):
+        """Initial guess of the GMRES solve of ``system``: ``x0 = Q c``,
+        with ``c`` minimizing the weighted residual ``|w (rhs - A Q c)|``
+        over the span of the history, ``None`` (zero) while it is empty.
+
+        The diagonal weight ``w`` stands in for the left preconditioner:
+        ``1/diag(A)`` on the momentum rows and ``M_p^-1`` (``1/|K|``,
+        zero on the pin's row) on the continuity rows.  Unweighted,
+        the worst divergence of the 32^2 rotating patch rose tenfold,
+        from 1.1e-14 to 1.0e-13.  The fit solves its m x m normal
+        equations; ``Q`` is orthonormal, so their condition is that of
+        ``w A`` on the span, squared, and not also that of the nearly
+        collinear solutions.
+        """
+        if self._size == 0:
+            return None
+        basis = self.history
+        weight = np.concatenate([1.0 / system.matrix.data[self.pattern.diag],
+                                 self._inv_mass_p])
+        fit = system.matrix @ basis.T
+        fit *= weight[:, None]
+        coef = np.linalg.solve(fit.T @ fit, fit.T @ (weight * system.rhs))
+        return coef @ basis
+
+    def remember(self, solution: np.ndarray):
+        """Take an accepted pinned solution into the history.
+
+        When the history is full its oldest direction is dropped first.
+        The part of ``solution`` orthogonal to the remaining basis
+        (classical Gram-Schmidt, run twice) becomes a new direction
+        unless it is below rounding, and the basis is rotated so that its
+        first ``k`` rows span the last ``k`` solutions, the newest first:
+        dropping the last row then drops exactly the oldest solution.
+        """
+        keep = min(self._size, HISTORY - 1)
+        kept, new = self._basis[:keep], self._basis[keep]
+        new[:] = solution
+        coords = np.zeros(keep + 1)
+        for _ in range(2):
+            h = kept @ new
+            new -= h @ kept
+            coords[:keep] += h
+        coords[keep] = np.linalg.norm(new)
+        size = keep
+        # a part within the rounding of the projections is no direction
+        eps = np.finfo(float).eps
+        if coords[keep] > 16 * eps * np.linalg.norm(solution):
+            new /= coords[keep]
+            size += 1
+        if size:
+            # orthonormal U whose first j columns span the solution's
+            # coordinates and the first j - 1 kept rows
+            rot, _ = np.linalg.qr(np.column_stack(
+                [coords[:size], np.eye(size, keep)]))
+            self._basis[:size] = rot.T @ self._basis[:size]
+        self._size = size
+
     def record(self, iterations: int, fallback: bool):
         """Apply the refresh rule to the outcome of a GMRES solve with the
         current factors: drop them after a fallback or an iteration count
@@ -687,10 +764,12 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     it, :func:`_accept` solves by sparse LU with partial pivoting and
     reports the fallback.
 
-    GMRES takes its preconditioner and its initial guess (the last
-    accepted solution) from ``system.saddle``, the :class:`SaddleSolver`
-    that assembled the system, reports in ``precond_refresh`` whether this
-    solve factored, and leaves the accepted solution there.
+    GMRES takes its preconditioner and its initial guess (the best
+    combination of the last accepted solutions,
+    :meth:`SaddleSolver.start`) from ``system.saddle``, the
+    :class:`SaddleSolver` that assembled the system, reports in
+    ``precond_refresh`` whether this solve factored, and adds the accepted
+    solution to the solver's history.
     """
     saddle, mesh = system.saddle, system.saddle.mesh
     mat, rhs = system.matrix, system.rhs
@@ -699,16 +778,16 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
     # (the Schur inverse on the continuity rows), which keeps the
     # divergence of the new velocity at the LU level (right
     # preconditioning left it three orders of magnitude larger).  Its
-    # true-residual stop does not depend on the warm start.
+    # true-residual stop does not depend on the initial guess.
     solution, iterations, residual = gmres(
-        mat, rhs, saddle.solution, precond, KRYLOV_TARGET * tol)
+        mat, rhs, saddle.start(system), precond, KRYLOV_TARGET * tol)
     # the one LU with partial pivoting: the pinned saddle is indefinite
     solution, report = _accept(mat, rhs, solution, residual, tol,
                                "saddle solve", "gmres", spla.splu,
                                iterations=iterations,
                                precond_refresh=refresh)
     saddle.record(report.iterations, report.fallback)
-    saddle.solution = solution
+    saddle.remember(solution)
     u_values, p_values = np.split(solution, [mesh.n_unknowns])
     p_values = p_values - float(mesh.cell_volume @ p_values) / mesh.volume
     velocity = VelocityField.from_interior(mesh, u_values)

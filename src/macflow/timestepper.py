@@ -157,7 +157,7 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
 
     ``saddle`` is the run's :class:`~macflow.linsolve.SaddleSolver`; the
     step runs on its mesh, and it keeps the matrix pattern, the
-    preconditioner factors and the last solution across steps.
+    preconditioner factors and the last solutions across steps.
     ``forcing`` is an optional callable ``(mesh, t) -> per-direction face
     arrays`` evaluated at the new time level; a non-finite value on an
     interior face raises :class:`InvariantViolation` before the saddle
@@ -280,16 +280,38 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, math.ceil(ratio - 1e-12))
 
 
+def time_steps(mesh: MacMesh, problem, cfg: SchemeConfig):
+    """Step count and step of a run of ``problem`` on ``mesh``: the fewest
+    equal steps of at most ``cfg.dt`` that reach ``cfg.t_end``.
+
+    Raises ``ValueError`` when :func:`step_count` does, or when the step
+    is so small that the norm of the transport right-hand side
+    ``|K| rho / dt`` overflows (its relative residual would read
+    inf / inf), with rho the largest magnitude of the problem's density
+    bounds and at least 1, which covers the matrix diagonal ``|K| / dt``.
+    """
+    n_steps = step_count(cfg.t_end, cfg.dt)
+    dt = cfg.t_end / n_steps
+    bounds = getattr(problem, "rho_bounds", None) or ()
+    scale = (float(np.linalg.norm(mesh.cell_volume))
+             * max([1.0, *map(abs, bounds)]) / dt)
+    # the norm squares the entries
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"dt = {dt!r} is too small for this mesh: the "
+                         "transport right-hand side |K| rho / dt overflows")
+    return n_steps, dt
+
+
 def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
     """Integrate from the projected initial data to ``cfg.t_end``.
 
     When ``t_end`` is not an integer multiple of ``dt`` the step is
-    shrunk to the nearest exact divisor.  Snapshots are stored every
-    ``store_every`` steps (always including the first and last states).
-    Every step shares one :class:`~macflow.linsolve.SaddleSolver`.
+    shrunk to the nearest exact divisor (:func:`time_steps`).  Snapshots
+    are stored every ``store_every`` steps (always including the first
+    and last states).  Every step shares one
+    :class:`~macflow.linsolve.SaddleSolver`.
     """
-    n_steps = step_count(cfg.t_end, cfg.dt)
-    dt = cfg.t_end / n_steps
+    n_steps, dt = time_steps(mesh, problem, cfg)
     cfg_eff = SchemeConfig(**{**cfg.__dict__, "dt": dt})
 
     state = initialize(mesh, problem)

@@ -166,6 +166,9 @@ class TestConfigValidation:
          "output: {directory: 3}\n", "'output.directory'"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "output: {mesh_tables: maybe}\n", "'output.mesh_tables'"),
+        ("mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4]}\n"
+         "problem: {preset: rotating-patch}\n"
+         "time: {t_end: 1.0, dt: 1.0e-300}\n", "'time': dt = 1e-300"),
         (None, "cannot read"),
         (b"problem: {preset: gyre}\n# caf\xe9\n", "cannot read"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
@@ -183,7 +186,8 @@ class TestConfigValidation:
             "rest-negative-density", "rest-zero-density",
             "rest-fractional-dim", "cells-and-coordinates",
             "number-directory",
-            "text-mesh-tables", "directory-config", "latin1-config"])
+            "text-mesh-tables", "overflowing-transport-scale",
+            "directory-config", "latin1-config"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -240,7 +244,11 @@ class TestConfigValidation:
         ("study", "problem: {preset: gyre}\n"
          "study: {t_end: 1.0e+10, base_dt: 1.0e-310}\n",
          "'study': the step count"),
-    ], ids=["run", "verify", "study", "study-step-count"])
+        ("run", "mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4]}\n"
+         "problem: {preset: rotating-patch}\n"
+         "time: {t_end: 1.0, dt: 1.0e-300}\n", "is too small for this mesh"),
+    ], ids=["run", "verify", "study", "study-step-count",
+            "run-transport-scale"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created

@@ -1,12 +1,15 @@
 """Transport and saddle solvers against dense oracles and structure checks."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from macflow.cli import (build_mesh_from_config, build_problem_from_config,
+                         build_scheme_config, load_config)
 from macflow.grid import build_mesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import linsolve, operators as ops
@@ -24,23 +27,31 @@ from macflow.verify import collect_diagnostics, project_divergence_free
 
 from conftest import graded_mesh
 
+DEMO_CONFIGS = pathlib.Path(__file__).parents[1] / "demos" / "configs"
+
 
 def random_velocity(mesh, rng):
     return VelocityField(mesh, [rng.standard_normal(mesh.faces[i].count)
                                 for i in range(mesh.dim)])
 
 
-def random_saddle(mesh, seed, dt=0.05):
-    """One-step saddle system, on a new solver, from random density,
-    velocity and forcing."""
+def random_saddle(mesh, seed, dt=0.05, saddle=None):
+    """One-step saddle system, on ``saddle`` or a new solver, from random
+    density, velocity and forcing."""
     rng = np.random.default_rng(seed)
     rho_old = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
     u_old = random_velocity(mesh, rng)
     rho_new, _ = solve_transport(mesh, dt, rho_old, u_old)
     forcing = [rng.standard_normal(mesh.faces[i].count)
                for i in range(mesh.dim)]
-    return assemble_oseen(SaddleSolver(mesh), dt, rho_new, rho_old, u_old,
-                          forcing=forcing)
+    return assemble_oseen(saddle or SaddleSolver(mesh), dt, rho_new,
+                          rho_old, u_old, forcing=forcing)
+
+
+def pinned(u, p):
+    """The pinned saddle unknowns of a solved velocity and pressure."""
+    return np.concatenate([u.pack_interior(),
+                           p.values - p.values[PINNED_CELL]])
 
 
 def stream_function_velocity(mesh, seed=0):
@@ -747,18 +758,20 @@ class TestSaddleSolver:
         assert saddle.preconditioner(system)[1]
 
     def test_warm_start_from_last_solution(self, any_mesh):
-        # the second solve of one system starts from the first one's
-        # solution: at most 2 iterations, and the same solution within tol
+        # the second solve of one system starts from the fit over a
+        # history that holds the first one's solution: at most 2
+        # iterations, and the same solution within tol
         system = random_saddle(any_mesh, seed=20)
         saddle = system.saddle
         tol = 1e-10
         u1, p1, rep1 = solve_oseen(system, tol=tol)
-        first = saddle.solution.copy()
+        assert saddle.history.shape[0] == 1
+        first = pinned(u1, p1)
         u2, p2, rep2 = solve_oseen(system, tol=tol)
         assert rep1.iterations > 2 and not rep1.fallback
         assert rep2.iterations <= 2 and not rep2.fallback
         assert not rep2.precond_refresh
-        assert (np.linalg.norm(saddle.solution - first)
+        assert (np.linalg.norm(pinned(u2, p2) - first)
                 <= tol * np.linalg.norm(first))
         np.testing.assert_allclose(u2.pack_interior(), u1.pack_interior(),
                                    rtol=0, atol=tol * np.abs(first).max())
@@ -766,14 +779,16 @@ class TestSaddleSolver:
                                    atol=tol * np.abs(first).max())
 
     def test_fresh_solver_starts_from_zero(self, mesh2_uniform):
-        # a new solver has no solution yet: its first solve starts from
-        # zero and factors
+        # a new solver has no history yet: its first solve starts from
+        # zero and factors; a zero solution adds no direction
         fresh = random_saddle(mesh2_uniform, seed=21)
-        assert fresh.saddle.solution is None
+        assert fresh.saddle.history.shape[0] == 0
+        assert fresh.saddle.start(fresh) is None
         _, _, first = solve_oseen(fresh)
-        assert fresh.saddle.solution is not None
+        assert fresh.saddle.history.shape[0] == 1
         zero = random_saddle(mesh2_uniform, seed=21)
-        zero.saddle.solution = np.zeros(zero.rhs.size)
+        zero.saddle.remember(np.zeros(zero.rhs.size))
+        assert zero.saddle.history.shape[0] == 0
         _, _, from_zero = solve_oseen(zero)
         assert first.precond_refresh and from_zero.precond_refresh
         assert first.iterations == from_zero.iterations > 2
@@ -834,6 +849,106 @@ class TestSaddleSolver:
         assert calls[-1] == (mesh.n_cells, mesh.n_cells)
 
 
+class TestProjectedStart:
+    # each GMRES solve starts from the weighted least-squares fit of its
+    # system over the span of the last HISTORY accepted solutions
+    @staticmethod
+    def weight(system):
+        """The weight of the fit, computed here: ``1/diag(A)`` on the
+        momentum rows, ``1/|K|`` on the continuity rows but the pin's."""
+        mesh = system.saddle.mesh
+        inv_volume = 1.0 / mesh.cell_volume
+        inv_volume[PINNED_CELL] = 0.0
+        return np.concatenate([
+            1.0 / system.matrix.diagonal()[:mesh.n_unknowns], inv_volume])
+
+    @staticmethod
+    def in_span(basis, x):
+        return (np.linalg.norm(x - basis.T @ (basis @ x))
+                <= 1e-13 * np.linalg.norm(x))
+
+    def test_start_beats_newest_solution(self, any_mesh):
+        saddle = SaddleSolver(any_mesh)
+        for seed in range(40, 44):
+            system = random_saddle(any_mesh, seed, saddle=saddle)
+            newest = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+            saddle.remember(newest)
+        system = random_saddle(any_mesh, 44, saddle=saddle)
+        guess = saddle.start(system)
+        basis = saddle.history
+        assert basis.shape[0] == 4 and self.in_span(basis, newest)
+        np.testing.assert_allclose(basis @ basis.T, np.eye(4), rtol=0,
+                                   atol=1e-14)
+        w = self.weight(system)
+        fit = w * (system.rhs - system.matrix @ guess)
+        assert (np.linalg.norm(fit)
+                < np.linalg.norm(w * (system.rhs - system.matrix @ newest)))
+        # the fit's weighted residual is orthogonal to w A Q
+        wa = w[:, None] * (system.matrix @ basis.T)
+        assert (np.abs(fit @ wa).max()
+                <= 1e-10 * np.linalg.norm(wa) * np.linalg.norm(fit))
+
+    def test_history_keeps_the_last_solutions(self, any_mesh):
+        # a full history drops exactly its oldest solution
+        saddle = SaddleSolver(any_mesh)
+        xs = np.random.default_rng(45).standard_normal(
+            (linsolve.HISTORY + 4, any_mesh.n_unknowns + any_mesh.n_cells))
+        for k, x in enumerate(xs):
+            saddle.remember(x)
+            basis = saddle.history
+            size = min(k + 1, linsolve.HISTORY)
+            assert basis.shape[0] == size
+            np.testing.assert_allclose(basis @ basis.T, np.eye(size),
+                                       rtol=0, atol=1e-14)
+            kept = xs[k + 1 - size:k + 1]
+            assert all(self.in_span(basis, y) for y in kept)
+            if k >= size:
+                assert not self.in_span(basis, xs[k - size])
+
+    def test_repeated_solution_gives_finite_start(self, mesh2_uniform):
+        # identical and parallel solutions span one direction, and the fit
+        # on the system they solve returns that solution
+        saddle = SaddleSolver(mesh2_uniform)
+        system = random_saddle(mesh2_uniform, 46, saddle=saddle)
+        x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+        for scale in (1.0, 1.0, 1.0, -2.0):
+            saddle.remember(scale * x)
+        assert saddle.history.shape[0] == 1
+        guess = saddle.start(system)
+        assert np.isfinite(guess).all()
+        np.testing.assert_allclose(guess, x, rtol=0,
+                                   atol=1e-12 * np.abs(x).max())
+
+    def test_rest_run_keeps_no_history(self):
+        # a fluid at rest solves zero systems: the zero solutions add no
+        # direction, and every solve starts from zero with no warning
+        problem = get_preset("rest")
+        mesh = build_uniform_mesh(problem.domain, (6, 6))
+        saddle = SaddleSolver(mesh)
+        state = initialize(mesh, problem)
+        cfg = SchemeConfig(dt=0.1, t_end=0.3)
+        for _ in range(3):
+            state, diag = step(saddle, state, cfg)
+            assert diag.oseen_iterations == 0 and not diag.oseen_fallback
+        assert saddle.history.shape[0] == 0
+        system = assemble_oseen(saddle, 0.1, state.rho, state.rho, state.u)
+        assert saddle.start(system) is None
+
+    def test_patch_run_iterations(self):
+        # demos/configs/patch_run.yaml (32^2, 100 steps): 1449 Krylov
+        # iterations when each solve started from the last solution alone
+        cfg = load_config(DEMO_CONFIGS / "patch_run.yaml")
+        result = run(build_mesh_from_config(cfg),
+                     build_problem_from_config(cfg), build_scheme_config(cfg))
+        diags = result.diagnostics
+        total = sum(d.oseen_iterations for d in diags)
+        print(f"patch_run.yaml: Krylov iterations {total} in {len(diags)} "
+              "steps")
+        assert len(diags) == 100 and total <= 1000
+        assert not any(d.oseen_fallback for d in diags)
+        assert sum(d.precond_refresh for d in diags) == 1
+
+
 def patch_run(ratio, dt, steps=5):
     """``rotating-patch`` at 32^2 with density ratio ``ratio``."""
     problem = get_preset("rotating-patch", amplitude=ratio - 1.0)
@@ -856,6 +971,9 @@ class TestDensityRatioSweep:
               f"{record.total_transport_sweeps}, worst divergence "
               f"{record.worst_div:.3e}")
         assert not any(d.oseen_fallback for d in result.diagnostics)
+        # no more factorizations than from the last solution alone
+        assert (sum(d.precond_refresh for d in result.diagnostics)
+                <= (2 if (ratio, dt) == (1000, 1.0) else 1))
         assert record.transport_fallbacks == 0
         assert record.worst_bound_violation == 0.0
         assert record.rho_l2_monotone

@@ -94,6 +94,25 @@ def test_kept_iterate_measured_once():
     assert len(_call_lines(tree, "checked_residual")) == 1
 
 
+def test_one_warm_start_path():
+    # linsolve calls gmres once, from the start SaddleSolver.start fits to
+    # the history; no module keeps a last solution beside it
+    path = pathlib.Path(macflow.__file__).parent / "linsolve.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "gmres"]
+    assert len(calls) == 1
+    start = calls[0].args[2]
+    assert (isinstance(start, ast.Call)
+            and isinstance(start.func, ast.Attribute)
+            and start.func.attr == "start")
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr == "solution"], path.name
+
+
 # SciPy names that would run a second Krylov loop beside linsolve.gmres.
 SCIPY_KRYLOV = {"gmres", "LinearOperator"}
 

@@ -13,7 +13,7 @@ from macflow.linsolve import SaddleSolver
 from macflow.presets import get_preset
 from macflow.timestepper import (InvariantViolation, SchemeConfig,
                                  SchemeState, initialize, kinetic_energy,
-                                 run, step)
+                                 run, step, time_steps)
 
 
 def mesh16():
@@ -246,6 +246,20 @@ class TestRunBookkeeping:
         with pytest.raises(ValueError, match="step count"):
             run(mesh16(), get_preset("rest"),
                 SchemeConfig(dt=1e-310, t_end=1e10))
+
+    def test_overflowing_transport_scale_rejected(self):
+        # the step count is finite, but |K| rho / dt overflows: the run
+        # stops before its first solve, whose residual would read NaN
+        with pytest.raises(ValueError, match="too small for this mesh"):
+            run(mesh16(), get_preset("rotating-patch"),
+                SchemeConfig(dt=1e-300, t_end=1.0))
+        # the density bounds enter the scale
+        assert time_steps(mesh16(), get_preset("rest"),
+                          SchemeConfig(dt=1e-150, t_end=2e-150)) == (
+                              2, 1e-150)
+        with pytest.raises(ValueError, match="too small for this mesh"):
+            time_steps(mesh16(), get_preset("rest", density=1e10),
+                       SchemeConfig(dt=1e-150, t_end=2e-150))
 
     def test_guard_failure_attaches_partial_result(self):
         problem = get_preset("gyre")
