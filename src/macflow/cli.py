@@ -201,7 +201,7 @@ def _write_snapshots(result, out_dir, formats, cfg_hash_value):
     traj = result.trajectory
     for k in range(len(traj)):
         tag = f"{k:04d}"
-        extra = {"t": format_float(traj.times[k]), "snapshot": k}
+        extra = {"t": traj.times[k], "snapshot": k}
         if "csv" in formats:
             scalar_to_csv(traj.rho[k],
                           os.path.join(out_dir, f"density_{tag}.csv"),

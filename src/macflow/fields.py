@@ -14,12 +14,11 @@ by measure/distance, plus wall terms against the zero boundary value.
 from __future__ import annotations
 
 import csv
-import io
 
 import numpy as np
 
 from .grid import MacMesh
-from .ioutil import atomic_write, format_float, write_table
+from .ioutil import atomic_write, write_table
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
@@ -317,33 +316,28 @@ def write_vtk(path, mesh: MacMesh, rho: ScalarField | None = None,
               p: ScalarField | None = None,
               u: VelocityField | None = None, title="macflow snapshot"):
     """Write a legacy-format rectilinear-grid VTK file with cell data."""
-    buf = io.StringIO()
     npts = [n + 1 for n in mesh.cells] + [1] * (3 - mesh.dim)
-    buf.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
-              f"DATASET RECTILINEAR_GRID\nDIMENSIONS {npts[0]} {npts[1]} "
-              f"{npts[2]}\n")
-    for j, name in enumerate(("X", "Y", "Z")):
-        coords = mesh.axis_coords[j] if j < mesh.dim else np.array([0.0])
-        buf.write(f"{name}_COORDINATES {coords.size} double\n")
-        buf.write(" ".join(format_float(c) for c in coords) + "\n")
     # VTK wants the first axis fastest; flat ids are C-order (last axis
     # fastest), so reorder through a Fortran-order ravel.
     def reorder(values):
-        return values.reshape(mesh.cells).ravel(order="F")
+        return values.reshape(mesh.cells).ravel(order="F").tolist()
 
-    buf.write(f"CELL_DATA {mesh.n_cells}\n")
-    for name, field in (("density", rho), ("pressure", p)):
-        if field is None:
-            continue
-        buf.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        buf.write("\n".join(format_float(v) for v in reorder(field.values))
-                  + "\n")
-    if u is not None:
-        vec = cell_centered_velocity(u)
-        cols = [reorder(vec[:, j]) for j in range(3)]
-        buf.write("VECTORS velocity double\n")
-        for k in range(mesh.n_cells):
-            buf.write(" ".join(format_float(cols[j][k]) for j in range(3))
-                      + "\n")
     with atomic_write(path) as fh:
-        fh.write(buf.getvalue())
+        # csv writes each float as its shortest round-trip repr
+        writer = csv.writer(fh, delimiter=" ", lineterminator="\n")
+        fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+                 f"DATASET RECTILINEAR_GRID\nDIMENSIONS {npts[0]} {npts[1]} "
+                 f"{npts[2]}\n")
+        for j, name in enumerate(("X", "Y", "Z")):
+            coords = mesh.axis_coords[j] if j < mesh.dim else np.array([0.0])
+            fh.write(f"{name}_COORDINATES {coords.size} double\n")
+            writer.writerow(coords.tolist())
+        fh.write(f"CELL_DATA {mesh.n_cells}\n")
+        for name, field in (("density", rho), ("pressure", p)):
+            if field is not None:
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                writer.writerows(zip(reorder(field.values)))
+        if u is not None:
+            vec = cell_centered_velocity(u)
+            fh.write("VECTORS velocity double\n")
+            writer.writerows(zip(*(reorder(vec[:, j]) for j in range(3))))

@@ -1,13 +1,13 @@
 """Deterministic file output helpers.
 
 All text artifacts are written through :func:`atomic_write`: content goes
-to a temporary file in the target directory which is then renamed over the
-destination, so readers never observe a half-written file.  Floats are
-serialized with :func:`format_float` (shortest round-trip repr) so that
-identical runs produce bit-identical files.  Every CSV table goes through
-:func:`write_table`, which adds the self-describing header (kind, units,
-configuration hash, seed) and formats every float cell, and every
-``summary.txt`` through :func:`write_summary`.
+to a temporary file in the target directory, which must exist, and is then
+renamed over the destination, so readers never observe a half-written file.
+Every CSV table goes through :func:`write_table`, which adds the
+self-describing header (kind, units, configuration hash, seed); its
+:mod:`csv` writer spells each float as its shortest round-trip repr, as
+:func:`format_float` does in free text, so identical runs produce
+bit-identical files.  Each ``summary.txt`` goes through :func:`write_summary`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,16 @@ def atomic_write(path):
     """Open a temporary text file and rename it onto ``path`` on success."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+    # mkstemp opens 0600; the file gets the mode open() would give under
+    # the umask, which can only be read by setting it
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
                                suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -59,8 +63,9 @@ def write_table(path, kind: str, columns, rows, cfg_hash: str | None = None,
     The file starts with ``#`` comment lines (``kind``, units, then the
     configuration hash, the seed and each ``extra`` item when given),
     followed by the ``columns`` row and one line per entry of ``rows``.
-    Float values, in cells and in ``extra``, are written with
-    :func:`format_float`, every other value as its ``str``.
+    Cells go to :func:`csv.writer` as they are: it writes a float as its
+    shortest round-trip repr, like :func:`format_float` does for the
+    float ``extra`` values, and every other value as its ``str``.
     """
     with atomic_write(path) as fh:
         fh.write(f"# kind: {kind}\n# units: nondimensional\n")
@@ -74,8 +79,7 @@ def write_table(path, kind: str, columns, rows, cfg_hash: str | None = None,
             fh.write(f"# {key}: {value}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows([format_float(v) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def write_summary(path, kind: str, cfg_hash: str, seed, lines,

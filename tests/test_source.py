@@ -113,6 +113,48 @@ def test_one_warm_start_path():
                     and node.attr == "solution"], path.name
 
 
+# Where each output name may appear: format_float spells floats inside
+# free text (summary lines, ``#`` header values) and csv.writer every
+# other artifact float; no StringIO buffers a file that atomic_write can
+# take directly; and one function creates directories, once a command's
+# inputs are validated.
+FORMATTER_HOMES = {"ioutil.py", "cli.py"}
+MKDIR_HOME = ("cli.py", "_create_output_directory")
+NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name",
+               ast.FunctionDef: "name"}
+
+
+def _misplaced_output_names(filename, tree):
+    for stmt in tree.body:
+        home = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            field = NAME_FIELDS.get(type(node))
+            name = getattr(node, field, "").rpartition(".")[2] if field else ""
+            if (name == "format_float" and filename not in FORMATTER_HOMES
+                    or name == "StringIO"
+                    or name in ("makedirs", "mkdir")
+                    and (filename, home) != MKDIR_HOME):
+                yield f"line {node.lineno}: {name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_float_formatter_and_one_mkdir(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = list(_misplaced_output_names(path.name, tree))
+    assert not found, f"{path.name}: {found}"
+
+
+def test_output_guard_sees_misplaced_names():
+    code = ("import io\nfrom .ioutil import format_float\n"
+            "def write(path):\n    buf = io.StringIO()\n"
+            "    os.makedirs(path)\n    path.parent.mkdir()\n"
+            "def _create_output_directory(path):\n    os.makedirs(path)\n")
+    tree = ast.parse(code)
+    assert len(list(_misplaced_output_names("fields.py", tree))) == 5
+    assert list(_misplaced_output_names("cli.py", tree)) == [
+        "line 4: StringIO", "line 5: makedirs", "line 6: mkdir"]
+
+
 # SciPy names that would run a second Krylov loop beside linsolve.gmres.
 SCIPY_KRYLOV = {"gmres", "LinearOperator"}
 
