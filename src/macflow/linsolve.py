@@ -15,8 +15,8 @@ A time step solves the pinned saddle system by GMRES with a
 Cahouet-Chabard block preconditioner: one LU per velocity component for
 the momentum block, and a variable-density pressure Poisson solve plus a
 pressure mass solve for the Schur complement.  The GMRES loop is
-:func:`gmres`, which does the arithmetic of SciPy's ``gmres`` in its
-order, bit for bit, without its per-iteration Python overhead.  The
+:func:`gmres`, plain restarted GMRES whose cycles aim at what the true
+residual still needs and whose stop is the true residual itself.  The
 transport step is solved by Jacobi sweeps from the old density, which
 keep it inside its bounds at every iterate.  One routine,
 :func:`_accept`, decides the outcome of both solves: it keeps the iterate
@@ -50,7 +50,6 @@ iterations, never accuracy, since the true residual decides.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,8 +71,8 @@ from . import operators as ops
 KRYLOV_TARGET = 1e-3
 
 # Restart length and cycle cap of the GMRES saddle solve: at most 300
-# iterations, fewer when a cycle ends early on its inner test; a solve
-# that reaches the cap falls back to LU.
+# iterations, fewer when a cycle ends early on its goal; a solve that
+# reaches the cap falls back to LU.
 GMRES_RESTART = 50
 GMRES_CYCLES = 6
 
@@ -473,26 +472,6 @@ def assemble_oseen(saddle: SaddleSolver, dt: float, rho_new: ScalarField,
                         rho_d_old, rho_d_new)
 
 
-def _givens(f: float, g: float):
-    """The plane rotation ``(c, s, r)`` with ``c f + s g = r`` and
-    ``-s f + c g = 0``, by the formula of LAPACK's ``dlartg`` (3.10 on):
-    ``c >= 0``, ``r`` takes the sign of ``f``, and ``f``, ``g`` are scaled
-    first only when a square could overflow or underflow."""
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, math.copysign(1.0, g), abs(g)
-    safmin = sys.float_info.min
-    low, high = math.sqrt(safmin), math.sqrt(0.5 / safmin)
-    scale = 1.0
-    if not (low < abs(f) < high and low < abs(g) < high):
-        scale = min(1.0 / safmin, max(safmin, abs(f), abs(g)))
-        f, g = f / scale, g / scale
-    d = math.sqrt(f * f + g * g)
-    r = math.copysign(d, f)
-    return abs(f) / d, g / r, r * scale
-
-
 def gmres(mat, rhs, x0, precond, target: float):
     """Restarted GMRES for ``mat x = rhs`` from ``x0`` (zero when
     ``None``), preconditioned on the left by ``precond(r, out)``, which
@@ -500,19 +479,18 @@ def gmres(mat, rhs, x0, precond, target: float):
 
     Returns the iterate, the number of iterations and the relative true
     residual ``|rhs - mat x| / |rhs|`` once it is at most ``target`` (0.0
-    for a zero ``rhs``), else ``None``.  The loop
-    does the arithmetic of ``scipy.sparse.linalg.gmres`` (SciPy 1.17) in
-    its order, so both give the same iterates bit for bit: restart cycles
-    of ``GMRES_RESTART`` modified Gram-Schmidt Arnoldi steps on ``M^-1
-    mat``, :func:`_givens` rotations on Python floats, and a cycle that
-    ends once its preconditioned residual passes an inner bound.  That
-    bound starts at ``target |M^-1 rhs|``.  After each cycle whose true
-    residual fails, it becomes the cycle's preconditioned residual times
-    the smaller of ``target |rhs| / |rhs - mat x|`` and a factor that
-    starts at 1 and is multiplied by 0.25 after a cycle that passed the
-    inner bound and by 1.5 (up to 1) after one that did not.  At most
-    ``GMRES_CYCLES`` cycles run; the iteration also stops at an exact
-    solution of the Krylov space (breakdown) or a zero ``rhs``.
+    for a zero ``rhs``), else ``None``.  Each restart cycle runs Arnoldi
+    on ``M^-1 mat`` from ``z = M^-1 r``, orthogonalizing by classical
+    Gram-Schmidt run twice, which is as orthogonal as modified
+    Gram-Schmidt (Giraud, Langou & Rozloznik, *Comput. Math. Appl.* 50,
+    2005), and minimizes the preconditioned residual through plane
+    rotations (Saad & Schultz, *SIAM J. Sci. Stat. Comput.* 7, 1986).
+    A cycle aims at ``|z| target |rhs| / |r|``, the factor the true
+    residual still needs carried over to the preconditioned norm, and
+    ends when its rotated residual reaches that goal, at an exact
+    solution of its Krylov space, or after ``GMRES_RESTART`` steps.  The
+    true residual is tested after each cycle, for at most
+    ``GMRES_CYCLES`` cycles.
     """
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
@@ -521,67 +499,46 @@ def gmres(mat, rhs, x0, precond, target: float):
     atol = target * bnorm
     restart = min(GMRES_RESTART, rhs.size)
     basis = np.empty((restart + 1, rhs.size))
-    scratch = np.empty(rhs.size)
-    precond(rhs, basis[0])
-    inner = np.linalg.norm(basis[0]) * min(1.0, atol / bnorm)
-    eps = np.finfo(float).eps
     r = rhs - mat @ x if x.any() else rhs
     rnorm = np.linalg.norm(r)
-    if rnorm < atol:
-        return x, 0, float(rnorm / bnorm)
-    iterations, shrink = 0, 1.0
+    iterations = 0
     for _ in range(GMRES_CYCLES):
+        if rnorm <= atol:
+            break
         precond(r, basis[0])
         beta = float(np.linalg.norm(basis[0]))
-        basis[0] *= 1 / beta
-        g = [beta]         # rotated right-hand side of the small problem
-        cols, rots = [], []   # rotated Hessenberg columns, rotations
+        basis[0] /= beta
+        goal = beta * atol / rnorm
+        tri = np.zeros((restart, restart))   # rotated Hessenberg matrix
+        g, rots = [beta], []   # rotated right-hand side, rotations
         for col in range(restart):
-            w = basis[col + 1]
+            w, done = basis[col + 1], basis[:col + 1]
             precond(mat @ basis[col], w)
-            h0 = np.linalg.norm(w)
-            h = []
-            for v in basis[:col + 1]:
-                h.append(float(v.dot(w)))
-                w -= np.multiply(h[-1], v, out=scratch)
-            h1 = float(np.linalg.norm(w))
-            breakdown = h1 <= eps * h0
-            if not breakdown:
-                w *= 1 / h1
+            h = np.zeros(col + 1)
+            for _ in range(2):
+                part = done @ w
+                w -= part @ done
+                h += part
+            h = h.tolist()
+            norm = float(np.linalg.norm(w))
+            if norm > 0.0:   # zero at an exact solution of the space
+                w /= norm
             for k, (c, s) in enumerate(rots):
                 h[k], h[k + 1] = (c * h[k] + s * h[k + 1],
-                                  -s * h[k] + c * h[k + 1])
-            c, s, h[col] = _givens(h[col], 0.0 if breakdown else h1)
+                                  c * h[k + 1] - s * h[k])
+            diag = math.hypot(h[col], norm)
+            c, s = h[col] / diag, norm / diag
             rots.append((c, s))
-            cols.append(h)
+            h[col] = diag
+            tri[:col + 1, col] = h
             g[col:] = [c * g[col], -s * g[col]]
-            presid = abs(g[-1])
             iterations += 1
-            if presid <= inner or breakdown:
+            if abs(g[-1]) <= goal:
                 break
-        if cols[col][col] == 0.0:
-            g[col] = 0.0
-        y = g[:col + 1]    # back substitution, column by column
-        for k in range(col, 0, -1):
-            if y[k] != 0.0:
-                y[k] /= cols[k][k]
-                for j in range(k):
-                    y[j] -= y[k] * cols[k][j]
-        if y[0] != 0.0:
-            y[0] /= cols[0][0]
-        x += np.array(y) @ basis[:col + 1]
+        x += np.linalg.solve(tri[:col + 1, :col + 1], g[:col + 1]) @ done
         r = rhs - mat @ x
         rnorm = np.linalg.norm(r)
-        if rnorm <= atol:
-            return x, iterations, float(rnorm / bnorm)
-        if breakdown:
-            break
-        if presid <= inner:
-            shrink = max(eps, 0.25 * shrink)
-        else:
-            shrink = min(1.0, 1.5 * shrink)
-        inner = presid * min(shrink, atol / rnorm)
-    return x, iterations, None
+    return x, iterations, float(rnorm / bnorm) if rnorm <= atol else None
 
 
 class SaddleSolver:

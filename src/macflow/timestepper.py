@@ -34,7 +34,16 @@ from .linsolve import (SaddleSolver, SolverFailure, solve_transport,
 
 
 class InvariantViolation(RuntimeError):
-    """A guaranteed discrete invariant failed beyond its guard margin."""
+    """A guaranteed discrete invariant failed beyond its guard margin.
+
+    A step's guard sets ``check``, the name of its line in a run summary,
+    and ``value``, what it measured; rejected initial data leaves both
+    ``None``.
+    """
+
+    def __init__(self, message, check=None, value=None):
+        super().__init__(message)
+        self.check, self.value = check, value
 
 
 @dataclass
@@ -177,7 +186,8 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
                     0.0)
     if violation > cfg.bounds_margin:
         raise InvariantViolation(
-            f"density bounds violated by {violation:.3e} at t={t_new:.6g}")
+            f"density bounds violated by {violation:.3e} at t={t_new:.6g}",
+            "density bounds", violation)
 
     f_arrays = forcing(mesh, t_new) if forcing is not None else None
     if f_arrays is not None and not np.isfinite(
@@ -190,7 +200,8 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
     div_l2 = norm_l2_cells(ScalarField(mesh, ops.div_velocity(mesh, u_new)))
     if div_l2 > cfg.div_guard:
         raise InvariantViolation(
-            f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
+            f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}",
+            "velocity divergence", div_l2)
 
     ke_dissipation = dt * norm_h1_squared(u_new)
     diag = StepDiagnostics(

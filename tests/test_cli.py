@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 
 import numpy as np
 import pytest
@@ -460,8 +461,35 @@ class TestRunCommand:
         code = main(["run", "--config", path, "--out", str(out)])
         assert code == 1
         assert (out / "summary.txt").exists()
-        assert "INTERRUPTED" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "INTERRUPTED" in summary
         assert (out / "density_0000.csv").exists()
+        # the guard that stopped the run fails in the summary, with the
+        # divergence it measured on the step that left no diagnostics
+        measured = re.search(r"velocity divergence (\S+) exceeds guard",
+                             capsys.readouterr().err).group(1)
+        line = re.search(r"\[(\w+)\] velocity divergence: worst (\S+) "
+                         r"\(tolerance 1e-30\)", summary)
+        assert line.group(1) == "FAIL"
+        assert f"{float(line.group(2)):.3e}" == measured
+        assert float(measured) > 1e-30
+
+    def test_interrupted_density_guard_fails(self, tmp_path, monkeypatch):
+        # a step that breaks the density bounds leaves no diagnostics: its
+        # violation goes into the summary's worst
+        def broken(*args, **kwargs):
+            raise timestepper.InvariantViolation(
+                "density bounds violated by 2.500e-01 at t=0.01",
+                "density bounds", 0.25)
+
+        monkeypatch.setattr(timestepper, "step", broken)
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_config(tmp_path),
+                     "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text()
+        assert "steps completed: 0 of 5" in summary
+        assert "[FAIL] density bounds: worst 0.25 (tolerance 1e-09)" in summary
+        assert "[PASS] velocity divergence" in summary
 
 
 class TestVerifyCommand:

@@ -534,9 +534,10 @@ class TestOseenSolve:
 
     def test_iteration_cap_counts_cycles(self):
         # at oseen_tol = 1e-13 GMRES cannot reach its target: it gives up
-        # after GMRES_CYCLES restart cycles, at most 300 iterations (77-80
-        # here, since a cycle ends early when its inner test passes and the
-        # true one fails), and LU produces the solution
+        # after GMRES_CYCLES restart cycles, and LU produces the solution.
+        # Once rounding stalls the true residual, each cycle ends within a
+        # few iterations on its goal, so the cap costs 32-36 iterations
+        # here, not 300 (72-93 with SciPy's inner bound)
         problem = get_preset("rotating-patch")
         mesh = build_uniform_mesh(problem.domain, (16, 16))
         result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.02,
@@ -544,7 +545,7 @@ class TestOseenSolve:
         assert len(result.diagnostics) == 2
         for d in result.diagnostics:
             assert d.oseen_fallback and d.oseen_method == "direct"
-            assert 0 < d.oseen_iterations <= GMRES_CYCLES * GMRES_RESTART
+            assert 0 < d.oseen_iterations <= 45
         assert GMRES_CYCLES * GMRES_RESTART == 300
 
     def test_pressure_mean_shift_recorded(self, mesh2_graded):
@@ -600,20 +601,32 @@ class TestGmres:
     @pytest.mark.parametrize("target", [1e-16, 1e-13, 1e-8])
     @pytest.mark.parametrize("start", ["zero", "warm"])
     def test_matches_scipy(self, any_mesh, start, target):
-        # the same arithmetic in the same order: the same iteration count
-        # and the same iterate up to rounding, on both sides of the cap;
-        # 1e-16 is below rounding, so its cycles end early on the inner
-        # test and tighten it
+        # above rounding both loops take the same iterations to the same
+        # iterate up to rounding.  1e-16 is below rounding: SciPy's cycles
+        # end early on its inner bound and tighten it, and SciPy stops at
+        # a breakdown, while gmres runs its cycles to their goal; it keeps
+        # its residual contract in no more iterations over both seeds
+        totals = [0, 0]
         for seed in (30, 31):
             system = random_saddle(any_mesh, seed=seed)
             x0 = None if start == "zero" else self.warm_start(system, 40)
             x, iterations, residual = self.solve(system, x0, target)
             ref, ref_iterations, ref_converged = scipy_gmres(system, x0,
                                                              target)
+            print(f"seed {seed}: {iterations} iterations, SciPy "
+                  f"{ref_iterations}")
+            totals[0] += iterations
+            totals[1] += ref_iterations
+            if target < 1e-15:
+                assert iterations > 0
+                assert residual is None or residual == checked_residual(
+                    system.matrix, x, system.rhs, target, "solve")
+                continue
             assert iterations == ref_iterations > 0
             assert (residual is not None) == ref_converged
             assert (np.linalg.norm(x - ref)
                     <= 1e-12 * np.linalg.norm(ref))
+        assert totals[0] <= totals[1]
 
     def test_zero_rhs_gives_zero(self, mesh2_uniform):
         system = random_saddle(mesh2_uniform, seed=32)
@@ -631,6 +644,31 @@ class TestGmres:
         x, iterations, residual = self.solve(system, x0, 1e-10)
         assert iterations == 0 and residual <= 1e-10
         assert x.tobytes() == x0.tobytes() and x is not x0
+
+    def test_preconditioner_applies(self, any_mesh, monkeypatch):
+        # one apply per iteration and one to start each cycle, none more
+        system = random_saddle(any_mesh, seed=36)
+        precond, _ = system.saddle.preconditioner(system)
+        applies = []
+
+        def counting(r, out):
+            applies.append(r)
+            precond(r, out)
+
+        def solve(target):
+            applies.clear()
+            return gmres(system.matrix, system.rhs, None, counting, target)
+
+        # a single cycle
+        _, iterations, residual = solve(1e-10)
+        assert residual is not None and 0 < iterations < GMRES_RESTART
+        assert len(applies) == iterations + 1
+        # two capped cycles of two iterations
+        monkeypatch.setattr(linsolve, "GMRES_RESTART", 2)
+        monkeypatch.setattr(linsolve, "GMRES_CYCLES", 2)
+        _, iterations, residual = solve(1e-13)
+        assert iterations == 4 and residual is None
+        assert len(applies) == 4 + 2
 
     def test_cap_reports_no_convergence(self, mesh2_uniform, monkeypatch):
         # GMRES_CYCLES cycles of GMRES_RESTART iterations cannot reach the
@@ -949,11 +987,12 @@ class TestProjectedStart:
         assert sum(d.precond_refresh for d in diags) == 1
 
 
-def patch_run(ratio, dt, steps=5):
+def patch_run(ratio, dt, steps=5, oseen_tol=1e-10):
     """``rotating-patch`` at 32^2 with density ratio ``ratio``."""
     problem = get_preset("rotating-patch", amplitude=ratio - 1.0)
     mesh = build_uniform_mesh(problem.domain, (32, 32))
-    return run(mesh, problem, SchemeConfig(dt=dt, t_end=steps * dt))
+    return run(mesh, problem, SchemeConfig(dt=dt, t_end=steps * dt,
+                                           oseen_tol=oseen_tol))
 
 
 class TestDensityRatioSweep:
@@ -978,6 +1017,19 @@ class TestDensityRatioSweep:
         assert record.worst_bound_violation == 0.0
         assert record.rho_l2_monotone
         assert record.worst_div <= 1e-9
+
+    def test_unavoidable_fallback_spends_few_iterations(self):
+        # at ratio 100 and dt = 1 an oseen_tol of 1e-12 asks GMRES for a
+        # relative residual of 1e-15, at rounding for this matrix: every
+        # step falls back to LU, and says so.  The cycles end on their
+        # goal within a few iterations once rounding stalls the true
+        # residual: 245 iterations in all (717 with SciPy's inner bound)
+        diags = patch_run(100, 1.0, oseen_tol=1e-12).diagnostics
+        total = sum(d.oseen_iterations for d in diags)
+        print(f"Krylov iterations {total} before 5 fallbacks")
+        assert [d.oseen_method for d in diags] == ["direct"] * 5
+        assert all(d.oseen_fallback for d in diags)
+        assert total <= 300
 
     def test_refresh_rule_saves_iterations(self, monkeypatch):
         # at ratio 1000 and dt = 1 the factors go stale within 5 steps:

@@ -261,6 +261,20 @@ class TestRunBookkeeping:
             time_steps(mesh16(), get_preset("rest", density=1e10),
                        SchemeConfig(dt=1e-150, t_end=2e-150))
 
+    @pytest.mark.parametrize("dt", [1e-30, 1e-50, 1e-100, 1e-150])
+    def test_tiny_step_runs(self, dt):
+        # the smallest steps the transport scale admits: GMRES converges
+        # with no LU fallback, whose residual misses the tolerance here,
+        # although an Arnoldi direction can come out below eps times its
+        # length before orthogonalization
+        problem = get_preset("rotating-patch")
+        mesh = build_uniform_mesh(problem.domain, (4, 4))
+        result = run(mesh, problem, SchemeConfig(dt=dt, t_end=2 * dt))
+        assert len(result.diagnostics) == 2
+        for d in result.diagnostics:
+            assert d.oseen_method == "gmres" and not d.oseen_fallback
+            assert d.div_l2 <= 1e-15
+
     def test_guard_failure_attaches_partial_result(self):
         problem = get_preset("gyre")
         # an impossible divergence guard trips on the first step
