@@ -220,13 +220,8 @@ def _write_snapshots(result, out_dir, formats, cfg_hash_value):
 
 def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                        seed):
-    """Write ``summary.txt`` and return whether the run passed.
-
-    ``interrupted`` is the exception that stopped the run, or ``None``.
-    The value a step's guard measured before raising counts toward the
-    worst of that guard's line, since the step that failed it left no
-    diagnostics.
-    """
+    """Write ``summary.txt`` and return whether the run passed;
+    ``interrupted`` is the exception that stopped the run, or ``None``."""
     cfg = result.config
     checks = [
         ("density bounds", record.worst_bound_violation, cfg.bounds_margin),
@@ -235,9 +230,6 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
          10 * cfg.transport_tol),
         ("kinetic energy balance", record.worst_kinetic, 10 * cfg.oseen_tol),
     ]
-    stop = getattr(interrupted, "check", None)
-    checks = [(name, max(value, interrupted.value) if name == stop else value,
-               tol) for name, value, tol in checks]
     passed = [value <= tol for _, value, tol in checks]
     all_pass = all(passed) and not interrupted
     steps = len(result.diagnostics)
@@ -310,7 +302,7 @@ def cmd_run(cfg, out_dir, seed) -> int:
                   file=sys.stderr)
             return 1
 
-    record = verify.collect_diagnostics(result)
+    record = verify.collect_diagnostics(result, interrupted)
     verify.write_diagnostics_csv(record,
                                  os.path.join(out_dir, "diagnostics.csv"),
                                  cfg_hash=hash_value, seed=seed)

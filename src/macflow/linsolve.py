@@ -72,7 +72,8 @@ KRYLOV_TARGET = 1e-3
 
 # Restart length and cycle cap of the GMRES saddle solve: at most 300
 # iterations, fewer when a cycle ends early on its goal; a solve that
-# reaches the cap falls back to LU.
+# reaches the cap, or solves a cycle to rounding, without reaching its
+# target falls back to LU.
 GMRES_RESTART = 50
 GMRES_CYCLES = 6
 
@@ -490,7 +491,9 @@ def gmres(mat, rhs, x0, precond, target: float):
     ends when its rotated residual reaches that goal, at an exact
     solution of its Krylov space, or after ``GMRES_RESTART`` steps.  The
     true residual is tested after each cycle, for at most
-    ``GMRES_CYCLES`` cycles.
+    ``GMRES_CYCLES`` cycles, or until a cycle's rotated residual falls to
+    rounding, ``eps |z|``: its Krylov space then held the solution to
+    working precision, and a restart would only stir rounding.
     """
     bnorm = np.linalg.norm(rhs)
     if bnorm == 0.0:
@@ -538,6 +541,8 @@ def gmres(mat, rhs, x0, precond, target: float):
         x += np.linalg.solve(tri[:col + 1, :col + 1], g[:col + 1]) @ done
         r = rhs - mat @ x
         rnorm = np.linalg.norm(r)
+        if abs(g[-1]) <= np.finfo(float).eps * beta:   # solved to rounding
+            break
     return x, iterations, float(rnorm / bnorm) if rnorm <= atol else None
 
 

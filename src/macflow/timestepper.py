@@ -36,14 +36,14 @@ from .linsolve import (SaddleSolver, SolverFailure, solve_transport,
 class InvariantViolation(RuntimeError):
     """A guaranteed discrete invariant failed beyond its guard margin.
 
-    A step's guard sets ``check``, the name of its line in a run summary,
-    and ``value``, what it measured; rejected initial data leaves both
-    ``None``.
+    A step's guard sets ``field``, the :class:`StepDiagnostics` field it
+    measured, and ``value``, what it measured; rejected initial data
+    leaves both ``None``.
     """
 
-    def __init__(self, message, check=None, value=None):
+    def __init__(self, message, field=None, value=None):
         super().__init__(message)
-        self.check, self.value = check, value
+        self.field, self.value = field, value
 
 
 @dataclass
@@ -187,7 +187,7 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
     if violation > cfg.bounds_margin:
         raise InvariantViolation(
             f"density bounds violated by {violation:.3e} at t={t_new:.6g}",
-            "density bounds", violation)
+            "bound_violation", violation)
 
     f_arrays = forcing(mesh, t_new) if forcing is not None else None
     if f_arrays is not None and not np.isfinite(
@@ -201,7 +201,7 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
     if div_l2 > cfg.div_guard:
         raise InvariantViolation(
             f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}",
-            "velocity divergence", div_l2)
+            "div_l2", div_l2)
 
     ke_dissipation = dt * norm_h1_squared(u_new)
     diag = StepDiagnostics(

@@ -208,12 +208,21 @@ class DiagnosticsRecord:
     precond_refreshes: int
 
 
-def collect_diagnostics(result: RunResult) -> DiagnosticsRecord:
-    """Aggregate a run's per-step diagnostics into the cumulative record."""
+def collect_diagnostics(result: RunResult,
+                        stopped=None) -> DiagnosticsRecord:
+    """Aggregate a run's per-step diagnostics into the cumulative record.
+
+    ``stopped`` is the exception that ended the run, or ``None``.  The
+    value an :class:`InvariantViolation`'s guard measured joins its field's
+    column, since the step that failed the guard left no diagnostics.
+    """
     steps = result.diagnostics
 
     def column(name):
-        return [getattr(d, name) for d in steps]
+        values = [getattr(d, name) for d in steps]
+        if getattr(stopped, "field", None) == name:
+            values.append(stopped.value)
+        return values
 
     h1_sq_sum = 0.0
     linf_l2 = norm_lp_dual(result.trajectory.u[0], 2)

@@ -480,7 +480,7 @@ class TestRunCommand:
         def broken(*args, **kwargs):
             raise timestepper.InvariantViolation(
                 "density bounds violated by 2.500e-01 at t=0.01",
-                "density bounds", 0.25)
+                "bound_violation", 0.25)
 
         monkeypatch.setattr(timestepper, "step", broken)
         out = tmp_path / "out"

@@ -534,10 +534,10 @@ class TestOseenSolve:
 
     def test_iteration_cap_counts_cycles(self):
         # at oseen_tol = 1e-13 GMRES cannot reach its target: it gives up
-        # after GMRES_CYCLES restart cycles, and LU produces the solution.
-        # Once rounding stalls the true residual, each cycle ends within a
-        # few iterations on its goal, so the cap costs 32-36 iterations
-        # here, not 300 (72-93 with SciPy's inner bound)
+        # after GMRES_CYCLES restart cycles, or once a cycle is solved to
+        # rounding, and LU produces the solution.  Once rounding stalls
+        # the true residual, each cycle ends within a few iterations on
+        # its goal, so the cap costs 18-32 iterations here, not 300
         problem = get_preset("rotating-patch")
         mesh = build_uniform_mesh(problem.domain, (16, 16))
         result = run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.02,
@@ -602,23 +602,16 @@ class TestGmres:
     @pytest.mark.parametrize("start", ["zero", "warm"])
     def test_matches_scipy(self, any_mesh, start, target):
         # above rounding both loops take the same iterations to the same
-        # iterate up to rounding.  1e-16 is below rounding: SciPy's cycles
-        # end early on its inner bound and tighten it, and SciPy stops at
-        # a breakdown, while gmres runs its cycles to their goal; it keeps
-        # its residual contract in no more iterations over both seeds
-        totals = [0, 0]
+        # iterate up to rounding.  1e-16 is below rounding: gmres keeps its
+        # residual contract in no more iterations than SciPy
         for seed in (30, 31):
             system = random_saddle(any_mesh, seed=seed)
             x0 = None if start == "zero" else self.warm_start(system, 40)
             x, iterations, residual = self.solve(system, x0, target)
             ref, ref_iterations, ref_converged = scipy_gmres(system, x0,
                                                              target)
-            print(f"seed {seed}: {iterations} iterations, SciPy "
-                  f"{ref_iterations}")
-            totals[0] += iterations
-            totals[1] += ref_iterations
             if target < 1e-15:
-                assert iterations > 0
+                assert 0 < iterations <= ref_iterations
                 assert residual is None or residual == checked_residual(
                     system.matrix, x, system.rhs, target, "solve")
                 continue
@@ -626,7 +619,6 @@ class TestGmres:
             assert (residual is not None) == ref_converged
             assert (np.linalg.norm(x - ref)
                     <= 1e-12 * np.linalg.norm(ref))
-        assert totals[0] <= totals[1]
 
     def test_zero_rhs_gives_zero(self, mesh2_uniform):
         system = random_saddle(mesh2_uniform, seed=32)
@@ -662,6 +654,11 @@ class TestGmres:
         # a single cycle
         _, iterations, residual = solve(1e-10)
         assert residual is not None and 0 < iterations < GMRES_RESTART
+        assert len(applies) == iterations + 1
+        # below rounding the first cycle is solved to rounding and ends
+        # the solve
+        _, iterations, residual = solve(1e-16)
+        assert residual is None and 0 < iterations < GMRES_RESTART
         assert len(applies) == iterations + 1
         # two capped cycles of two iterations
         monkeypatch.setattr(linsolve, "GMRES_RESTART", 2)
@@ -1023,7 +1020,7 @@ class TestDensityRatioSweep:
         # relative residual of 1e-15, at rounding for this matrix: every
         # step falls back to LU, and says so.  The cycles end on their
         # goal within a few iterations once rounding stalls the true
-        # residual: 245 iterations in all (717 with SciPy's inner bound)
+        # residual: 245 iterations in all
         diags = patch_run(100, 1.0, oseen_tol=1e-12).diagnostics
         total = sum(d.oseen_iterations for d in diags)
         print(f"Krylov iterations {total} before 5 fallbacks")

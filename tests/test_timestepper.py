@@ -12,8 +12,11 @@ from macflow import operators as ops
 from macflow.linsolve import SaddleSolver
 from macflow.presets import get_preset
 from macflow.timestepper import (InvariantViolation, SchemeConfig,
-                                 SchemeState, initialize, kinetic_energy,
-                                 run, step, time_steps)
+                                 SchemeState, StepDiagnostics, initialize,
+                                 kinetic_energy, run, step, time_steps)
+
+
+DIAGNOSTICS_FIELDS = {f.name for f in dataclasses.fields(StepDiagnostics)}
 
 
 def mesh16():
@@ -285,6 +288,19 @@ class TestRunBookkeeping:
         assert partial.n_steps == 5
         assert len(partial.diagnostics) == 0
         assert len(partial.trajectory) == 1  # the initial snapshot
+        # the guard names the diagnostics column it measured, to which a
+        # run's record adds the value, since the step left no diagnostics
+        assert err.value.field == "div_l2" in DIAGNOSTICS_FIELDS
+        assert err.value.value > 1e-30
+
+    def test_density_guard_names_its_field(self):
+        state = initialize(mesh16(), get_preset("rotating-patch"))
+        low = state.rho.min()
+        with pytest.raises(InvariantViolation) as err:
+            step(SaddleSolver(state.rho.mesh), state,
+                 SchemeConfig(dt=0.01, t_end=0.01), bounds=(low, low))
+        assert err.value.field == "bound_violation" in DIAGNOSTICS_FIELDS
+        assert 0.0 < err.value.value <= state.rho.max() - low
 
 
 class TestEnergy:
