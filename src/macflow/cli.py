@@ -11,7 +11,14 @@ Three subcommands, all driven by a YAML configuration file:
 
 Every output file is written atomically, floats are serialized with the
 shortest round-trip representation, and headers carry the configuration
-hash and seed, so identical invocations produce bit-identical artifacts.
+hash and seed, so identical invocations with the same number of BLAS
+threads produce bit-identical artifacts.  Another thread count may sum
+dot products in another order, and a solve near its tolerance can then
+take another iteration: the 64x64 row of ``study`` on
+``demos/configs/gyre_study.yaml`` differs in its last digits between one
+and two OpenBLAS threads, while the ``run`` of
+``demos/configs/patch_run.yaml`` does not.
+
 Exit status is 0 when every requested check passes, 1 when a check fails
 or a run is interrupted by a guard, and 2 for configuration errors.
 """

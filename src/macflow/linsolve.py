@@ -12,22 +12,24 @@ sums of the divergence block vanish), and the solved pressure is shifted
 to zero volume-weighted mean afterwards.
 
 A time step solves the pinned saddle system by GMRES with a
-Cahouet-Chabard block preconditioner: one LU per velocity component for
-the momentum block, and a variable-density pressure Poisson solve plus a
-pressure mass solve for the Schur complement.  The GMRES loop is
-:func:`gmres`, plain restarted GMRES whose cycles aim at what the true
-residual still needs and whose stop is the true residual itself.  The
-transport step is solved by Jacobi sweeps from the old density, which
-keep it inside its bounds at every iterate.  One routine,
+Cahouet-Chabard block preconditioner: one factorization per velocity
+component for the momentum block, and a variable-density pressure
+Poisson solve plus a pressure mass solve for the Schur complement.  Its
+factors are exact LU (:func:`factor`) in 2D and incomplete LU
+(:func:`incomplete_factor`) in 3D, where exact fill grows fastest.  The
+GMRES loop is :func:`gmres`, plain restarted GMRES whose cycles aim at
+what the true residual still needs and whose stop is the true residual
+itself.  The transport step is solved by Jacobi sweeps from the old
+density, which keep it inside its bounds at every iterate.  One routine,
 :func:`_accept`, decides the outcome of both solves: it keeps the iterate
 when the true residual its iteration stopped on passes, and otherwise
 solves by LU, measures that (:func:`checked_residual`) and reports the
 fallback.  The saddle fallback is the one LU with partial pivoting;
-every other LU (preconditioner, projection, transport fallback, inf-sup
-monitor) is :func:`factor`, which does not pivot.  The pinned Poisson
-matrix of the Schur term, :func:`pinned_poisson`, with unit density also
-serves the divergence-free projection of :mod:`macflow.verify`, which
-factors it once per mesh.
+every other exact LU (2D preconditioner, projection, transport fallback,
+inf-sup monitor) is :func:`factor`, which does not pivot.  The pinned
+Poisson matrix of the Schur term, :func:`pinned_poisson`, with unit
+density also serves the divergence-free projection of
+:mod:`macflow.verify`, which factors it once per mesh.
 
 A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
 :class:`SaddleSystem` of the run, and each system carries it to
@@ -38,7 +40,7 @@ the convection land on), so a step only fills values.  Each GMRES solve
 starts from the weighted least-squares fit of its system over the span
 of the last ``HISTORY`` accepted solutions, which the solver keeps as an
 orthonormal basis (:meth:`SaddleSolver.start`).  It builds, keeps and
-applies the block preconditioner, whose LU factors live from step to
+applies the block preconditioner, whose factors live from step to
 step: the density stays inside its initial bounds (discrete maximum
 principle), so the variable-density Poisson matrix moves within a
 bounded spectral band, and the momentum blocks move by O(dt).  The
@@ -90,6 +92,14 @@ PINNED_CELL = 0
 # factorization.
 REFRESH_GROWTH = 1.5
 
+# Drop tolerance of the incomplete factors of the 3D preconditioner
+# (:func:`incomplete_factor`).  A 4-step graded 24^3 swirl ran in 2.47 s
+# and 155 MiB with them, 4.55 s and 264 MiB with exact factors, for about
+# 40% more Krylov iterations.  A 128^2 gyre gained nothing from them
+# (0.89 s at 1e-3, 0.77 s at 1e-4, 0.62-0.78 s exact), so 2D keeps exact
+# factors.
+ILU_DROP_TOL = 1e-3
+
 # Accepted saddle solutions whose span the next GMRES start is drawn from.
 # On the 32^2 rotating patch (100 steps of dt = 0.01) 4 of them took 814
 # Krylov iterations, 8 took 566 and 12 took 553, against 1449 from the
@@ -117,26 +127,47 @@ def factor(mat):
     """Sparse LU of ``mat`` without pivoting, on a minimum-degree ordering
     of ``mat + mat^T`` (about half the fill of the default ordering).
 
-    None of the three kinds of matrix factored here needs pivoting (Golub
-    & Van Loan, *Matrix Computations*, 4th ed., 3.4): the upwind transport
-    matrix, factored only when its Jacobi sweeps reach their cap, has
-    diagonally dominant columns for any velocity, the momentum and
-    diffusion blocks have a positive definite symmetric part, and the
-    pinned pressure Poisson matrices are positive definite once the pin
-    removes the constant nullspace.  Each caller checks its true residual.
+    It serves every exact inverse but the pivoted saddle fallback: the
+    2D preconditioner, the divergence-free projection, the transport
+    fallback and the inf-sup monitor's ``A^-1``.  None of the three kinds
+    of matrix factored here needs pivoting (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., 3.4): the upwind transport matrix, factored
+    only when its Jacobi sweeps reach their cap, has diagonally dominant
+    columns for any velocity, the momentum and diffusion blocks have a
+    positive definite symmetric part, and the pinned pressure Poisson
+    matrices are positive definite once the pin removes the constant
+    nullspace.  Each caller checks its true residual.
     """
     return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 
-def component_solver(mesh: MacMesh, matrix):
-    """Solve with the velocity block of ``matrix`` taken block-diagonal by
-    component, one :func:`factor` per component; the returned function
-    maps interior velocity vectors (or 2D arrays of them) to solutions,
-    written into ``out`` when it is given.
+def incomplete_factor(mat):
+    """Incomplete LU of ``mat``: SuperLU's threshold ILU (Li & Shao,
+    *ACM TOMS* 37, 2011) dropping entries below ``ILU_DROP_TOL`` relative
+    to their column, with at most 20 times the fill of ``mat``, on
+    :func:`factor`'s ordering and without pivoting (Saad, *Iterative
+    Methods for Sparse Linear Systems*, 2nd ed., ch. 10).
+
+    It returns the object :func:`factor` returns, whose ``solve`` applies
+    an approximate inverse.  Only the preconditioner of a 3D run uses it:
+    GMRES stops on the true residual, so a weaker inverse costs
+    iterations, never accuracy.
     """
-    factors = [(part, factor(matrix[part, part]))
+    return spla.spilu(mat.tocsc(), drop_tol=ILU_DROP_TOL, fill_factor=20,
+                      permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+
+
+def component_solver(mesh: MacMesh, matrix, factorize):
+    """Solve with the velocity block of ``matrix`` taken block-diagonal by
+    component, one ``factorize`` (:func:`factor` or
+    :func:`incomplete_factor`) per component; the returned function maps
+    interior velocity vectors (or 2D arrays of them) to solutions, written
+    into ``out`` when it is given.
+    """
+    factors = [(part, factorize(matrix[part, part]))
                for part in mesh.interior_slices if part.stop > part.start]
 
     def solve(r, out=None):
@@ -487,8 +518,15 @@ def gmres(mat, rhs, x0, precond, target: float):
     2005), and minimizes the preconditioned residual through plane
     rotations (Saad & Schultz, *SIAM J. Sci. Stat. Comput.* 7, 1986).
     A cycle aims at ``|z| target |rhs| / |r|``, the factor the true
-    residual still needs carried over to the preconditioned norm, and
-    ends when its rotated residual reaches that goal, at an exact
+    residual still needs carried over to the preconditioned norm, divided
+    by the shortfall of the cycle before: how much less its true residual
+    fell than its rotated one.  Without it a true residual just above
+    target can stall, each cycle meeting its goal in one iteration on a
+    part of ``z`` that carries little of ``r``.  The shortfall is not
+    carried while the target is below the rounding of the residual,
+    ``eps | |mat| |x| + |rhs| |`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 3.5), where no cycle can close it.
+    A cycle ends when its rotated residual reaches its goal, at an exact
     solution of its Krylov space, or after ``GMRES_RESTART`` steps.  The
     true residual is tested after each cycle, for at most
     ``GMRES_CYCLES`` cycles, or until a cycle's rotated residual falls to
@@ -500,18 +538,19 @@ def gmres(mat, rhs, x0, precond, target: float):
         return rhs.copy(), 0, 0.0
     x = np.zeros(rhs.size) if x0 is None else np.array(x0, dtype=float)
     atol = target * bnorm
+    eps = np.finfo(float).eps
     restart = min(GMRES_RESTART, rhs.size)
     basis = np.empty((restart + 1, rhs.size))
     r = rhs - mat @ x if x.any() else rhs
     rnorm = np.linalg.norm(r)
-    iterations = 0
+    iterations, shortfall = 0, 1.0
     for _ in range(GMRES_CYCLES):
         if rnorm <= atol:
             break
         precond(r, basis[0])
         beta = float(np.linalg.norm(basis[0]))
         basis[0] /= beta
-        goal = beta * atol / rnorm
+        goal = beta * atol / (rnorm * shortfall)
         tri = np.zeros((restart, restart))   # rotated Hessenberg matrix
         g, rots = [beta], []   # rotated right-hand side, rotations
         for col in range(restart):
@@ -540,9 +579,12 @@ def gmres(mat, rhs, x0, precond, target: float):
                 break
         x += np.linalg.solve(tri[:col + 1, :col + 1], g[:col + 1]) @ done
         r = rhs - mat @ x
-        rnorm = np.linalg.norm(r)
-        if abs(g[-1]) <= np.finfo(float).eps * beta:   # solved to rounding
-            break
+        last, rnorm = rnorm, np.linalg.norm(r)
+        if rnorm <= atol or abs(g[-1]) <= eps * beta:
+            break   # converged, or solved to rounding
+        floor = eps * np.linalg.norm(abs(mat) @ np.abs(x) + np.abs(rhs))
+        shortfall = (rnorm * beta / (last * abs(g[-1]))
+                     if atol > floor else 1.0)
     return x, iterations, float(rnorm / bnorm) if rnorm <= atol else None
 
 
@@ -554,7 +596,7 @@ class SaddleSolver:
     diffusion blocks folded into its data), on which
     :func:`assemble_oseen` fills each step's matrix, the pressure mass
     inverse ``M_p^-1`` (built once, zero at the pinned cell), and the
-    GMRES block preconditioner, whose LU factors are kept from one solve
+    GMRES block preconditioner, whose factors are kept from one solve
     to the next (:meth:`preconditioner`), built on first use and again:
 
     * after a solve that fell back to ``direct``, since the preconditioner
@@ -608,7 +650,7 @@ class SaddleSolver:
 
         It applies the inverse of the block upper-triangular
         ``P = [[A, G], [0, S]]``, where ``A`` is the momentum block,
-        inverted by one LU per velocity component
+        inverted by one factorization per velocity component
         (:func:`component_solver`), and ``S`` approximates the Schur
         complement ``+G^T A^-1 G`` of the saddle (``div = -G^T``) through
         its inverse
@@ -618,7 +660,9 @@ class SaddleSolver:
         with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
         Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the
         cell volumes (unit-viscosity limit).  ``K`` is pinned like the
-        saddle, and ``M_p^-1`` vanishes at the pinned cell.
+        saddle, and ``M_p^-1`` vanishes at the pinned cell.  The factors
+        of ``A`` and ``K`` are :func:`factor` in 2D and
+        :func:`incomplete_factor` in 3D.
 
         Kept factors come from an earlier step's system: they invert the
         momentum block, density and ``dt`` of that step, which still
@@ -631,8 +675,10 @@ class SaddleSolver:
             # at 128^2 both have a fill of 1,317,006, but the single LU
             # peaks at 24.2 MiB against 13.4 MiB, and it raised the peak
             # RSS of a 128^2 gyre run from 165 to 171-173 MiB.
-            solve_u = component_solver(self.mesh, system.matrix)
-            lu_k = factor(pinned_poisson(self.grad, 1.0 / system.face_mass))
+            factorize = incomplete_factor if self.mesh.dim == 3 else factor
+            solve_u = component_solver(self.mesh, system.matrix, factorize)
+            lu_k = factorize(pinned_poisson(self.grad,
+                                            1.0 / system.face_mass))
             # locals, not self: the kept function must not hold the solver
             grad, inv_mass_p, dt = self.grad, self._inv_mass_p, system.dt
             n_u = grad.shape[0]

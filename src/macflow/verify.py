@@ -491,7 +491,8 @@ def infsup_health(mesh: MacMesh) -> dict:
                          f"cells in {mesh.dim}D (LOBPCG floor), got {n}")
     div = assemble_divergence(mesh)
     solve = component_solver(mesh, sp.block_diag(
-        [ops.diffusion_matrix(mesh, i) for i in range(mesh.dim)], "csr"))
+        [ops.diffusion_matrix(mesh, i) for i in range(mesh.dim)], "csr"),
+        factor)
     with warnings.catch_warnings():
         # non-convergence is judged from the residuals below
         warnings.filterwarnings("ignore", "(?s).*requested tolerance",

@@ -432,6 +432,8 @@ class TestRunCommand:
         assert (out / "fields_0001.vtk").exists()
 
     def test_determinism_bit_identical(self, tmp_path):
+        # two runs in one process, so with one BLAS thread count: another
+        # count may change the last digits (see the macflow.cli docstring)
         path = run_config(tmp_path, output={"formats": ["csv"],
                                             "mesh_tables": True})
         out_a, out_b = tmp_path / "a", tmp_path / "b"

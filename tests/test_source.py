@@ -158,6 +158,14 @@ def test_output_guard_sees_misplaced_names():
 # SciPy names that would run a second Krylov loop beside linsolve.gmres.
 SCIPY_KRYLOV = {"gmres", "LinearOperator"}
 
+# SciPy's sparse LU and incomplete LU, and the functions of linsolve that
+# may call each: the exact factors of factor and the pivoted saddle
+# fallback, and the incomplete factors of the 3D preconditioner.
+LU_CALLS = {"splu", "spilu"}
+LU_HOMES = {("linsolve.py", "factor", "splu"),
+            ("linsolve.py", "solve_oseen", "splu"),
+            ("linsolve.py", "incomplete_factor", "spilu")}
+
 
 def _scipy_krylov_uses(tree):
     for node in ast.walk(tree):
@@ -165,23 +173,71 @@ def _scipy_krylov_uses(tree):
             yield f"line {node.lineno}: .{node.attr}"
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in SCIPY_KRYLOV | {"splu"}:
+                if alias.name in SCIPY_KRYLOV | LU_CALLS:
                     yield f"line {node.lineno}: import {alias.name}"
 
 
 def test_one_krylov_implementation():
     # the saddle GMRES is linsolve.gmres, with no SciPy solver or operator
-    # wrapper beside it; the LUs go through the module attribute spla.splu,
-    # where a benchmark tracer can count them
+    # wrapper beside it; the LUs go through the module attributes
+    # spla.splu and spla.spilu, where a benchmark tracer can count them
     path = pathlib.Path(macflow.__file__).parent / "linsolve.py"
     tree = ast.parse(path.read_text(), str(path))
     assert not list(_scipy_krylov_uses(tree))
-    assert any(isinstance(node, ast.Attribute) and node.attr == "splu"
-               and isinstance(node.value, ast.Name)
-               and node.value.id == "spla" for node in ast.walk(tree))
-    code = ("from scipy.sparse.linalg import splu\n"
+    assert LU_CALLS == {node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and node.attr in LU_CALLS
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "spla"}
+    code = ("from scipy.sparse.linalg import splu, spilu\n"
             "x, info = spla.gmres(a, b, M=spla.LinearOperator(s, f))\n")
-    assert len(list(_scipy_krylov_uses(ast.parse(code)))) == 3
+    assert len(list(_scipy_krylov_uses(ast.parse(code)))) == 4
+
+
+def _lu_uses(filename, tree):
+    """``(file, enclosing function or method, name)`` of every use of
+    ``splu`` or ``spilu`` (``None`` for module level)."""
+    for stmt in tree.body:
+        home = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        if isinstance(stmt, ast.ClassDef):
+            methods = [(node.name, node) for node in stmt.body
+                       if isinstance(node, ast.FunctionDef)]
+        else:
+            methods = [(home, stmt)]
+        for name, node in methods:
+            for sub in ast.walk(node):
+                attr = (sub.attr if isinstance(sub, ast.Attribute)
+                        else sub.id if isinstance(sub, ast.Name) else None)
+                if attr in LU_CALLS:
+                    yield filename, name, attr
+
+
+def test_exact_inverses_stay_exact():
+    # incomplete factors serve only the 3D preconditioner: the
+    # projection, the transport fallback and the inf-sup monitor's A^-1
+    # go through factor, and the saddle fallback through spla.splu
+    uses = {use for path in SOURCES
+            for use in _lu_uses(path.name, ast.parse(path.read_text()))}
+    assert uses == LU_HOMES
+    path = pathlib.Path(macflow.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), str(path))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "component_solver"]
+    assert calls and all(
+        isinstance(call.args[-1], ast.Name) and call.args[-1].id == "factor"
+        for call in calls)
+
+
+def test_lu_guard_sees_misplaced_factors():
+    code = ("def factor(mat):\n    return spla.spilu(mat)\n"
+            "def incomplete_factor(mat):\n    return spla.spilu(mat)\n"
+            "class SaddleSolver:\n"
+            "    def preconditioner(self, mat):\n"
+            "        return spla.splu(mat)\n")
+    found = set(_lu_uses("linsolve.py", ast.parse(code)))
+    assert found - LU_HOMES == {("linsolve.py", "factor", "spilu"),
+                                ("linsolve.py", "preconditioner", "splu")}
 
 
 COLD_IMPORT = """
