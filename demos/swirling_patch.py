@@ -32,12 +32,12 @@ def main():
     record = collect_diagnostics(result)
     write_diagnostics_csv(record, out / "diagnostics.csv",
                           cfg_hash="demo", seed=0)
-    print(f"{result.n_steps} steps of dt={result.dt} on a 48x48 mesh")
-    print(f"  density bounds {problem.rho_bounds}, worst violation "
-          f"{record.worst_bound_violation:.3e}")
-    print(f"  worst velocity divergence      {record.worst_div:.3e}")
-    print(f"  worst dual mass balance        {record.worst_mass_dual:.3e}")
-    print(f"  worst kinetic energy identity  {record.worst_kinetic:.3e}")
+    print(f"{result.n_steps} steps of dt={result.dt} on a 48x48 mesh, "
+          f"density bounds {problem.rho_bounds}")
+    for label, name, tol in result.config.gates():
+        worst = record.worst[name]
+        print(f"  [{'PASS' if worst <= tol else 'FAIL'}] {label:<24} worst "
+              f"{worst:.3e} (tolerance {tol:.0e})")
     print(f"  density L2 monotone decay      {record.rho_l2_monotone}")
     print(f"  energy norms: L2(H1) {record.l2h1:.4f}, "
           f"Linf(L2) {record.linf_l2:.4f}")

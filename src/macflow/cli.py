@@ -229,17 +229,14 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
                        seed):
     """Write ``summary.txt`` and return whether the run passed;
     ``interrupted`` is the exception that stopped the run, or ``None``."""
-    cfg = result.config
-    checks = [
-        ("density bounds", record.worst_bound_violation, cfg.bounds_margin),
-        ("velocity divergence", record.worst_div, cfg.div_guard),
-        ("dual mass balance", record.worst_mass_dual,
-         10 * cfg.transport_tol),
-        ("kinetic energy balance", record.worst_kinetic, 10 * cfg.oseen_tol),
-    ]
+    checks = [(label, record.worst[name], tol)
+              for label, name, tol in result.config.gates()]
     passed = [value <= tol for _, value, tol in checks]
     all_pass = all(passed) and not interrupted
-    steps = len(result.diagnostics)
+    diags = result.diagnostics
+    steps = len(diags)
+    sweeps = [d.transport_sweeps for d in diags]
+    iterations = [d.oseen_iterations for d in diags]
     lines = [f"steps completed: {steps} of {result.n_steps}"]
     if interrupted:
         lines.append(f"INTERRUPTED: {interrupted}")
@@ -251,15 +248,15 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
         f"velocity Linf(L2) tracker: {format_float(record.linf_l2)}",
         f"density L2 monotone: {'yes' if record.rho_l2_monotone else 'no'}",
         "transport solves that fell back to LU: "
-        f"{record.transport_fallbacks} of {steps}",
-        f"transport sweeps: {record.total_transport_sweeps} in {steps} "
-        f"steps, largest {record.max_transport_sweeps}",
+        f"{sum(d.transport_fallback for d in diags)} of {steps}",
+        f"transport sweeps: {sum(sweeps)} in {steps} steps, largest "
+        f"{max(sweeps, default=0)}",
         "saddle solves that fell back to direct: "
-        f"{record.oseen_fallbacks} of {steps}",
-        f"Krylov iterations: {record.total_oseen_iterations} in {steps} "
-        f"steps, largest {record.max_oseen_iterations}",
-        f"preconditioner factorizations: {record.precond_refreshes} of "
-        f"{steps} steps",
+        f"{sum(d.oseen_fallback for d in diags)} of {steps}",
+        f"Krylov iterations: {sum(iterations)} in {steps} steps, largest "
+        f"{max(iterations, default=0)}",
+        "preconditioner factorizations: "
+        f"{sum(d.precond_refresh for d in diags)} of {steps} steps",
     ]
     write_summary(path, "run-summary", cfg_hash_value, seed, lines, all_pass)
     return all_pass

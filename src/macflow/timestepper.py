@@ -66,6 +66,18 @@ class SchemeConfig:
     div_guard: float = 1e-9
     store_every: int = 1
 
+    def gates(self):
+        """The run's gates, in summary order: ``(summary label,
+        StepDiagnostics field, tolerance)``.  A run passes when every
+        field's worst value is at most its tolerance; the step guards
+        stop a run on the first two as soon as one step breaks them."""
+        return [("density bounds", "bound_violation", self.bounds_margin),
+                ("velocity divergence", "div_l2", self.div_guard),
+                ("dual mass balance", "mass_dual_resid",
+                 10 * self.transport_tol),
+                ("kinetic energy balance", "kinetic_resid",
+                 10 * self.oseen_tol)]
+
 
 @dataclass
 class SchemeState:
@@ -160,6 +172,15 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
     return SchemeState(t=0.0, index=0, rho=rho, u=u, p=None)
 
 
+def _guard(cfg: SchemeConfig, name, value, message):
+    """Stop the run with ``message`` unless ``value`` of the
+    :class:`StepDiagnostics` field ``name`` is within its gate's
+    tolerance; a NaN is never within it."""
+    [tol] = [tol for _, gate, tol in cfg.gates() if gate == name]
+    if not value <= tol:
+        raise InvariantViolation(message, name, value)
+
+
 def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
          forcing=None, bounds=None):
     """Advance one time level; returns (new_state, StepDiagnostics).
@@ -184,10 +205,8 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
 
     violation = max(bounds[0] - rho_new.min(), rho_new.max() - bounds[1],
                     0.0)
-    if violation > cfg.bounds_margin:
-        raise InvariantViolation(
-            f"density bounds violated by {violation:.3e} at t={t_new:.6g}",
-            "bound_violation", violation)
+    _guard(cfg, "bound_violation", violation,
+           f"density bounds violated by {violation:.3e} at t={t_new:.6g}")
 
     f_arrays = forcing(mesh, t_new) if forcing is not None else None
     if f_arrays is not None and not np.isfinite(
@@ -198,10 +217,8 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
     u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol)
 
     div_l2 = norm_l2_cells(ScalarField(mesh, ops.div_velocity(mesh, u_new)))
-    if div_l2 > cfg.div_guard:
-        raise InvariantViolation(
-            f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}",
-            "div_l2", div_l2)
+    _guard(cfg, "div_l2", div_l2,
+           f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
 
     ke_dissipation = dt * norm_h1_squared(u_new)
     diag = StepDiagnostics(

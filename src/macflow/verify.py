@@ -177,35 +177,20 @@ def check_kinetic(mesh: MacMesh, before, after, dt: float,
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-step diagnostics of a run plus cumulative energy trackers.
+    """Per-step diagnostics of a run plus what its columns do not give.
 
     ``l2h1`` accumulates ``sqrt(sum dt * |u|_h1^2)`` and ``linf_l2`` the
     running maximum of the velocity L2 norm (initial state included).
-    ``transport_fallbacks`` counts the steps whose Jacobi transport solve
-    fell back to LU; ``total_transport_sweeps`` and
-    ``max_transport_sweeps`` are the run's total and largest sweep counts.
-    ``oseen_fallbacks`` counts the steps whose Krylov saddle solve fell
-    back to the direct one; ``total_oseen_iterations`` and
-    ``max_oseen_iterations`` are the run's total and largest Krylov
-    iteration counts; ``precond_refreshes`` counts the steps that
-    factored the saddle preconditioner.
+    ``worst`` maps the field of each gate of
+    :meth:`~macflow.timestepper.SchemeConfig.gates` to its largest value,
+    NaN when any value is NaN, and 0.0 when the run made no step.
     """
 
     steps: list
     l2h1: float
     linf_l2: float
-    worst_bound_violation: float
-    worst_mass_dual: float
-    worst_kinetic: float
-    worst_div: float
     rho_l2_monotone: bool
-    transport_fallbacks: int
-    total_transport_sweeps: int
-    max_transport_sweeps: int
-    oseen_fallbacks: int
-    total_oseen_iterations: int
-    max_oseen_iterations: int
-    precond_refreshes: int
+    worst: dict
 
 
 def collect_diagnostics(result: RunResult,
@@ -217,12 +202,13 @@ def collect_diagnostics(result: RunResult,
     column, since the step that failed the guard left no diagnostics.
     """
     steps = result.diagnostics
-
-    def column(name):
+    worst = {}
+    for _, name, _ in result.config.gates():
         values = [getattr(d, name) for d in steps]
         if getattr(stopped, "field", None) == name:
             values.append(stopped.value)
-        return values
+        # np.max, unlike max, carries a NaN through
+        worst[name] = float(np.max(values)) if values else 0.0
 
     h1_sq_sum = 0.0
     linf_l2 = norm_lp_dual(result.trajectory.u[0], 2)
@@ -231,23 +217,12 @@ def collect_diagnostics(result: RunResult,
     for d in steps:
         h1_sq_sum += d.ke_dissipation
         linf_l2 = max(linf_l2, d.u_l2)
-        if d.rho_l2 > rho_l2_prev * (1 + 1e-12):
+        if not d.rho_l2 <= rho_l2_prev * (1 + 1e-12):
             monotone = False
         rho_l2_prev = d.rho_l2
     return DiagnosticsRecord(
         steps=steps, l2h1=math.sqrt(h1_sq_sum), linf_l2=linf_l2,
-        worst_bound_violation=max(column("bound_violation"), default=0.0),
-        worst_mass_dual=max(column("mass_dual_resid"), default=0.0),
-        worst_kinetic=max(column("kinetic_resid"), default=0.0),
-        worst_div=max(column("div_l2"), default=0.0),
-        rho_l2_monotone=monotone,
-        transport_fallbacks=sum(column("transport_fallback")),
-        total_transport_sweeps=sum(column("transport_sweeps")),
-        max_transport_sweeps=max(column("transport_sweeps"), default=0),
-        oseen_fallbacks=sum(column("oseen_fallback")),
-        total_oseen_iterations=sum(column("oseen_iterations")),
-        max_oseen_iterations=max(column("oseen_iterations"), default=0),
-        precond_refreshes=sum(column("precond_refresh")))
+        rho_l2_monotone=monotone, worst=worst)
 
 
 # -- time translates -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface: config validation, artifacts, determinism."""
 
 import csv
+import math
 import os
 import re
 
@@ -13,6 +14,7 @@ from macflow.cli import (ConfigError, build_mesh_from_config,
                          build_scheme_config, load_config, main)
 from macflow.fields import scalar_from_csv
 from macflow.grid import MeshValidationError, build_uniform_mesh
+from macflow.ioutil import format_float
 from macflow.linsolve import solve_oseen
 
 
@@ -492,6 +494,54 @@ class TestRunCommand:
         assert "steps completed: 0 of 5" in summary
         assert "[FAIL] density bounds: worst 0.25 (tolerance 1e-09)" in summary
         assert "[PASS] velocity divergence" in summary
+
+    def test_summary_gates_are_the_table(self, tmp_path, monkeypatch):
+        # one [PASS]/[FAIL] line per row of SchemeConfig.gates, in order,
+        # with its tolerance: a row added to the table is one line more,
+        # and its FAIL fails the run
+        def gate_lines(out):
+            return re.findall(r"^\[(PASS|FAIL)\] (.+): worst \S+ "
+                              r"\(tolerance (\S+)\)$",
+                              (out / "summary.txt").read_text(), re.M)
+
+        path = run_config(tmp_path)
+        rows = [("PASS", label, format_float(tol)) for label, _, tol
+                in build_scheme_config(load_config(path)).gates()]
+        assert len(rows) == 4
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "a")]) == 0
+        assert gate_lines(tmp_path / "a") == rows
+        gates = timestepper.SchemeConfig.gates
+        monkeypatch.setattr(
+            timestepper.SchemeConfig, "gates",
+            lambda cfg: gates(cfg) + [("velocity L2 norm", "u_l2", 0.0)])
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "b")]) == 1
+        assert gate_lines(tmp_path / "b") == rows + [
+            ("FAIL", "velocity L2 norm", "0.0")]
+        assert "overall: FAIL" in (tmp_path / "b" / "summary.txt").read_text()
+
+    def test_nan_gate_value_fails(self, tmp_path, monkeypatch):
+        # a NaN kinetic energy residual on step 2, after a finite one on
+        # step 1, is the run's worst value and fails its gate
+        calls, face_balances = [], timestepper.face_balances
+
+        def nan_on_step_2(*args):
+            calls.append(None)
+            balances = face_balances(*args)
+            if len(calls) == 2:
+                balances["kinetic_resid"] = math.nan
+            return balances
+
+        monkeypatch.setattr(timestepper, "face_balances", nan_on_step_2)
+        out = tmp_path / "out"
+        assert main(["run", "--config", run_config(tmp_path),
+                     "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text()
+        assert "steps completed: 5 of 5" in summary
+        assert ("[FAIL] kinetic energy balance: worst nan (tolerance 1e-09)"
+                in summary)
+        assert "overall: FAIL" in summary
 
 
 class TestVerifyCommand:

@@ -1029,19 +1029,20 @@ class TestDensityRatioSweep:
     def test_sweep_point(self, ratio, dt):
         result = patch_run(ratio, dt)
         record = collect_diagnostics(result)
-        counts = [d.oseen_iterations for d in result.diagnostics]
+        diags = result.diagnostics
+        counts = [d.oseen_iterations for d in diags]
         print(f"ratio {ratio:g}, dt {dt:g}: Krylov iterations "
               f"{sum(counts)} {counts}, transport sweeps "
-              f"{record.total_transport_sweeps}, worst divergence "
-              f"{record.worst_div:.3e}")
-        assert not any(d.oseen_fallback for d in result.diagnostics)
+              f"{sum(d.transport_sweeps for d in diags)}, worst divergence "
+              f"{record.worst['div_l2']:.3e}")
+        assert not any(d.oseen_fallback for d in diags)
         # no more factorizations than from the last solution alone
-        assert (sum(d.precond_refresh for d in result.diagnostics)
+        assert (sum(d.precond_refresh for d in diags)
                 <= (2 if (ratio, dt) == (1000, 1.0) else 1))
-        assert record.transport_fallbacks == 0
-        assert record.worst_bound_violation == 0.0
+        assert not any(d.transport_fallback for d in diags)
+        assert record.worst["bound_violation"] == 0.0
         assert record.rho_l2_monotone
-        assert record.worst_div <= 1e-9
+        assert record.worst["div_l2"] <= 1e-9
 
     def test_unavoidable_fallback_spends_few_iterations(self):
         # at ratio 100 and dt = 1 an oseen_tol of 1e-12 asks GMRES for a
@@ -1116,14 +1117,20 @@ class TestIncompleteFactors3D:
         incomplete = collect_diagnostics(run(mesh, problem, cfg))
         monkeypatch.setattr(linsolve, "incomplete_factor", factor)
         exact = collect_diagnostics(run(mesh, problem, cfg))
-        print(f"dt {dt:g}: Krylov iterations {incomplete.total_oseen_iterations} "
-              f"(exact factors {exact.total_oseen_iterations}), worst divergence "
-              f"{incomplete.worst_div:.3e} (exact {exact.worst_div:.3e})")
+
+        def iterations(record):
+            return sum(d.oseen_iterations for d in record.steps)
+
+        print(f"dt {dt:g}: Krylov iterations {iterations(incomplete)} "
+              f"(exact factors {iterations(exact)}), worst divergence "
+              f"{incomplete.worst['div_l2']:.3e} "
+              f"(exact {exact.worst['div_l2']:.3e})")
         for record in (incomplete, exact):
-            assert len(record.steps) == 5 and record.oseen_fallbacks == 0
-            assert record.transport_fallbacks == 0
-            assert record.worst_bound_violation == 0.0
-        assert incomplete.worst_div <= 10 * exact.worst_div
+            assert len(record.steps) == 5
+            assert not any(d.oseen_fallback or d.transport_fallback
+                           for d in record.steps)
+            assert record.worst["bound_violation"] == 0.0
+        assert incomplete.worst["div_l2"] <= 10 * exact.worst["div_l2"]
 
     @pytest.mark.parametrize("mesh_name, kind", [
         ("mesh2_graded", "factor"), ("mesh3_graded", "incomplete_factor")])

@@ -155,6 +155,73 @@ def test_output_guard_sees_misplaced_names():
         "line 4: StringIO", "line 5: makedirs", "line 6: mkdir"]
 
 
+# The run's gates: one table, SchemeConfig.gates, pairs each summary label
+# with its StepDiagnostics field and its tolerance; the step guards, the
+# run record and the summary read it, so no label or tenfold tolerance is
+# spelled anywhere else.  check_kinetic's identity battery reports the
+# balance the kinetic gate reads, under the same name.
+GATE_LABELS = {"density bounds", "velocity divergence", "dual mass balance",
+               "kinetic energy balance"}
+GATE_HOMES = {("timestepper.py", "SchemeConfig", "gates"),
+              ("verify.py", None, "check_kinetic")}
+
+
+def _tenfold_tolerance(node):
+    sides = (getattr(node, "left", None), getattr(node, "right", None))
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, ast.Constant) and side.value == 10
+                    for side in sides)
+            and any(isinstance(side, ast.Attribute)
+                    and side.attr.endswith("_tol") for side in sides))
+
+
+def _gate_spellings(filename, tree):
+    """``(file, class, function, what)`` of every gate label and every
+    tenfold tolerance ``10 * x.<name>_tol`` in ``tree``."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            homes = [(stmt.name, node.name if isinstance(
+                node, ast.FunctionDef) else None, node) for node in stmt.body]
+        else:
+            homes = [(None, stmt.name if isinstance(
+                stmt, ast.FunctionDef) else None, stmt)]
+        for cls, func, top in homes:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant)
+                        and node.value in GATE_LABELS):
+                    yield filename, cls, func, node.value
+                elif _tenfold_tolerance(node):
+                    yield filename, cls, func, "10 *"
+
+
+def test_one_table_of_gates():
+    found = [use for path in SOURCES
+             for use in _gate_spellings(path.name,
+                                        ast.parse(path.read_text()))]
+    assert {use[:3] for use in found} == GATE_HOMES
+    table = [use[3] for use in found if use[:3] == ("timestepper.py",
+                                                    "SchemeConfig", "gates")]
+    assert sorted(table) == sorted([*GATE_LABELS, "10 *", "10 *"])
+    assert [use[3] for use in found if use[2] == "check_kinetic"] == [
+        "kinetic energy balance"]
+
+
+def test_gate_guard_sees_misplaced_spellings():
+    code = ("class SchemeConfig:\n"
+            "    def gates(self):\n"
+            "        return [('density bounds', 10 * self.oseen_tol)]\n"
+            "def summary(cfg):\n"
+            "    return [('dual mass balance', cfg.transport_tol * 10),\n"
+            "            10 * cfg.dt, 2 * cfg.oseen_tol]\n"
+            "LABEL = 'velocity divergence'\n")
+    assert list(_gate_spellings("cli.py", ast.parse(code))) == [
+        ("cli.py", "SchemeConfig", "gates", "density bounds"),
+        ("cli.py", "SchemeConfig", "gates", "10 *"),
+        ("cli.py", None, "summary", "dual mass balance"),
+        ("cli.py", None, "summary", "10 *"),
+        ("cli.py", None, None, "velocity divergence")]
+
+
 # SciPy names that would run a second Krylov loop beside linsolve.gmres.
 SCIPY_KRYLOV = {"gmres", "LinearOperator"}
 

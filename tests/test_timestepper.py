@@ -302,6 +302,27 @@ class TestRunBookkeeping:
         assert err.value.field == "bound_violation" in DIAGNOSTICS_FIELDS
         assert 0.0 < err.value.value <= state.rho.max() - low
 
+    def test_nan_divergence_stops_the_run(self, monkeypatch):
+        # a NaN is never within a guard: the NaN divergence of step 2
+        # stops the run there, as a value above the guard would
+        calls, div_velocity = [], ops.div_velocity
+
+        def nan_on_step_2(mesh, u):
+            calls.append(None)  # the initial state's, then one per step
+            div = div_velocity(mesh, u)
+            return div * math.nan if len(calls) == 3 else div
+
+        monkeypatch.setattr(ops, "div_velocity", nan_on_step_2)
+        problem = get_preset("rotating-patch")
+        mesh = build_uniform_mesh(problem.domain, (8, 8))
+        with pytest.raises(InvariantViolation,
+                           match="velocity divergence nan exceeds guard "
+                                 "at t=0.02") as err:
+            run(mesh, problem, SchemeConfig(dt=0.01, t_end=0.03))
+        assert err.value.field == "div_l2"
+        assert math.isnan(err.value.value)
+        assert len(err.value.partial.diagnostics) == 1
+
 
 class TestEnergy:
     def test_kinetic_energy_hand_value(self):

@@ -2,7 +2,7 @@
 
 import csv
 import math
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -288,9 +288,21 @@ class TestCollectDiagnostics:
     def test_worst_case_aggregates(self):
         result, _ = gyre_run(t_end=0.05, dt=0.01)
         rec = verify.collect_diagnostics(result)
-        assert rec.worst_div == max(d.div_l2 for d in result.diagnostics)
-        assert rec.worst_mass_dual == max(d.mass_dual_resid
-                                          for d in result.diagnostics)
+        assert list(rec.worst) == [name for _, name, _
+                                   in result.config.gates()]
+        for name, value in rec.worst.items():
+            assert value == max(getattr(d, name) for d in result.diagnostics)
+
+    def test_nan_carried_through(self):
+        # a NaN after a finite value is the worst value, and a NaN
+        # density norm ends the monotone decay
+        result, _ = gyre_run(t_end=0.03, dt=0.01)
+        steps = result.diagnostics
+        steps[1] = replace(steps[1], div_l2=math.nan, rho_l2=math.nan)
+        rec = verify.collect_diagnostics(result)
+        assert math.isnan(rec.worst["div_l2"])
+        assert not math.isnan(rec.worst["mass_dual_resid"])
+        assert not rec.rho_l2_monotone
 
 
 class TestReportWriters:
