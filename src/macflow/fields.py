@@ -53,7 +53,9 @@ class ScalarField:
         if self.zero_mean:
             total = abs(float(mesh.cell_volume @ values))
             scale = float(np.sqrt(mesh.cell_volume @ values ** 2))
-            if total > 1e-12 * max(scale, 1e-300) and scale > 0:
+            # a NaN or infinite sum fails
+            if (scale != 0 and not total <= 1e-12 * max(scale, 1e-300)
+                    or total == np.inf):
                 raise ValueError(
                     f"zero-mean field has volume-weighted sum {total:.3e}")
 
@@ -186,7 +188,7 @@ def norm_lp_dual(u: VelocityField, p) -> float:
     """
     mesh = u.mesh
     if p == np.inf:
-        return float(max(np.abs(c).max() for c in u.components))
+        return float(np.max([np.abs(c).max() for c in u.components]))
     if p not in (2, 4, 6):
         raise ValueError(f"unsupported exponent {p!r}; use 2, 4, 6 or inf")
     total = 0.0

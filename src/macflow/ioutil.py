@@ -16,7 +16,7 @@ import csv
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 
 
@@ -29,17 +29,13 @@ def format_float(x) -> str:
 def atomic_write(path):
     """Open a temporary text file and rename it onto ``path`` on success."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    # mkstemp opens 0600; the file gets the mode open() would give under
-    # the umask, which can only be read by setting it
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                               suffix=os.path.basename(path))
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}{name}")
+    # created 0666 like open(), so the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -19,8 +19,9 @@ factors are exact LU (:func:`factor`) in 2D and incomplete LU
 (:func:`incomplete_factor`) in 3D, where exact fill grows fastest.  The
 GMRES loop is :func:`gmres`, plain restarted GMRES whose cycles aim at
 what the true residual still needs and whose stop is the true residual
-itself.  The transport step is solved by Jacobi sweeps from the old
-density, which keep it inside its bounds at every iterate.  One routine,
+itself.  The transport matrix is banded; :func:`assemble_transport`
+fills its bands in place, in offset order.  Jacobi sweeps from the old
+density solve it, every iterate inside its bounds.  One routine,
 :func:`_accept`, decides the outcome of both solves: it keeps the iterate
 when the true residual its iteration stopped on passes, and otherwise
 solves by LU, measures that (:func:`checked_residual`) and reports the
@@ -224,30 +225,28 @@ def assemble_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
     the new density; ``b = |K| rho_old / dt``.  The off-diagonal entries
     are nonpositive and, for divergence-free ``u``, both row and column
     sums of the flux part vanish, which yields the discrete maximum
-    principle and the L2 contraction of the solve.
+    principle and the L2 contraction of the solve.  ``A`` is a
+    :class:`scipy.sparse.dia_matrix` filled in place, with bands at minus
+    and plus each axis stride, in ascending offset order: a product sums
+    each row in column order, as a CSR row does.
     """
-    cells = np.arange(mesh.n_cells)
-    rows, cols, vals = [cells], [cells], [mesh.cell_volume / dt]
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
-        idx = fs.interior_idx
-        vel = u.components[i][idx]
-        rate = fs.measure[idx] * vel
-        lo = fs.cell_lo[idx]
-        hi = fs.cell_hi[idx]
-        upw = np.where(vel >= 0.0, lo, hi)
-        rows.append(lo)
-        cols.append(upw)
-        vals.append(rate)
-        rows.append(hi)
-        cols.append(upw)
-        vals.append(-rate)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_cells, mesh.n_cells)).tocsr()
-    rhs = mesh.cell_volume * rho_old.values / dt
-    return mat, rhs
+    faces = [fs for fs in mesh.faces if fs.n_interior]  # one cell: no band
+    k = len(faces)
+    bands = np.zeros((2 * k + 1, *mesh.cells))
+    bands[k] = (mesh.cell_volume / dt).reshape(mesh.cells)
+    for j, fs in enumerate(faces):  # strides fall with the axis
+        rest = (slice(None),) * fs.axis  # the axes before the face axis
+        lo, hi = rest + (slice(-1),), rest + (slice(1, None),)
+        rate = (fs.measure * u.components[fs.axis]).reshape(fs.shape)[hi][lo]
+        outflow, inflow = np.maximum(rate, 0.0), np.minimum(rate, 0.0)
+        bands[k][lo] += outflow
+        bands[k][hi] -= inflow
+        bands[j][lo], bands[-1 - j][hi] = -outflow, inflow
+    strides = [math.prod(mesh.cells[fs.axis + 1:]) for fs in faces]
+    offsets = [-s for s in strides] + [0] + strides[::-1]  # hi - lo
+    mat = sp.dia_matrix((bands.reshape(2 * k + 1, -1), offsets),
+                        shape=(mesh.n_cells,) * 2)
+    return mat, mesh.cell_volume * rho_old.values / dt
 
 
 def jacobi_sweeps(mat, rhs, x, target: float, cap: int):

@@ -211,12 +211,12 @@ def collect_diagnostics(result: RunResult,
         worst[name] = float(np.max(values)) if values else 0.0
 
     h1_sq_sum = 0.0
-    linf_l2 = norm_lp_dual(result.trajectory.u[0], 2)
+    linf_l2 = float(np.max([norm_lp_dual(result.trajectory.u[0], 2)]
+                           + [d.u_l2 for d in steps]))
     rho_l2_prev = norm_l2_cells(result.trajectory.rho[0])
     monotone = True
     for d in steps:
         h1_sq_sum += d.ke_dissipation
-        linf_l2 = max(linf_l2, d.u_l2)
         if not d.rho_l2 <= rho_l2_prev * (1 + 1e-12):
             monotone = False
         rho_l2_prev = d.rho_l2

@@ -1,5 +1,7 @@
 """Field containers, projections, norms, and file round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,15 @@ class TestScalarField:
         vals -= (mesh2_graded.cell_volume @ vals) / mesh2_graded.volume
         f = ScalarField(mesh2_graded, vals, zero_mean=True)
         assert f.zero_mean
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_zero_mean_tag_rejects_non_finite(self, mesh2_graded, bad):
+        # a NaN or infinite sum fails the zero-mean test, whatever else
+        # the values hold
+        vals = np.zeros(mesh2_graded.n_cells)
+        vals[3] = bad
+        with pytest.raises(ValueError):
+            ScalarField(mesh2_graded, vals, zero_mean=True)
 
 
 class TestVelocityField:
@@ -180,6 +191,17 @@ class TestNorms:
         assert norm_lp_dual(scaled, 2) == pytest.approx(
             2.0 * norm_lp_dual(u, 2), rel=1e-13)
         assert norm_h1(scaled) == pytest.approx(2.0 * norm_h1(u), rel=1e-13)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_component_gives_nan(self, axis):
+        # every norm carries a NaN of either component, whichever comes
+        # first
+        mesh = build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (4, 4))
+        comps = [np.ones(fs.count) for fs in mesh.faces]
+        comps[axis][mesh.faces[axis].interior_idx[0]] = np.nan
+        u = VelocityField(mesh, comps)
+        for p in (2, 4, 6, np.inf):
+            assert math.isnan(norm_lp_dual(u, p)), p
 
     def test_unsupported_exponent_rejected(self, mesh2_uniform):
         u = VelocityField.zeros(mesh2_uniform)

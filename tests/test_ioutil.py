@@ -106,6 +106,25 @@ def test_artifact_mode_follows_umask(tmp_path, umask, mode):
             for path in tmp_path.iterdir()} == dict.fromkeys(WRITERS, mode)
 
 
+def test_writes_never_set_the_umask(tmp_path, monkeypatch):
+    # setting the umask, even for a moment, would leave files that other
+    # threads create meanwhile world-writable: the writers create their
+    # temporary files with mode 0666 and let the kernel apply the umask
+    def umask(mask):
+        raise AssertionError("os.umask called")
+
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", umask)
+        for name, write in WRITERS.items():
+            write(tmp_path / name)
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert {path.name: stat.S_IMODE(path.stat().st_mode)
+            for path in tmp_path.iterdir()} == dict.fromkeys(WRITERS, 0o640)
+
+
 def test_failed_write_keeps_previous_file(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, "test", ["a"], [(1.0,)])

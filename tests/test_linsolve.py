@@ -292,6 +292,113 @@ def test_checked_residual():
         checked_residual(mat, np.full(3, np.nan), rhs, 1.0, "solve")
 
 
+def coo_transport(mesh, dt, rho_old, u):
+    """The transport system as it was assembled before the banded form:
+    each face's upwind entries gathered into COO lists and summed by the
+    CSR conversion.  The reference that the banded matrix must match."""
+    cells = np.arange(mesh.n_cells)
+    rows, cols, vals = [cells], [cells], [mesh.cell_volume / dt]
+    for i in range(mesh.dim):
+        fs = mesh.faces[i]
+        idx = fs.interior_idx
+        vel = u.components[i][idx]
+        rate = fs.measure[idx] * vel
+        lo = fs.cell_lo[idx]
+        hi = fs.cell_hi[idx]
+        upw = np.where(vel >= 0.0, lo, hi)
+        rows += [lo, hi]
+        cols += [upw, upw]
+        vals += [rate, -rate]
+    mat = sp.coo_matrix(
+        (np.concatenate(vals),
+         (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_cells, mesh.n_cells)).tocsr()
+    return mat, mesh.cell_volume * rho_old.values / dt
+
+
+def bits(a):
+    """The bit patterns of a float array, with -0.0 read as 0.0."""
+    return (np.asarray(a, dtype=float) + 0.0).view(np.uint64)
+
+
+# Uniform and graded meshes in 2D and 3D, and meshes with an axis of one
+# cell, which has no interior faces and so no band.
+BANDED_MESHES = {
+    "2d-uniform": lambda: build_uniform_mesh([[0.0, 1.0]] * 2, (6, 5)),
+    "2d-graded": lambda: graded_mesh((6, 5), seed=42),
+    "3d-uniform": lambda: build_uniform_mesh([[0.0, 1.0]] * 3, (4, 3, 5)),
+    "3d-graded": lambda: graded_mesh((4, 3, 5), seed=43),
+    "1xn": lambda: graded_mesh((1, 7), seed=44),
+    "nx1": lambda: graded_mesh((7, 1), seed=45),
+    "nx1xm": lambda: graded_mesh((4, 1, 5), seed=46),
+}
+
+
+def banded_velocity(mesh, kind, seed):
+    """Zero, random (not divergence-free), or random with every third
+    face at rest."""
+    rng = np.random.default_rng(seed)
+    comps = [rng.standard_normal(fs.count) for fs in mesh.faces]
+    if kind == "zero":
+        comps = [0.0 * c for c in comps]
+    elif kind == "still-faces":
+        for c in comps:
+            c[::3] = 0.0
+    return VelocityField(mesh, comps)
+
+
+@pytest.mark.parametrize("kind", ["zero", "random", "still-faces"])
+@pytest.mark.parametrize("name", BANDED_MESHES)
+class TestBandedTransport:
+    # the banded matrix equals the COO assembly bit for bit, so the
+    # sweeps, the LU fallback and every artifact keep their bits
+
+    def test_matrix_and_products_match_coo(self, name, kind):
+        mesh = BANDED_MESHES[name]()
+        rng = np.random.default_rng(7)
+        rho = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
+        u = banded_velocity(mesh, kind, seed=8)
+        mat, rhs = assemble_transport(mesh, 0.05, rho, u)
+        ref, ref_rhs = coo_transport(mesh, 0.05, rho, u)
+        assert isinstance(mat, sp.dia_matrix)
+        assert list(mat.offsets) == sorted(set(mat.offsets))
+        assert len(mat.offsets) == 1 + 2 * sum(n > 1 for n in mesh.cells)
+        assert (ref.data == 0).any() == (kind != "random")
+        # a zero the COO matrix does not store may read -0.0 in a band
+        np.testing.assert_array_equal(bits(mat.toarray()),
+                                      bits(ref.toarray()))
+        np.testing.assert_array_equal(bits(mat.diagonal()),
+                                      bits(ref.diagonal()))
+        np.testing.assert_array_equal(bits(rhs), bits(ref_rhs))
+        for x in (rho.values, rng.standard_normal(mesh.n_cells)):
+            np.testing.assert_array_equal((mat @ x).view(np.uint64),
+                                          (ref @ x).view(np.uint64))
+
+    @pytest.mark.parametrize("dt", [0.05, 1e8])
+    def test_solve_matches_coo(self, name, kind, dt, monkeypatch):
+        # at dt 1e8, with one sweep allowed, the solve falls back to LU of
+        # a matrix that is nearly all flux: the LU keeps its bits too
+        if dt > 1:
+            monkeypatch.setattr(linsolve, "JACOBI_MAXITER", 1)
+        mesh = BANDED_MESHES[name]()
+        rng = np.random.default_rng(9)
+        rho = ScalarField(mesh, rng.uniform(1.0, 2.0, mesh.n_cells))
+        u = banded_velocity(mesh, kind, seed=10)
+        new, report = solve_transport(mesh, dt, rho, u)
+        # the COO matrix stores a zero for each still face, which the LU
+        # fallback's ordering sees and the banded matrix never stores
+        def pruned(*args):
+            mat, rhs = coo_transport(*args)
+            mat.eliminate_zeros()
+            return mat, rhs
+        monkeypatch.setattr(linsolve, "assemble_transport", pruned)
+        ref, ref_report = solve_transport(mesh, dt, rho, u)
+        assert report == ref_report
+        assert report.fallback == (dt > 1 and kind != "zero")
+        np.testing.assert_array_equal(new.values.view(np.uint64),
+                                      ref.values.view(np.uint64))
+
+
 # -- saddle blocks ----------------------------------------------------------------
 
 class TestSaddleBlocks:

@@ -307,6 +307,84 @@ def test_lu_guard_sees_misplaced_factors():
                                 ("linsolve.py", "preconditioner", "splu")}
 
 
+# The functions that fill a step's matrices, as (class, function), and the
+# calls that would rebuild a sparse structure there: each step fills
+# values on a structure known in advance (the transport's bands, the
+# saddle's SaddlePattern), with no format conversion or block assembly.
+STEP_FILLS = {(None, "assemble_transport"), (None, "assemble_oseen"),
+              ("SaddlePattern", "fill")}
+CONVERSIONS = {"coo_matrix", "tocsr", "tocoo", "tocsc", "asformat", "bmat",
+               "block_diag"}
+
+
+def _step_conversions(tree):
+    """The sorted conversion calls of each function of ``STEP_FILLS``
+    that ``tree`` defines, by function name."""
+    found = {}
+    for stmt in tree.body:
+        members = ([(stmt.name, node) for node in stmt.body]
+                   if isinstance(stmt, ast.ClassDef) else [(None, stmt)])
+        for cls, node in members:
+            if (isinstance(node, ast.FunctionDef)
+                    and (cls, node.name) in STEP_FILLS):
+                calls = [getattr(sub.func, "attr",
+                                 getattr(sub.func, "id", None))
+                         for sub in ast.walk(node)
+                         if isinstance(sub, ast.Call)]
+                found[node.name] = sorted(CONVERSIONS.intersection(calls))
+    return found
+
+
+def test_step_fills_convert_nothing():
+    path = pathlib.Path(macflow.__file__).parent / "linsolve.py"
+    assert _step_conversions(ast.parse(path.read_text(), str(path))) == {
+        "assemble_transport": [], "assemble_oseen": [], "fill": []}
+
+
+def test_fill_guard_sees_misplaced_conversions():
+    code = ("def assemble_transport(mesh):\n"
+            "    return sp.coo_matrix(m).tocsr()\n"
+            "class SaddlePattern:\n"
+            "    def fill(self):\n"
+            "        return bmat([[a.asformat('csr'), None]])\n"
+            "    def __init__(self):\n"
+            "        self.template = sp.block_diag(blocks).tocsc()\n"
+            "def factor(mat):\n    return mat.tocsc()\n")
+    assert _step_conversions(ast.parse(code)) == {
+        "assemble_transport": ["coo_matrix", "tocsr"],
+        "fill": ["asformat", "bmat"]}
+
+
+def _tie_rules(tree):
+    """``(function, line)`` of every comparison ``vel >= 0``: the upwind
+    choice of a face whose velocity is zero."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Compare)
+                    and isinstance(node.left, ast.Name)
+                    and node.left.id == "vel"
+                    and isinstance(node.ops[0], ast.GtE)
+                    and isinstance(node.comparators[0], ast.Constant)
+                    and node.comparators[0].value == 0):
+                yield getattr(stmt, "name", None), node.lineno
+
+
+def test_one_upwind_tie_rule():
+    # a zero velocity goes with the low side in operators.upwind_face_flux
+    # alone; the transport matrix needs no rule, since a still face adds
+    # nothing to it
+    found = {path.name: [home for home, _ in
+                         _tie_rules(ast.parse(path.read_text()))]
+             for path in SOURCES}
+    assert {name: homes for name, homes in found.items() if homes} == {
+        "operators.py": ["upwind_face_flux"]}
+    code = ("def assemble_transport(vel, lo, hi, dof):\n"
+            "    upw = np.where(vel >= 0.0, lo, hi)\n"
+            "    return upw[dof >= 0], vel >= 0\n")
+    assert list(_tie_rules(ast.parse(code))) == [
+        ("assemble_transport", 2), ("assemble_transport", 3)]
+
+
 COLD_IMPORT = """
 import importlib.metadata, json, sys
 import numpy as np

@@ -304,6 +304,13 @@ class TestCollectDiagnostics:
         assert not math.isnan(rec.worst["mass_dual_resid"])
         assert not rec.rho_l2_monotone
 
+    def test_nan_velocity_norm_carried_through(self):
+        # the Linf(L2) tracker keeps a NaN that follows a finite norm
+        result, _ = gyre_run(t_end=0.03, dt=0.01)
+        steps = result.diagnostics
+        steps[1] = replace(steps[1], u_l2=math.nan)
+        assert math.isnan(verify.collect_diagnostics(result).linf_l2)
+
 
 class TestReportWriters:
     def test_identity_reports_csv(self, tmp_path, mesh2_uniform):
