@@ -86,7 +86,7 @@ def load_config(path) -> dict:
         for key in content:
             if key not in _SCHEMA[block]:
                 raise ConfigError(
-                    f"unknown configuration key {block + '.' + key!r}; "
+                    f"unknown configuration key {f'{block}.{key}'!r}; "
                     f"expected one of {sorted(_SCHEMA[block])}")
     return data
 
@@ -288,6 +288,11 @@ def cmd_run(cfg, out_dir, seed) -> int:
     if problem.dim != mesh.dim:
         raise ConfigError(f"'problem.preset' {problem.name!r} is "
                           f"{problem.dim}D but the mesh is {mesh.dim}D")
+    domain = np.asarray(problem.domain, dtype=float)
+    if not np.array_equal(mesh.domain_box, domain):
+        raise ConfigError(f"mesh box {mesh.domain_box.tolist()} is not the "
+                          f"domain {domain.tolist()} of 'problem.preset' "
+                          f"{problem.name!r}")
     try:
         time_steps(mesh, problem, scheme)
     except ValueError as exc:

@@ -208,11 +208,14 @@ def norm_h1_squared(u: VelocityField) -> float:
     total = 0.0
     for i in range(mesh.dim):
         v = u.components[i]
-        for c in (mesh.dual_case1[i],) + mesh.dual_case2[i]:
-            jump = v[c.face_lo] - v[c.face_hi]
-            total += float((c.measure / c.dist) @ jump ** 2)
-        for w in mesh.dual_walls[i]:
-            total += float((w.measure / w.dist) @ v[w.face] ** 2)
+        t = mesh.dual_interfaces[i]
+        # family by family, so each dot sums in the same order
+        for _, rows in t.families:
+            jump = v[t.face_lo[rows]] - v[t.face_hi[rows]]
+            total += float((t.measure[rows] / t.dist[rows]) @ jump ** 2)
+        for _, _, rows in t.wall_families:
+            weight = t.wall_measure[rows] / t.wall_dist[rows]
+            total += float(weight @ v[t.wall_face[rows]] ** 2)
     return total
 
 
@@ -308,9 +311,11 @@ def cell_centered_velocity(u: VelocityField) -> np.ndarray:
     mesh = u.mesh
     out = np.zeros((mesh.n_cells, 3))
     for i in range(mesh.dim):
-        c1 = mesh.dual_case1[i]
+        # the case-1 rows: row K holds the two faces of cell K
+        t = mesh.dual_interfaces[i]
         comp = u.components[i]
-        out[c1.cell, i] = 0.5 * (comp[c1.face_lo] + comp[c1.face_hi])
+        out[:, i] = 0.5 * (comp[t.face_lo[:mesh.n_cells]]
+                           + comp[t.face_hi[:mesh.n_cells]])
     return out
 
 

@@ -7,23 +7,22 @@ assembled from the two half cells touching the face (one half cell for
 faces on the boundary).
 
 The interfaces between neighbouring face-centered volumes of one component
-fall into two geometric situations, tabulated separately:
+fall into two geometric situations:
 
 * case 1: the interface is orthogonal to the component axis and is the
   cross-section of a single primal cell through its center;
 * case 2: the interface is parallel to the component axis and consists of
   the two halves of the primal faces separating two adjacent cell columns.
 
-Boundary strips of face-centered volumes (``wall`` tables) carry no mass
+Wall strips, the boundary strips of face-centered volumes, carry no mass
 flux; they only contribute Dirichlet terms to the diffusion operator.
 Case-2 interfaces and wall strips come from one strip construction.
 
-The dual operators read one stacked table per component,
-``MacMesh.dual_interfaces[i]``: the case-1 rows, then each case-2 family,
-with the wall strips alongside.  The per-family tables stay for
-construction, inspection (:func:`dump_mesh_tables`) and the independent
-checks of those operators (``fields.norm_h1_squared`` and the loop
-oracles of the tests).
+Each component has one table of them, ``MacMesh.dual_interfaces[i]``:
+the case-1 rows, then each case-2 family, with the wall strips alongside
+and the row range of every family.  The dual operators make one
+vectorized pass over it; per-family readers (:func:`dump_mesh_tables`,
+``fields.norm_h1_squared``) walk its row ranges.
 
 All index arrays refer to flat C-order (lexicographic) positions, cells in
 the cell grid and faces in the per-direction face grid, which has one more
@@ -81,86 +80,52 @@ class FaceSet:
         self.interior_dof = _freeze(dof)
 
 
-class DualFaceCase1:
-    """Interfaces orthogonal to the component axis, one per primal cell.
-
-    ``face_lo``/``face_hi`` are the component faces on the two sides of the
-    cell; the interface measure is the cell cross-section and ``dist`` is
-    the cell extent along the component axis.
-    """
-
-    def __init__(self, cell, face_lo, face_hi, measure, dist):
-        self.cell = _freeze(cell)
-        self.face_lo = _freeze(face_lo)
-        self.face_hi = _freeze(face_hi)
-        self.measure = _freeze(measure)
-        self.dist = _freeze(dist)
-        self.count = int(self.cell.size)
-
-
-class DualFaceCase2:
-    """Interfaces parallel to the component axis ``i``, orthogonal to ``j``.
-
-    Each interface separates the component faces ``face_lo``/``face_hi``
-    (adjacent along axis j) and is the union of the halves of the primal
-    j-faces ``tau_lo``/``tau_hi`` of the two cell columns, so its measure is
-    the half-sum of their measures.  ``dist`` is the distance between the
-    two component face centers.
-    """
-
-    def __init__(self, ortho_axis, face_lo, face_hi, tau_lo, tau_hi,
-                 measure, dist):
-        self.ortho_axis = int(ortho_axis)
-        self.face_lo = _freeze(face_lo)
-        self.face_hi = _freeze(face_hi)
-        self.tau_lo = _freeze(tau_lo)
-        self.tau_hi = _freeze(tau_hi)
-        self.measure = _freeze(measure)
-        self.dist = _freeze(dist)
-        self.count = int(self.face_lo.size)
-
-
-class DualFaceWall:
-    """Boundary strips of face-centered volumes along one wall.
-
-    ``face`` is the interior component face whose control volume touches
-    the wall orthogonal to ``ortho_axis``; ``dist`` is the distance from
-    the face center to the wall.  Used only by the diffusion operator.
-    """
-
-    def __init__(self, ortho_axis, side, face, measure, dist):
-        self.ortho_axis = int(ortho_axis)
-        self.side = int(side)
-        self.face = _freeze(face)
-        self.measure = _freeze(measure)
-        self.dist = _freeze(dist)
-        self.count = int(self.face.size)
-
-
 class DualInterfaces:
-    """Every dual interface of one velocity component, stacked.
+    """Every dual interface of one velocity component, in one table.
 
-    Rows hold the case-1 family, then each case-2 family in the order of
-    ``dual_case2[i]``; ``face_lo``/``face_hi``, ``measure`` and ``dist``
-    are those of the family tables.  ``flux_lo``/``flux_hi`` are the two
-    primal faces whose fluxes the interface bisects, as positions in the
-    concatenation of the per-direction face arrays: the component's own
-    faces in case 1, the ``tau_lo``/``tau_hi`` faces of the orthogonal
-    axis in case 2.  ``wall_face`` and ``wall_weight`` (``measure/dist``)
-    stack the strips of all ``dual_walls[i]`` families.
+    Rows hold the case-1 family (row K is cell K), then one case-2 family
+    per other axis in ascending order.  ``families`` lists ``(ortho,
+    rows)`` per family, with ``ortho`` the axis the interfaces are
+    orthogonal to (the component axis for case 1) and ``rows`` a slice.
+    ``face_lo``/``face_hi`` are the component faces on the two sides,
+    ``measure`` the interface measure and ``dist`` the distance between the
+    two face centers.  ``flux_lo``/``flux_hi`` are the two primal faces
+    whose fluxes the interface bisects, as positions in the concatenation
+    of the per-direction face arrays: the component's own faces in case 1,
+    the primal ortho faces ``tau_lo``/``tau_hi`` of the two cell columns in
+    case 2.  The wall strips have rows of their own: ``wall_face`` is the
+    interior component face whose control volume touches the wall,
+    ``wall_dist`` the distance from its center to the wall, ``wall_weight``
+    is ``wall_measure / wall_dist``, and ``wall_families`` lists
+    ``(ortho, side, rows)`` per wall.
     """
 
-    def __init__(self, face_lo, face_hi, measure, dist, flux_lo, flux_hi,
-                 wall_face, wall_weight):
-        self.face_lo = _freeze(face_lo)
-        self.face_hi = _freeze(face_hi)
-        self.measure = _freeze(measure)
-        self.dist = _freeze(dist)
-        self.flux_lo = _freeze(flux_lo)
-        self.flux_hi = _freeze(flux_hi)
-        self.wall_face = _freeze(wall_face)
-        self.wall_weight = _freeze(wall_weight)
+    def __init__(self, families, walls):
+        # families: (ortho, face_lo, face_hi, measure, dist, flux_lo,
+        # flux_hi) per family; walls: (ortho, side, face, measure, dist)
+        self.families = _row_ranges(families, 1)
+        (self.face_lo, self.face_hi, self.measure, self.dist, self.flux_lo,
+         self.flux_hi) = _stack_columns(families, 1)
+        self.wall_families = _row_ranges(walls, 2)
+        self.wall_face, self.wall_measure, self.wall_dist = _stack_columns(
+            walls, 2)
+        self.wall_weight = _freeze(self.wall_measure / self.wall_dist)
         self.count = int(self.face_lo.size)
+
+
+def _row_ranges(parts, n_keys):
+    """The leading ``n_keys`` entries of each part with the slice of its
+    rows in the stacked table."""
+    ends = np.cumsum([0] + [p[n_keys].size for p in parts]).tolist()
+    return tuple((*p[:n_keys], slice(a, b))
+                 for p, a, b in zip(parts, ends[:-1], ends[1:]))
+
+
+def _stack_columns(parts, n_keys):
+    """The arrays after the leading ``n_keys`` entries of each part,
+    concatenated column by column and frozen."""
+    return tuple(_freeze(np.concatenate(col))
+                 for col in zip(*(p[n_keys:] for p in parts)))
 
 
 class MacMesh:
@@ -174,11 +139,9 @@ class MacMesh:
     spacings, centers : per-axis cell widths and cell-center coordinates.
     n_cells, cell_volume, cell_center : flat C-order cell data.
     faces : one :class:`FaceSet` per velocity component.
-    dual_case1, dual_case2, dual_walls : per-component dual-face tables;
-        ``dual_case2[i]`` and ``dual_walls[i]`` are lists over the axes
-        orthogonal to ``i``.
-    dual_interfaces : one :class:`DualInterfaces` per component, the
-        families above stacked for the dual operators.
+    dual_interfaces : one :class:`DualInterfaces` per component, every
+        dual interface and wall strip of its face-centered volumes with the
+        row range of each family.
     interior_slices, n_unknowns, interior_dvol : the layout of the
         saddle's ``n_unknowns`` velocity unknowns, in which component
         ``i``'s interior faces fill ``interior_slices[i]``, and their dual
@@ -232,19 +195,8 @@ class MacMesh:
         self.cell_center = _freeze(cen)
 
         self.faces = tuple(self._build_faces(i) for i in range(dim))
-        case1, case2, walls = [], [], []
-        for i in range(dim):
-            case1.append(self._build_case1(i))
-            case2.append(tuple(self._build_case2(i, j)
-                               for j in range(dim) if j != i))
-            walls.append(tuple(
-                w for j in range(dim) if j != i
-                for w in self._build_walls(i, j)))
-        self.dual_case1 = tuple(case1)
-        self.dual_case2 = tuple(case2)
-        self.dual_walls = tuple(walls)
         self.dual_interfaces = tuple(
-            self._stack_interfaces(i) for i in range(dim))
+            self._build_interfaces(i) for i in range(dim))
         ends = np.cumsum([0] + [fs.n_interior for fs in self.faces]).tolist()
         self.interior_slices = tuple(map(slice, ends[:-1], ends[1:]))
         self.n_unknowns = ends[-1]
@@ -296,20 +248,6 @@ class MacMesh:
         return FaceSet(axis, fshape, measure, center, cell_lo, cell_hi, dist,
                        measure * dist, half_lo, half_hi)
 
-    def _build_case1(self, axis):
-        dim = self.dim
-        fshape = self._face_shape(axis)
-        idx = np.indices(self.cells).reshape(dim, -1)
-        cell = np.arange(self.n_cells)
-        lo = idx.copy()
-        hi = idx.copy()
-        hi[axis] = idx[axis] + 1
-        face_lo = np.ravel_multi_index(lo, fshape)
-        face_hi = np.ravel_multi_index(hi, fshape)
-        measure = self.cell_volume / self.spacings[axis][idx[axis]]
-        dist = self.spacings[axis][idx[axis]]
-        return DualFaceCase1(cell, face_lo, face_hi, measure, dist)
-
     def _strips(self, axis, ortho, ms, plane):
         """Strips of the component-``axis`` face volumes on the ``ortho``
         grid planes ``ms + plane``: the index rows of the component faces
@@ -331,44 +269,37 @@ class MacMesh:
         tmeas = self.faces[ortho].measure
         return idx, tau_lo, tau_hi, 0.5 * (tmeas[tau_lo] + tmeas[tau_hi])
 
-    def _build_case2(self, axis, ortho):
-        idx, tau_lo, tau_hi, measure = self._strips(
-            axis, ortho, np.arange(self.cells[ortho] - 1), 1)
+    def _build_interfaces(self, axis):
         fshape = self._face_shape(axis)
-        hi = idx.copy()
-        hi[ortho] += 1
-        c = self.centers[ortho]
-        return DualFaceCase2(ortho, np.ravel_multi_index(idx, fshape),
-                             np.ravel_multi_index(hi, fshape), tau_lo, tau_hi,
-                             measure, c[idx[ortho] + 1] - c[idx[ortho]])
-
-    def _build_walls(self, axis, ortho):
-        # side s: the first or last cell layer, on grid plane 0 or n
-        out = []
-        for side, m in ((0, 0), (1, self.cells[ortho] - 1)):
-            idx, _, _, measure = self._strips(axis, ortho, [m], side)
-            face = np.ravel_multi_index(idx, self._face_shape(axis))
-            dist = np.full(face.size, 0.5 * self.spacings[ortho][m])
-            out.append(DualFaceWall(ortho, side, face, measure, dist))
-        return out
-
-    def _stack_interfaces(self, axis):
         # start of each direction's faces in the concatenated face arrays
         offset = np.cumsum([0] + [fs.count for fs in self.faces])
-        c1, c2s = self.dual_case1[axis], self.dual_case2[axis]
-        walls = self.dual_walls[axis]
-        families = (c1,) + c2s
-        return DualInterfaces(
-            np.concatenate([f.face_lo for f in families]),
-            np.concatenate([f.face_hi for f in families]),
-            np.concatenate([f.measure for f in families]),
-            np.concatenate([f.dist for f in families]),
-            np.concatenate([offset[axis] + c1.face_lo]
-                           + [offset[c.ortho_axis] + c.tau_lo for c in c2s]),
-            np.concatenate([offset[axis] + c1.face_hi]
-                           + [offset[c.ortho_axis] + c.tau_hi for c in c2s]),
-            np.concatenate([w.face for w in walls]),
-            np.concatenate([w.measure / w.dist for w in walls]))
+        idx = np.indices(self.cells).reshape(self.dim, -1)
+        dist = self.spacings[axis][idx[axis]]
+        lo = np.ravel_multi_index(idx, fshape)
+        idx[axis] += 1
+        hi = np.ravel_multi_index(idx, fshape)
+        families = [(axis, lo, hi, self.cell_volume / dist, dist,
+                     offset[axis] + lo, offset[axis] + hi)]
+        walls = []
+        for j in range(self.dim):
+            if j == axis:
+                continue
+            idx, tau_lo, tau_hi, measure = self._strips(
+                axis, j, np.arange(self.cells[j] - 1), 1)
+            c = self.centers[j]
+            dist = c[idx[j] + 1] - c[idx[j]]
+            lo = np.ravel_multi_index(idx, fshape)
+            idx[j] += 1
+            hi = np.ravel_multi_index(idx, fshape)
+            families.append((j, lo, hi, measure, dist, offset[j] + tau_lo,
+                             offset[j] + tau_hi))
+            # side s: the first or last cell layer, on grid plane 0 or n
+            for side, m in ((0, 0), (1, self.cells[j] - 1)):
+                idx, _, _, measure = self._strips(axis, j, [m], side)
+                dist = np.full(measure.size, 0.5 * self.spacings[j][m])
+                walls.append((j, side, np.ravel_multi_index(idx, fshape),
+                              measure, dist))
+        return DualInterfaces(families, walls)
 
     def pack_interior(self, arrays) -> np.ndarray:
         """The interior-face entries of per-direction face ``arrays``,
@@ -437,18 +368,17 @@ def dump_mesh_tables(mesh: MacMesh, path, cfg_hash=None) -> None:
                 kind = "interior" if fs.is_interior[k] else "exterior"
                 yield (k, i, f"primal-{kind}", fs.measure[k],
                        f"{fs.cell_lo[k]}|{fs.cell_hi[k]}")
-            c1 = mesh.dual_case1[i]
-            for k in range(c1.count):
-                yield (k, i, "dual-case1", c1.measure[k],
-                       f"{c1.face_lo[k]}|{c1.face_hi[k]}")
-            for c2 in mesh.dual_case2[i]:
-                for k in range(c2.count):
-                    yield (k, i, f"dual-case2-ortho{c2.ortho_axis}",
-                           c2.measure[k], f"{c2.face_lo[k]}|{c2.face_hi[k]}")
-            for w in mesh.dual_walls[i]:
-                for k in range(w.count):
-                    yield (k, i, f"dual-wall-ortho{w.ortho_axis}-side{w.side}",
-                           w.measure[k], f"{w.face[k]}|wall")
+            t = mesh.dual_interfaces[i]
+            for ortho, rows in t.families:
+                case = ("dual-case1" if ortho == i
+                        else f"dual-case2-ortho{ortho}")
+                for k, r in enumerate(range(t.count)[rows]):
+                    yield (k, i, case, t.measure[r],
+                           f"{t.face_lo[r]}|{t.face_hi[r]}")
+            for ortho, side, rows in t.wall_families:
+                for k, r in enumerate(range(t.wall_face.size)[rows]):
+                    yield (k, i, f"dual-wall-ortho{ortho}-side{side}",
+                           t.wall_measure[r], f"{t.wall_face[r]}|wall")
 
     write_table(path, "mesh-tables",
                 ["id", "direction", "case", "measure", "neighbors"], rows(),

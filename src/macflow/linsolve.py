@@ -366,12 +366,13 @@ def assemble_divergence(mesh: MacMesh) -> sp.csr_matrix:
     indexed by interior-face unknowns (wall faces carry no unknown).
     """
     rows, cols, vals = [], [], []
-    for fs, c1, part in zip(mesh.faces, mesh.dual_case1,
-                            mesh.interior_slices):
-        for faces, sign in ((c1.face_hi, 1.0), (c1.face_lo, -1.0)):
+    n = mesh.n_cells  # the case-1 rows: row K holds the two faces of cell K
+    for fs, t, part in zip(mesh.faces, mesh.dual_interfaces,
+                           mesh.interior_slices):
+        for faces, sign in ((t.face_hi[:n], 1.0), (t.face_lo[:n], -1.0)):
             dof = fs.interior_dof[faces]
             keep = dof >= 0
-            rows.append(c1.cell[keep])
+            rows.append(np.flatnonzero(keep))
             cols.append(part.start + dof[keep])
             vals.append(sign * fs.measure[faces[keep]])
     return sp.coo_matrix(

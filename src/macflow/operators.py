@@ -10,7 +10,7 @@ Conventions
   flow in the positive axis direction, counted positively in the balance
   of the low-side control volume and negatively in the high-side one.
 * Dual-interface values are one array per component, aligned with the
-  stacked table ``mesh.dual_interfaces[i]``; every dual operator is one
+  table ``mesh.dual_interfaces[i]``; every dual operator is one
   vectorized pass over it.
 * The upwind density on a face is the low-side cell value when the normal
   velocity is nonnegative (ties go with the flow direction convention)
@@ -53,8 +53,10 @@ def div_from_fluxes(mesh: MacMesh, fluxes) -> np.ndarray:
     """Cell divergence of signed face fluxes: outflow sum over |K|."""
     out = np.zeros(mesh.n_cells)
     for i in range(mesh.dim):
-        c1 = mesh.dual_case1[i]
-        out += fluxes[i][c1.face_hi] - fluxes[i][c1.face_lo]
+        # the case-1 rows: row K holds the two faces of cell K
+        t = mesh.dual_interfaces[i]
+        out += (fluxes[i][t.face_hi[:mesh.n_cells]]
+                - fluxes[i][t.face_lo[:mesh.n_cells]])
     return out / mesh.cell_volume
 
 

@@ -172,6 +172,16 @@ class TestConfigValidation:
         ("mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4]}\n"
          "problem: {preset: rotating-patch}\n"
          "time: {t_end: 1.0, dt: 1.0e-300}\n", "'time': dt = 1e-300"),
+        ("mesh: {1: 2}\n", "unknown configuration key 'mesh.1'"),
+        (_RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
+         .replace("gyre", "rotating-patch")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
+         "[[0.0, 1.0], [0.0, 1.0]] of 'problem.preset' 'rotating-patch'"),
+        (_RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
+         "[[0.0, 1.0], [0.0, 1.0]] of 'problem.preset' 'gyre'"),
         (None, "cannot read"),
         (b"problem: {preset: gyre}\n# caf\xe9\n", "cannot read"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
@@ -190,6 +200,7 @@ class TestConfigValidation:
             "rest-fractional-dim", "cells-and-coordinates",
             "number-directory",
             "text-mesh-tables", "overflowing-transport-scale",
+            "integer-key", "patch-off-its-box", "gyre-off-its-box",
             "directory-config", "latin1-config"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
@@ -250,8 +261,10 @@ class TestConfigValidation:
         ("run", "mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4]}\n"
          "problem: {preset: rotating-patch}\n"
          "time: {t_end: 1.0, dt: 1.0e-300}\n", "is too small for this mesh"),
+        ("run", _RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "is not the domain"),
     ], ids=["run", "verify", "study", "study-step-count",
-            "run-transport-scale"])
+            "run-transport-scale", "run-off-the-preset-box"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created

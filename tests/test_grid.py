@@ -10,6 +10,7 @@ from macflow.grid import (MeshValidationError, build_mesh,
                           regularity)
 
 from conftest import graded_mesh
+from dual_oracle import dual_families
 
 
 class TestHandGeometry:
@@ -52,25 +53,29 @@ class TestHandGeometry:
         np.testing.assert_allclose(fs.dist, [0.5, 0.5, 0.5, 0.5])
 
     def test_dual_case1_x(self):
-        c1 = self.mesh.dual_case1[0]
-        np.testing.assert_array_equal(c1.cell, [0, 1])
-        np.testing.assert_array_equal(c1.face_lo, [0, 1])
-        np.testing.assert_array_equal(c1.face_hi, [1, 2])
-        np.testing.assert_allclose(c1.measure, [1.0, 1.0])
-        np.testing.assert_allclose(c1.dist, [1.0, 1.0])
+        t = self.mesh.dual_interfaces[0]
+        # one case-1 row per cell, row K for cell K
+        assert t.families[0] == (0, slice(0, 2))
+        np.testing.assert_array_equal(t.face_lo[:2], [0, 1])
+        np.testing.assert_array_equal(t.face_hi[:2], [1, 2])
+        np.testing.assert_allclose(t.measure[:2], [1.0, 1.0])
+        np.testing.assert_allclose(t.dist[:2], [1.0, 1.0])
+        np.testing.assert_array_equal(t.flux_lo[:2], [0, 1])
+        np.testing.assert_array_equal(t.flux_hi[:2], [1, 2])
 
     def test_dual_case2_x_empty(self):
         # a single cell across y leaves no interface between face columns
-        (c2,) = self.mesh.dual_case2[0]
-        assert c2.count == 0
+        t = self.mesh.dual_interfaces[0]
+        assert t.families[1] == (1, slice(2, 2))
+        assert t.count == 2
 
     def test_walls_x(self):
-        walls = self.mesh.dual_walls[0]
-        assert len(walls) == 2
-        for w in walls:
-            np.testing.assert_array_equal(w.face, [1])
-            np.testing.assert_allclose(w.measure, [1.0])
-            np.testing.assert_allclose(w.dist, [0.5])
+        t = self.mesh.dual_interfaces[0]
+        assert t.wall_families == ((1, 0, slice(0, 1)), (1, 1, slice(1, 2)))
+        np.testing.assert_array_equal(t.wall_face, [1, 1])
+        np.testing.assert_allclose(t.wall_measure, [1.0, 1.0])
+        np.testing.assert_allclose(t.wall_dist, [0.5, 0.5])
+        np.testing.assert_allclose(t.wall_weight, [2.0, 2.0])
 
 
 class TestRegularity:
@@ -152,100 +157,70 @@ class TestTableClosure:
     def test_case1_counts_and_ranges(self, any_mesh):
         mesh = any_mesh
         for i in range(mesh.dim):
-            c1 = mesh.dual_case1[i]
-            assert c1.count == mesh.n_cells
-            assert c1.face_lo.min() >= 0
-            assert c1.face_hi.max() < mesh.faces[i].count
+            t = mesh.dual_interfaces[i]
+            ortho, rows = t.families[0]
+            assert (ortho, rows) == (i, slice(0, mesh.n_cells))
+            assert t.face_lo[rows].min() >= 0
+            assert t.face_hi[rows].max() < mesh.faces[i].count
             # the two faces of a cell differ by one step along the axis
-            assert np.all(c1.face_hi > c1.face_lo)
+            assert np.all(t.face_hi[rows] > t.face_lo[rows])
             # interface measure times extent equals the cell volume
-            np.testing.assert_allclose(c1.measure * c1.dist,
-                                       mesh.cell_volume[c1.cell],
-                                       rtol=1e-14)
+            np.testing.assert_allclose(t.measure[rows] * t.dist[rows],
+                                       mesh.cell_volume, rtol=1e-14)
 
     def test_case2_counts(self):
         mesh = graded_mesh((5, 4), seed=1)
         nx, ny = mesh.cells
-        (c2x,) = mesh.dual_case2[0]
-        assert c2x.count == (nx - 1) * (ny - 1)
-        (c2y,) = mesh.dual_case2[1]
-        assert c2y.count == (ny - 1) * (nx - 1)
+        for i in range(2):
+            t = mesh.dual_interfaces[i]
+            (ortho, rows), = t.families[1:]
+            assert ortho == 1 - i
+            assert rows.stop - rows.start == (nx - 1) * (ny - 1)
+            assert t.count == rows.stop
 
     def test_case2_separates_interior_faces(self, any_mesh):
         mesh = any_mesh
+        # where each direction's faces start in the concatenated fluxes
+        start = np.cumsum([0] + [fs.count for fs in mesh.faces])
         for i in range(mesh.dim):
             fs = mesh.faces[i]
-            for c2 in mesh.dual_case2[i]:
-                if c2.count == 0:
-                    continue
-                assert np.all(fs.is_interior[c2.face_lo])
-                assert np.all(fs.is_interior[c2.face_hi])
-                tfs = mesh.faces[c2.ortho_axis]
-                assert c2.tau_lo.min() >= 0
-                assert c2.tau_hi.max() < tfs.count
+            t = mesh.dual_interfaces[i]
+            for ortho, rows in t.families[1:]:
+                assert np.all(fs.is_interior[t.face_lo[rows]])
+                assert np.all(fs.is_interior[t.face_hi[rows]])
+                tfs = mesh.faces[ortho]
+                tau_lo = t.flux_lo[rows] - start[ortho]
+                tau_hi = t.flux_hi[rows] - start[ortho]
+                assert np.all(tau_lo >= 0)
+                assert np.all(tau_hi < tfs.count)
                 np.testing.assert_allclose(
-                    c2.measure,
-                    0.5 * (tfs.measure[c2.tau_lo] + tfs.measure[c2.tau_hi]),
+                    t.measure[rows],
+                    0.5 * (tfs.measure[tau_lo] + tfs.measure[tau_hi]),
                     rtol=1e-14)
 
     def test_wall_counts_2d(self):
         mesh = graded_mesh((5, 4), seed=2)
         nx, ny = mesh.cells
-        walls_x = mesh.dual_walls[0]
-        assert len(walls_x) == 2
-        assert sum(w.count for w in walls_x) == 2 * (nx - 1)
+        t = mesh.dual_interfaces[0]
+        assert [w[:2] for w in t.wall_families] == [(1, 0), (1, 1)]
+        assert t.wall_face.size == 2 * (nx - 1)
 
     def test_wall_faces_are_interior(self, any_mesh):
         for i in range(any_mesh.dim):
             fs = any_mesh.faces[i]
-            for w in any_mesh.dual_walls[i]:
-                if w.count:
-                    assert np.all(fs.is_interior[w.face])
-                    assert np.all(w.dist > 0)
+            t = any_mesh.dual_interfaces[i]
+            assert np.all(fs.is_interior[t.wall_face])
+            assert np.all(t.wall_dist > 0)
 
     def test_3d_table_families(self, mesh3_uniform):
         mesh = mesh3_uniform
         for i in range(3):
-            assert len(mesh.dual_case2[i]) == 2
-            assert len(mesh.dual_walls[i]) == 4  # 2 axes x 2 sides
-
-    def test_dual_interfaces_stack_families(self, any_mesh):
-        mesh = any_mesh
-        # where each direction's faces start in the concatenated fluxes
-        start = [sum(fs.count for fs in mesh.faces[:j])
-                 for j in range(mesh.dim)]
-        for i in range(mesh.dim):
             t = mesh.dual_interfaces[i]
-            c1, c2s = mesh.dual_case1[i], mesh.dual_case2[i]
-            assert t.count == c1.count + sum(c2.count for c2 in c2s)
-            rows = [(c1, np.s_[:c1.count])]
-            pos = c1.count
-            for c2 in c2s:
-                rows.append((c2, np.s_[pos:pos + c2.count]))
-                pos += c2.count
-            for fam, sl in rows:
-                for name in ("face_lo", "face_hi", "measure", "dist"):
-                    np.testing.assert_array_equal(getattr(t, name)[sl],
-                                                  getattr(fam, name))
-            np.testing.assert_array_equal(t.flux_lo[:c1.count],
-                                          start[i] + c1.face_lo)
-            np.testing.assert_array_equal(t.flux_hi[:c1.count],
-                                          start[i] + c1.face_hi)
-            for c2, sl in rows[1:]:
-                np.testing.assert_array_equal(t.flux_lo[sl],
-                                              start[c2.ortho_axis] + c2.tau_lo)
-                np.testing.assert_array_equal(t.flux_hi[sl],
-                                              start[c2.ortho_axis] + c2.tau_hi)
-            walls = mesh.dual_walls[i]
-            np.testing.assert_array_equal(
-                t.wall_face, [k for w in walls for k in w.face])
-            np.testing.assert_array_equal(
-                t.wall_weight,
-                [m / d for w in walls for m, d in zip(w.measure, w.dist)])
-            for name in ("face_lo", "face_hi", "measure", "dist", "flux_lo",
-                         "flux_hi", "wall_face", "wall_weight"):
-                with pytest.raises(ValueError):
-                    getattr(t, name)[:1] = 0
+            others = [j for j in range(3) if j != i]
+            assert [f[0] for f in t.families] == [i] + others
+            # 2 axes x 2 sides
+            assert [w[:2] for w in t.wall_families] == [
+                (j, side) for j in others for side in (0, 1)]
 
 
 def check_strip_geometry(mesh):
@@ -257,25 +232,27 @@ def check_strip_geometry(mesh):
     lengths = mesh.domain_box[:, 1] - mesh.domain_box[:, 0]
     for i in range(mesh.dim):
         h = mesh.spacings[i]
-        c2s, walls = iter(mesh.dual_case2[i]), iter(mesh.dual_walls[i])
+        t = mesh.dual_interfaces[i]
+        c2s, walls = iter(t.families[1:]), iter(t.wall_families)
         for j in range(mesh.dim):
             if j == i:
                 continue
             plane = (lengths[i] - 0.5 * (h[0] + h[-1])) * np.prod(
                 [lengths[k] for k in range(mesh.dim) if k not in (i, j)])
-            c2 = next(c2s)
-            assert c2.ortho_axis == j
-            assert c2.measure.sum() == pytest.approx(
+            ortho, rows = next(c2s)
+            assert ortho == j
+            assert t.measure[rows].sum() == pytest.approx(
                 (mesh.cells[j] - 1) * plane, rel=1e-13)
-            for arr in (c2.face_lo, c2.face_hi, c2.tau_lo, c2.tau_hi):
-                assert arr.dtype == np.int64
             for side, h_wall in enumerate((mesh.spacings[j][0],
                                            mesh.spacings[j][-1])):
-                w = next(walls)
-                assert (w.ortho_axis, w.side) == (j, side)
-                assert w.measure.sum() == pytest.approx(plane, rel=1e-13)
-                np.testing.assert_allclose(w.dist, 0.5 * h_wall, rtol=1e-15)
-                assert w.face.dtype == np.int64
+                ortho, wall_side, rows = next(walls)
+                assert (ortho, wall_side) == (j, side)
+                assert t.wall_measure[rows].sum() == pytest.approx(
+                    plane, rel=1e-13)
+                np.testing.assert_allclose(t.wall_dist[rows], 0.5 * h_wall,
+                                           rtol=1e-15)
+        for arr in (t.face_lo, t.face_hi, t.flux_lo, t.flux_hi, t.wall_face):
+            assert arr.dtype == np.int64
 
 
 class TestStripGeometry:
@@ -296,6 +273,175 @@ class TestImmutability:
             mesh2_uniform.cell_volume[0] = 7.0
         with pytest.raises(ValueError):
             mesh2_uniform.faces[0].measure[0] = 7.0
+
+    def test_dual_table_frozen(self, any_mesh):
+        for t in any_mesh.dual_interfaces:
+            for name in ("face_lo", "face_hi", "measure", "dist", "flux_lo",
+                         "flux_hi", "wall_face", "wall_measure", "wall_dist",
+                         "wall_weight"):
+                with pytest.raises(ValueError):
+                    getattr(t, name)[:1] = 0
+
+
+def check_against_oracle(mesh):
+    """The production dual table, row by row, against the loop-built
+    families of ``dual_oracle``: indices exactly, floats to 1e-14."""
+    # where each direction's faces start in the concatenated fluxes
+    start = np.cumsum([0] + [fs.count for fs in mesh.faces])
+    for i in range(mesh.dim):
+        t = mesh.dual_interfaces[i]
+        families, walls = dual_families(mesh, i)
+        assert [f[0] for f in t.families] == [f[0] for f in families]
+        assert [rows.stop - rows.start for _, rows in t.families] == [
+            len(rows) for _, rows in families]
+        rows = [r for _, family in families for r in family]
+        assert t.count == len(rows)
+        for name in ("face_lo", "face_hi"):
+            np.testing.assert_array_equal(getattr(t, name),
+                                          [getattr(r, name) for r in rows])
+        for name in ("measure", "dist"):
+            np.testing.assert_allclose(getattr(t, name),
+                                       [getattr(r, name) for r in rows],
+                                       rtol=1e-14, atol=0)
+        np.testing.assert_array_equal(
+            t.flux_lo, [start[r.flux_axis] + r.flux_lo for r in rows])
+        np.testing.assert_array_equal(
+            t.flux_hi, [start[r.flux_axis] + r.flux_hi for r in rows])
+        assert [w[:2] for w in t.wall_families] == [(1, 0), (1, 1)]
+        assert t.wall_face.size == 2 * (nx - 1)
+
+    def test_wall_faces_are_interior(self, any_mesh):
+        for i in range(any_mesh.dim):
+            fs = any_mesh.faces[i]
+            t = any_mesh.dual_interfaces[i]
+            assert np.all(fs.is_interior[t.wall_face])
+            assert np.all(t.wall_dist > 0)
+
+    def test_3d_table_families(self, mesh3_uniform):
+        mesh = mesh3_uniform
+        for i in range(3):
+            t = mesh.dual_interfaces[i]
+            others = [j for j in range(3) if j != i]
+            assert [f[0] for f in t.families] == [i] + others
+            # 2 axes x 2 sides
+            assert [w[:2] for w in t.wall_families] == [
+                (j, side) for j in others for side in (0, 1)]
+
+
+def check_strip_geometry(mesh):
+    """Case-2 and wall strip families against closed forms that share no
+    code with the mesh construction: along component i, the strips on one
+    grid plane orthogonal to j measure (L_i - (h_i[0] + h_i[-1])/2) times
+    the lengths of the remaining axes, and n_j - 1 such planes are
+    interior."""
+    lengths = mesh.domain_box[:, 1] - mesh.domain_box[:, 0]
+    for i in range(mesh.dim):
+        h = mesh.spacings[i]
+        t = mesh.dual_interfaces[i]
+        c2s, walls = iter(t.families[1:]), iter(t.wall_families)
+        for j in range(mesh.dim):
+            if j == i:
+                continue
+            plane = (lengths[i] - 0.5 * (h[0] + h[-1])) * np.prod(
+                [lengths[k] for k in range(mesh.dim) if k not in (i, j)])
+            ortho, rows = next(c2s)
+            assert ortho == j
+            assert t.measure[rows].sum() == pytest.approx(
+                (mesh.cells[j] - 1) * plane, rel=1e-13)
+            for side, h_wall in enumerate((mesh.spacings[j][0],
+                                           mesh.spacings[j][-1])):
+                ortho, wall_side, rows = next(walls)
+                assert (ortho, wall_side) == (j, side)
+                assert t.wall_measure[rows].sum() == pytest.approx(
+                    plane, rel=1e-13)
+                np.testing.assert_allclose(t.wall_dist[rows], 0.5 * h_wall,
+                                           rtol=1e-15)
+        for arr in (t.face_lo, t.face_hi, t.flux_lo, t.flux_hi, t.wall_face):
+            assert arr.dtype == np.int64
+
+
+class TestStripGeometry:
+    def test_meshes(self, any_mesh):
+        check_strip_geometry(any_mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        build_uniform_mesh([[0.0, 2.0], [0.0, 1.0]], (1, 4)),
+        graded_mesh((1, 2, 3), seed=44),
+    ], ids=["2d-1x4", "3d-graded-1x2x3"])
+    def test_one_cell_axis(self, mesh):
+        check_strip_geometry(mesh)
+
+
+class TestImmutability:
+    def test_arrays_frozen(self, mesh2_uniform):
+        with pytest.raises(ValueError):
+            mesh2_uniform.cell_volume[0] = 7.0
+        with pytest.raises(ValueError):
+            mesh2_uniform.faces[0].measure[0] = 7.0
+
+    def test_dual_table_frozen(self, any_mesh):
+        for t in any_mesh.dual_interfaces:
+            for name in ("face_lo", "face_hi", "measure", "dist", "flux_lo",
+                         "flux_hi", "wall_face", "wall_measure", "wall_dist",
+                         "wall_weight"):
+                with pytest.raises(ValueError):
+                    getattr(t, name)[:1] = 0
+
+
+def check_against_oracle(mesh):
+    """The production dual table, row by row, against the loop-built
+    families of ``dual_oracle``: indices exactly, floats to 1e-14."""
+    # where each direction's faces start in the concatenated fluxes
+    start = np.cumsum([0] + [fs.count for fs in mesh.faces])
+    for i in range(mesh.dim):
+        t = mesh.dual_interfaces[i]
+        families, walls = dual_families(mesh, i)
+        assert [f[0] for f in t.families] == [f[0] for f in families]
+        assert [rows.stop - rows.start for _, rows in t.families] == [
+            len(rows) for _, rows in families]
+        expect = [row for _, rows in families for row in rows]
+        assert t.count == len(expect)
+        if expect:
+            e = np.array(expect, dtype=object)
+            for col, name in enumerate(("face_lo", "face_hi")):
+                np.testing.assert_array_equal(getattr(t, name),
+                                              e[:, col].astype(np.int64))
+            for col, name in ((2, "measure"), (3, "dist")):
+                np.testing.assert_allclose(getattr(t, name),
+                                           e[:, col].astype(float),
+                                           rtol=1e-14, atol=0)
+            axis = e[:, 4].astype(int)
+            np.testing.assert_array_equal(
+                t.flux_lo, start[axis] + e[:, 5].astype(np.int64))
+            np.testing.assert_array_equal(
+                t.flux_hi, start[axis] + e[:, 6].astype(np.int64))
+        assert [w[:2] for w in t.wall_families] == [w[:2] for w in walls]
+        assert [r.stop - r.start for _, _, r in t.wall_families] == [
+            len(strips) for _, _, strips in walls]
+        strips = [s for _, _, family in walls for s in family]
+        np.testing.assert_array_equal(t.wall_face,
+                                      [s.face for s in strips])
+        np.testing.assert_allclose(t.wall_measure,
+                                   [s.measure for s in strips],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(t.wall_dist, [s.dist for s in strips],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            t.wall_weight, [s.measure / s.dist for s in strips],
+            rtol=1e-14, atol=0)
+
+
+class TestDualTableOracle:
+    def test_meshes(self, any_mesh):
+        check_against_oracle(any_mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        build_uniform_mesh([[0.0, 2.0], [0.0, 1.0]], (1, 4)),
+        build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (7, 1)),
+        graded_mesh((1, 2, 3), seed=44),
+    ], ids=["2d-1x4", "2d-7x1", "3d-graded-1x2x3"])
+    def test_thin_meshes(self, mesh):
+        check_against_oracle(mesh)
 
 
 class TestValidation:
@@ -340,15 +486,34 @@ def test_dump_mesh_tables(tmp_path, mesh2_uniform):
     assert lines[0] == "id,direction,case,measure,neighbors"
     mesh = mesh2_uniform
     measures = []
+    labels = []
     for i in range(mesh.dim):
-        measures.extend(mesh.faces[i].measure)
-        measures.extend(mesh.dual_case1[i].measure)
-        for c2 in mesh.dual_case2[i]:
-            measures.extend(c2.measure)
-        for w in mesh.dual_walls[i]:
-            measures.extend(w.measure)
-    assert len(lines) == 1 + len(measures)
+        fs = mesh.faces[i]
+        measures.extend(fs.measure)
+        labels += [f"primal-{'interior' if k else 'exterior'}"
+                   for k in fs.is_interior]
+        t = mesh.dual_interfaces[i]
+        for ortho, rows in t.families:
+            measures.extend(t.measure[rows])
+            case = "dual-case1" if ortho == i else f"dual-case2-ortho{ortho}"
+            labels += [case] * (rows.stop - rows.start)
+        for ortho, side, rows in t.wall_families:
+            measures.extend(t.wall_measure[rows])
+            labels += [f"dual-wall-ortho{ortho}-side{side}"] * (
+                rows.stop - rows.start)
+    table = list(csv.reader(lines[1:]))
+    assert len(table) == len(measures)
     # every measure cell is a plain float literal equal to the table entry
-    assert [float(row[3]) for row in csv.reader(lines[1:])] == measures
-    assert any("dual-case2" in line for line in lines)
-    assert any("dual-wall" in line for line in lines)
+    assert [float(row[3]) for row in table] == measures
+    assert [row[2] for row in table] == labels
+    # each family numbers its own rows from 0; on the 5x4 unit square the
+    # x faces (i, j) have flat id 4 i + j
+    first = {}
+    for row in table:
+        first.setdefault((row[1], row[2]), row)
+    assert first["0", "dual-case1"] == ["0", "0", "dual-case1", "0.25",
+                                        "0|4"]
+    assert first["0", "dual-case2-ortho1"] == [
+        "0", "0", "dual-case2-ortho1", "0.2", "4|5"]
+    assert first["0", "dual-wall-ortho1-side1"] == [
+        "0", "0", "dual-wall-ortho1-side1", "0.2", "7|wall"]

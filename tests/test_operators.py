@@ -1,7 +1,9 @@
 """Discrete operators against brute-force oracles and exact identities.
 
-The oracles recompute every quantity with plain Python loops over the
-mesh tables, independently of the vectorized production code.
+The oracles recompute every quantity with plain Python loops, over the
+primal face tables and over the dual families that ``dual_oracle``
+rebuilds from the grid coordinates, independently of the vectorized
+production code and of its dual table.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from macflow.fields import (ScalarField, VelocityField, fortin_interpolate,
 from macflow import operators as ops
 
 from conftest import graded_mesh
+from dual_oracle import dual_families
 
 
 def hand_mesh():
@@ -58,23 +61,24 @@ def oracle_div_cells(mesh, fluxes):
     return out / mesh.cell_volume
 
 
+def oracle_dual_flux(fluxes, row):
+    """Half-sum of the two primal fluxes an interface bisects."""
+    return 0.5 * (fluxes[row.flux_axis][row.flux_lo]
+                  + fluxes[row.flux_axis][row.flux_hi])
+
+
 def oracle_div_dual(mesh, fluxes):
-    """Outflow sum per face control volume via the dual tables."""
+    """Outflow sum per face control volume via the dual families."""
     out = []
     for i in range(mesh.dim):
         fs = mesh.faces[i]
         acc = np.zeros(fs.count)
-        c1 = mesh.dual_case1[i]
-        for k in range(c1.count):
-            f = 0.5 * (fluxes[i][c1.face_lo[k]] + fluxes[i][c1.face_hi[k]])
-            acc[c1.face_lo[k]] += f
-            acc[c1.face_hi[k]] -= f
-        for c2 in mesh.dual_case2[i]:
-            j = c2.ortho_axis
-            for k in range(c2.count):
-                f = 0.5 * (fluxes[j][c2.tau_lo[k]] + fluxes[j][c2.tau_hi[k]])
-                acc[c2.face_lo[k]] += f
-                acc[c2.face_hi[k]] -= f
+        families, _ = dual_families(mesh, i)
+        for _, rows in families:
+            for r in rows:
+                f = oracle_dual_flux(fluxes, r)
+                acc[r.face_lo] += f
+                acc[r.face_hi] -= f
         res = np.zeros(fs.count)
         idx = fs.interior_idx
         res[idx] = acc[idx] / fs.dvol[idx]
@@ -89,19 +93,13 @@ def oracle_convection(mesh, fluxes, v):
         fs = mesh.faces[i]
         acc = np.zeros(fs.count)
         vi = v.components[i]
-        c1 = mesh.dual_case1[i]
-        for k in range(c1.count):
-            f = 0.5 * (fluxes[i][c1.face_lo[k]] + fluxes[i][c1.face_hi[k]])
-            avg = 0.5 * (vi[c1.face_lo[k]] + vi[c1.face_hi[k]])
-            acc[c1.face_lo[k]] += f * avg
-            acc[c1.face_hi[k]] -= f * avg
-        for c2 in mesh.dual_case2[i]:
-            j = c2.ortho_axis
-            for k in range(c2.count):
-                f = 0.5 * (fluxes[j][c2.tau_lo[k]] + fluxes[j][c2.tau_hi[k]])
-                avg = 0.5 * (vi[c2.face_lo[k]] + vi[c2.face_hi[k]])
-                acc[c2.face_lo[k]] += f * avg
-                acc[c2.face_hi[k]] -= f * avg
+        families, _ = dual_families(mesh, i)
+        for _, rows in families:
+            for r in rows:
+                f = oracle_dual_flux(fluxes, r)
+                avg = 0.5 * (vi[r.face_lo] + vi[r.face_hi])
+                acc[r.face_lo] += f * avg
+                acc[r.face_hi] -= f * avg
         res = np.zeros(fs.count)
         idx = fs.interior_idx
         res[idx] = acc[idx] / fs.dvol[idx]
@@ -116,22 +114,16 @@ def oracle_laplacian(mesh, u):
         fs = mesh.faces[i]
         acc = np.zeros(fs.count)
         vi = u.components[i]
-        c1 = mesh.dual_case1[i]
-        for k in range(c1.count):
-            w = c1.measure[k] / c1.dist[k]
-            jump = vi[c1.face_lo[k]] - vi[c1.face_hi[k]]
-            acc[c1.face_lo[k]] += w * jump
-            acc[c1.face_hi[k]] -= w * jump
-        for c2 in mesh.dual_case2[i]:
-            for k in range(c2.count):
-                w = c2.measure[k] / c2.dist[k]
-                jump = vi[c2.face_lo[k]] - vi[c2.face_hi[k]]
-                acc[c2.face_lo[k]] += w * jump
-                acc[c2.face_hi[k]] -= w * jump
-        for wall in mesh.dual_walls[i]:
-            for k in range(wall.count):
-                acc[wall.face[k]] += (wall.measure[k] / wall.dist[k]
-                                      * vi[wall.face[k]])
+        families, walls = dual_families(mesh, i)
+        for _, rows in families:
+            for r in rows:
+                w = r.measure / r.dist
+                jump = vi[r.face_lo] - vi[r.face_hi]
+                acc[r.face_lo] += w * jump
+                acc[r.face_hi] -= w * jump
+        for _, _, strips in walls:
+            for s in strips:
+                acc[s.face] += s.measure / s.dist * vi[s.face]
         res = np.zeros(fs.count)
         idx = fs.interior_idx
         res[idx] = -acc[idx] / fs.dvol[idx]
@@ -356,11 +348,12 @@ class TestDualFluxes:
         duals = ops.dual_fluxes(mesh, fluxes, 0)
         measure = mesh.faces[0].measure[4]
         # the two case-1 interfaces of the host cells see half the flux;
-        # case 1 is the first c1.count entries of the stacked table
-        c1 = mesh.dual_case1[0]
-        for k in range(c1.count):
+        # case 1 is the first rows of the table, one per cell
+        t = mesh.dual_interfaces[0]
+        assert t.families[0] == (0, slice(0, mesh.n_cells))
+        for k in range(mesh.n_cells):
             expected = 0.0
-            if c1.face_lo[k] == 4 or c1.face_hi[k] == 4:
+            if t.face_lo[k] == 4 or t.face_hi[k] == 4:
                 expected = 0.5 * measure * 1.0
             assert duals[k] == pytest.approx(expected)
 
@@ -516,7 +509,7 @@ class TestDualityIdentity:
         assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_brute_force_both_sides(self, any_mesh):
-        # both sides recomputed with explicit loops over the dual tables
+        # both sides recomputed with explicit loops over the dual families
         mesh = any_mesh
         rng = np.random.default_rng(18)
         rho = random_scalar(mesh, rng)
@@ -530,17 +523,11 @@ class TestDualityIdentity:
             lhs = sum(fs.dvol[k] * dd[i][k] * wi[k]
                       for k in range(fs.count))
             rhs = 0.0
-            c1 = mesh.dual_case1[i]
-            for k in range(c1.count):
-                f = 0.5 * (fluxes[i][c1.face_lo[k]]
-                           + fluxes[i][c1.face_hi[k]])
-                rhs += f * (wi[c1.face_lo[k]] - wi[c1.face_hi[k]])
-            for c2 in mesh.dual_case2[i]:
-                j = c2.ortho_axis
-                for k in range(c2.count):
-                    f = 0.5 * (fluxes[j][c2.tau_lo[k]]
-                               + fluxes[j][c2.tau_hi[k]])
-                    rhs += f * (wi[c2.face_lo[k]] - wi[c2.face_hi[k]])
+            families, _ = dual_families(mesh, i)
+            for _, rows in families:
+                for r in rows:
+                    rhs += (oracle_dual_flux(fluxes, r)
+                            * (wi[r.face_lo] - wi[r.face_hi]))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
     def test_pairing_form_matches(self, any_mesh):

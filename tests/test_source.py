@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -153,6 +154,32 @@ def test_output_guard_sees_misplaced_names():
     assert len(list(_misplaced_output_names("fields.py", tree))) == 5
     assert list(_misplaced_output_names("cli.py", tree)) == [
         "line 4: StringIO", "line 5: makedirs", "line 6: mkdir"]
+
+
+# The dual interfaces of a component live in one table,
+# MacMesh.dual_interfaces[i], with a row range per family; no per-family
+# copy of it comes back, by name or in prose.
+FAMILY_TABLE = re.compile(r"\b(dual_case[12]|dual_walls|DualFace\w*)")
+
+
+def _family_tables(text):
+    return [f"line {text.count(chr(10), 0, m.start()) + 1}: {m.group()}"
+            for m in FAMILY_TABLE.finditer(text)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_dual_table(path):
+    found = _family_tables(path.read_text())
+    assert not found, f"{path.name}: {found}"
+
+
+def test_dual_table_guard_sees_family_tables():
+    code = ("class DualFaceWall:\n    pass\n"
+            "c1 = mesh.dual_case1[i]\n"
+            "# the dual_case2 and dual_walls lists\n")
+    assert _family_tables(code) == [
+        "line 1: DualFaceWall", "line 3: dual_case1", "line 4: dual_case2",
+        "line 4: dual_walls"]
 
 
 # The run's gates: one table, SchemeConfig.gates, pairs each summary label
