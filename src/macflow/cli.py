@@ -58,6 +58,12 @@ _SCHEMA = {
 }
 
 
+# The blocks each command reads; any other block is a configuration error.
+_READS = {"run": {"mesh", "time", "problem", "solver", "output"},
+          "verify": {"verify", "output"},
+          "study": {"study", "problem", "output"}}
+
+
 def load_config(path) -> dict:
     """Parse and validate a YAML configuration against the whitelist."""
     try:
@@ -455,6 +461,11 @@ def main(argv=None) -> int:
     try:
         _number(args.seed, "--seed", integer=True, least=0)
         cfg = load_config(args.config)
+        unread = sorted(set(cfg) - _READS[args.command])
+        if unread:
+            raise ConfigError(f"{args.command!r} does not read block "
+                              f"{unread[0]!r}; it reads "
+                              f"{sorted(_READS[args.command])}")
         directory = cfg.get("output", {}).get("directory", "out")
         if not isinstance(directory, str):
             raise ConfigError("'output.directory' must be a string, "

@@ -39,8 +39,8 @@ matrix once (:class:`SaddlePattern`: the mesh-constant gradient,
 divergence and diffusion values, and the positions the face masses and
 the convection land on), so a step only fills values.  Each GMRES solve
 starts from the weighted least-squares fit of its system over the span
-of the last ``HISTORY`` accepted solutions, which the solver keeps as an
-orthonormal basis (:meth:`SaddleSolver.start`).  It builds, keeps and
+of the last ``HISTORY`` accepted solutions, which the solver keeps as
+they are (:meth:`SaddleSolver.start`).  It builds, keeps and
 applies the block preconditioner, whose factors live from step to
 step: the density stays inside its initial bounds (discrete maximum
 principle), so the variable-density Poisson matrix moves within a
@@ -102,8 +102,8 @@ REFRESH_GROWTH = 1.5
 ILU_DROP_TOL = 1e-3
 
 # Accepted saddle solutions whose span the next GMRES start is drawn from.
-# On the 32^2 rotating patch (100 steps of dt = 0.01) 4 of them took 814
-# Krylov iterations, 8 took 566 and 12 took 553, against 1449 from the
+# On the 32^2 rotating patch (100 steps of dt = 0.01) 4 of them took 810
+# Krylov iterations, 8 took 592 and 12 took 555, against 1516 from the
 # last solution alone.
 HISTORY = 8
 
@@ -205,12 +205,16 @@ def _accept(mat, rhs, x, residual, tol: float, what: str, method: str,
     true residual it stopped on (``None``: it did not converge), is at
     most ``tol``.  Otherwise LU, ``direct(mat)`` of the CSC matrix, solves,
     reported as ``method`` ``direct`` with ``fallback`` set.  Its residual
-    must pass too, or :class:`SolverFailure`, naming ``what``, is raised.
-    ``counts`` (iterations, refresh) go into the report as they are.
+    must pass too, and the LU must exist, or :class:`SolverFailure`, naming
+    ``what``, is raised.  ``counts`` (iterations, refresh) go into the
+    report as they are.
     """
     if residual is not None and residual <= tol:
         return x, SolveReport(method, residual, **counts)
-    x = direct(mat.tocsc()).solve(rhs)
+    try:
+        x = direct(mat.tocsc()).solve(rhs)
+    except RuntimeError as exc:  # SuperLU met an exactly zero pivot
+        raise SolverFailure(f"{what}: LU failed: {exc}") from None
     rel = checked_residual(mat, x, rhs, tol, what)
     return x, SolveReport("direct", rel, fallback=True, **counts)
 
@@ -608,9 +612,9 @@ class SaddleSolver:
     initial guess already met the tolerance) sets no base count; it has
     no tunable input.
 
-    It also keeps an orthonormal basis ``Q`` of the span of the last
-    ``HISTORY`` accepted pinned solutions (:meth:`remember`), from which
-    each GMRES solve starts (:meth:`start`): consecutive systems differ by
+    It also keeps the last ``HISTORY`` nonzero accepted pinned solutions
+    as they are (:meth:`remember`), and each GMRES solve starts from the
+    best fit over their span (:meth:`start`): consecutive systems differ by
     O(dt), so the best combination of the last solutions is a closer
     guess than the last one alone (Fischer, *Comput. Methods Appl. Mech.
     Engrg.* 163, 1998).  A new solver has an empty history and starts
@@ -623,16 +627,16 @@ class SaddleSolver:
         self._base_iterations = None   # first solve after factoring
         self._inv_mass_p = 1.0 / mesh.cell_volume
         self._inv_mass_p[PINNED_CELL] = 0.0
-        # rows 0.._size-1 hold Q, the newest solution's direction first;
-        # np.empty leaves the pages of unused rows unwritten
-        self._basis = np.empty((HISTORY, mesh.n_unknowns + mesh.n_cells))
-        self._size = 0
+        # solution k in row k % HISTORY; np.empty leaves the pages of
+        # unused rows unwritten
+        self._solutions = np.empty((HISTORY, mesh.n_unknowns + mesh.n_cells))
+        self._count = 0
 
     @property
     def history(self) -> np.ndarray:
-        """The orthonormal basis ``Q`` of the remembered solutions, one
-        row per direction, the newest solution's first (a view)."""
-        return self._basis[:self._size]
+        """The remembered solutions ``S``, one per row (a view): the k-th
+        nonzero solution is in row ``k % HISTORY``."""
+        return self._solutions[:min(self._count, HISTORY)]
 
     @cached_property
     def grad(self) -> sp.csr_matrix:
@@ -694,61 +698,38 @@ class SaddleSolver:
         return self._precond, refresh
 
     def start(self, system: SaddleSystem):
-        """Initial guess of the GMRES solve of ``system``: ``x0 = Q c``,
-        with ``c`` minimizing the weighted residual ``|w (rhs - A Q c)|``
+        """Initial guess of the GMRES solve of ``system``: ``x0 = c S``,
+        with ``c`` minimizing the weighted residual ``|w (rhs - A S^T c)|``
         over the span of the history, ``None`` (zero) while it is empty.
 
         The diagonal weight ``w`` stands in for the left preconditioner:
         ``1/diag(A)`` on the momentum rows and ``M_p^-1`` (``1/|K|``,
         zero on the pin's row) on the continuity rows.  Unweighted,
         the worst divergence of the 32^2 rotating patch rose tenfold,
-        from 1.1e-14 to 1.0e-13.  The fit solves its m x m normal
-        equations; ``Q`` is orthonormal, so their condition is that of
-        ``w A`` on the span, squared, and not also that of the nearly
-        collinear solutions.
+        from 1.1e-14 to 1.0e-13.  LAPACK's least-squares solve (SVD)
+        fits ``c`` on the solutions as they are, and ``rcond=-1`` drops
+        only the directions whose singular values fall below machine
+        precision.  The solutions are nearly collinear: normal equations
+        on them square that conditioning, and on the patch run they were
+        exactly singular on 5 steps and took 1377 iterations, against 592
+        (651 at NumPy's default cut).
         """
-        if self._size == 0:
+        history = self.history
+        if not history.size:
             return None
-        basis = self.history
         weight = np.concatenate([1.0 / system.matrix.data[self.pattern.diag],
                                  self._inv_mass_p])
-        fit = system.matrix @ basis.T
+        fit = system.matrix @ history.T
         fit *= weight[:, None]
-        coef = np.linalg.solve(fit.T @ fit, fit.T @ (weight * system.rhs))
-        return coef @ basis
+        coef = np.linalg.lstsq(fit, weight * system.rhs, rcond=-1)[0]
+        return coef @ history
 
     def remember(self, solution: np.ndarray):
-        """Take an accepted pinned solution into the history.
-
-        When the history is full its oldest direction is dropped first.
-        The part of ``solution`` orthogonal to the remaining basis
-        (classical Gram-Schmidt, run twice) becomes a new direction
-        unless it is below rounding, and the basis is rotated so that its
-        first ``k`` rows span the last ``k`` solutions, the newest first:
-        dropping the last row then drops exactly the oldest solution.
-        """
-        keep = min(self._size, HISTORY - 1)
-        kept, new = self._basis[:keep], self._basis[keep]
-        new[:] = solution
-        coords = np.zeros(keep + 1)
-        for _ in range(2):
-            h = kept @ new
-            new -= h @ kept
-            coords[:keep] += h
-        coords[keep] = np.linalg.norm(new)
-        size = keep
-        # a part within the rounding of the projections is no direction
-        eps = np.finfo(float).eps
-        if coords[keep] > 16 * eps * np.linalg.norm(solution):
-            new /= coords[keep]
-            size += 1
-        if size:
-            # orthonormal U whose first j columns span the solution's
-            # coordinates and the first j - 1 kept rows
-            rot, _ = np.linalg.qr(np.column_stack(
-                [coords[:size], np.eye(size, keep)]))
-            self._basis[:size] = rot.T @ self._basis[:size]
-        self._size = size
+        """Take an accepted pinned solution into the history, in place of
+        the oldest one once it is full; a zero solution is not kept."""
+        if solution.any():
+            self._solutions[self._count % HISTORY] = solution
+            self._count += 1
 
     def record(self, iterations: int, fallback: bool):
         """Apply the refresh rule to the outcome of a GMRES solve with the

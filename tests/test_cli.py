@@ -233,16 +233,44 @@ class TestConfigValidation:
         ("verify", "", ["--seed", "-1"], "'--seed'"),
         ("study", "", ["--seed", "-1"], "'--seed'"),
         ("run", "", ["--seed", "-1"], "'--seed'"),
+        ("verify", "mesh: {cells: [4, 4]}\n", [],
+         "'verify' does not read block 'mesh'; it reads ['output', "
+         "'verify']"),
+        ("verify", "problem: {preset: gyre}\n", [],
+         "'verify' does not read block 'problem'"),
+        ("verify", "time: {t_end: 1, dt: 0.1}\n", [],
+         "'verify' does not read block 'time'"),
+        ("verify", "solver: {oseen_tol: 1.0e-10}\n", [],
+         "'verify' does not read block 'solver'"),
+        ("verify", "study: {levels: 3}\n", [],
+         "'verify' does not read block 'study'"),
+        ("study", "mesh: {cells: [4, 4]}\n", [],
+         "'study' does not read block 'mesh'; it reads ['output', "
+         "'problem', 'study']"),
+        ("study", "time: {t_end: 1, dt: 0.1}\n", [],
+         "'study' does not read block 'time'"),
+        ("study", "solver: {oseen_tol: 1.0e-10}\n", [],
+         "'study' does not read block 'solver'"),
+        ("study", "verify: {trials: 3}\n", [],
+         "'study' does not read block 'verify'"),
+        ("run", _RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "verify: {trials: 3}\n", [], "'run' does not read block 'verify'"),
+        ("run", _RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+         "study: {levels: 3}\n", [], "'run' does not read block 'study'"),
     ], ids=["text-threshold", "two-levels", "two-levels-flag",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
             "zero-trials", "nan-tolerance", "rest-in-4d", "list-directory",
             "overflowing-step-count",
             "negative-seed-verify", "negative-seed-study",
-            "negative-seed-run"])
+            "negative-seed-run", "verify-mesh-block",
+            "verify-problem-block", "verify-time-block",
+            "verify-solver-block", "verify-study-block", "study-mesh-block",
+            "study-time-block", "study-solver-block", "study-verify-block",
+            "run-verify-block", "run-study-block"])
     def test_exit_code_2_on_bad_study_or_verify_config(
             self, tmp_path, capsys, command, text, extra, message):
         path = tmp_path / "c.yaml"
-        if not text.startswith("problem:"):
+        if command == "study" and not text.startswith("problem:"):
             text = "problem: {preset: gyre}\n" + text
         path.write_text(text)
         code = main([command, "--config", str(path),
@@ -263,8 +291,13 @@ class TestConfigValidation:
          "time: {t_end: 1.0, dt: 1.0e-300}\n", "is too small for this mesh"),
         ("run", _RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
          + "time: {t_end: 0.02, dt: 0.01}\n", "is not the domain"),
+        ("verify", "mesh: {cells: [4, 4]}\nverify: {trials: 3}\n",
+         "'verify' does not read block 'mesh'"),
+        ("study", "problem: {preset: gyre}\ntime: {t_end: 1, dt: 0.1}\n",
+         "'study' does not read block 'time'"),
     ], ids=["run", "verify", "study", "study-step-count",
-            "run-transport-scale", "run-off-the-preset-box"])
+            "run-transport-scale", "run-off-the-preset-box",
+            "verify-unread-block", "study-unread-block"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created
@@ -490,6 +523,21 @@ class TestRunCommand:
         assert line.group(1) == "FAIL"
         assert f"{float(line.group(2)):.3e}" == measured
         assert float(measured) > 1e-30
+
+    def test_singular_lu_interrupts_run(self, tmp_path, capsys):
+        # at gyre amplitude 1e30 the transport sweeps fail and their LU
+        # fallback meets an exactly zero pivot: the run stops as
+        # interrupted, with a summary and one line on stderr
+        path = run_config(
+            tmp_path, mesh={"domain": [[0, 1], [0, 1]], "cells": [4, 4]},
+            time={"t_end": 0.02, "dt": 0.01},
+            problem={"preset": "gyre", "params": {"amplitude": 1.0e+30}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text()
+        assert "INTERRUPTED: transport solve: LU failed: " in summary
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "LU failed" in err
 
     def test_interrupted_density_guard_fails(self, tmp_path, monkeypatch):
         # a step that breaks the density bounds leaves no diagnostics: its

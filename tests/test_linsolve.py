@@ -292,6 +292,18 @@ def test_checked_residual():
         checked_residual(mat, np.full(3, np.nan), rhs, 1.0, "solve")
 
 
+@pytest.mark.parametrize("direct", [factor, spla.splu],
+                         ids=["factor", "splu"])
+def test_singular_lu_is_a_solver_failure(direct):
+    # SuperLU's zero pivot stops the run as a failed solve, named, not as
+    # a RuntimeError of its own
+    mat = sp.csr_matrix(np.ones((2, 2)))
+    with pytest.raises(SolverFailure,
+                       match="^transport solve: LU failed: .*singular"):
+        linsolve._accept(mat, np.array([1.0, 2.0]), None, None, 1e-10,
+                         "transport solve", "jacobi", direct)
+
+
 def coo_transport(mesh, dt, rho_old, u):
     """The transport system as it was assembled before the banded form:
     each face's upwind entries gathered into COO lists and summed by the
@@ -950,7 +962,7 @@ class TestSaddleSolver:
 
     def test_fresh_solver_starts_from_zero(self, mesh2_uniform):
         # a new solver has no history yet: its first solve starts from
-        # zero and factors; a zero solution adds no direction
+        # zero and factors; a zero solution is not kept
         fresh = random_saddle(mesh2_uniform, seed=21)
         assert fresh.saddle.history.shape[0] == 0
         assert fresh.saddle.start(fresh) is None
@@ -1021,7 +1033,8 @@ class TestSaddleSolver:
 
 class TestProjectedStart:
     # each GMRES solve starts from the weighted least-squares fit of its
-    # system over the span of the last HISTORY accepted solutions
+    # system over the span of the last HISTORY accepted solutions, which
+    # the solver keeps as they are
     @staticmethod
     def weight(system):
         """The weight of the fit, computed here: ``1/diag(A)`` on the
@@ -1032,48 +1045,37 @@ class TestProjectedStart:
         return np.concatenate([
             1.0 / system.matrix.diagonal()[:mesh.n_unknowns], inv_volume])
 
-    @staticmethod
-    def in_span(basis, x):
-        return (np.linalg.norm(x - basis.T @ (basis @ x))
-                <= 1e-13 * np.linalg.norm(x))
-
     def test_start_beats_newest_solution(self, any_mesh):
         saddle = SaddleSolver(any_mesh)
+        solutions = []
         for seed in range(40, 44):
             system = random_saddle(any_mesh, seed, saddle=saddle)
-            newest = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-            saddle.remember(newest)
+            solutions.append(spla.splu(system.matrix.tocsc()).solve(
+                system.rhs))
+            saddle.remember(solutions[-1])
         system = random_saddle(any_mesh, 44, saddle=saddle)
         guess = saddle.start(system)
-        basis = saddle.history
-        assert basis.shape[0] == 4 and self.in_span(basis, newest)
-        np.testing.assert_allclose(basis @ basis.T, np.eye(4), rtol=0,
-                                   atol=1e-14)
         w = self.weight(system)
         fit = w * (system.rhs - system.matrix @ guess)
-        assert (np.linalg.norm(fit)
-                < np.linalg.norm(w * (system.rhs - system.matrix @ newest)))
-        # the fit's weighted residual is orthogonal to w A Q
-        wa = w[:, None] * (system.matrix @ basis.T)
+        newest = w * (system.rhs - system.matrix @ solutions[-1])
+        assert np.linalg.norm(fit) < np.linalg.norm(newest)
+        # the fit's weighted residual is orthogonal to w A S^T
+        wa = w[:, None] * (system.matrix @ np.array(solutions).T)
         assert (np.abs(fit @ wa).max()
                 <= 1e-10 * np.linalg.norm(wa) * np.linalg.norm(fit))
 
     def test_history_keeps_the_last_solutions(self, any_mesh):
-        # a full history drops exactly its oldest solution
+        # a full history drops exactly its oldest solution, and keeps
+        # the others bit for bit
         saddle = SaddleSolver(any_mesh)
         xs = np.random.default_rng(45).standard_normal(
             (linsolve.HISTORY + 4, any_mesh.n_unknowns + any_mesh.n_cells))
         for k, x in enumerate(xs):
             saddle.remember(x)
-            basis = saddle.history
-            size = min(k + 1, linsolve.HISTORY)
-            assert basis.shape[0] == size
-            np.testing.assert_allclose(basis @ basis.T, np.eye(size),
-                                       rtol=0, atol=1e-14)
-            kept = xs[k + 1 - size:k + 1]
-            assert all(self.in_span(basis, y) for y in kept)
-            if k >= size:
-                assert not self.in_span(basis, xs[k - size])
+            kept = xs[max(k + 1 - linsolve.HISTORY, 0):k + 1]
+            assert saddle.history.shape == kept.shape
+            assert ({row.tobytes() for row in saddle.history}
+                    == {row.tobytes() for row in kept})
 
     def test_repeated_solution_gives_finite_start(self, mesh2_uniform):
         # identical and parallel solutions span one direction, and the fit
@@ -1083,7 +1085,6 @@ class TestProjectedStart:
         x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
         for scale in (1.0, 1.0, 1.0, -2.0):
             saddle.remember(scale * x)
-        assert saddle.history.shape[0] == 1
         guess = saddle.start(system)
         assert np.isfinite(guess).all()
         np.testing.assert_allclose(guess, x, rtol=0,
@@ -1105,8 +1106,8 @@ class TestProjectedStart:
         assert saddle.start(system) is None
 
     def test_patch_run_iterations(self):
-        # demos/configs/patch_run.yaml (32^2, 100 steps): 1449 Krylov
-        # iterations when each solve started from the last solution alone
+        # demos/configs/patch_run.yaml (32^2, 100 steps): 1516 Krylov
+        # iterations when each solve starts from the last solution alone
         cfg = load_config(DEMO_CONFIGS / "patch_run.yaml")
         result = run(build_mesh_from_config(cfg),
                      build_problem_from_config(cfg), build_scheme_config(cfg))
@@ -1156,7 +1157,7 @@ class TestDensityRatioSweep:
         # relative residual of 1e-15, at rounding for this matrix: every
         # step falls back to LU, and says so.  The cycles end on their
         # goal within a few iterations once rounding stalls the true
-        # residual: 245 iterations in all
+        # residual: 252 iterations in all
         diags = patch_run(100, 1.0, oseen_tol=1e-12).diagnostics
         total = sum(d.oseen_iterations for d in diags)
         print(f"Krylov iterations {total} before 5 fallbacks")

@@ -114,6 +114,56 @@ def test_one_warm_start_path():
                     and node.attr == "solution"], path.name
 
 
+# The history of the GMRES start: SaddleSolver.remember stores solutions
+# as they are, with no product, and SaddleSolver.start fits them by one
+# least-squares solve; no QR or second fit keeps a basis beside them.
+HISTORY_CALLS = {"qr", "lstsq"}
+
+
+def _history_algebra(tree):
+    """``(class, function, what)`` of every ``qr`` or ``lstsq`` call, and
+    of every ``@`` product in ``SaddleSolver.remember``."""
+    for stmt in tree.body:
+        members = ([(stmt.name, node) for node in stmt.body]
+                   if isinstance(stmt, ast.ClassDef) else [(None, stmt)])
+        for cls, top in members:
+            home = getattr(top, "name", None)
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if isinstance(node, ast.Call) and name in HISTORY_CALLS:
+                    yield cls, home, name
+                elif ((cls, home) == ("SaddleSolver", "remember")
+                      and isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.MatMult)):
+                    yield cls, home, "@"
+
+
+def test_history_is_stored_and_fit_once():
+    path = pathlib.Path(macflow.__file__).parent / "linsolve.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert list(_history_algebra(tree)) == [
+        ("SaddleSolver", "start", "lstsq")]
+
+
+def test_history_guard_sees_basis_algebra():
+    code = ("class SaddleSolver:\n"
+            "    def start(self, a, b):\n"
+            "        return np.linalg.lstsq(a, b)[0]\n"
+            "    def remember(self, x):\n"
+            "        q, r = np.linalg.qr(x)\n"
+            "        self.basis @= q\n"
+            "        return q.T @ x\n"
+            "def fit(a, b):\n"
+            "    return lstsq(a @ a.T, b)\n")
+    assert sorted(_history_algebra(ast.parse(code)), key=str) == sorted([
+        ("SaddleSolver", "start", "lstsq"),
+        ("SaddleSolver", "remember", "qr"),
+        ("SaddleSolver", "remember", "@"),
+        ("SaddleSolver", "remember", "@"),
+        (None, "fit", "lstsq")], key=str)
+
+
 # Where each output name may appear: format_float spells floats inside
 # free text (summary lines, ``#`` header values) and csv.writer every
 # other artifact float; no StringIO buffers a file that atomic_write can
