@@ -9,12 +9,15 @@ Three subcommands, all driven by a YAML configuration file:
 * ``study``  -- refinement study (space and time together) against a
   preset's exact solution.
 
-Every output file is written atomically, floats are serialized with the
-shortest round-trip representation, and headers carry the configuration
-hash and seed, so identical invocations with the same number of BLAS
-threads produce bit-identical artifacts.  Another thread count may sum
-dot products in another order, and a solve near its tolerance can then
-take another iteration: the 64x64 row of ``study`` on
+Each command writes into the directory named by ``--out`` (default
+``out``) and ends the same way: it writes ``summary.txt``, prints the
+same lines and the ``overall:`` verdict to stdout, and exits with that
+verdict.  Every output file is written atomically, floats are serialized
+with the shortest round-trip representation, and headers carry the
+configuration hash and seed, so identical invocations with the same
+number of BLAS threads produce bit-identical artifacts.  Another thread
+count may sum dot products in another order, and a solve near its
+tolerance can then take another iteration: the 64x64 row of ``study`` on
 ``demos/configs/gyre_study.yaml`` differs in its last digits between one
 and two OpenBLAS threads, while the ``run`` of
 ``demos/configs/patch_run.yaml`` does not.
@@ -52,7 +55,7 @@ _SCHEMA = {
     "time": {"t_end", "dt"},
     "problem": {"preset", "params"},
     "solver": {"transport_tol", "oseen_tol", "bounds_margin", "div_guard"},
-    "output": {"directory", "formats", "snapshots", "mesh_tables"},
+    "output": {"formats", "snapshots", "mesh_tables"},
     "verify": {"trials", "tolerance"},
     "study": {"levels", "base_cells", "t_end", "base_dt", "threshold"},
 }
@@ -60,8 +63,8 @@ _SCHEMA = {
 
 # The blocks each command reads; any other block is a configuration error.
 _READS = {"run": {"mesh", "time", "problem", "solver", "output"},
-          "verify": {"verify", "output"},
-          "study": {"study", "problem", "output"}}
+          "verify": {"verify"},
+          "study": {"study", "problem"}}
 
 
 def load_config(path) -> dict:
@@ -154,6 +157,9 @@ def build_problem_from_config(cfg):
     preset = prob_cfg.get("preset")
     if preset is None:
         raise ConfigError("missing configuration key 'problem.preset'")
+    if not isinstance(preset, str):
+        raise ConfigError("'problem.preset' must be a preset name, "
+                          f"got {preset!r}")
     params = prob_cfg.get("params") or {}
     if not isinstance(params, dict):
         raise ConfigError("'problem.params' must be a mapping")
@@ -231,24 +237,19 @@ def _write_snapshots(result, out_dir, formats, cfg_hash_value):
                       rho=traj.rho[k], p=traj.p[k], u=traj.u[k])
 
 
-def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
-                       seed):
-    """Write ``summary.txt`` and return whether the run passed;
-    ``interrupted`` is the exception that stopped the run, or ``None``."""
+def _run_summary(result, record):
+    """The summary lines of a run that measured its steps, from the gate
+    lines on, and whether every gate passed."""
     checks = [(label, record.worst[name], tol)
               for label, name, tol in result.config.gates()]
     passed = [value <= tol for _, value, tol in checks]
-    all_pass = all(passed) and not interrupted
     diags = result.diagnostics
     steps = len(diags)
     sweeps = [d.transport_sweeps for d in diags]
     iterations = [d.oseen_iterations for d in diags]
-    lines = [f"steps completed: {steps} of {result.n_steps}"]
-    if interrupted:
-        lines.append(f"INTERRUPTED: {interrupted}")
-    lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: worst "
-              f"{format_float(value)} (tolerance {format_float(tol)})"
-              for (name, value, tol), ok in zip(checks, passed)]
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {name}: worst "
+             f"{format_float(value)} (tolerance {format_float(tol)})"
+             for (name, value, tol), ok in zip(checks, passed)]
     lines += [
         f"velocity L2(H1) tracker: {format_float(record.l2h1)}",
         f"velocity Linf(L2) tracker: {format_float(record.linf_l2)}",
@@ -264,8 +265,18 @@ def _write_run_summary(path, result, record, interrupted, cfg_hash_value,
         "preconditioner factorizations: "
         f"{sum(d.precond_refresh for d in diags)} of {steps} steps",
     ]
-    write_summary(path, "run-summary", cfg_hash_value, seed, lines, all_pass)
-    return all_pass
+    return lines, all(passed)
+
+
+def _report(out_dir, kind, cfg_hash_value, seed, lines, passed) -> int:
+    """Write ``summary.txt``, print its lines and verdict to stdout, and
+    return the exit status."""
+    write_summary(os.path.join(out_dir, "summary.txt"), kind,
+                  cfg_hash_value, seed, lines, passed)
+    for line in lines:
+        print(line)
+    print(f"overall: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def _create_output_directory(out_dir):
@@ -300,7 +311,7 @@ def cmd_run(cfg, out_dir, seed) -> int:
                           f"domain {domain.tolist()} of 'problem.preset' "
                           f"{problem.name!r}")
     try:
-        time_steps(mesh, problem, scheme)
+        n_steps = time_steps(mesh, problem, scheme)[0]
     except ValueError as exc:
         raise ConfigError(f"'time': {exc}") from None
     hash_value = config_hash(cfg)
@@ -310,12 +321,16 @@ def cmd_run(cfg, out_dir, seed) -> int:
     try:
         result = run(mesh, problem, scheme)
     except (InvariantViolation, SolverFailure) as exc:
-        result = getattr(exc, "partial", None)
-        interrupted = exc
-        if result is None:
-            print(f"run failed before the first step: {exc}",
-                  file=sys.stderr)
-            return 1
+        interrupted, result = exc, getattr(exc, "partial", None)
+        stage = ("interrupted" if result is not None
+                 else "failed before the first step")
+        print(f"run {stage}: {exc}", file=sys.stderr)
+    steps = 0 if result is None else len(result.diagnostics)
+    head = [f"steps completed: {steps} of {n_steps}"]
+    if interrupted:
+        head.append(f"INTERRUPTED: {interrupted}")
+    if result is None:  # no step was measured, so no gate lines
+        return _report(out_dir, "run-summary", hash_value, seed, head, False)
 
     record = verify.collect_diagnostics(result, interrupted)
     verify.write_diagnostics_csv(record,
@@ -325,13 +340,9 @@ def cmd_run(cfg, out_dir, seed) -> int:
     if mesh_tables:
         dump_mesh_tables(mesh, os.path.join(out_dir, "mesh_tables.csv"),
                          cfg_hash=hash_value)
-    ok = _write_run_summary(os.path.join(out_dir, "summary.txt"), result,
-                            record, interrupted, hash_value, seed)
-    if interrupted:
-        print(f"run interrupted: {interrupted}", file=sys.stderr)
-    print(f"wrote {out_dir}/diagnostics.csv and summary.txt "
-          f"({len(result.diagnostics)} steps)")
-    return 0 if ok else 1
+    lines, passed = _run_summary(result, record)
+    return _report(out_dir, "run-summary", hash_value, seed, head + lines,
+                   passed and not interrupted)
 
 
 def _verification_meshes(seed):
@@ -379,28 +390,20 @@ def cmd_verify(cfg, out_dir, seed) -> int:
     verify.write_identity_reports(
         reports, os.path.join(out_dir, "identity_reports.csv"),
         cfg_hash=hash_value, seed=seed)
-    all_pass = all(r.passed for r in reports)
-    write_summary(os.path.join(out_dir, "summary.txt"), "verify-summary",
-                  hash_value, seed, [r.line() for r in reports] + monitors,
-                  all_pass)
-    for r in reports:
-        print(r.line())
-    print(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    return 0 if all_pass else 1
+    return _report(out_dir, "verify-summary", hash_value, seed,
+                   [r.line() for r in reports] + monitors,
+                   all(r.passed for r in reports))
 
 
 # Smallest values of the integer ``study`` keys.
 _STUDY_LEAST = {"levels": 3, "base_cells": 2}
 
 
-def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
+def cmd_study(cfg, out_dir, seed) -> int:
     # keys the config leaves out keep the defaults of convergence_study
     study = {key: _number(raw, f"study.{key}", integer=key in _STUDY_LEAST,
                           least=_STUDY_LEAST.get(key))
              for key, raw in cfg.get("study", {}).items()}
-    if levels_override is not None:
-        study["levels"] = _number(levels_override, "--levels", integer=True,
-                                  least=_STUDY_LEAST["levels"])
     problem = build_problem_from_config(cfg)
     try:
         report = verify.convergence_study(problem, **study)
@@ -423,15 +426,8 @@ def cmd_study(cfg, out_dir, seed, levels_override=None) -> int:
               for name, factors in (("velocity", report.factors_u),
                                     ("density", report.factors_rho))]
     lines.append(f"threshold: {format_float(report.threshold)}")
-    write_summary(os.path.join(out_dir, "summary.txt"), "study-summary",
-                  hash_value, seed, lines, report.passed)
-    for lv in report.levels:
-        print(f"cells {'x'.join(map(str, lv.cells))}: "
-              f"err_u {lv.err_u:.6e} err_rho {lv.err_rho:.6e}")
-    print(f"velocity factors: {report.factors_u}")
-    print(f"density factors: {report.factors_rho}")
-    print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    return _report(out_dir, "study-summary", hash_value, seed, lines,
+                   report.passed)
 
 
 def main(argv=None) -> int:
@@ -447,15 +443,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="YAML configuration file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: output.directory "
-                            "from the configuration, or './out')")
+        p.add_argument("--out", default="out",
+                       help="output directory, created if missing "
+                            "(default: out)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized checks (default 0)")
-        if name == "study":
-            p.add_argument("--levels", type=int, default=None,
-                           help="number of refinement levels (overrides "
-                                "study.levels)")
 
     args = parser.parse_args(argv)
     try:
@@ -466,17 +458,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"{args.command!r} does not read block "
                               f"{unread[0]!r}; it reads "
                               f"{sorted(_READS[args.command])}")
-        directory = cfg.get("output", {}).get("directory", "out")
-        if not isinstance(directory, str):
-            raise ConfigError("'output.directory' must be a string, "
-                              f"got {directory!r}")
-        out_dir = args.out or directory
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, args.seed)
-        if args.command == "verify":
-            return cmd_verify(cfg, out_dir, args.seed)
-        return cmd_study(cfg, out_dir, args.seed,
-                         levels_override=args.levels)
+        command = {"run": cmd_run, "verify": cmd_verify,
+                   "study": cmd_study}[args.command]
+        return command(cfg, args.out, args.seed)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

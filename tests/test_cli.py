@@ -3,12 +3,16 @@
 import csv
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import macflow
 from macflow import linsolve, timestepper, verify
 from macflow.cli import (ConfigError, build_mesh_from_config,
                          build_scheme_config, load_config, main)
@@ -51,6 +55,13 @@ def assert_config_error(code, capsys, message):
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1  # one line, no traceback
     assert message in err
+
+
+def assert_stdout_is_summary(capsys, out):
+    summary = (out / "summary.txt").read_text()
+    assert capsys.readouterr().out == "".join(
+        line for line in summary.splitlines(keepends=True)
+        if not line.startswith("#"))
 
 
 # A runnable config without its time block, for the bad-value cases.
@@ -166,7 +177,14 @@ class TestConfigValidation:
          "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
          "give 'mesh.cells' or 'mesh.coordinates', not both"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
-         "output: {directory: 3}\n", "'output.directory'"),
+         "output: {directory: 3}\n",
+         "unknown configuration key 'output.directory'"),
+        (_RUNNABLE.replace("{preset: gyre}", "{preset: [gyre]}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'problem.preset' must be a preset name, got ['gyre']"),
+        (_RUNNABLE.replace("{preset: gyre}", "{preset: {name: gyre}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'problem.preset' must be a preset name, got {'name': 'gyre'}"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "output: {mesh_tables: maybe}\n", "'output.mesh_tables'"),
         ("mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4]}\n"
@@ -198,7 +216,7 @@ class TestConfigValidation:
             "unknown-preset-param",
             "rest-negative-density", "rest-zero-density",
             "rest-fractional-dim", "cells-and-coordinates",
-            "number-directory",
+            "directory-key", "list-preset", "mapping-preset",
             "text-mesh-tables", "overflowing-transport-scale",
             "integer-key", "patch-off-its-box", "gyre-off-its-box",
             "directory-config", "latin1-config"])
@@ -218,7 +236,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, text, extra, message", [
         ("study", "study: {threshold: abc}\n", [], "'study.threshold'"),
         ("study", "study: {levels: 2}\n", [], "'study.levels'"),
-        ("study", "", ["--levels", "2"], "'--levels'"),
         ("study", "study: {base_cells: 1}\n", [], "'study.base_cells'"),
         ("study", "study: {t_end: -0.25}\n", [], "'study.t_end'"),
         ("study", "study: {base_dt: .inf}\n", [], "'study.base_dt'"),
@@ -227,15 +244,19 @@ class TestConfigValidation:
         ("verify", "verify: {tolerance: .nan}\n", [], "'verify.tolerance'"),
         ("study", "problem: {preset: rest, params: {dim: 4}}\n"
          "study: {levels: 3, base_cells: 2}\n", [], "dim must be 2 or 3"),
-        ("study", "output: {directory: [a]}\n", [], "'output.directory'"),
+        ("study", "output: {directory: [a]}\n", [],
+         "unknown configuration key 'output.directory'"),
+        ("study", "problem: {preset: [gyre]}\n", [],
+         "'problem.preset' must be a preset name, got ['gyre']"),
+        ("study", "problem: {preset: {name: gyre}}\n", [],
+         "'problem.preset' must be a preset name, got {'name': 'gyre'}"),
         ("study", "study: {t_end: 1.0e+10, base_dt: 1.0e-310}\n", [],
          "'study': the step count"),
         ("verify", "", ["--seed", "-1"], "'--seed'"),
         ("study", "", ["--seed", "-1"], "'--seed'"),
         ("run", "", ["--seed", "-1"], "'--seed'"),
         ("verify", "mesh: {cells: [4, 4]}\n", [],
-         "'verify' does not read block 'mesh'; it reads ['output', "
-         "'verify']"),
+         "'verify' does not read block 'mesh'; it reads ['verify']"),
         ("verify", "problem: {preset: gyre}\n", [],
          "'verify' does not read block 'problem'"),
         ("verify", "time: {t_end: 1, dt: 0.1}\n", [],
@@ -245,8 +266,8 @@ class TestConfigValidation:
         ("verify", "study: {levels: 3}\n", [],
          "'verify' does not read block 'study'"),
         ("study", "mesh: {cells: [4, 4]}\n", [],
-         "'study' does not read block 'mesh'; it reads ['output', "
-         "'problem', 'study']"),
+         "'study' does not read block 'mesh'; it reads ['problem', "
+         "'study']"),
         ("study", "time: {t_end: 1, dt: 0.1}\n", [],
          "'study' does not read block 'time'"),
         ("study", "solver: {oseen_tol: 1.0e-10}\n", [],
@@ -257,10 +278,11 @@ class TestConfigValidation:
          "verify: {trials: 3}\n", [], "'run' does not read block 'verify'"),
         ("run", _RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "study: {levels: 3}\n", [], "'run' does not read block 'study'"),
-    ], ids=["text-threshold", "two-levels", "two-levels-flag",
+    ], ids=["text-threshold", "two-levels",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
-            "zero-trials", "nan-tolerance", "rest-in-4d", "list-directory",
-            "overflowing-step-count",
+            "zero-trials", "nan-tolerance", "rest-in-4d",
+            "study-dir-key", "study-list-preset",
+            "study-mapping-preset", "overflowing-step-count",
             "negative-seed-verify", "negative-seed-study",
             "negative-seed-run", "verify-mesh-block",
             "verify-problem-block", "verify-time-block",
@@ -295,9 +317,24 @@ class TestConfigValidation:
          "'verify' does not read block 'mesh'"),
         ("study", "problem: {preset: gyre}\ntime: {t_end: 1, dt: 0.1}\n",
          "'study' does not read block 'time'"),
+        ("verify", "output: {formats: [csv]}\n",
+         "'verify' does not read block 'output'"),
+        ("verify", "output: {snapshots: 2}\n",
+         "'verify' does not read block 'output'"),
+        ("verify", "output: {mesh_tables: true}\n",
+         "'verify' does not read block 'output'"),
+        ("study", "problem: {preset: gyre}\noutput: {formats: [csv]}\n",
+         "'study' does not read block 'output'"),
+        ("study", "problem: {preset: gyre}\noutput: {snapshots: 2}\n",
+         "'study' does not read block 'output'"),
+        ("study", "problem: {preset: gyre}\noutput: {mesh_tables: true}\n",
+         "'study' does not read block 'output'"),
     ], ids=["run", "verify", "study", "study-step-count",
             "run-transport-scale", "run-off-the-preset-box",
-            "verify-unread-block", "study-unread-block"])
+            "verify-unread-block", "study-unread-block",
+            "verify-output-formats", "verify-output-snapshots",
+            "verify-output-mesh-tables", "study-output-formats",
+            "study-output-snapshots", "study-output-mesh-tables"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created
@@ -308,19 +345,28 @@ class TestConfigValidation:
         assert_config_error(code, capsys, message)
         assert not out.exists()
 
-    @pytest.mark.parametrize("where", ["out", "out-below", "directory"])
+    @pytest.mark.parametrize("where", ["out", "out-below"])
     def test_exit_code_2_on_uncreatable_output_directory(
             self, tmp_path, capsys, where):
         blocker = tmp_path / "file"
         blocker.write_text("")
         path = tmp_path / "c.yaml"
-        path.write_text(_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
-                        f"output: {{directory: {blocker}}}\n")
-        extra = {"out": ["--out", str(blocker)],
-                 "out-below": ["--out", str(blocker / "sub")],
-                 "directory": []}[where]
-        code = main(["run", "--config", str(path), *extra])
+        path.write_text(_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n")
+        out = {"out": blocker, "out-below": blocker / "sub"}[where]
+        code = main(["run", "--config", str(path), "--out", str(out)])
         assert_config_error(code, capsys, "cannot create output directory")
+
+    def test_levels_flag_is_unknown(self, tmp_path, capsys):
+        # study.levels is the one way to set the depth of a study
+        path = tmp_path / "c.yaml"
+        path.write_text("problem: {preset: gyre}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--config", str(path), "--out", str(out),
+                  "--levels", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --levels 3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_study_mesh_error_is_config_error(self, tmp_path, capsys,
                                               monkeypatch):
@@ -400,11 +446,12 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         assert "overall: PASS" in (out / "summary.txt").read_text()
 
-    def test_rotating_patch_diagnostics(self, tmp_path):
+    def test_rotating_patch_diagnostics(self, tmp_path, capsys):
         path = run_config(tmp_path)
         out = tmp_path / "out"
         code = main(["run", "--config", path, "--out", str(out)])
         assert code == 0
+        assert_stdout_is_summary(capsys, out)
         rows = diagnostics_rows(out)
         assert len(rows) == 5  # one row per step
         assert all(r["oseen_method"] == "gmres"
@@ -494,6 +541,32 @@ class TestRunCommand:
             assert (out_a / name).read_bytes() == \
                 (out_b / name).read_bytes(), name
 
+    def test_blas_threads_bit_identical(self, tmp_path):
+        # the patch demo writes the same bytes under one and two OpenBLAS
+        # threads; a thread count is read when BLAS loads, so each run is
+        # its own process
+        with open(os.path.join(DEMO_CONFIGS, "patch_run.yaml")) as fh:
+            data = yaml.safe_load(fh)
+        data["time"]["t_end"] = 0.2  # 20 steps, three snapshots
+        path = write_config(tmp_path / "patch.yaml", data)
+        src = str(pathlib.Path(macflow.__file__).parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            outs.append(tmp_path / f"threads-{threads}")
+            subprocess.run([sys.executable, "-m", "macflow.cli", "run",
+                            "--config", path, "--out", str(outs[-1])],
+                           env=env, check=True, capture_output=True,
+                           timeout=300)
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert "mesh_tables.csv" in names and "fields_0002.vtk" in names
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
     def test_snapshot_cadence(self, tmp_path):
         path = run_config(tmp_path, output={"formats": ["csv"],
                                             "snapshots": 2})
@@ -538,6 +611,30 @@ class TestRunCommand:
         assert "INTERRUPTED: transport solve: LU failed: " in summary
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "LU failed" in err
+
+    # the overflowing preset field, and its inf times 0, are the input
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_before_first_step_writes_summary(self, tmp_path,
+                                                      capsys):
+        # an amplitude of 1e308 overflows the initial velocity: no step is
+        # measured, so the summary has the step count, the interruption
+        # and the verdict, and no gate lines
+        path = run_config(
+            tmp_path, mesh={"domain": [[0, 1], [0, 1]], "cells": [4, 4]},
+            time={"t_end": 0.01, "dt": 0.005},
+            problem={"preset": "gyre", "params": {"amplitude": 1.0e+308}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        assert os.listdir(out) == ["summary.txt"]
+        summary = (out / "summary.txt").read_text()
+        assert [ln for ln in summary.splitlines()
+                if not ln.startswith("#")] == [
+            "steps completed: 0 of 2",
+            "INTERRUPTED: initial velocity is not finite",
+            "overall: FAIL"]
+        err = capsys.readouterr().err
+        assert err == ("run failed before the first step: initial velocity "
+                       "is not finite\n")
 
     def test_interrupted_density_guard_fails(self, tmp_path, monkeypatch):
         # a step that breaks the density bounds leaves no diagnostics: its
@@ -623,6 +720,7 @@ class TestVerifyCommand:
         summary = (out / "summary.txt").read_text()
         assert "overall: PASS" in summary
         assert "inf-sup constant" in summary
+        assert_stdout_is_summary(capsys, out)
 
     def test_deterministic_across_invocations(self, tmp_path):
         path = write_config(tmp_path / "v.yaml",
@@ -648,6 +746,7 @@ class TestStudyCommand:
         assert "# passed: True" in text
         summary = (out / "summary.txt").read_text()
         assert "overall: PASS" in summary
+        assert_stdout_is_summary(capsys, out)
 
     def test_exact_levels_report_inf_factors(self, tmp_path):
         # the rest preset is reproduced exactly: every error is 0, so
@@ -662,17 +761,3 @@ class TestStudyCommand:
         assert "velocity reduction factors: inf, inf\n" in summary
         assert "density reduction factors: inf, inf\n" in summary
         assert "overall: PASS" in summary
-
-    def test_levels_flag_overrides(self, tmp_path):
-        path = write_config(tmp_path / "s.yaml", {
-            "problem": {"preset": "gyre"},
-            "study": {"levels": 4, "base_cells": 8, "t_end": 0.04,
-                      "base_dt": 0.01},
-        })
-        out = tmp_path / "out"
-        code = main(["study", "--config", path, "--out", str(out),
-                     "--levels", "3"])
-        assert code == 0
-        rows = [ln for ln in (out / "convergence.csv").read_text()
-                .splitlines() if ln and not ln.startswith("#")]
-        assert len(rows) == 1 + 3
