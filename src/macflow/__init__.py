@@ -40,11 +40,11 @@ from .presets import (ProblemSetup, available_presets, get_preset,
                       manufactured_forcing)
 from .verify import (ConvergenceReport, IdentityReport, TranslateReport,
                      check_adjointness, check_coercivity, check_duality,
-                     check_kinetic, collect_diagnostics, convergence_study,
-                     infsup_health, measure_convection_bound,
-                     measure_translates, project_divergence_free,
-                     write_convergence_csv, write_diagnostics_csv,
-                     write_identity_reports, write_translate_csv)
+                     collect_diagnostics, convergence_study, infsup_health,
+                     measure_convection_bound, measure_translates,
+                     project_divergence_free, write_convergence_csv,
+                     write_diagnostics_csv, write_identity_reports,
+                     write_translate_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

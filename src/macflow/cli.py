@@ -40,7 +40,8 @@ from .grid import (MeshValidationError, build_mesh, build_uniform_mesh,
                    dump_mesh_tables, graded_coords)
 from .fields import scalar_to_csv, velocity_to_csv, write_vtk
 from .presets import available_presets, get_preset
-from .timestepper import InvariantViolation, SchemeConfig, run, time_steps
+from .timestepper import (InvariantViolation, SchemeConfig, initialize, run,
+                          time_steps)
 from .linsolve import SolverFailure
 from . import verify
 from .ioutil import config_hash, format_float, write_summary
@@ -314,6 +315,10 @@ def cmd_run(cfg, out_dir, seed) -> int:
         n_steps = time_steps(mesh, problem, scheme)[0]
     except ValueError as exc:
         raise ConfigError(f"'time': {exc}") from None
+    try:  # run projects the same data again, so it reaches its first step
+        initialize(mesh, problem)
+    except InvariantViolation as exc:
+        raise ConfigError(f"'problem': {exc}") from None
     hash_value = config_hash(cfg)
     _create_output_directory(out_dir)
 
@@ -321,16 +326,11 @@ def cmd_run(cfg, out_dir, seed) -> int:
     try:
         result = run(mesh, problem, scheme)
     except (InvariantViolation, SolverFailure) as exc:
-        interrupted, result = exc, getattr(exc, "partial", None)
-        stage = ("interrupted" if result is not None
-                 else "failed before the first step")
-        print(f"run {stage}: {exc}", file=sys.stderr)
-    steps = 0 if result is None else len(result.diagnostics)
-    head = [f"steps completed: {steps} of {n_steps}"]
+        interrupted, result = exc, exc.partial
+        print(f"run interrupted: {exc}", file=sys.stderr)
+    head = [f"steps completed: {len(result.diagnostics)} of {n_steps}"]
     if interrupted:
         head.append(f"INTERRUPTED: {interrupted}")
-    if result is None:  # no step was measured, so no gate lines
-        return _report(out_dir, "run-summary", hash_value, seed, head, False)
 
     record = verify.collect_diagnostics(result, interrupted)
     verify.write_diagnostics_csv(record,

@@ -257,24 +257,35 @@ def scalar_to_csv(field: ScalarField, path, cfg_hash=None, extra=None):
 
 
 def _table_rows(path, columns) -> list:
-    """The data rows of a CSV table whose header starts with ``columns``."""
+    """The data rows of a CSV table whose header starts with ``columns``,
+    each a tuple of its first ``len(columns)`` cells: integers, then one
+    float.  Every row has one cell per header column."""
     with open(path, newline="") as fh:
-        header, *rows = csv.reader(line for line in fh
-                                   if not line.startswith("#"))
+        header, *rows = list(csv.reader(line for line in fh
+                                        if not line.startswith("#"))) or [[]]
     if header[:len(columns)] != columns:
         raise ValueError(f"{path}: unexpected CSV header {header}")
-    return rows
+    n = len(columns) - 1  # integer cells before the value
+    parsed = []
+    for row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, not {len(header)}")
+            parsed.append((*map(int, row[:n]), float(row[n])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed row {row}: {exc}") from None
+    return parsed
 
 
 def _by_id(path, what, rows, n) -> np.ndarray:
     """The values of (id, value) ``rows`` placed at their ids, which must
     be 0..n-1, once each."""
-    ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
-    if not np.array_equal(np.sort(ids), np.arange(n)):
+    ids = [row[0] for row in rows]
+    if sorted(ids) != list(range(n)):
         raise ValueError(f"{path}: {what} needs ids 0..{n - 1}, each once "
-                         f"({ids.size} rows)")
+                         f"({len(ids)} rows)")
     out = np.empty(n)
-    out[ids] = [float(row[1]) for row in rows]
+    out[ids] = [row[1] for row in rows]
     return out
 
 
@@ -293,12 +304,11 @@ def velocity_to_csv(u: VelocityField, path, cfg_hash=None, extra=None):
 
 def velocity_from_csv(mesh: MacMesh, path) -> VelocityField:
     parts = [[] for _ in range(mesh.dim)]
-    for row in _table_rows(path, ["direction", "id", "value"]):
-        i = int(row[0])
+    for i, *row in _table_rows(path, ["direction", "id", "value"]):
         if not 0 <= i < mesh.dim:
             raise ValueError(f"{path}: direction {i} outside "
                              f"0..{mesh.dim - 1}")
-        parts[i].append(row[1:])
+        parts[i].append(row)
     return VelocityField(mesh, [
         _by_id(path, f"component {i}", part, fs.count)
         for i, (part, fs) in enumerate(zip(parts, mesh.faces))])

@@ -151,12 +151,15 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
     """Project the initial data: cell means for the density, face means
     for the velocity (exterior faces zeroed by the wall condition).
 
-    A non-finite projected density or velocity is rejected.  When the
-    problem declares density bounds the projected density must lie inside
-    them (cell means are convex combinations of point values, so a
+    A non-finite projected density or velocity is rejected; the
+    projections may overflow on the way there, and do so silently.  When
+    the problem declares density bounds the projected density must lie
+    inside them (cell means are convex combinations of point values, so a
     violation means inconsistent initial data) and is rejected too.
     """
-    rho = cell_average(mesh, problem.rho0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = cell_average(mesh, problem.rho0)
+        u = fortin_interpolate(mesh, problem.u0)
     if not np.isfinite(rho.values).all():
         raise InvariantViolation("initial density is not finite")
     bounds = getattr(problem, "rho_bounds", None)
@@ -166,7 +169,6 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
             raise InvariantViolation(
                 f"initial density range ({rho.min():.6g}, {rho.max():.6g}) "
                 f"violates declared bounds {bounds}")
-    u = fortin_interpolate(mesh, problem.u0)
     if not all(np.isfinite(c).all() for c in u.components):
         raise InvariantViolation("initial velocity is not finite")
     return SchemeState(t=0.0, index=0, rho=rho, u=u, p=None)

@@ -4,9 +4,9 @@ measurements, and refinement studies.
 Three kinds of checks live here:
 
 * machine-precision identities of the discrete operators (duality pairing,
-  gradient/divergence adjointness, diffusion coercivity and symmetry, the
-  per-face kinetic energy balance): random inputs, residuals compared
-  against absolute thresholds around 1e-12;
+  gradient/divergence adjointness, diffusion coercivity and symmetry):
+  random inputs, the worst residual compared against an absolute
+  threshold around 1e-12, and a NaN residual fails;
 * bounded-quantity trackers (velocity energy norms, convection trilinear
   ratios, the saddle-point inf-sup constant by sparse LOBPCG): reported
   and compared across meshes, no universal constant asserted;
@@ -33,8 +33,7 @@ from . import operators as ops
 from .linsolve import (SolverFailure, assemble_divergence,
                        assemble_gradient, checked_residual, component_solver,
                        factor, pinned_poisson)
-from .timestepper import (RunResult, SchemeConfig, StepDiagnostics,
-                          face_balances, run)
+from .timestepper import RunResult, SchemeConfig, StepDiagnostics, run
 from .ioutil import write_table
 
 # LOBPCG residual tolerance and iteration cap of the inf-sup monitor.
@@ -69,6 +68,15 @@ def _random_velocity(mesh, rng):
                                 for i in range(mesh.dim)])
 
 
+def _worst(values: list) -> float:
+    """Largest of ``values``, 0.0 when there are none.
+
+    A NaN among them is the result (Python's ``max`` would drop it), so
+    it fails any tolerance ``worst <= tol``, as in the run's gates.
+    """
+    return float(np.max(values)) if values else 0.0
+
+
 def check_duality(mesh: MacMesh, trials: int = 100, seed: int = 0,
                   tol: float = 1e-12) -> IdentityReport:
     """Dual divergence tested against a velocity equals the diamond-volume
@@ -77,10 +85,8 @@ def check_duality(mesh: MacMesh, trials: int = 100, seed: int = 0,
     Checked per direction on random (density, velocity, test velocity)
     triples; the residual is relative to the magnitude of the two sides.
     """
-    if min(mesh.cells) < 1:
-        raise ValueError("mesh must have at least one cell per direction")
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for _ in range(trials):
         rho = _random_scalar(mesh, rng)
         v = _random_velocity(mesh, rng)
@@ -94,7 +100,8 @@ def check_duality(mesh: MacMesh, trials: int = 100, seed: int = 0,
                 mesh, i, ops.flux_reconstruction(mesh, fluxes, i),
                 ops.dual_gradient(mesh, i, w))
             scale = max(1.0, abs(lhs), abs(rhs))
-            worst = max(worst, abs(lhs - rhs) / scale)
+            residuals.append(abs(lhs - rhs) / scale)
+    worst = _worst(residuals)
     return IdentityReport("duality identity", trials, worst, tol,
                           worst <= tol)
 
@@ -104,7 +111,7 @@ def check_adjointness(mesh: MacMesh, trials: int = 100, seed: int = 0,
     """Pressure gradient is minus the transpose of the velocity divergence
     under the volume-weighted inner products."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for _ in range(trials):
         p = ScalarField(mesh, rng.standard_normal(mesh.n_cells))
         v = _random_velocity(mesh, rng)
@@ -113,7 +120,8 @@ def check_adjointness(mesh: MacMesh, trials: int = 100, seed: int = 0,
         g = ops.grad_pressure(mesh, p)
         b = sum(float((mesh.faces[i].dvol * g[i]) @ v.components[i])
                 for i in range(mesh.dim))
-        worst = max(worst, abs(a + b) / max(1.0, abs(a), abs(b)))
+        residuals.append(abs(a + b) / max(1.0, abs(a), abs(b)))
+    worst = _worst(residuals)
     return IdentityReport("gradient/divergence adjointness", trials, worst,
                           tol, worst <= tol)
 
@@ -124,16 +132,16 @@ def check_coercivity(mesh: MacMesh, trials: int = 100, seed: int = 0,
     """Minus the diffusion operator tested against its own argument equals
     the squared discrete H1 norm; the assembled matrix is symmetric."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    residuals = []
     for _ in range(trials):
         v = _random_velocity(mesh, rng)
         lap = ops.laplacian_apply(mesh, v)
         a = -sum(float((mesh.faces[i].dvol * lap[i]) @ v.components[i])
                  for i in range(mesh.dim))
         b = norm_h1_squared(v)
-        worst = max(worst, abs(a - b) / max(1.0, abs(a), abs(b)))
+        residuals.append(abs(a - b) / max(1.0, abs(a), abs(b)))
 
-    asym = 0.0
+    asymmetries = []
     definite = True
     for i in range(mesh.dim):
         mat = ops.diffusion_matrix(mesh, i)
@@ -141,36 +149,15 @@ def check_coercivity(mesh: MacMesh, trials: int = 100, seed: int = 0,
             continue
         scale = max(1.0, abs(mat).max())
         diff = abs(mat - mat.T)
-        asym = max(asym, (diff.max() / scale) if diff.nnz else 0.0)
+        asymmetries.append((diff.max() / scale) if diff.nnz else 0.0)
         vec = rng.standard_normal(mat.shape[0])
         definite = definite and float(vec @ (mat @ vec)) > 0.0
+    worst, asym = _worst(residuals), _worst(asymmetries)
     passed = worst <= tol and asym <= symmetry_tol and definite
     return IdentityReport(
         "diffusion coercivity and symmetry", trials, worst, tol, passed,
         extras={"matrix_asymmetry": asym, "symmetry_tol": symmetry_tol,
                 "positive_definite": definite})
-
-
-def check_kinetic(mesh: MacMesh, before, after, dt: float,
-                  forcing_arrays=None, tol: float = 1e-9) -> IdentityReport:
-    """Per-face kinetic energy balance between two consecutive states.
-
-    Rebuilds the step's upwind mass fluxes and dual densities from the two
-    states and evaluates :func:`macflow.timestepper.face_balances`, the
-    balance the run diagnostics record: the residual is relative to the
-    momentum right-hand side, and the remainder must be nonpositive.
-    """
-    fluxes = ops.upwind_face_flux(mesh, after.rho, before.u)
-    bal = face_balances(mesh, dt, fluxes, ops.dual_density(mesh, before.rho),
-                        ops.dual_density(mesh, after.rho), before.u, after.u,
-                        after.p, forcing_arrays)
-    rel = bal["kinetic_resid"]
-    remainder_max = bal["kinetic_remainder_max"]
-    nonpositive = remainder_max <= 0.0
-    return IdentityReport(
-        "kinetic energy balance", 1, rel, tol, rel <= tol and nonpositive,
-        extras={"remainder_max": remainder_max,
-                "remainder_nonpositive": nonpositive})
 
 
 # -- run-level records ---------------------------------------------------------
@@ -207,8 +194,7 @@ def collect_diagnostics(result: RunResult,
         values = [getattr(d, name) for d in steps]
         if getattr(stopped, "field", None) == name:
             values.append(stopped.value)
-        # np.max, unlike max, carries a NaN through
-        worst[name] = float(np.max(values)) if values else 0.0
+        worst[name] = _worst(values)
 
     h1_sq_sum = 0.0
     linf_l2 = float(np.max([norm_lp_dual(result.trajectory.u[0], 2)]

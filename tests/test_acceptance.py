@@ -38,6 +38,12 @@ def report(num, name, passed, detail):
     assert passed, line
 
 
+def worst_of(values):
+    """Largest of ``values``; unlike Python's ``max``, a NaN among them is
+    the result, so it fails every criterion."""
+    return float(np.max(list(values)))
+
+
 def battery_meshes():
     return [
         ("uniform-2d", build_uniform_mesh([[0, 1], [0, 1]], (5, 4))),
@@ -90,10 +96,9 @@ def translate_run():
 
 def test_criterion_01_duality_identity():
     start = time.perf_counter()
-    worst = 0.0
-    for _, mesh in battery_meshes():
-        rep = verify.check_duality(mesh, trials=100, seed=7, tol=1e-12)
-        worst = max(worst, rep.max_residual)
+    worst = worst_of(verify.check_duality(mesh, trials=100, seed=7,
+                                          tol=1e-12).max_residual
+                     for _, mesh in battery_meshes())
     elapsed = time.perf_counter() - start
     report(1, "duality identity, 100 random triples x 4 meshes",
            worst <= 1e-12 and elapsed < 5.0,
@@ -102,10 +107,9 @@ def test_criterion_01_duality_identity():
 
 def test_criterion_02_adjointness():
     start = time.perf_counter()
-    worst = 0.0
-    for _, mesh in battery_meshes():
-        rep = verify.check_adjointness(mesh, trials=100, seed=8, tol=1e-12)
-        worst = max(worst, rep.max_residual)
+    worst = worst_of(verify.check_adjointness(mesh, trials=100, seed=8,
+                                              tol=1e-12).max_residual
+                     for _, mesh in battery_meshes())
     elapsed = time.perf_counter() - start
     report(2, "gradient/divergence adjointness, 100 random pairs x 4 meshes",
            worst <= 1e-12 and elapsed < 2.0,
@@ -113,15 +117,12 @@ def test_criterion_02_adjointness():
 
 
 def test_criterion_03_coercivity_and_symmetry():
-    worst = 0.0
-    worst_asym = 0.0
-    definite = True
-    for _, mesh in battery_meshes():
-        rep = verify.check_coercivity(mesh, trials=100, seed=9, tol=1e-12,
-                                      symmetry_tol=1e-13)
-        worst = max(worst, rep.max_residual)
-        worst_asym = max(worst_asym, rep.extras["matrix_asymmetry"])
-        definite = definite and rep.extras["positive_definite"]
+    reps = [verify.check_coercivity(mesh, trials=100, seed=9, tol=1e-12,
+                                    symmetry_tol=1e-13)
+            for _, mesh in battery_meshes()]
+    worst = worst_of(rep.max_residual for rep in reps)
+    worst_asym = worst_of(rep.extras["matrix_asymmetry"] for rep in reps)
+    definite = all(rep.extras["positive_definite"] for rep in reps)
     report(3, "diffusion coercivity equals H1 norm; matrix symmetric",
            worst <= 1e-12 and worst_asym <= 1e-13 and definite,
            f"worst residual {worst:.3e} <= 1e-12, "
@@ -131,7 +132,7 @@ def test_criterion_03_coercivity_and_symmetry():
 # -- long-run invariants (criteria 4-7) ----------------------------------------
 
 def test_criterion_04_density_bounds_and_decay(patch_run):
-    worst = max(d.bound_violation for d in patch_run.diagnostics)
+    worst = worst_of(d.bound_violation for d in patch_run.diagnostics)
     l2 = [d.rho_l2 for d in patch_run.diagnostics]
     monotone = all(l2[k + 1] <= l2[k] * (1 + 1e-12)
                    for k in range(len(l2) - 1))
@@ -143,16 +144,16 @@ def test_criterion_04_density_bounds_and_decay(patch_run):
 
 def test_criterion_05_dual_mass_balance(patch_run):
     tol = 10 * patch_run.config.transport_tol
-    worst = max(d.mass_dual_resid for d in patch_run.diagnostics)
+    worst = worst_of(d.mass_dual_resid for d in patch_run.diagnostics)
     report(5, "face control-volume mass balance each step",
            worst <= tol, f"worst residual {worst:.3e} <= {tol:.1e}")
 
 
 def test_criterion_06_kinetic_identity(patch_run):
     tol = 10 * patch_run.config.oseen_tol
-    worst = max(d.kinetic_resid for d in patch_run.diagnostics)
-    worst_remainder = max(d.kinetic_remainder_max
-                          for d in patch_run.diagnostics)
+    worst = worst_of(d.kinetic_resid for d in patch_run.diagnostics)
+    worst_remainder = worst_of(d.kinetic_remainder_max
+                               for d in patch_run.diagnostics)
     report(6, "kinetic energy identity each step, nonpositive remainder",
            worst <= tol and worst_remainder <= 0.0,
            f"worst residual {worst:.3e} <= {tol:.1e}, "
@@ -160,7 +161,7 @@ def test_criterion_06_kinetic_identity(patch_run):
 
 
 def test_criterion_07_divergence_free(patch_run):
-    worst = max(d.div_l2 for d in patch_run.diagnostics)
+    worst = worst_of(d.div_l2 for d in patch_run.diagnostics)
     report(7, "velocity divergence each step",
            worst <= 1e-9, f"worst L2 divergence {worst:.3e} <= 1e-9")
 
@@ -222,7 +223,7 @@ def test_criterion_11_saddle_matches_dense():
     p_ref = p_ref - (mesh.cell_volume @ p_ref) / mesh.volume
 
     u, p, _ = solve_oseen(system)
-    worst = max(float(np.abs(u.pack_interior() - sol[:n_u]).max()),
-                float(np.abs(p.values - p_ref).max()))
+    worst = worst_of([np.abs(u.pack_interior() - sol[:n_u]).max(),
+                      np.abs(p.values - p_ref).max()])
     report(11, "one-step saddle solve matches dense reference on 8x8",
            worst <= 1e-10, f"max |difference| {worst:.3e} <= 1e-10")

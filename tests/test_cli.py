@@ -612,29 +612,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "LU failed" in err
 
-    # the overflowing preset field, and its inf times 0, are the input
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failure_before_first_step_writes_summary(self, tmp_path,
-                                                      capsys):
-        # an amplitude of 1e308 overflows the initial velocity: no step is
-        # measured, so the summary has the step count, the interruption
-        # and the verdict, and no gate lines
+    def test_non_finite_initial_data_is_config_error(self, tmp_path,
+                                                     capsys):
+        # an amplitude of 1e308 overflows the projected initial velocity:
+        # the run is rejected before --out is created, with no warning
+        # from the overflow (the suite turns warnings into errors)
         path = run_config(
             tmp_path, mesh={"domain": [[0, 1], [0, 1]], "cells": [4, 4]},
             time={"t_end": 0.01, "dt": 0.005},
             problem={"preset": "gyre", "params": {"amplitude": 1.0e+308}})
         out = tmp_path / "out"
-        assert main(["run", "--config", path, "--out", str(out)]) == 1
-        assert os.listdir(out) == ["summary.txt"]
-        summary = (out / "summary.txt").read_text()
-        assert [ln for ln in summary.splitlines()
-                if not ln.startswith("#")] == [
-            "steps completed: 0 of 2",
-            "INTERRUPTED: initial velocity is not finite",
-            "overall: FAIL"]
-        err = capsys.readouterr().err
-        assert err == ("run failed before the first step: initial velocity "
-                       "is not finite\n")
+        assert_config_error(
+            main(["run", "--config", path, "--out", str(out)]), capsys,
+            "'problem': initial velocity is not finite")
+        assert not out.exists()
 
     def test_interrupted_density_guard_fails(self, tmp_path, monkeypatch):
         # a step that breaks the density bounds leaves no diagnostics: its

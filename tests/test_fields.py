@@ -1,6 +1,7 @@
 """Field containers, projections, norms, and file round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,32 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("direction,id,value\n" + "\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="component 0 needs ids 0..5"):
+            velocity_from_csv(mesh, path)
+
+    # files from outside the program: each differs from a good 2x2 file
+    # in one row, and the error names the file
+    @pytest.mark.parametrize("tail", ["3", "3,4.0\n", "3,4.0,5.0",
+                                      "x,4.0", "3,four",
+                                      "99999999999999999999,4.0"],
+                             ids=["short-row", "blank-line", "extra-cell",
+                                  "bad-id", "bad-value", "huge-id"])
+    def test_scalar_malformed_row(self, tmp_path, tail):
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], (2, 2))
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,value\n0,1.0\n1,2.0\n2,3.0\n{tail}\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            scalar_from_csv(mesh, path)
+
+    @pytest.mark.parametrize("row", ["x,0,0.0", "0,1", "0,1,1.0,2.0", ""],
+                             ids=["bad-direction", "short-row", "extra-cell",
+                                  "blank-line"])
+    def test_velocity_malformed_row(self, tmp_path, row):
+        mesh = build_uniform_mesh([[0, 1], [0, 1]], (2, 2))
+        rows = [f"{i},{k},1.0" for i in range(2) for k in range(6)]
+        rows[1] = row
+        path = tmp_path / "bad.csv"
+        path.write_text("direction,id,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             velocity_from_csv(mesh, path)
 
     def test_velocity_direction_checked(self, tmp_path):

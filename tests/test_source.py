@@ -235,12 +235,10 @@ def test_dual_table_guard_sees_family_tables():
 # The run's gates: one table, SchemeConfig.gates, pairs each summary label
 # with its StepDiagnostics field and its tolerance; the step guards, the
 # run record and the summary read it, so no label or tenfold tolerance is
-# spelled anywhere else.  check_kinetic's identity battery reports the
-# balance the kinetic gate reads, under the same name.
+# spelled anywhere else.
 GATE_LABELS = {"density bounds", "velocity divergence", "dual mass balance",
                "kinetic energy balance"}
-GATE_HOMES = {("timestepper.py", "SchemeConfig", "gates"),
-              ("verify.py", None, "check_kinetic")}
+GATE_HOMES = {("timestepper.py", "SchemeConfig", "gates")}
 
 
 def _tenfold_tolerance(node):
@@ -279,8 +277,6 @@ def test_one_table_of_gates():
     table = [use[3] for use in found if use[:3] == ("timestepper.py",
                                                     "SchemeConfig", "gates")]
     assert sorted(table) == sorted([*GATE_LABELS, "10 *", "10 *"])
-    assert [use[3] for use in found if use[2] == "check_kinetic"] == [
-        "kinetic energy balance"]
 
 
 def test_gate_guard_sees_misplaced_spellings():

@@ -14,9 +14,9 @@ from macflow.fields import VelocityField, norm_lp_dual
 from macflow.linsolve import (SaddleSolver, SolverFailure,
                               assemble_divergence, factor)
 from macflow.presets import get_preset
-from macflow.timestepper import (SchemeConfig, SchemeState,
-                                 StepDiagnostics, initialize, run, step)
-from macflow import verify
+from macflow.timestepper import (SchemeConfig, StepDiagnostics, initialize,
+                                 run, step)
+from macflow import timestepper, verify
 
 from conftest import graded_mesh
 
@@ -45,6 +45,12 @@ def gyre_run(n=16, dt=0.005, t_end=0.1):
                SchemeConfig(dt=dt, t_end=t_end, store_every=1)), problem
 
 
+def kinetic_gate(cfg):
+    """Tolerance of the kinetic energy balance gate of ``cfg``."""
+    [tol] = [tol for _, name, tol in cfg.gates() if name == "kinetic_resid"]
+    return tol
+
+
 class TestIdentityBatteries:
     def test_all_pass_on_any_mesh(self, any_mesh):
         assert verify.check_duality(any_mesh, trials=10, seed=0).passed
@@ -57,6 +63,34 @@ class TestIdentityBatteries:
         assert line.startswith("[PASS]") or line.startswith("[FAIL]")
         assert "max residual" in line
 
+    # each battery with a NaN from one operator call in one trial, and
+    # the NaN spelled in the operator's return type
+    @pytest.mark.parametrize("check, operator, poison", [
+        (verify.check_duality, "dual_pairing", lambda out: math.nan),
+        (verify.check_adjointness, "div_velocity",
+         lambda out: out * math.nan),
+        (verify.check_coercivity, "laplacian_apply",
+         lambda out: [c * math.nan for c in out]),
+    ], ids=["duality", "adjointness", "coercivity"])
+    def test_nan_residual_fails(self, mesh2_graded, monkeypatch, check,
+                                operator, poison):
+        # the third call is in the second trial of duality (two calls a
+        # trial in 2D) and in the third of the others; Python's max would
+        # keep the finite worst of the other trials and pass
+        calls, real = [], getattr(ops, operator)
+
+        def nan_on_third_call(*args):
+            calls.append(None)
+            out = real(*args)
+            return poison(out) if len(calls) == 3 else out
+
+        monkeypatch.setattr(ops, operator, nan_on_third_call)
+        rep = check(mesh2_graded, trials=5, seed=0)
+        assert len(calls) >= 5
+        assert math.isnan(rep.max_residual)
+        assert not rep.passed
+        assert rep.line().startswith("[FAIL]")
+
     def test_detects_broken_identity(self, mesh2_uniform):
         # sanity: the checker fails when handed an absurd tolerance
         rep = verify.check_duality(mesh2_uniform, trials=5, seed=2,
@@ -66,37 +100,37 @@ class TestIdentityBatteries:
 
 
 class TestKineticCheck:
+    """The kinetic energy balance has one evaluation, in the step, and one
+    judge, the kinetic gate of SchemeConfig.gates."""
+
     def test_consecutive_states(self):
-        result, problem = gyre_run(t_end=0.02)
-        mesh = result.mesh
-        traj = result.trajectory
-        before = SchemeState(t=traj.times[0], index=0, rho=traj.rho[0],
-                             u=traj.u[0])
-        after = SchemeState(t=traj.times[1], index=1, rho=traj.rho[1],
-                            u=traj.u[1], p=traj.p[1])
-        f = problem.forcing(mesh, traj.times[1])
-        rep = verify.check_kinetic(mesh, before, after, result.dt,
-                                   forcing_arrays=f)
-        assert rep.passed
-        assert rep.extras["remainder_nonpositive"]
-        assert rep.max_residual < 1e-12
+        result, _ = gyre_run(t_end=0.02)
+        first = result.diagnostics[0]
+        assert first.step == 1
+        assert first.kinetic_resid < 1e-12
+        assert first.kinetic_remainder_max <= 0.0
 
     def test_detects_perturbed_velocity(self):
+        # the step's balance rebuilt from its first two states reads the
+        # step's own residual; with one interior face of the new velocity
+        # moved by 1e-6 it is far outside the kinetic gate
         result, problem = gyre_run(t_end=0.02)
         mesh = result.mesh
         traj = result.trajectory
-        before = SchemeState(t=traj.times[0], index=0, rho=traj.rho[0],
-                             u=traj.u[0])
+        fluxes = ops.upwind_face_flux(mesh, traj.rho[1], traj.u[0])
+
+        def kinetic_resid(u_new):
+            return timestepper.face_balances(
+                mesh, result.dt, fluxes, ops.dual_density(mesh, traj.rho[0]),
+                ops.dual_density(mesh, traj.rho[1]), traj.u[0], u_new,
+                traj.p[1], problem.forcing(mesh, traj.times[1])
+            )["kinetic_resid"]
+
+        assert kinetic_resid(traj.u[1]) == result.diagnostics[0].kinetic_resid
         u = traj.u[1].copy()
         fs = mesh.faces[0]
         u.components[0][fs.interior_idx[fs.n_interior // 2]] += 1e-6
-        after = SchemeState(t=traj.times[1], index=1, rho=traj.rho[1],
-                            u=u, p=traj.p[1])
-        f = problem.forcing(mesh, traj.times[1])
-        rep = verify.check_kinetic(mesh, before, after, result.dt,
-                                   forcing_arrays=f)
-        assert not rep.passed
-        assert rep.max_residual > rep.tolerance
+        assert kinetic_resid(u) > kinetic_gate(result.config)
 
     @pytest.mark.parametrize("preset, mesh", [
         ("gyre", build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (16, 16))),
@@ -105,21 +139,17 @@ class TestKineticCheck:
         ("gyre", graded_mesh((16, 16), seed=7)),
     ], ids=["gyre-16", "rotating-patch-16", "gyre-graded-16"])
     def test_matches_step_diagnostics(self, preset, mesh):
-        # the run diagnostics and the standalone check share one balance,
-        # so they agree to the last bit after every step
+        # every step's diagnostics pass the kinetic gate, with a
+        # nonpositive remainder, on uniform and graded meshes
         problem = get_preset(preset)
         cfg = SchemeConfig(dt=0.01, t_end=0.03)
+        tol = kinetic_gate(cfg)
         state = initialize(mesh, problem)
         saddle = SaddleSolver(mesh)
         for _ in range(3):
-            new, diag = step(saddle, state, cfg, forcing=problem.forcing)
-            rep = verify.check_kinetic(
-                mesh, state, new, cfg.dt,
-                forcing_arrays=problem.forcing(mesh, new.t))
-            assert rep.max_residual == diag.kinetic_resid
-            assert rep.extras["remainder_max"] == diag.kinetic_remainder_max
-            assert rep.passed
-            state = new
+            state, diag = step(saddle, state, cfg, forcing=problem.forcing)
+            assert diag.kinetic_resid <= tol
+            assert diag.kinetic_remainder_max <= 0.0
 
 
 class TestTranslates:
