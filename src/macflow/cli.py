@@ -315,8 +315,8 @@ def cmd_run(cfg, out_dir, seed) -> int:
         n_steps = time_steps(mesh, problem, scheme)[0]
     except ValueError as exc:
         raise ConfigError(f"'time': {exc}") from None
-    try:  # run projects the same data again, so it reaches its first step
-        initialize(mesh, problem)
+    try:  # the run starts from this state
+        state = initialize(mesh, problem)
     except InvariantViolation as exc:
         raise ConfigError(f"'problem': {exc}") from None
     hash_value = config_hash(cfg)
@@ -324,7 +324,7 @@ def cmd_run(cfg, out_dir, seed) -> int:
 
     interrupted = None
     try:
-        result = run(mesh, problem, scheme)
+        result = run(mesh, problem, scheme, state)
     except (InvariantViolation, SolverFailure) as exc:
         interrupted, result = exc, exc.partial
         print(f"run interrupted: {exc}", file=sys.stderr)

@@ -14,7 +14,8 @@ to zero volume-weighted mean afterwards.
 A time step solves the pinned saddle system by GMRES with a
 Cahouet-Chabard block preconditioner: one factorization per velocity
 component for the momentum block, and a variable-density pressure
-Poisson solve plus a pressure mass solve for the Schur complement.  Its
+Poisson solve plus a pressure mass solve for the Schur complement, which
+acts on pressures up to a constant and inverts the pin row exactly.  Its
 factors are exact LU (:func:`factor`) in 2D and incomplete LU
 (:func:`incomplete_factor`) in 3D, where exact fill grows fastest.  The
 GMRES loop is :func:`gmres`, plain restarted GMRES whose cycles aim at
@@ -102,8 +103,8 @@ REFRESH_GROWTH = 1.5
 ILU_DROP_TOL = 1e-3
 
 # Accepted saddle solutions whose span the next GMRES start is drawn from.
-# On the 32^2 rotating patch (100 steps of dt = 0.01) 4 of them took 810
-# Krylov iterations, 8 took 592 and 12 took 555, against 1516 from the
+# On the 32^2 rotating patch (100 steps of dt = 0.01) 4 of them took 643
+# Krylov iterations, 8 took 454 and 12 took 420, against 1215 from the
 # last solution alone.
 HISTORY = 8
 
@@ -599,9 +600,9 @@ class SaddleSolver:
     matrix (built once per mesh, on first use, with the divergence and
     diffusion blocks folded into its data), on which
     :func:`assemble_oseen` fills each step's matrix, the pressure mass
-    inverse ``M_p^-1`` (built once, zero at the pinned cell), and the
-    GMRES block preconditioner, whose factors are kept from one solve
-    to the next (:meth:`preconditioner`), built on first use and again:
+    inverse ``M_p^-1`` (built once), and the GMRES block preconditioner,
+    whose factors are kept from one solve to the next
+    (:meth:`preconditioner`), built on first use and again:
 
     * after a solve that fell back to ``direct``, since the preconditioner
       failed there;
@@ -626,7 +627,6 @@ class SaddleSolver:
         self._precond = None           # block preconditioner
         self._base_iterations = None   # first solve after factoring
         self._inv_mass_p = 1.0 / mesh.cell_volume
-        self._inv_mass_p[PINNED_CELL] = 0.0
         # solution k in row k % HISTORY; np.empty leaves the pages of
         # unused rows unwritten
         self._solutions = np.empty((HISTORY, mesh.n_unknowns + mesh.n_cells))
@@ -663,9 +663,21 @@ class SaddleSolver:
 
         with ``K = G^T diag(1/face_mass) G`` the variable-density pressure
         Poisson matrix (mass-dominated limit of ``A``) and ``M_p`` the
-        cell volumes (unit-viscosity limit).  ``K`` is pinned like the
-        saddle, and ``M_p^-1`` vanishes at the pinned cell.  The factors
-        of ``A`` and ``K`` are :func:`factor` in 2D and
+        cell volumes (unit-viscosity limit).  ``S`` acts on pressures
+        up to a constant, as the saddle does before its pin.  The apply
+        restores the pinned cell's continuity residual as minus the sum
+        of the others' (the column sums of ``div`` vanish, so that
+        equation is implied by the others), with which the pinned ``K``
+        solves the singular, now consistent Poisson equation up to a
+        constant, and then shifts the pressure so that its pinned entry
+        equals the pin row's residual: the pin row is inverted exactly.
+        A Schur inverse pinned like the saddle (the pin's residual fed to
+        ``K^-1``, ``M_p^-1`` zero at the pinned cell) put one eigenvalue
+        of ``P^-1`` times the saddle at ``1/dt`` and another at 0.22,
+        0.12 and 0.08 on the 16^2, 24^2 and 32^2 gyre (dt 0.005), on
+        which GMRES stalled for 4-5 iterations of every solve; without
+        them the spectrum lies in [0.55, 1] at 16^2.
+        The factors of ``A`` and ``K`` are :func:`factor` in 2D and
         :func:`incomplete_factor` in 3D.
 
         Kept factors come from an earlier step's system: they invert the
@@ -688,9 +700,12 @@ class SaddleSolver:
             n_u = grad.shape[0]
 
             def apply(r, out):
-                r_p, z_p = r[n_u:], out[n_u:]
+                r_p, z_p = r[n_u:].copy(), out[n_u:]
+                pin_residual, r_p[PINNED_CELL] = r_p[PINNED_CELL], 0.0
+                r_p[PINNED_CELL] = -r_p.sum()
                 np.divide(lu_k.solve(r_p), dt, out=z_p)
                 z_p += inv_mass_p * r_p
+                z_p += pin_residual - z_p[PINNED_CELL]
                 solve_u(r[:n_u] - grad @ z_p, out=out[:n_u])
 
             self._precond = apply
@@ -703,16 +718,18 @@ class SaddleSolver:
         over the span of the history, ``None`` (zero) while it is empty.
 
         The diagonal weight ``w`` stands in for the left preconditioner:
-        ``1/diag(A)`` on the momentum rows and ``M_p^-1`` (``1/|K|``,
-        zero on the pin's row) on the continuity rows.  Unweighted,
-        the worst divergence of the 32^2 rotating patch rose tenfold,
-        from 1.1e-14 to 1.0e-13.  LAPACK's least-squares solve (SVD)
-        fits ``c`` on the solutions as they are, and ``rcond=-1`` drops
-        only the directions whose singular values fall below machine
-        precision.  The solutions are nearly collinear: normal equations
-        on them square that conditioning, and on the patch run they were
-        exactly singular on 5 steps and took 1377 iterations, against 592
-        (651 at NumPy's default cut).
+        ``1/diag(A)`` on the momentum rows and ``M_p^-1`` (``1/|K|``) on
+        the pressure rows.  The pin row's fit residual is zero whatever
+        its weight: a GMRES solution from such a start keeps the pinned
+        pressure at exactly 0, since the preconditioner inverts the pin
+        row exactly.  Unweighted, the worst divergence of the 32^2
+        rotating patch rose seventyfold, from 1.1e-14 to 7.5e-13.
+        LAPACK's least-squares solve (SVD) fits ``c`` on the solutions as
+        they are, and ``rcond=-1`` drops only the directions whose
+        singular values fall below machine precision: the patch run takes
+        454 iterations, against 523 at NumPy's default cut.  The
+        solutions are nearly collinear, and normal equations on them,
+        which square that conditioning, are exactly singular on that run.
         """
         history = self.history
         if not history.size:

@@ -332,19 +332,23 @@ def time_steps(mesh: MacMesh, problem, cfg: SchemeConfig):
     return n_steps, dt
 
 
-def run(mesh: MacMesh, problem, cfg: SchemeConfig) -> RunResult:
+def run(mesh: MacMesh, problem, cfg: SchemeConfig,
+        state: SchemeState | None = None) -> RunResult:
     """Integrate from the projected initial data to ``cfg.t_end``.
 
-    When ``t_end`` is not an integer multiple of ``dt`` the step is
-    shrunk to the nearest exact divisor (:func:`time_steps`).  Snapshots
-    are stored every ``store_every`` steps (always including the first
-    and last states).  Every step shares one
+    ``state`` is that data when the caller has projected it already
+    (:func:`initialize` of ``mesh`` and ``problem``); by default the run
+    projects it.  When ``t_end`` is not an integer multiple of ``dt`` the
+    step is shrunk to the nearest exact divisor (:func:`time_steps`).
+    Snapshots are stored every ``store_every`` steps (always including
+    the first and last states).  Every step shares one
     :class:`~macflow.linsolve.SaddleSolver`.
     """
     n_steps, dt = time_steps(mesh, problem, cfg)
     cfg_eff = SchemeConfig(**{**cfg.__dict__, "dt": dt})
 
-    state = initialize(mesh, problem)
+    if state is None:
+        state = initialize(mesh, problem)
     bounds = (state.rho.min(), state.rho.max())
     result = RunResult(mesh=mesh, config=cfg_eff, dt=dt, n_steps=n_steps,
                        trajectory=Trajectory(mesh),

@@ -627,6 +627,21 @@ class TestRunCommand:
             "'problem': initial velocity is not finite")
         assert not out.exists()
 
+    def test_initial_data_projected_once(self, tmp_path, monkeypatch):
+        # the state that passed the check before --out is created is the
+        # one the run starts from
+        calls, project = [], timestepper.initialize
+
+        def counted(mesh, problem):
+            calls.append(problem.name)
+            return project(mesh, problem)
+
+        monkeypatch.setattr(timestepper, "initialize", counted)
+        monkeypatch.setattr(macflow.cli, "initialize", counted)
+        assert main(["run", "--config", run_config(tmp_path),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == ["rotating-patch"]
+
     def test_interrupted_density_guard_fails(self, tmp_path, monkeypatch):
         # a step that breaks the density bounds leaves no diagnostics: its
         # violation goes into the summary's worst
