@@ -36,8 +36,7 @@ from .timestepper import (InvariantViolation, RunResult, SchemeConfig,
                           SchemeState, StepDiagnostics, initialize,
                           kinetic_energy, run, step)
 from .presets import (ProblemSetup, available_presets, get_preset,
-                      make_gyre, make_rest, make_rotating_patch,
-                      manufactured_forcing)
+                      make_gyre, make_rest, make_rotating_patch)
 from .verify import (ConvergenceReport, IdentityReport, TranslateReport,
                      check_adjointness, check_coercivity, check_duality,
                      collect_diagnostics, convergence_study, infsup_health,

@@ -148,7 +148,15 @@ def build_mesh_from_config(cfg) -> "MacMesh":
         if len(domain) != len(cells):
             raise ConfigError("mesh.domain and mesh.cells disagree on the "
                               "number of directions")
-        return build_uniform_mesh(domain, cells)
+        try:
+            return build_uniform_mesh(domain, cells)
+        except MeshValidationError:
+            raise
+        except (ValueError, IndexError, MemoryError) as exc:
+            # numpy refuses a count it cannot size or allocate (its
+            # linspace fails with an IndexError for counts near 2**63)
+            raise ConfigError(f"'mesh.cells' {mesh_cfg['cells']} is too "
+                              f"large: {exc}") from None
     except MeshValidationError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from None
 

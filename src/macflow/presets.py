@@ -18,16 +18,15 @@ non-conservative ``rho (d_t u + u . grad u) - lap u + grad p``, written
 out from the profile's first three derivatives; it takes no derivative of
 the density, and equals the scheme's conservative form because the
 density is transported.  Every preset callable evaluates numpy
-expressions only.  :func:`manufactured_forcing` derives the same source
-symbolically, with a transport check, for fields given as sympy
-expressions.
+expressions only; the package does no symbolic algebra.
 
-sympy serves that function alone, and importing it costs about half the
-time and a third of the memory of ``import macflow``.  This module
-therefore registers ``sympy`` in ``sys.modules`` at import and runs its
-body on the first attribute access (``importlib.util.LazyLoader``): a run
-of a built-in preset never loads it, while ``import sympy`` and
-``sys.modules["sympy"].__version__`` still reach the one real module.
+Importing sympy costs about half the time and a third of the memory of
+``import macflow``, and the package never calls it.  This module still
+registers ``sympy`` in ``sys.modules`` at import, with its body run only on
+the first attribute access (``importlib.util.LazyLoader``), because
+``perfbench/workload.py`` records ``sys.modules["sympy"].__version__``: a
+run never loads it, while ``import sympy`` still reaches the one real
+module.
 
 Presets
 -------
@@ -64,7 +63,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import VelocityField, sample_at_faces
+from .fields import sample_at_faces
 from .grid import MacMesh
 
 
@@ -84,7 +83,8 @@ def _lazy_module(name):
     return module
 
 
-sym = _lazy_module("sympy")
+# registered only for perfbench, which reads sys.modules["sympy"].__version__
+_lazy_module("sympy")
 
 
 @dataclass
@@ -107,55 +107,6 @@ def _constant(value):
     def fn(*coords):
         return np.full_like(np.asarray(coords[0], dtype=float), value)
     return fn
-
-
-def _vanishes(expr) -> bool:
-    """Whether a symbolic expression is identically zero: first after
-    expanding its products, which settles polynomial cancellations
-    cheaply, and only then by the full ``simplify``."""
-    return sym.expand_mul(expr) == 0 or sym.simplify(expr) == 0
-
-
-def manufactured_forcing(space_symbols, time_symbol, rho_expr, u_exprs,
-                         p_expr):
-    """Momentum source ``rho (d_t u + u . grad u) - lap u + grad p`` that
-    makes the given symbolic fields an exact solution, sampled at the face
-    centers at the requested time (wall entries are zero).
-
-    The density expression must satisfy the continuous transport equation
-    ``d_t rho + div(rho u) = 0`` for the velocity expressions; this is
-    checked symbolically.  The source is exact because of that check:
-    the scheme's conservative terms ``d_t(rho u) + div(rho u (x) u)`` equal
-    ``rho (d_t u + u . grad u)`` plus ``u`` times the transport residual.
-    """
-    dim = len(u_exprs)
-    transport = sym.diff(rho_expr, time_symbol)
-    for j in range(dim):
-        transport += sym.diff(rho_expr * u_exprs[j], space_symbols[j])
-    if not _vanishes(transport):
-        raise ValueError(
-            "density expression does not satisfy the transport equation "
-            "for the given velocity")
-
-    f_exprs = []
-    for i in range(dim):
-        accel = sym.diff(u_exprs[i], time_symbol)
-        expr = sym.diff(p_expr, space_symbols[i])
-        for j in range(dim):
-            accel += u_exprs[j] * sym.diff(u_exprs[i], space_symbols[j])
-            expr -= sym.diff(u_exprs[i], space_symbols[j], 2)
-        f_exprs.append(rho_expr * accel + expr)
-
-    args = tuple(space_symbols) + (time_symbol,)
-    f_fns = [sym.lambdify(args, fi, modules="numpy") for fi in f_exprs]
-
-    def forcing(mesh: MacMesh, tv: float):
-        # a constant expression lambdifies to a scalar
-        return VelocityField(mesh, [
-            np.broadcast_to(f(*fs.center.T, tv), (fs.count,))
-            for f, fs in zip(f_fns, mesh.faces)]).components
-
-    return forcing
 
 
 def make_rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:

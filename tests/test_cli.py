@@ -202,6 +202,25 @@ class TestConfigValidation:
          "[[0.0, 1.0], [0.0, 1.0]] of 'problem.preset' 'gyre'"),
         (None, "cannot read"),
         (b"problem: {preset: gyre}\n# caf\xe9\n", "cannot read"),
+        (_RUNNABLE.replace("[8, 8]", "[1.0e+30, 4]")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'mesh.cells' [1e+30, 4] is too large"),
+        (_RUNNABLE.replace("[8, 8]", "[9223372036854775808, 4]")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'mesh.cells' [9223372036854775808, 4] is too large"),
+        ("", "missing configuration block"),
+        ("- 1\n- 2\n", "top level of the configuration must be a mapping"),
+        (_RUNNABLE + "time: {t_end: 0.02}\n",
+         "missing configuration key 'time.dt'"),
+        ("mesh: {domain: [[0, 1], [0, 1], [0, 1]], cells: [4, 4]}\n"
+         "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
+         "disagree on the number of directions"),
+        (_RUNNABLE.replace("{preset: gyre}", "{params: {amplitude: 0.1}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "missing configuration key 'problem.preset'"),
+        (_RUNNABLE.replace("{preset: gyre}", "{preset: gyre, params: [1]}")
+         + "time: {t_end: 0.02, dt: 0.01}\n",
+         "'problem.params' must be a mapping"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "overflowing-step-count", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -219,7 +238,10 @@ class TestConfigValidation:
             "directory-key", "list-preset", "mapping-preset",
             "text-mesh-tables", "overflowing-transport-scale",
             "integer-key", "patch-off-its-box", "gyre-off-its-box",
-            "directory-config", "latin1-config"])
+            "directory-config", "latin1-config", "unallocatable-cells",
+            "cells-near-2-to-63", "empty-file", "top-level-list",
+            "time-without-dt", "three-domain-pairs-two-cells",
+            "params-without-preset", "list-params"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -329,12 +351,15 @@ class TestConfigValidation:
          "'study' does not read block 'output'"),
         ("study", "problem: {preset: gyre}\noutput: {mesh_tables: true}\n",
          "'study' does not read block 'output'"),
+        ("run", _RUNNABLE.replace("[8, 8]", "[1.0e+30, 4]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
     ], ids=["run", "verify", "study", "study-step-count",
             "run-transport-scale", "run-off-the-preset-box",
             "verify-unread-block", "study-unread-block",
             "verify-output-formats", "verify-output-snapshots",
             "verify-output-mesh-tables", "study-output-formats",
-            "study-output-snapshots", "study-output-mesh-tables"])
+            "study-output-snapshots", "study-output-mesh-tables",
+            "run-unallocatable-cells"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created
@@ -389,6 +414,12 @@ class TestConfigValidation:
         assert scheme.transport_tol == timestepper.SchemeConfig.transport_tol
         assert scheme.div_guard == timestepper.SchemeConfig.div_guard
         assert scheme.store_every == 0
+        # an empty block keeps every default, and the run goes through
+        path = run_config(tmp_path, solver=None)
+        assert build_scheme_config(load_config(path)) == (
+            timestepper.SchemeConfig(dt=0.01, t_end=0.05, store_every=0))
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("name", sorted(
         n for n in os.listdir(DEMO_CONFIGS) if n.endswith(".yaml")))

@@ -106,6 +106,12 @@ class TestVelocityField:
         with pytest.raises(ValueError):
             VelocityField.from_interior(mesh2_uniform, np.zeros(3))
 
+    def test_component_length_checked(self, mesh2_uniform):
+        comps = [np.zeros(fs.count) for fs in mesh2_uniform.faces]
+        comps[1] = comps[1][1:]
+        with pytest.raises(ValueError, match="component 1: expected"):
+            VelocityField(mesh2_uniform, comps)
+
 
 class TestCellAverage:
     def test_constant(self, any_mesh):
@@ -243,6 +249,17 @@ class TestSerialization:
         v = velocity_from_csv(mesh, path)
         for i in range(mesh.dim):
             np.testing.assert_array_equal(u.components[i], v.components[i])
+
+    def test_readers_check_the_header(self, tmp_path, mesh2_uniform):
+        # each reader refuses the other's file by its header
+        u = VelocityField(mesh2_uniform)
+        velocity_to_csv(u, tmp_path / "u.csv")
+        scalar_to_csv(ScalarField.constant(mesh2_uniform, 1.0),
+                      tmp_path / "f.csv")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            scalar_from_csv(mesh2_uniform, tmp_path / "u.csv")
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            velocity_from_csv(mesh2_uniform, tmp_path / "f.csv")
 
     def test_scalar_row_count_checked(self, tmp_path, mesh2_uniform):
         path = tmp_path / "short.csv"

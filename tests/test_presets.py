@@ -1,4 +1,5 @@
-"""Manufactured presets: the transport guard and the momentum source."""
+"""Manufactured presets: the transported density and the momentum source,
+against a sympy oracle of the preset docstrings."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import sympy as sym
 
 from conftest import graded_mesh
 from macflow.grid import build_uniform_mesh
-from macflow.presets import _vanishes, get_preset, manufactured_forcing
+from macflow.presets import get_preset
 from macflow.timestepper import SchemeConfig, initialize, run
 
 x, y, t = sym.symbols("x y t", real=True)
@@ -26,34 +27,6 @@ def conservative_source(psi, rho, p):
             expr += sym.diff(rho * u[j] * u[i], xj) - sym.diff(u[i], xj, 2)
         fns.append(sym.lambdify((x, y, t), expr, modules="numpy"))
     return fns
-
-
-@pytest.mark.parametrize("expr, zero, simplified", [
-    (x * (x + 1) - x ** 2 - x, True, False),
-    (sym.sin(x) ** 2 + sym.cos(x) ** 2 - 1, True, True),
-    (x, False, True),
-], ids=["polynomial", "trigonometric", "nonzero"])
-def test_vanishes_simplifies_only_when_expansion_fails(monkeypatch, expr,
-                                                       zero, simplified):
-    # expanding the products settles a polynomial cancellation; the full
-    # simplify runs only when that does not reach zero
-    calls = []
-    original = sym.simplify
-
-    def spy(e):
-        calls.append(e)
-        return original(e)
-
-    monkeypatch.setattr(sym, "simplify", spy)
-    assert _vanishes(expr) is zero
-    assert bool(calls) is simplified
-
-
-def test_transport_guard_rejects_untransported_density():
-    psi = 0.15 * sym.cos(2 * sym.pi * t) * GYRE_SHAPE
-    u = (sym.diff(psi, y), -sym.diff(psi, x))
-    with pytest.raises(ValueError, match="transport equation"):
-        manufactured_forcing((x, y), t, 1 + x / 2, u, sym.Integer(0))
 
 
 # The stream function, density and pressure as the preset docstrings state

@@ -57,6 +57,17 @@ class TestIdentityBatteries:
         assert verify.check_adjointness(any_mesh, trials=10, seed=0).passed
         assert verify.check_coercivity(any_mesh, trials=10, seed=0).passed
 
+    @pytest.mark.parametrize("mesh", [
+        build_uniform_mesh([[0.0, 1.0], [0.0, 1.0]], (1, 4)),
+        graded_mesh((1, 2, 3), seed=7),
+    ], ids=["1x4", "graded-1x2x3"])
+    def test_coercivity_on_thin_meshes(self, mesh):
+        # one cell across an axis leaves that component's diffusion block
+        # empty; the battery judges the other components
+        assert ops.diffusion_matrix(mesh, 0).shape[0] == 0
+        rep = verify.check_coercivity(mesh, trials=5, seed=0)
+        assert rep.passed and rep.extras["positive_definite"]
+
     def test_report_line_format(self, mesh2_uniform):
         rep = verify.check_duality(mesh2_uniform, trials=5, seed=1)
         line = rep.line()
