@@ -32,8 +32,8 @@ def main():
     record = collect_diagnostics(result)
     write_diagnostics_csv(record, out / "diagnostics.csv",
                           cfg_hash="demo", seed=0)
-    print(f"{result.n_steps} steps of dt={result.dt} on a 48x48 mesh, "
-          f"density bounds {problem.rho_bounds}")
+    print(f"{result.n_steps} steps of dt={result.config.dt} on a 48x48 "
+          f"mesh, density bounds {problem.rho_bounds}")
     for label, name, tol in result.config.gates():
         worst = record.worst[name]
         print(f"  [{'PASS' if worst <= tol else 'FAIL'}] {label:<24} worst "

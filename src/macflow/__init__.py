@@ -35,8 +35,7 @@ from .linsolve import (SaddleSolver, SaddleSystem, SolveReport, SolverFailure,
 from .timestepper import (InvariantViolation, RunResult, SchemeConfig,
                           SchemeState, StepDiagnostics, initialize,
                           kinetic_energy, run, step)
-from .presets import (ProblemSetup, available_presets, get_preset,
-                      make_gyre, make_rest, make_rotating_patch)
+from .presets import ProblemSetup, available_presets, get_preset
 from .verify import (ConvergenceReport, IdentityReport, TranslateReport,
                      check_adjointness, check_coercivity, check_duality,
                      collect_diagnostics, convergence_study, infsup_health,

@@ -413,13 +413,22 @@ def cmd_study(cfg, out_dir, seed) -> int:
                           least=_STUDY_LEAST.get(key))
              for key, raw in cfg.get("study", {}).items()}
     problem = build_problem_from_config(cfg)
+    hash_value = config_hash(cfg)
     try:
         report = verify.convergence_study(problem, **study)
     except MeshValidationError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from None
-    except ValueError as exc:  # a level whose step count overflows, say
+    except (ValueError, MemoryError) as exc:
+        # a level whose step count overflows, or whose mesh numpy cannot
+        # allocate
         raise ConfigError(f"'study': {exc}") from None
-    hash_value = config_hash(cfg)
+    except (InvariantViolation, SolverFailure) as exc:
+        if not hasattr(exc, "partial"):  # a level rejected its initial data
+            raise ConfigError(f"'problem': {exc}") from None
+        print(f"study interrupted: {exc}", file=sys.stderr)
+        _create_output_directory(out_dir)
+        return _report(out_dir, "study-summary", hash_value, seed,
+                       [f"INTERRUPTED: {exc}"], False)
     _create_output_directory(out_dir)
 
     verify.write_convergence_csv(report,

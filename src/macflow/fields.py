@@ -60,10 +60,6 @@ class ScalarField:
                     f"zero-mean field has volume-weighted sum {total:.3e}")
 
     @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh)
-
-    @classmethod
     def constant(cls, mesh, value):
         return cls(mesh, np.full(mesh.n_cells, float(value)))
 
@@ -98,13 +94,6 @@ class VelocityField:
             arr[mesh.faces[i].exterior_idx] = 0.0
             comps.append(arr)
         self.components = comps
-
-    @classmethod
-    def zeros(cls, mesh):
-        return cls(mesh)
-
-    def copy(self):
-        return VelocityField(self.mesh, [c.copy() for c in self.components])
 
     # -- flat interior-unknown packing, used by the linear solvers -------
 

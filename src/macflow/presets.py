@@ -109,7 +109,7 @@ def _constant(value):
     return fn
 
 
-def make_rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:
+def _rest(dim: int = 2, density: float = 1.0) -> ProblemSetup:
     """Fluid at rest in the unit box of ``dim`` (2 or 3) directions."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
@@ -210,8 +210,8 @@ def _quartic_profile(s, n=4):
     return q * q, 2 * q * dq, 2 * (dq * dq - 8 * q), -48 * dq
 
 
-def make_gyre(amplitude: float = 0.15,
-              pressure_amplitude: float = 0.1) -> ProblemSetup:
+def _gyre(amplitude: float = 0.15,
+          pressure_amplitude: float = 0.1) -> ProblemSetup:
     """Smooth unsteady recirculation in the unit square: stream function
     ``amplitude cos(2 pi t) S`` with ``S = (sin(pi x) sin(pi y))^2``,
     density ``1 + S/2`` and pressure ``pressure_amplitude cos(2 pi t)
@@ -232,9 +232,9 @@ def make_gyre(amplitude: float = 0.15,
         rho_bounds=(1.0, 1.5))
 
 
-def make_rotating_patch(strength: float = 0.5,
-                        amplitude: float = 0.5,
-                        width: float = 0.35) -> ProblemSetup:
+def _rotating_patch(strength: float = 0.5,
+                    amplitude: float = 0.5,
+                    width: float = 0.35) -> ProblemSetup:
     """Steady near-rigid swirl carrying a disk-shaped density blob.
 
     Stream function ``(strength/8) S`` with ``S = (q(x) q(y))^2`` and
@@ -258,9 +258,9 @@ def make_rotating_patch(strength: float = 0.5,
 
 
 _REGISTRY = {
-    "rest": make_rest,
-    "gyre": make_gyre,
-    "rotating-patch": make_rotating_patch,
+    "rest": _rest,
+    "gyre": _gyre,
+    "rotating-patch": _rotating_patch,
 }
 
 

@@ -130,7 +130,6 @@ class RunResult:
 
     mesh: MacMesh
     config: SchemeConfig
-    dt: float
     n_steps: int
     trajectory: Trajectory
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
@@ -184,23 +183,21 @@ def _guard(cfg: SchemeConfig, name, value, message):
 
 
 def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
-         forcing=None, bounds=None):
+         bounds, forcing=None):
     """Advance one time level; returns (new_state, StepDiagnostics).
 
     ``saddle`` is the run's :class:`~macflow.linsolve.SaddleSolver`; the
     step runs on its mesh, and it keeps the matrix pattern, the
     preconditioner factors and the last solutions across steps.
+    ``bounds`` is the (min, max) density interval of the
+    maximum-principle guard; :func:`run` passes its initial data's.
     ``forcing`` is an optional callable ``(mesh, t) -> per-direction face
     arrays`` evaluated at the new time level; a non-finite value on an
     interior face raises :class:`InvariantViolation` before the saddle
-    solve (wall faces carry no unknown and are not read).  ``bounds`` is
-    the running (min, max) density interval used for the maximum-principle
-    guard; the current density's own bounds are used when omitted.
+    solve (wall faces carry no unknown and are not read).
     """
     mesh, dt = saddle.mesh, cfg.dt
     t_new = state.t + dt
-    if bounds is None:
-        bounds = (state.rho.min(), state.rho.max())
 
     rho_new, rep_t = solve_transport(mesh, dt, state.rho, state.u,
                                      tol=cfg.transport_tol)
@@ -299,29 +296,26 @@ def face_balances(mesh: MacMesh, dt: float, fluxes, rho_d_old, rho_d_new,
             "ke_work": dt * float((dv * fterm) @ un)}
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """Number of steps that reach ``t_end`` with steps of at most ``dt``."""
+def time_steps(mesh: MacMesh, problem, cfg: SchemeConfig):
+    """Step count and step of a run of ``problem`` on ``mesh``: the fewest
+    equal steps of at most ``cfg.dt`` that reach ``cfg.t_end``.
+
+    Raises ``ValueError`` when ``cfg.dt`` or ``cfg.t_end`` is not
+    positive and finite, when the step count ``t_end / dt`` overflows, or
+    when the step is so small that the norm of the transport right-hand
+    side ``|K| rho / dt`` overflows (its relative residual would read
+    inf / inf), with rho the largest magnitude of the problem's density
+    bounds and at least 1, which covers the matrix diagonal ``|K| / dt``.
+    """
+    t_end, dt = cfg.t_end, cfg.dt
     if not all(math.isfinite(v) and v > 0 for v in (dt, t_end)):
         raise ValueError("dt and t_end must be positive and finite")
     ratio = t_end / dt
     if not math.isfinite(ratio):
         raise ValueError(f"the step count t_end / dt = {t_end!r} / {dt!r} "
                          "is not finite")
-    return max(1, math.ceil(ratio - 1e-12))
-
-
-def time_steps(mesh: MacMesh, problem, cfg: SchemeConfig):
-    """Step count and step of a run of ``problem`` on ``mesh``: the fewest
-    equal steps of at most ``cfg.dt`` that reach ``cfg.t_end``.
-
-    Raises ``ValueError`` when :func:`step_count` does, or when the step
-    is so small that the norm of the transport right-hand side
-    ``|K| rho / dt`` overflows (its relative residual would read
-    inf / inf), with rho the largest magnitude of the problem's density
-    bounds and at least 1, which covers the matrix diagonal ``|K| / dt``.
-    """
-    n_steps = step_count(cfg.t_end, cfg.dt)
-    dt = cfg.t_end / n_steps
+    n_steps = max(1, math.ceil(ratio - 1e-12))
+    dt = t_end / n_steps
     bounds = getattr(problem, "rho_bounds", None) or ()
     scale = (float(np.linalg.norm(mesh.cell_volume))
              * max([1.0, *map(abs, bounds)]) / dt)
@@ -350,7 +344,7 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig,
     if state is None:
         state = initialize(mesh, problem)
     bounds = (state.rho.min(), state.rho.max())
-    result = RunResult(mesh=mesh, config=cfg_eff, dt=dt, n_steps=n_steps,
+    result = RunResult(mesh=mesh, config=cfg_eff, n_steps=n_steps,
                        trajectory=Trajectory(mesh),
                        initial_div_l2=norm_l2_cells(ScalarField(
                            mesh, ops.div_velocity(mesh, state.u))))

@@ -241,11 +241,10 @@ def measure_translates(result: RunResult, shifts=(1, 2, 4, 8),
     traj = result.trajectory
     if len(traj) != result.n_steps + 1:
         raise ValueError("translate measurement needs every step stored")
-    times = np.asarray(traj.times)
-    gaps = np.diff(times)
-    if gaps.size and (gaps.max() - gaps.min()) > 1e-12 * max(result.dt, 1e-300):
+    dt = result.config.dt
+    gaps = np.diff(traj.times)
+    if gaps.size and (gaps.max() - gaps.min()) > 1e-12 * max(dt, 1e-300):
         raise ValueError("trajectory is not uniformly spaced")
-    dt = result.dt
     mesh = result.mesh
     usable = [int(k) for k in shifts if 0 < k <= result.n_steps - 1]
     if len(usable) < 3:
@@ -305,7 +304,7 @@ class ConvergenceReport:
 def _space_time_errors(result: RunResult, problem):
     """L2-in-time errors of a stored-every-step run against exact fields."""
     mesh = result.mesh
-    dt = result.dt
+    dt = result.config.dt
     traj = result.trajectory
     err_u_sq = err_rho_sq = err_p_sq = 0.0
     for n in range(1, len(traj)):
@@ -361,7 +360,7 @@ def convergence_study(problem, levels: int = 3, base_cells: int = 16,
         err_u, err_rho, err_p = _space_time_errors(result, problem)
         record = collect_diagnostics(result)
         rows.append(ConvergenceLevel(
-            cells=(cells,) * problem.dim, h=mesh_step(mesh), dt=result.dt,
+            cells=mesh.cells, h=mesh_step(mesh), dt=result.config.dt,
             eta=regularity(mesh), err_u=err_u, err_rho=err_rho, err_p=err_p,
             l2h1=record.l2h1, linf_l2=record.linf_l2))
 

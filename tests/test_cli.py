@@ -68,6 +68,33 @@ def assert_stdout_is_summary(capsys, out):
 _RUNNABLE = ("mesh: {domain: [[0, 1], [0, 1]], cells: [8, 8]}\n"
              "problem: {preset: gyre}\n")
 
+# A study whose first level has 10^12 cells: its index arrays need
+# 14.6 TiB, which numpy refuses to allocate.
+_HUGE_STUDY = "problem: {preset: gyre}\nstudy: {base_cells: 1000000}\n"
+
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from macflow.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def main_for(text, argv):
+    """``main(argv)`` on a config of ``text``.  ``_HUGE_STUDY`` runs in a
+    child process with a 3 GiB address space, whose stderr is passed on,
+    so that no machine that overcommits memory commits its arrays."""
+    if text != _HUGE_STUDY:
+        return main(argv)
+    src = str(pathlib.Path(macflow.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                           env=env, capture_output=True, text=True,
+                           timeout=120)
+    sys.stderr.write(child.stderr)
+    return child.returncode
+
 
 class TestConfigValidation:
     def test_unknown_block(self, tmp_path):
@@ -300,6 +327,10 @@ class TestConfigValidation:
          "verify: {trials: 3}\n", [], "'run' does not read block 'verify'"),
         ("run", _RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
          "study: {levels: 3}\n", [], "'run' does not read block 'study'"),
+        ("study", _HUGE_STUDY, [], "'study': Unable to allocate"),
+        ("study", "problem: {preset: gyre, params: {amplitude: 1.0e+308}}\n"
+         "study: {base_cells: 4}\n", [],
+         "'problem': initial velocity is not finite"),
     ], ids=["text-threshold", "two-levels",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
             "zero-trials", "nan-tolerance", "rest-in-4d",
@@ -310,15 +341,16 @@ class TestConfigValidation:
             "verify-problem-block", "verify-time-block",
             "verify-solver-block", "verify-study-block", "study-mesh-block",
             "study-time-block", "study-solver-block", "study-verify-block",
-            "run-verify-block", "run-study-block"])
+            "run-verify-block", "run-study-block",
+            "study-unallocatable-level", "study-infinite-initial-data"])
     def test_exit_code_2_on_bad_study_or_verify_config(
             self, tmp_path, capsys, command, text, extra, message):
         path = tmp_path / "c.yaml"
         if command == "study" and not text.startswith("problem:"):
             text = "problem: {preset: gyre}\n" + text
         path.write_text(text)
-        code = main([command, "--config", str(path),
-                     "--out", str(tmp_path / "out"), *extra])
+        code = main_for(text, [command, "--config", str(path),
+                               "--out", str(tmp_path / "out"), *extra])
         assert_config_error(code, capsys, message)
 
     @pytest.mark.parametrize("command, text, message", [
@@ -353,20 +385,26 @@ class TestConfigValidation:
          "'study' does not read block 'output'"),
         ("run", _RUNNABLE.replace("[8, 8]", "[1.0e+30, 4]")
          + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
+        ("study", _HUGE_STUDY, "'study': Unable to allocate"),
+        ("study", "problem: {preset: gyre, params: {amplitude: 1.0e+308}}\n"
+         "study: {base_cells: 4}\n",
+         "'problem': initial velocity is not finite"),
     ], ids=["run", "verify", "study", "study-step-count",
             "run-transport-scale", "run-off-the-preset-box",
             "verify-unread-block", "study-unread-block",
             "verify-output-formats", "verify-output-snapshots",
             "verify-output-mesh-tables", "study-output-formats",
             "study-output-snapshots", "study-output-mesh-tables",
-            "run-unallocatable-cells"])
+            "run-unallocatable-cells", "study-unallocatable-level",
+            "study-infinite-initial-data"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, message):
         # every input is built before the output directory is created
         path = tmp_path / "c.yaml"
         path.write_text(text)
         out = tmp_path / "out"
-        code = main([command, "--config", str(path), "--out", str(out)])
+        code = main_for(text, [command, "--config", str(path),
+                               "--out", str(out)])
         assert_config_error(code, capsys, message)
         assert not out.exists()
 
@@ -784,6 +822,24 @@ class TestStudyCommand:
         summary = (out / "summary.txt").read_text()
         assert "overall: PASS" in summary
         assert_stdout_is_summary(capsys, out)
+
+    def test_guard_stop_interrupts_the_study(self, tmp_path, capsys):
+        # at amplitude 30 the 16x16 level breaks the divergence guard at
+        # its second step: the study ends with its summary, not a traceback
+        path = write_config(tmp_path / "s.yaml", {
+            "problem": {"preset": "gyre", "params": {"amplitude": 30}},
+            "study": {"levels": 3, "base_cells": 16, "t_end": 0.05,
+                      "base_dt": 0.015625},
+        })
+        out = tmp_path / "out"
+        assert main(["study", "--config", path, "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text()
+        stop = r"velocity divergence 1\.7\d*e-09 exceeds guard at t=0\.0125\n"
+        assert re.search(f"^INTERRUPTED: {stop}", summary, re.M)
+        assert "overall: FAIL" in summary
+        assert not (out / "convergence.csv").exists()
+        assert re.fullmatch(f"study interrupted: {stop}",
+                            capsys.readouterr().err)
 
     def test_exact_levels_report_inf_factors(self, tmp_path):
         # the rest preset is reproduced exactly: every error is 0, so

@@ -211,7 +211,7 @@ class TestNorms:
             assert math.isnan(norm_lp_dual(u, p)), p
 
     def test_unsupported_exponent_rejected(self, mesh2_uniform):
-        u = VelocityField.zeros(mesh2_uniform)
+        u = VelocityField(mesh2_uniform)
         for bad in (1, 3, 5, 2.5, "2"):
             with pytest.raises(ValueError):
                 norm_lp_dual(u, bad)
@@ -222,7 +222,7 @@ class TestNorms:
         u = VelocityField(mesh, [rng.standard_normal(mesh.faces[i].count)
                                  for i in range(mesh.dim)])
         assert norm_h1(u) > 0
-        assert norm_h1(VelocityField.zeros(mesh)) == 0.0
+        assert norm_h1(VelocityField(mesh)) == 0.0
 
     def test_l2_cells_oracle(self):
         mesh = hand_mesh()
@@ -368,7 +368,7 @@ class TestVtk:
         path = tmp_path / "snap3.vtk"
         write_vtk(path, mesh3_uniform,
                   rho=ScalarField.constant(mesh3_uniform, 1.0),
-                  p=ScalarField.zeros(mesh3_uniform))
+                  p=ScalarField(mesh3_uniform))
         text = path.read_text()
         assert "DIMENSIONS 4 4 4" in text
         assert "SCALARS pressure" in text
@@ -387,10 +387,10 @@ def test_cell_centered_velocity_hand_values():
 def test_trajectory_append(mesh2_uniform):
     traj = Trajectory(mesh2_uniform)
     assert len(traj) == 0
-    traj.append(0.0, ScalarField.zeros(mesh2_uniform),
-                VelocityField.zeros(mesh2_uniform))
-    traj.append(0.1, ScalarField.zeros(mesh2_uniform),
-                VelocityField.zeros(mesh2_uniform),
-                ScalarField.zeros(mesh2_uniform))
+    traj.append(0.0, ScalarField(mesh2_uniform),
+                VelocityField(mesh2_uniform))
+    traj.append(0.1, ScalarField(mesh2_uniform),
+                VelocityField(mesh2_uniform),
+                ScalarField(mesh2_uniform))
     assert len(traj) == 2
     assert traj.p[0] is None and traj.p[1] is not None

@@ -74,7 +74,7 @@ class TestTransport:
         rng = np.random.default_rng(0)
         rho = ScalarField(any_mesh, rng.uniform(1, 2, any_mesh.n_cells))
         rho_new, _ = solve_transport(any_mesh, 0.1, rho,
-                                     VelocityField.zeros(any_mesh))
+                                     VelocityField(any_mesh))
         np.testing.assert_allclose(rho_new.values, rho.values, rtol=1e-13)
 
     def test_constant_density_preserved_divfree(self, mesh2_graded):
@@ -519,7 +519,7 @@ class TestOseenSolve:
         mesh = mesh2_uniform
         rho = ScalarField.constant(mesh, 1.0)
         system = assemble_oseen(SaddleSolver(mesh), 0.1, rho, rho,
-                                VelocityField.zeros(mesh))
+                                VelocityField(mesh))
         u, p, _ = solve_oseen(system)
         for c in u.components:
             assert np.abs(c).max() < 1e-14
@@ -646,7 +646,9 @@ class TestOseenSolve:
         problem = get_preset("gyre")
         mesh = build_uniform_mesh(problem.domain, (cells, cells))
         cfg = SchemeConfig(dt=0.005, t_end=0.005)
-        _, diag = step(SaddleSolver(mesh), initialize(mesh, problem), cfg,
+        state = initialize(mesh, problem)
+        _, diag = step(SaddleSolver(mesh), state, cfg,
+                       (state.rho.min(), state.rho.max()),
                        forcing=problem.forcing)
         assert diag.oseen_method == "gmres" and not diag.oseen_fallback
         assert 0 < diag.oseen_iterations <= 25
@@ -1037,7 +1039,7 @@ class TestSaddleSolver:
     def test_mesh_constant_blocks_shared(self, mesh2_graded):
         saddle = SaddleSolver(mesh2_graded)
         rho = ScalarField.constant(mesh2_graded, 1.0)
-        u = VelocityField.zeros(mesh2_graded)
+        u = VelocityField(mesh2_graded)
         a = assemble_oseen(saddle, 0.1, rho, rho, u)
         b = assemble_oseen(saddle, 0.2, rho, rho, u)
         assert a.saddle is b.saddle is saddle
@@ -1157,7 +1159,8 @@ class TestProjectedStart:
         state = initialize(mesh, problem)
         cfg = SchemeConfig(dt=0.1, t_end=0.3)
         for _ in range(3):
-            state, diag = step(saddle, state, cfg)
+            state, diag = step(saddle, state, cfg,
+                               (state.rho.min(), state.rho.max()))
             assert diag.oseen_iterations == 0 and not diag.oseen_fallback
         assert saddle.history.shape[0] == 0
         system = assemble_oseen(saddle, 0.1, state.rho, state.rho, state.u)

@@ -151,7 +151,7 @@ class TestUpwindFlux:
     def test_zero_velocity_zero_flux(self, any_mesh):
         rho = ScalarField.constant(any_mesh, 2.0)
         flux = ops.upwind_face_flux(any_mesh, rho,
-                                    VelocityField.zeros(any_mesh))
+                                    VelocityField(any_mesh))
         for f in flux:
             assert np.all(f == 0.0)
 
@@ -372,7 +372,7 @@ class TestDualDivergence:
     def test_zero_velocity(self, any_mesh):
         rng = np.random.default_rng(11)
         fluxes = ops.upwind_face_flux(any_mesh, random_scalar(any_mesh, rng),
-                                      VelocityField.zeros(any_mesh))
+                                      VelocityField(any_mesh))
         dd = ops.div_dual_from_fluxes(any_mesh, fluxes)
         for arr in dd:
             assert np.all(arr == 0.0)

@@ -1,6 +1,8 @@
 """Guards on the package source itself."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import pathlib
@@ -527,6 +529,20 @@ print(json.dumps({
     "cold": cold, "version": sys.modules["sympy"].__version__,
     "installed": importlib.metadata.version("sympy")}))
 """
+
+
+def test_one_entry_point_per_capability():
+    # presets come from get_preset, zero and copied fields from the
+    # constructors, the step count from time_steps and a run's step from
+    # its config; step checks against the bounds its caller gives
+    from macflow import ScalarField, RunResult, VelocityField, timestepper
+    assert [name for name in dir(macflow) if name.startswith("make_")] == []
+    for cls in (ScalarField, VelocityField):
+        assert not hasattr(cls, "zeros") and not hasattr(cls, "copy")
+    assert not hasattr(timestepper, "step_count")
+    assert "dt" not in {f.name for f in dataclasses.fields(RunResult)}
+    bounds = inspect.signature(timestepper.step).parameters["bounds"]
+    assert bounds.default is inspect.Parameter.empty
 
 
 def test_import_leaves_sympy_unloaded():

@@ -87,6 +87,7 @@ class TestOneStepResidual:
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         state = initialize(mesh, problem)
         new, diag = step(SaddleSolver(mesh), state, cfg,
+                         (state.rho.min(), state.rho.max()),
                          forcing=problem.forcing)
 
         f = problem.forcing(mesh, new.t)
@@ -116,6 +117,7 @@ class TestOneStepResidual:
         cfg = SchemeConfig(dt=0.01, t_end=0.05)
         state = initialize(mesh, problem)
         new, diag = step(SaddleSolver(mesh), state, cfg,
+                         (state.rho.min(), state.rho.max()),
                          forcing=problem.forcing)
         div = ops.div_velocity(mesh, new.u)
         assert norm_l2_cells(ScalarField(mesh, div)) < 1e-9
@@ -139,8 +141,9 @@ class TestForcingGuard:
             return arrays
 
         cfg = SchemeConfig(dt=0.01, t_end=0.01)
-        return step(SaddleSolver(mesh), initialize(mesh, problem), cfg,
-                    forcing=forcing)
+        state = initialize(mesh, problem)
+        return step(SaddleSolver(mesh), state, cfg,
+                    (state.rho.min(), state.rho.max()), forcing=forcing)
 
     def test_non_finite_interior_forcing_rejected(self):
         with pytest.raises(InvariantViolation,
@@ -213,7 +216,7 @@ class TestRunBookkeeping:
         cfg = SchemeConfig(dt=0.03, t_end=0.1)
         result = run(mesh16(), problem, cfg)
         assert result.n_steps == 4
-        assert result.dt == pytest.approx(0.025)
+        assert result.config.dt == pytest.approx(0.025)
         assert result.trajectory.times[-1] == pytest.approx(0.1)
 
     def test_exact_divisor_unchanged(self):
@@ -221,7 +224,7 @@ class TestRunBookkeeping:
         cfg = SchemeConfig(dt=0.05, t_end=0.2)
         result = run(mesh16(), problem, cfg)
         assert result.n_steps == 4
-        assert result.dt == pytest.approx(0.05)
+        assert result.config.dt == pytest.approx(0.05)
 
     def test_store_every_pattern(self):
         problem = get_preset("rest")
