@@ -114,7 +114,7 @@ def _per_direction(raw, name, what, size=None):
     list of numbers (of ``size`` entries when given)."""
     try:
         arrays = [np.asarray(c, dtype=float) for c in raw]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         arrays = []
     if not arrays or any(a.ndim != 1 or a.size == 0
                          or (size is not None and a.size != size)
@@ -191,7 +191,7 @@ def _number(raw, name, integer=False, least=None):
     try:
         # YAML booleans would otherwise read as 0 and 1
         value = math.nan if isinstance(raw, bool) else float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if integer:
         ok, kind = value.is_integer() and value >= least, \
@@ -368,10 +368,11 @@ def _verification_meshes(seed):
 
 
 def cmd_verify(cfg, out_dir, seed) -> int:
-    ver = cfg.get("verify", {})
-    trials = _number(ver.get("trials", 100), "verify.trials", integer=True,
-                     least=1)
-    tol = _number(ver.get("tolerance", 1e-12), "verify.tolerance")
+    # keys the config leaves out keep the batteries' defaults
+    options = {("tol" if key == "tolerance" else key):
+               _number(raw, f"verify.{key}", integer=key == "trials",
+                       least=1 if key == "trials" else None)
+               for key, raw in cfg.get("verify", {}).items()}
     hash_value = config_hash(cfg)
     _create_output_directory(out_dir)
 
@@ -380,7 +381,7 @@ def cmd_verify(cfg, out_dir, seed) -> int:
     for tag, mesh in meshes:
         for check in (verify.check_duality, verify.check_adjointness,
                       verify.check_coercivity):
-            rep = check(mesh, trials=trials, seed=seed, tol=tol)
+            rep = check(mesh, seed=seed, **options)
             rep.name = f"{rep.name} [{tag}]"
             reports.append(rep)
 

@@ -220,8 +220,7 @@ class Trajectory:
     initial state (pressure None there, it is not part of the data).
     """
 
-    def __init__(self, mesh: MacMesh):
-        self.mesh = mesh
+    def __init__(self):
         self.times: list[float] = []
         self.rho: list[ScalarField] = []
         self.u: list[VelocityField] = []

@@ -137,7 +137,7 @@ class MacMesh:
     cells : per-axis cell counts.
     axis_coords : per-axis grid-plane coordinates (length ``cells[i]+1``).
     spacings, centers : per-axis cell widths and cell-center coordinates.
-    n_cells, cell_volume, cell_center : flat C-order cell data.
+    n_cells, cell_volume : flat C-order cell data.
     faces : one :class:`FaceSet` per velocity component.
     dual_interfaces : one :class:`DualInterfaces` per component, every
         dual interface and wall strip of its face-centered volumes with the
@@ -187,12 +187,9 @@ class MacMesh:
 
         cell_idx = np.indices(self.cells).reshape(dim, -1)
         vol = np.ones(self.n_cells)
-        cen = np.empty((self.n_cells, dim))
         for j in range(dim):
             vol *= self.spacings[j][cell_idx[j]]
-            cen[:, j] = self.centers[j][cell_idx[j]]
         self.cell_volume = _freeze(vol)
-        self.cell_center = _freeze(cen)
 
         self.faces = tuple(self._build_faces(i) for i in range(dim))
         self.dual_interfaces = tuple(

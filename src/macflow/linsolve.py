@@ -191,33 +191,30 @@ class SolveReport:
     reusing the factors of an earlier one.
     """
 
-    method: str
     residual: float
     iterations: int = 0
     fallback: bool = False
     precond_refresh: bool = False
 
 
-def _accept(mat, rhs, x, residual, tol: float, what: str, method: str,
-            direct, **counts):
+def _accept(mat, rhs, x, residual, tol: float, what: str, direct, **counts):
     """The solution of ``mat x = rhs`` and its :class:`SolveReport`.
 
-    The iterate ``x`` of ``method`` is kept when ``residual``, the relative
-    true residual it stopped on (``None``: it did not converge), is at
-    most ``tol``.  Otherwise LU, ``direct(mat)`` of the CSC matrix, solves,
-    reported as ``method`` ``direct`` with ``fallback`` set.  Its residual
-    must pass too, and the LU must exist, or :class:`SolverFailure`, naming
-    ``what``, is raised.  ``counts`` (iterations, refresh) go into the
-    report as they are.
+    The iterate ``x`` is kept when ``residual``, the relative true
+    residual it stopped on (``None``: it did not converge), is at most
+    ``tol``.  Otherwise LU, ``direct(mat)`` of the CSC matrix, solves,
+    reported with ``fallback`` set.  Its residual must pass too, and the
+    LU must exist, or :class:`SolverFailure`, naming ``what``, is raised.
+    ``counts`` (iterations, refresh) go into the report as they are.
     """
     if residual is not None and residual <= tol:
-        return x, SolveReport(method, residual, **counts)
+        return x, SolveReport(residual, **counts)
     try:
         x = direct(mat.tocsc()).solve(rhs)
     except RuntimeError as exc:  # SuperLU met an exactly zero pivot
         raise SolverFailure(f"{what}: LU failed: {exc}") from None
     rel = checked_residual(mat, x, rhs, tol, what)
-    return x, SolveReport("direct", rel, fallback=True, **counts)
+    return x, SolveReport(rel, fallback=True, **counts)
 
 
 # -- transport ---------------------------------------------------------------
@@ -292,16 +289,15 @@ def solve_transport(mesh: MacMesh, dt: float, rho_old: ScalarField,
 
     Jacobi sweeps from the old density (:func:`jacobi_sweeps`) run to a
     relative residual of ``KRYLOV_TARGET * tol``, or until rounding stops
-    them; the report gives the sweeps (``method`` ``jacobi``).  When they
-    reach ``JACOBI_MAXITER``, or stop short of ``tol``, :func:`_accept`
-    solves by :func:`factor` and reports the fallback.
+    them; the report gives the sweeps.  When they reach ``JACOBI_MAXITER``,
+    or stop short of ``tol``, :func:`_accept` solves by :func:`factor` and
+    reports the fallback.
     """
     mat, rhs = assemble_transport(mesh, dt, rho_old, u)
     values, sweeps, residual = jacobi_sweeps(
         mat, rhs, rho_old.values, KRYLOV_TARGET * tol, JACOBI_MAXITER)
     values, report = _accept(mat, rhs, values, residual, tol,
-                             "transport solve", "jacobi", factor,
-                             iterations=sweeps)
+                             "transport solve", factor, iterations=sweeps)
     return ScalarField(mesh, values), report
 
 
@@ -789,7 +785,7 @@ def solve_oseen(system: SaddleSystem, tol: float = 1e-10):
         mat, rhs, saddle.start(system), precond, KRYLOV_TARGET * tol)
     # the one LU with partial pivoting: the pinned saddle is indefinite
     solution, report = _accept(mat, rhs, solution, residual, tol,
-                               "saddle solve", "gmres", spla.splu,
+                               "saddle solve", spla.splu,
                                iterations=iterations,
                                precond_refresh=refresh)
     saddle.record(report.iterations, report.fallback)

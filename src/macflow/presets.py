@@ -273,9 +273,10 @@ def get_preset(name: str, **kwargs) -> ProblemSetup:
 
     A keyword the preset does not take raises ``TypeError`` naming the
     parameters it accepts.  A parameter that is not a finite real number
-    (a ``bool``, a string, ``nan``) raises ``ValueError`` naming it: a
-    ``nan`` would otherwise flow silently into the closed-form initial data
-    and forcing, and fail only later, far from its cause.
+    (a ``bool``, a string, ``nan``, an integer beyond the float range)
+    raises ``ValueError`` naming it: a ``nan`` would otherwise flow
+    silently into the closed-form initial data and forcing, and fail only
+    later, far from its cause.
     """
     try:
         factory = _REGISTRY[name]
@@ -290,7 +291,11 @@ def get_preset(name: str, **kwargs) -> ProblemSetup:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"parameter {key!r} must be a real number, "
                              f"got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"parameter {key!r} must be finite, "
                              f"got {value!r}")
     return factory(**kwargs)

@@ -112,14 +112,12 @@ class StepDiagnostics:
     mass_dual_resid: float
     kinetic_resid: float
     kinetic_remainder_max: float
-    u_h1: float
     u_l2: float
     transport_residual: float
     transport_sweeps: int
     transport_fallback: bool
     oseen_residual: float
     oseen_iterations: int
-    oseen_method: str
     oseen_fallback: bool
     precond_refresh: bool
 
@@ -219,23 +217,21 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
     _guard(cfg, "div_l2", div_l2,
            f"velocity divergence {div_l2:.3e} exceeds guard at t={t_new:.6g}")
 
-    ke_dissipation = dt * norm_h1_squared(u_new)
     diag = StepDiagnostics(
         step=state.index + 1, t=t_new,
         rho_min=rho_new.min(), rho_max=rho_new.max(),
         rho_l2=norm_l2_cells(rho_new), mass=rho_new.integral(),
         bound_violation=violation, div_l2=div_l2,
         kinetic_energy=kinetic_energy(mesh, system.rho_dual_new, u_new),
-        ke_dissipation=ke_dissipation,
+        ke_dissipation=dt * norm_h1_squared(u_new),
         **face_balances(mesh, dt, system.fluxes, system.rho_dual_old,
                         system.rho_dual_new, state.u, u_new, p_new,
                         f_arrays),
-        u_h1=math.sqrt(ke_dissipation / dt), u_l2=norm_lp_dual(u_new, 2),
+        u_l2=norm_lp_dual(u_new, 2),
         transport_residual=rep_t.residual,
         transport_sweeps=rep_t.iterations,
         transport_fallback=rep_t.fallback, oseen_residual=rep_o.residual,
-        oseen_method=rep_o.method, oseen_iterations=rep_o.iterations,
-        oseen_fallback=rep_o.fallback,
+        oseen_iterations=rep_o.iterations, oseen_fallback=rep_o.fallback,
         precond_refresh=rep_o.precond_refresh)
     new_state = SchemeState(t=t_new, index=state.index + 1,
                             rho=rho_new, u=u_new, p=p_new)
@@ -345,7 +341,7 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig,
         state = initialize(mesh, problem)
     bounds = (state.rho.min(), state.rho.max())
     result = RunResult(mesh=mesh, config=cfg_eff, n_steps=n_steps,
-                       trajectory=Trajectory(mesh),
+                       trajectory=Trajectory(),
                        initial_div_l2=norm_l2_cells(ScalarField(
                            mesh, ops.div_velocity(mesh, state.u))))
     result.trajectory.append(state.t, state.rho, state.u, None)

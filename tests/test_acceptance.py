@@ -117,8 +117,7 @@ def test_criterion_02_adjointness():
 
 
 def test_criterion_03_coercivity_and_symmetry():
-    reps = [verify.check_coercivity(mesh, trials=100, seed=9, tol=1e-12,
-                                    symmetry_tol=1e-13)
+    reps = [verify.check_coercivity(mesh, trials=100, seed=9, tol=1e-12)
             for _, mesh in battery_meshes()]
     worst = worst_of(rep.max_residual for rep in reps)
     worst_asym = worst_of(rep.extras["matrix_asymmetry"] for rep in reps)
@@ -181,11 +180,10 @@ def test_criterion_08_energy_trackers_stable(gyre_study):
 
 def test_criterion_09_time_translates(translate_run):
     start = time.perf_counter()
-    rep = verify.measure_translates(translate_run, shifts=(1, 2, 4, 8),
-                                    slope_floor=0.4)
+    rep = verify.measure_translates(translate_run, shifts=(1, 2, 4, 8))
     elapsed = time.perf_counter() - start
     report(9, "translate integrals scale with the shift",
-           rep.passed and elapsed < 120.0,
+           rep.passed and rep.slope >= 0.4 and elapsed < 120.0,
            f"log-log slope {rep.slope:.3f} >= 0.4 over taus "
            f"{[f'{t:.3f}' for t in rep.taus]}, {elapsed:.2f}s < 2min")
 

@@ -72,6 +72,10 @@ _RUNNABLE = ("mesh: {domain: [[0, 1], [0, 1]], cells: [8, 8]}\n"
 # 14.6 TiB, which numpy refuses to allocate.
 _HUGE_STUDY = "problem: {preset: gyre}\nstudy: {base_cells: 1000000}\n"
 
+# An integer too large for a float: float() and math.isfinite raise
+# OverflowError on it.
+_HUGE = "1" + "0" * 400
+
 _CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
@@ -248,6 +252,14 @@ class TestConfigValidation:
         (_RUNNABLE.replace("{preset: gyre}", "{preset: gyre, params: [1]}")
          + "time: {t_end: 0.02, dt: 0.01}\n",
          "'problem.params' must be a mapping"),
+        (_RUNNABLE + f"time: {{t_end: 0.02, dt: {_HUGE}}}\n", "'time.dt'"),
+        (_RUNNABLE.replace("[8, 8]", f"[{_HUGE}, 8]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
+        (_RUNNABLE.replace("[[0, 1], [0, 1]]", f"[[0, {_HUGE}], [0, 1]]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.domain'"),
+        (_RUNNABLE.replace("{preset: gyre}",
+                           f"{{preset: gyre, params: {{amplitude: {_HUGE}}}}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", "'amplitude' must be finite"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "overflowing-step-count", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -268,7 +280,8 @@ class TestConfigValidation:
             "directory-config", "latin1-config", "unallocatable-cells",
             "cells-near-2-to-63", "empty-file", "top-level-list",
             "time-without-dt", "three-domain-pairs-two-cells",
-            "params-without-preset", "list-params"])
+            "params-without-preset", "list-params", "huge-dt", "huge-cells",
+            "huge-domain", "huge-preset-param"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -331,6 +344,9 @@ class TestConfigValidation:
         ("study", "problem: {preset: gyre, params: {amplitude: 1.0e+308}}\n"
          "study: {base_cells: 4}\n", [],
          "'problem': initial velocity is not finite"),
+        ("verify", f"verify: {{trials: {_HUGE}}}\n", [], "'verify.trials'"),
+        ("study", f"study: {{levels: {_HUGE}}}\n", [], "'study.levels'"),
+        ("verify", "", ["--seed", _HUGE], "'--seed'"),
     ], ids=["text-threshold", "two-levels",
             "one-base-cell", "negative-t-end", "inf-base-dt", "text-trials",
             "zero-trials", "nan-tolerance", "rest-in-4d",
@@ -342,7 +358,8 @@ class TestConfigValidation:
             "verify-solver-block", "verify-study-block", "study-mesh-block",
             "study-time-block", "study-solver-block", "study-verify-block",
             "run-verify-block", "run-study-block",
-            "study-unallocatable-level", "study-infinite-initial-data"])
+            "study-unallocatable-level", "study-infinite-initial-data",
+            "huge-trials", "huge-levels", "huge-seed"])
     def test_exit_code_2_on_bad_study_or_verify_config(
             self, tmp_path, capsys, command, text, extra, message):
         path = tmp_path / "c.yaml"
@@ -353,42 +370,59 @@ class TestConfigValidation:
                                "--out", str(tmp_path / "out"), *extra])
         assert_config_error(code, capsys, message)
 
-    @pytest.mark.parametrize("command, text, message", [
-        ("run", _RUNNABLE + "time: {t_end: 1.0e+10, dt: 1.0e-310}\n",
+    @pytest.mark.parametrize("command, text, extra, message", [
+        ("run", _RUNNABLE + "time: {t_end: 1.0e+10, dt: 1.0e-310}\n", [],
          "'time': the step count"),
-        ("verify", "verify: {trials: 0}\n", "'verify.trials'"),
-        ("study", "problem: {preset: gyre}\nstudy: {levels: 2}\n",
+        ("verify", "verify: {trials: 0}\n", [], "'verify.trials'"),
+        ("study", "problem: {preset: gyre}\nstudy: {levels: 2}\n", [],
          "'study.levels'"),
         ("study", "problem: {preset: gyre}\n"
-         "study: {t_end: 1.0e+10, base_dt: 1.0e-310}\n",
+         "study: {t_end: 1.0e+10, base_dt: 1.0e-310}\n", [],
          "'study': the step count"),
         ("run", "mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4]}\n"
          "problem: {preset: rotating-patch}\n"
-         "time: {t_end: 1.0, dt: 1.0e-300}\n", "is too small for this mesh"),
+         "time: {t_end: 1.0, dt: 1.0e-300}\n", [],
+         "is too small for this mesh"),
         ("run", _RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
-         + "time: {t_end: 0.02, dt: 0.01}\n", "is not the domain"),
-        ("verify", "mesh: {cells: [4, 4]}\nverify: {trials: 3}\n",
+         + "time: {t_end: 0.02, dt: 0.01}\n", [], "is not the domain"),
+        ("verify", "mesh: {cells: [4, 4]}\nverify: {trials: 3}\n", [],
          "'verify' does not read block 'mesh'"),
-        ("study", "problem: {preset: gyre}\ntime: {t_end: 1, dt: 0.1}\n",
+        ("study", "problem: {preset: gyre}\ntime: {t_end: 1, dt: 0.1}\n", [],
          "'study' does not read block 'time'"),
-        ("verify", "output: {formats: [csv]}\n",
+        ("verify", "output: {formats: [csv]}\n", [],
          "'verify' does not read block 'output'"),
-        ("verify", "output: {snapshots: 2}\n",
+        ("verify", "output: {snapshots: 2}\n", [],
          "'verify' does not read block 'output'"),
-        ("verify", "output: {mesh_tables: true}\n",
+        ("verify", "output: {mesh_tables: true}\n", [],
          "'verify' does not read block 'output'"),
-        ("study", "problem: {preset: gyre}\noutput: {formats: [csv]}\n",
+        ("study", "problem: {preset: gyre}\noutput: {formats: [csv]}\n", [],
          "'study' does not read block 'output'"),
-        ("study", "problem: {preset: gyre}\noutput: {snapshots: 2}\n",
+        ("study", "problem: {preset: gyre}\noutput: {snapshots: 2}\n", [],
          "'study' does not read block 'output'"),
-        ("study", "problem: {preset: gyre}\noutput: {mesh_tables: true}\n",
+        ("study", "problem: {preset: gyre}\noutput: {mesh_tables: true}\n", [],
          "'study' does not read block 'output'"),
         ("run", _RUNNABLE.replace("[8, 8]", "[1.0e+30, 4]")
-         + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.cells'"),
-        ("study", _HUGE_STUDY, "'study': Unable to allocate"),
+         + "time: {t_end: 0.02, dt: 0.01}\n", [], "'mesh.cells'"),
+        ("study", _HUGE_STUDY, [], "'study': Unable to allocate"),
         ("study", "problem: {preset: gyre, params: {amplitude: 1.0e+308}}\n"
-         "study: {base_cells: 4}\n",
+         "study: {base_cells: 4}\n", [],
          "'problem': initial velocity is not finite"),
+        ("run", _RUNNABLE + f"time: {{t_end: 0.02, dt: {_HUGE}}}\n", [],
+         "'time.dt'"),
+        ("run", _RUNNABLE.replace("[8, 8]", f"[{_HUGE}, 8]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", [], "'mesh.cells'"),
+        ("run", _RUNNABLE.replace("[[0, 1], [0, 1]]",
+                                  f"[[0, {_HUGE}], [0, 1]]")
+         + "time: {t_end: 0.02, dt: 0.01}\n", [], "'mesh.domain'"),
+        ("run", _RUNNABLE.replace("{preset: gyre}",
+                                  "{preset: gyre, params: "
+                                  f"{{amplitude: {_HUGE}}}}}")
+         + "time: {t_end: 0.02, dt: 0.01}\n", [],
+         "'amplitude' must be finite"),
+        ("verify", f"verify: {{trials: {_HUGE}}}\n", [], "'verify.trials'"),
+        ("study", f"problem: {{preset: gyre}}\nstudy: {{levels: {_HUGE}}}\n",
+         [], "'study.levels'"),
+        ("study", "problem: {preset: gyre}\n", ["--seed", _HUGE], "'--seed'"),
     ], ids=["run", "verify", "study", "study-step-count",
             "run-transport-scale", "run-off-the-preset-box",
             "verify-unread-block", "study-unread-block",
@@ -396,15 +430,17 @@ class TestConfigValidation:
             "verify-output-mesh-tables", "study-output-formats",
             "study-output-snapshots", "study-output-mesh-tables",
             "run-unallocatable-cells", "study-unallocatable-level",
-            "study-infinite-initial-data"])
+            "study-infinite-initial-data", "huge-dt", "huge-cells",
+            "huge-domain", "huge-preset-param", "huge-trials", "huge-levels",
+            "huge-seed"])
     def test_rejected_config_leaves_no_output_directory(
-            self, tmp_path, capsys, command, text, message):
+            self, tmp_path, capsys, command, text, extra, message):
         # every input is built before the output directory is created
         path = tmp_path / "c.yaml"
         path.write_text(text)
         out = tmp_path / "out"
         code = main_for(text, [command, "--config", str(path),
-                               "--out", str(out)])
+                               "--out", str(out), *extra])
         assert_config_error(code, capsys, message)
         assert not out.exists()
 
@@ -523,8 +559,7 @@ class TestRunCommand:
         assert_stdout_is_summary(capsys, out)
         rows = diagnostics_rows(out)
         assert len(rows) == 5  # one row per step
-        assert all(r["oseen_method"] == "gmres"
-                   and r["oseen_fallback"] == "False" for r in rows)
+        assert all(r["oseen_fallback"] == "False" for r in rows)
         # the first step factors the preconditioner, the next reuse it
         assert [r["precond_refresh"] for r in rows] == \
             ["True"] + ["False"] * 4
@@ -560,13 +595,12 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         assert len(reports) == 5
         for rep in reports:
-            assert rep.fallback and rep.method == "direct"
+            assert rep.fallback
             assert rep.residual <= 1e-10  # the run's oseen_tol
         # a fallback drops the factors: the next step factors again
         assert all(rep.precond_refresh for rep in reports)
         rows = diagnostics_rows(out)
-        assert all(r["oseen_method"] == "direct"
-                   and r["oseen_fallback"] == "True"
+        assert all(r["oseen_fallback"] == "True"
                    and r["precond_refresh"] == "True" for r in rows)
         summary = (out / "summary.txt").read_text()
         assert "saddle solves that fell back to direct: 5 of 5" in summary

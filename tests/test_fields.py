@@ -385,7 +385,7 @@ def test_cell_centered_velocity_hand_values():
 
 
 def test_trajectory_append(mesh2_uniform):
-    traj = Trajectory(mesh2_uniform)
+    traj = Trajectory()
     assert len(traj) == 0
     traj.append(0.0, ScalarField(mesh2_uniform),
                 VelocityField(mesh2_uniform))

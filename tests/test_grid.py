@@ -27,8 +27,6 @@ class TestHandGeometry:
         assert m.n_cells == 2
         assert m.volume == 2.0
         np.testing.assert_allclose(m.cell_volume, [1.0, 1.0])
-        np.testing.assert_allclose(m.cell_center,
-                                   [[0.5, 0.5], [1.5, 0.5]])
 
     def test_x_faces(self):
         fs = self.mesh.faces[0]

@@ -200,7 +200,7 @@ class TestTransport:
         rho = ScalarField(any_mesh, rng.uniform(1, 2, any_mesh.n_cells))
         u = random_velocity(any_mesh, rng)
         rho_new, rep = solve_transport(any_mesh, 0.05, rho, u)
-        assert rep.method == "jacobi" and not rep.fallback
+        assert not rep.fallback
         assert 0 < rep.iterations < JACOBI_MAXITER
         mat, rhs = assemble_transport(any_mesh, 0.05, rho, u)
         lu = factor(mat).solve(rhs)
@@ -215,7 +215,7 @@ class TestTransport:
         rho = ScalarField(any_mesh, rng.uniform(1, 2, any_mesh.n_cells))
         u = random_velocity(any_mesh, rng)
         rho_new, rep = solve_transport(any_mesh, 0.05, rho, u)
-        assert rep.method == "direct" and rep.fallback
+        assert rep.fallback
         assert rep.iterations == 1
         mat, rhs = assemble_transport(any_mesh, 0.05, rho, u)
         np.testing.assert_allclose(rho_new.values, factor(mat).solve(rhs),
@@ -301,7 +301,7 @@ def test_singular_lu_is_a_solver_failure(direct):
     with pytest.raises(SolverFailure,
                        match="^transport solve: LU failed: .*singular"):
         linsolve._accept(mat, np.array([1.0, 2.0]), None, None, 1e-10,
-                         "transport solve", "jacobi", direct)
+                         "transport solve", direct)
 
 
 def coo_transport(mesh, dt, rho_old, u):
@@ -565,7 +565,7 @@ class TestOseenSolve:
         system = random_saddle(mesh, seed=25)
         u_dense, p_dense = TestOseenSolve.dense_solution(system)
         u, p, rep = solve_oseen(system)
-        assert rep.fallback and rep.method == "direct"
+        assert rep.fallback
         np.testing.assert_allclose(u.pack_interior(), u_dense,
                                    rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(p.values, p_dense, rtol=1e-10,
@@ -593,7 +593,7 @@ class TestOseenSolve:
         system = random_saddle(mesh2_uniform, seed=26)
         u_dense, p_dense = self.dense_solution(system)
         u, p, rep = solve_oseen(system)
-        assert rep.fallback and rep.method == "direct"
+        assert rep.fallback
         assert rep.precond_refresh and rep.iterations > 0
         assert rep.residual <= 1e-10
         np.testing.assert_allclose(u.pack_interior(), u_dense,
@@ -624,7 +624,6 @@ class TestOseenSolve:
         p_d = sol[n_u:]
         p_d = p_d - (mesh.cell_volume @ p_d) / mesh.volume
         u_g, p_g, rep = solve_oseen(system, tol=1e-10)
-        assert rep.method == "gmres"
         assert not rep.fallback
         np.testing.assert_allclose(u_g.pack_interior(), sol[:n_u],
                                    rtol=1e-8, atol=1e-10)
@@ -650,7 +649,7 @@ class TestOseenSolve:
         _, diag = step(SaddleSolver(mesh), state, cfg,
                        (state.rho.min(), state.rho.max()),
                        forcing=problem.forcing)
-        assert diag.oseen_method == "gmres" and not diag.oseen_fallback
+        assert not diag.oseen_fallback
         assert 0 < diag.oseen_iterations <= 25
 
     def test_iteration_cap_counts_cycles(self):
@@ -665,7 +664,7 @@ class TestOseenSolve:
                                                  oseen_tol=1e-13))
         assert len(result.diagnostics) == 2
         for d in result.diagnostics:
-            assert d.oseen_fallback and d.oseen_method == "direct"
+            assert d.oseen_fallback
             assert 0 < d.oseen_iterations <= 45
         assert GMRES_CYCLES * GMRES_RESTART == 300
 
@@ -829,9 +828,9 @@ class TestGmres:
         assert residual is None and not ref_converged
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
         _, report = linsolve._accept(system.matrix, system.rhs, x, residual,
-                                     1e-10, "saddle solve", "gmres",
-                                     spla.splu, iterations=iterations)
-        assert report.fallback and report.method == "direct"
+                                     1e-10, "saddle solve", spla.splu,
+                                     iterations=iterations)
+        assert report.fallback
         assert report.iterations == 4 and report.residual <= 1e-10
 
 
@@ -1065,7 +1064,7 @@ class TestSaddleSolver:
         assert diags[0].precond_refresh
         assert sum(d.precond_refresh for d in diags) == 1
         for d in diags:
-            assert d.oseen_method == "gmres" and not d.oseen_fallback
+            assert not d.oseen_fallback
             assert 0 < d.oseen_iterations <= 25
             assert d.div_l2 <= 1e-13
             assert d.mass_dual_resid <= 1e-13
@@ -1223,8 +1222,7 @@ class TestDensityRatioSweep:
         diags = patch_run(100, 1.0, oseen_tol=1e-12).diagnostics
         total = sum(d.oseen_iterations for d in diags)
         print(f"Krylov iterations {total} before 5 fallbacks")
-        assert [d.oseen_method for d in diags] == ["direct"] * 5
-        assert all(d.oseen_fallback for d in diags)
+        assert [d.oseen_fallback for d in diags] == [True] * 5
         assert total <= 200
 
     def test_refresh_rule_saves_iterations(self, monkeypatch):

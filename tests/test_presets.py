@@ -89,7 +89,7 @@ def test_forcing_matches_conservative_source(name, tv):
         assert_matches(problem.u_exact(tv)[i](xf, yf),
                        u_oracle[i](xf, yf, tv), least=1e-3)
     assert_matches(np.concatenate(got), np.concatenate(want), least=0.1)
-    xc, yc = mesh.cell_center.T
+    xc, yc = np.meshgrid(*mesh.centers, indexing="ij")
     for exact, expr in ((problem.rho_exact, rho), (problem.p_exact, p)):
         fn = sym.lambdify((x, y, t), expr, modules="numpy")
         assert_matches(exact(tv)(xc, yc),
@@ -117,6 +117,12 @@ def test_rest_takes_integral_dimension(dim):
     problem = get_preset("rest", dim=dim)
     assert problem.dim == int(dim) and type(problem.dim) is int
     assert len(problem.domain) == len(problem.u0) == int(dim)
+
+
+def test_parameter_beyond_float_range_is_a_value_error():
+    # math.isfinite raises OverflowError on such an integer
+    with pytest.raises(ValueError, match="'density' must be finite"):
+        get_preset("rest", density=10 ** 400)
 
 
 def test_light_patch_keeps_density_in_bounds():

@@ -545,6 +545,27 @@ def test_one_entry_point_per_capability():
     assert bounds.default is inspect.Parameter.empty
 
 
+def test_each_fact_stored_once():
+    # no record field or option restates another value: the solve method
+    # is the fallback flag, u_h1 is sqrt(ke_dissipation / dt), a run's dt
+    # and mesh live on the RunResult, the two tolerances are constants
+    from macflow import (SolveReport, StepDiagnostics, Trajectory,
+                         TranslateReport, build_uniform_mesh, verify)
+
+    def names(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert not {"u_h1", "oseen_method"} & names(StepDiagnostics)
+    assert "method" not in names(SolveReport)
+    assert not {"dt", "slope_floor"} & names(TranslateReport)
+    mesh = build_uniform_mesh([[0, 1], [0, 1]], (2, 2))
+    assert not hasattr(mesh, "cell_center")
+    for fn, name in ((verify.check_coercivity, "symmetry_tol"),
+                     (verify.measure_translates, "slope_floor")):
+        assert name not in inspect.signature(fn).parameters
+    assert not inspect.signature(Trajectory).parameters
+
+
 def test_import_leaves_sympy_unloaded():
     # a fresh interpreter: import macflow registers sympy without running
     # it, and reading its version loads the one real module

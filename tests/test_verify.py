@@ -200,6 +200,21 @@ class TestTranslates:
         assert report.slope >= 0.4
         assert report.scale_factor >= 1.0
 
+    def test_late_time_stamps_give_the_same_report(self):
+        # stamps accumulated as run accumulates them (t += dt), from
+        # t0 = 1023.95 across t = 1024 where the ulp doubles: the gaps
+        # differ by ulps, and the report is the original run's
+        result, _ = gyre_run(t_end=0.1, dt=0.005)
+        assert result.n_steps == 20
+        want = verify.measure_translates(result)
+        t, times = 1023.95, [1023.95]
+        for _ in range(result.n_steps):
+            t += result.config.dt
+            times.append(t)
+        assert np.ptp(np.diff(times)) > 0
+        result.trajectory.times[:] = times
+        assert verify.measure_translates(result) == want
+
     def test_needs_three_shifts(self):
         result, _ = gyre_run(t_end=0.02, dt=0.005)  # only 4 steps
         with pytest.raises(ValueError):
