@@ -68,11 +68,28 @@ _READS = {"run": {"mesh", "time", "problem", "solver", "output"},
           "study": {"study", "problem"}}
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, except that a key repeated within one mapping
+    is an error, where the safe loader would keep its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=deep)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {key!r}",
+                        key_node.start_mark)
+                keys.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> dict:
     """Parse and validate a YAML configuration against the whitelist."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark else ""
@@ -131,13 +148,13 @@ def build_mesh_from_config(cfg) -> "MacMesh":
     if "domain" in mesh_cfg:
         domain = _per_direction(mesh_cfg["domain"], "mesh.domain",
                                 "[lo, hi] pair of numbers", size=2)
-    try:
-        if "coordinates" in mesh_cfg:
-            coords = _per_direction(mesh_cfg["coordinates"],
-                                    "mesh.coordinates", "list of numbers")
-            if "domain" not in mesh_cfg:
-                domain = [[c[0], c[-1]] for c in coords]
-            return build_mesh(domain, coords)
+    if "coordinates" in mesh_cfg:
+        coords = _per_direction(mesh_cfg["coordinates"], "mesh.coordinates",
+                                "list of numbers")
+        if "domain" not in mesh_cfg:
+            domain = [[c[0], c[-1]] for c in coords]
+        given = f"'mesh.coordinates' of {[c.size for c in coords]} points"
+    else:
         _require(cfg, "mesh", "domain")  # a uniform mesh needs its box
         cells = _require(cfg, "mesh", "cells")
         if not isinstance(cells, list):
@@ -148,17 +165,17 @@ def build_mesh_from_config(cfg) -> "MacMesh":
         if len(domain) != len(cells):
             raise ConfigError("mesh.domain and mesh.cells disagree on the "
                               "number of directions")
-        try:
-            return build_uniform_mesh(domain, cells)
-        except MeshValidationError:
-            raise
-        except (ValueError, IndexError, MemoryError) as exc:
-            # numpy refuses a count it cannot size or allocate (its
-            # linspace fails with an IndexError for counts near 2**63)
-            raise ConfigError(f"'mesh.cells' {mesh_cfg['cells']} is too "
-                              f"large: {exc}") from None
+        given = f"'mesh.cells' {mesh_cfg['cells']}"
+    try:
+        if "coordinates" in mesh_cfg:
+            return build_mesh(domain, coords)
+        return build_uniform_mesh(domain, cells)
     except MeshValidationError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from None
+    except (ValueError, IndexError, MemoryError) as exc:
+        # numpy refuses a size it cannot allocate (its linspace fails with
+        # an IndexError for counts near 2**63)
+        raise ConfigError(f"{given} is too large: {exc}") from None
 
 
 def build_problem_from_config(cfg):
@@ -311,21 +328,13 @@ def cmd_run(cfg, out_dir, seed) -> int:
         raise ConfigError("'output.mesh_tables' must be true or false, "
                           f"got {mesh_tables!r}")
     problem = build_problem_from_config(cfg)
-    if problem.dim != mesh.dim:
-        raise ConfigError(f"'problem.preset' {problem.name!r} is "
-                          f"{problem.dim}D but the mesh is {mesh.dim}D")
-    domain = np.asarray(problem.domain, dtype=float)
-    if not np.array_equal(mesh.domain_box, domain):
-        raise ConfigError(f"mesh box {mesh.domain_box.tolist()} is not the "
-                          f"domain {domain.tolist()} of 'problem.preset' "
-                          f"{problem.name!r}")
     try:
         n_steps = time_steps(mesh, problem, scheme)[0]
     except ValueError as exc:
         raise ConfigError(f"'time': {exc}") from None
     try:  # the run starts from this state
         state = initialize(mesh, problem)
-    except InvariantViolation as exc:
+    except ValueError as exc:
         raise ConfigError(f"'problem': {exc}") from None
     hash_value = config_hash(cfg)
     _create_output_directory(out_dir)
@@ -420,12 +429,10 @@ def cmd_study(cfg, out_dir, seed) -> int:
     except MeshValidationError as exc:
         raise ConfigError(f"invalid mesh: {exc}") from None
     except (ValueError, MemoryError) as exc:
-        # a level whose step count overflows, or whose mesh numpy cannot
-        # allocate
+        # a level whose step count overflows, whose initial data is
+        # rejected, or whose mesh numpy cannot allocate
         raise ConfigError(f"'study': {exc}") from None
     except (InvariantViolation, SolverFailure) as exc:
-        if not hasattr(exc, "partial"):  # a level rejected its initial data
-            raise ConfigError(f"'problem': {exc}") from None
         print(f"study interrupted: {exc}", file=sys.stderr)
         _create_output_directory(out_dir)
         return _report(out_dir, "study-summary", hash_value, seed,

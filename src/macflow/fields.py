@@ -9,6 +9,9 @@ each component partition the domain; scalar norms use the primal cells.
 The discrete H1 seminorm is the square root of the quadratic form of the
 velocity diffusion operator: squared jumps across dual interfaces weighted
 by measure/distance, plus wall terms against the zero boundary value.
+
+Problem callables are evaluated with overflow let through silently (a
+Gaussian's ``exp(-inf)`` is an exact 0); callers needing finite values check.
 """
 
 from __future__ import annotations
@@ -137,8 +140,8 @@ def _gauss_sums(mesh: MacMesh, shape, fn, flat=None) -> np.ndarray:
 
 def cell_average(mesh: MacMesh, fn) -> ScalarField:
     """Cell means of ``fn(x, y[, z])`` by tensorized 3-point Gauss rules."""
-    total = _gauss_sums(mesh, mesh.cells, fn)
-    total /= mesh.cell_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _gauss_sums(mesh, mesh.cells, fn) / mesh.cell_volume
     return ScalarField(mesh, total)
 
 
@@ -150,15 +153,18 @@ def fortin_interpolate(mesh: MacMesh, component_fns) -> VelocityField:
     so the input should satisfy the no-slip condition for the divergence
     of the result to vanish.
     """
-    return VelocityField(mesh, [
-        _gauss_sums(mesh, fs.shape, component_fns[i], flat=i) / fs.measure
-        for i, fs in enumerate(mesh.faces)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return VelocityField(mesh, [
+            _gauss_sums(mesh, fs.shape, component_fns[i], flat=i)
+            / fs.measure for i, fs in enumerate(mesh.faces)])
 
 
 def sample_at_faces(mesh: MacMesh, component_fns) -> VelocityField:
     """Velocity from point values of the input at the face centers."""
-    return VelocityField(mesh, [np.asarray(fn(*fs.center.T), dtype=float)
-                                for fn, fs in zip(component_fns, mesh.faces)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return VelocityField(mesh, [
+            np.asarray(fn(*fs.center.T), dtype=float)
+            for fn, fs in zip(component_fns, mesh.faces)])
 
 
 # -- norms ----------------------------------------------------------------

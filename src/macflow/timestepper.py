@@ -34,11 +34,10 @@ from .linsolve import (SaddleSolver, SolverFailure, solve_transport,
 
 
 class InvariantViolation(RuntimeError):
-    """A guaranteed discrete invariant failed beyond its guard margin.
-
-    A step's guard sets ``field``, the :class:`StepDiagnostics` field it
-    measured, and ``value``, what it measured; rejected initial data
-    leaves both ``None``.
+    """A step broke a guaranteed discrete invariant beyond its guard
+    margin; only :func:`step` raises it.  A guard sets ``field``, the
+    :class:`StepDiagnostics` field it measured, and ``value``, what it
+    measured; a non-finite forcing leaves both ``None``.
     """
 
     def __init__(self, message, field=None, value=None):
@@ -148,26 +147,29 @@ def initialize(mesh: MacMesh, problem) -> SchemeState:
     """Project the initial data: cell means for the density, face means
     for the velocity (exterior faces zeroed by the wall condition).
 
-    A non-finite projected density or velocity is rejected; the
-    projections may overflow on the way there, and do so silently.  When
-    the problem declares density bounds the projected density must lie
-    inside them (cell means are convex combinations of point values, so a
-    violation means inconsistent initial data) and is rejected too.
+    Raises ``ValueError`` for a mesh box (or dimension) other than
+    ``problem.domain``, a non-finite projected density or velocity, and a
+    projected density outside the declared ``rho_bounds`` (cell means are
+    convex combinations of point values, so that means inconsistent data).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = cell_average(mesh, problem.rho0)
-        u = fortin_interpolate(mesh, problem.u0)
+    domain = np.asarray(problem.domain, dtype=float)
+    if not np.array_equal(mesh.domain_box, domain):
+        raise ValueError(f"mesh box {mesh.domain_box.tolist()} is not the "
+                         f"domain {domain.tolist()} of problem "
+                         f"{problem.name!r}")
+    rho = cell_average(mesh, problem.rho0)
+    u = fortin_interpolate(mesh, problem.u0)
     if not np.isfinite(rho.values).all():
-        raise InvariantViolation("initial density is not finite")
+        raise ValueError("initial density is not finite")
     bounds = getattr(problem, "rho_bounds", None)
     if bounds is not None:
         slack = 1e-12 * max(abs(bounds[0]), abs(bounds[1]), 1.0)
         if rho.min() < bounds[0] - slack or rho.max() > bounds[1] + slack:
-            raise InvariantViolation(
+            raise ValueError(
                 f"initial density range ({rho.min():.6g}, {rho.max():.6g}) "
                 f"violates declared bounds {bounds}")
     if not all(np.isfinite(c).all() for c in u.components):
-        raise InvariantViolation("initial velocity is not finite")
+        raise ValueError("initial velocity is not finite")
     return SchemeState(t=0.0, index=0, rho=rho, u=u, p=None)
 
 
@@ -332,7 +334,9 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig,
     step is shrunk to the nearest exact divisor (:func:`time_steps`).
     Snapshots are stored every ``store_every`` steps (always including
     the first and last states).  Every step shares one
-    :class:`~macflow.linsolve.SaddleSolver`.
+    :class:`~macflow.linsolve.SaddleSolver`.  Bad problem data raises
+    ``ValueError`` before the first step, and a step's exception leaves
+    with the run so far as its ``partial``.
     """
     n_steps, dt = time_steps(mesh, problem, cfg)
     cfg_eff = SchemeConfig(**{**cfg.__dict__, "dt": dt})

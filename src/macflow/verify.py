@@ -81,6 +81,16 @@ def _worst(values: list) -> float:
     return float(np.max(values)) if values else 0.0
 
 
+def _battery_rng(trials, seed):
+    """The random generator of a battery of ``trials`` trials, of which
+    there must be at least one: a battery that tried nothing proves
+    nothing."""
+    if not trials >= 1:
+        raise ValueError("an identity battery needs at least 1 trial, "
+                         f"got {trials!r}")
+    return np.random.default_rng(seed)
+
+
 def check_duality(mesh: MacMesh, trials: int = 100, seed: int = 0,
                   tol: float = 1e-12) -> IdentityReport:
     """Dual divergence tested against a velocity equals the diamond-volume
@@ -89,7 +99,7 @@ def check_duality(mesh: MacMesh, trials: int = 100, seed: int = 0,
     Checked per direction on random (density, velocity, test velocity)
     triples; the residual is relative to the magnitude of the two sides.
     """
-    rng = np.random.default_rng(seed)
+    rng = _battery_rng(trials, seed)
     residuals = []
     for _ in range(trials):
         rho = _random_scalar(mesh, rng)
@@ -114,7 +124,7 @@ def check_adjointness(mesh: MacMesh, trials: int = 100, seed: int = 0,
                       tol: float = 1e-12) -> IdentityReport:
     """Pressure gradient is minus the transpose of the velocity divergence
     under the volume-weighted inner products."""
-    rng = np.random.default_rng(seed)
+    rng = _battery_rng(trials, seed)
     residuals = []
     for _ in range(trials):
         p = ScalarField(mesh, rng.standard_normal(mesh.n_cells))
@@ -135,7 +145,7 @@ def check_coercivity(mesh: MacMesh, trials: int = 100, seed: int = 0,
     """Minus the diffusion operator tested against its own argument equals
     the squared discrete H1 norm; the assembled matrix is symmetric to
     ``SYMMETRY_TOL``."""
-    rng = np.random.default_rng(seed)
+    rng = _battery_rng(trials, seed)
     residuals = []
     for _ in range(trials):
         v = _random_velocity(mesh, rng)

@@ -76,6 +76,21 @@ _HUGE_STUDY = "problem: {preset: gyre}\nstudy: {base_cells: 1000000}\n"
 # OverflowError on it.
 _HUGE = "1" + "0" * 400
 
+# A run config whose mesh.coordinates give 2154^3 (10^10) cells: the index
+# arrays of the mesh need 224 GiB, which numpy refuses to allocate.
+_HUGE_COORDINATES = ("mesh: {coordinates: [" + ", ".join(
+    ["[" + ", ".join(map(str, range(2155))) + "]"] * 3) + "]}\n"
+    "problem: {preset: rest, params: {dim: 3}}\n"
+    "time: {t_end: 0.02, dt: 0.01}\n")
+
+# Run configs that give a block, or a key within one, twice: YAML's safe
+# loader would keep the last value.
+_REPEATED_BLOCK = (_RUNNABLE + "time: {t_end: 0.02, dt: 0.01}\n"
+                   "time: {t_end: 0.04, dt: 0.01}\n")
+_REPEATED_KEY = ("mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4], "
+                 "cells: [6, 6]}\nproblem: {preset: gyre}\n"
+                 "time: {t_end: 0.02, dt: 0.01}\n")
+
 _CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
@@ -85,10 +100,11 @@ sys.exit(main(sys.argv[1:]))
 
 
 def main_for(text, argv):
-    """``main(argv)`` on a config of ``text``.  ``_HUGE_STUDY`` runs in a
-    child process with a 3 GiB address space, whose stderr is passed on,
-    so that no machine that overcommits memory commits its arrays."""
-    if text != _HUGE_STUDY:
+    """``main(argv)`` on a config of ``text``.  ``_HUGE_STUDY`` and
+    ``_HUGE_COORDINATES`` run in a child process with a 3 GiB address
+    space, whose stderr is passed on, so that no machine that overcommits
+    memory commits their arrays."""
+    if text not in (_HUGE_STUDY, _HUGE_COORDINATES):
         return main(argv)
     src = str(pathlib.Path(macflow.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -174,7 +190,8 @@ class TestConfigValidation:
          + "time: {t_end: 0.02, dt: 0.01}\n", "'mesh.domain'"),
         ("mesh: {domain: [[0, 1], [0, 1], [0, 1]], cells: [4, 4, 4]}\n"
          "problem: {preset: gyre}\ntime: {t_end: 0.02, dt: 0.01}\n",
-         "'problem.preset'"),
+         "'problem': mesh box [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]] is not "
+         "the domain [[0.0, 1.0], [0.0, 1.0]] of problem 'gyre'"),
         (_RUNNABLE + "time: {t_end: 0.02, dt: true}\n", "'time.dt'"),
         (_RUNNABLE.replace("{preset: gyre}", "{preset: rotating-patch, "
                            "params: {amplitude: -1}}")
@@ -225,12 +242,12 @@ class TestConfigValidation:
         (_RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
          .replace("gyre", "rotating-patch")
          + "time: {t_end: 0.02, dt: 0.01}\n",
-         "mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
-         "[[0.0, 1.0], [0.0, 1.0]] of 'problem.preset' 'rotating-patch'"),
+         "'problem': mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
+         "[[0.0, 1.0], [0.0, 1.0]] of problem 'rotating-patch'"),
         (_RUNNABLE.replace("[[0, 1], [0, 1]]", "[[0, 2], [0, 1]]")
          + "time: {t_end: 0.02, dt: 0.01}\n",
-         "mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
-         "[[0.0, 1.0], [0.0, 1.0]] of 'problem.preset' 'gyre'"),
+         "'problem': mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
+         "[[0.0, 1.0], [0.0, 1.0]] of problem 'gyre'"),
         (None, "cannot read"),
         (b"problem: {preset: gyre}\n# caf\xe9\n", "cannot read"),
         (_RUNNABLE.replace("[8, 8]", "[1.0e+30, 4]")
@@ -260,6 +277,8 @@ class TestConfigValidation:
         (_RUNNABLE.replace("{preset: gyre}",
                            f"{{preset: gyre, params: {{amplitude: {_HUGE}}}}}")
          + "time: {t_end: 0.02, dt: 0.01}\n", "'amplitude' must be finite"),
+        (_REPEATED_BLOCK, "malformed YAML (line 4): repeated key 'time'"),
+        (_REPEATED_KEY, "malformed YAML (line 1): repeated key 'cells'"),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "overflowing-step-count", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -281,7 +300,8 @@ class TestConfigValidation:
             "cells-near-2-to-63", "empty-file", "top-level-list",
             "time-without-dt", "three-domain-pairs-two-cells",
             "params-without-preset", "list-params", "huge-dt", "huge-cells",
-            "huge-domain", "huge-preset-param"])
+            "huge-domain", "huge-preset-param", "repeated-block",
+            "repeated-key"])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -343,7 +363,7 @@ class TestConfigValidation:
         ("study", _HUGE_STUDY, [], "'study': Unable to allocate"),
         ("study", "problem: {preset: gyre, params: {amplitude: 1.0e+308}}\n"
          "study: {base_cells: 4}\n", [],
-         "'problem': initial velocity is not finite"),
+         "'study': initial velocity is not finite"),
         ("verify", f"verify: {{trials: {_HUGE}}}\n", [], "'verify.trials'"),
         ("study", f"study: {{levels: {_HUGE}}}\n", [], "'study.levels'"),
         ("verify", "", ["--seed", _HUGE], "'--seed'"),
@@ -406,7 +426,7 @@ class TestConfigValidation:
         ("study", _HUGE_STUDY, [], "'study': Unable to allocate"),
         ("study", "problem: {preset: gyre, params: {amplitude: 1.0e+308}}\n"
          "study: {base_cells: 4}\n", [],
-         "'problem': initial velocity is not finite"),
+         "'study': initial velocity is not finite"),
         ("run", _RUNNABLE + f"time: {{t_end: 0.02, dt: {_HUGE}}}\n", [],
          "'time.dt'"),
         ("run", _RUNNABLE.replace("[8, 8]", f"[{_HUGE}, 8]")
@@ -423,6 +443,13 @@ class TestConfigValidation:
         ("study", f"problem: {{preset: gyre}}\nstudy: {{levels: {_HUGE}}}\n",
          [], "'study.levels'"),
         ("study", "problem: {preset: gyre}\n", ["--seed", _HUGE], "'--seed'"),
+        ("run", _REPEATED_BLOCK, [], "repeated key 'time'"),
+        ("run", _REPEATED_KEY, [], "repeated key 'cells'"),
+        ("study", "problem: {preset: gyre}\nstudy: {levels: 3, levels: 4}\n",
+         [], "malformed YAML (line 2): repeated key 'levels'"),
+        ("run", _HUGE_COORDINATES, [],
+         "'mesh.coordinates' of [2155, 2155, 2155] points is too large: "
+         "Unable to allocate"),
     ], ids=["run", "verify", "study", "study-step-count",
             "run-transport-scale", "run-off-the-preset-box",
             "verify-unread-block", "study-unread-block",
@@ -432,7 +459,8 @@ class TestConfigValidation:
             "run-unallocatable-cells", "study-unallocatable-level",
             "study-infinite-initial-data", "huge-dt", "huge-cells",
             "huge-domain", "huge-preset-param", "huge-trials", "huge-levels",
-            "huge-seed"])
+            "huge-seed", "repeated-block", "repeated-key",
+            "repeated-study-key", "run-unallocatable-coordinates"])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, extra, message):
         # every input is built before the output directory is created
@@ -729,6 +757,23 @@ class TestRunCommand:
             main(["run", "--config", path, "--out", str(out)]), capsys,
             "'problem': initial velocity is not finite")
         assert not out.exists()
+
+    def test_overflowing_forcing_evaluation_is_silent(self, tmp_path,
+                                                      capsys):
+        # at width 1e-300 the patch density's ((s - 1) / width)**2
+        # overflows to inf at every point but the centre, and its exp(-inf)
+        # is an exact 0: the forcing of each step evaluates it like the
+        # initial projection, with no warning (the suite turns warnings
+        # into errors)
+        path = run_config(
+            tmp_path, mesh={"domain": [[0, 1], [0, 1]], "cells": [4, 4]},
+            time={"t_end": 0.02, "dt": 0.01},
+            problem={"preset": "rotating-patch",
+                     "params": {"width": 1.0e-300}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert "steps completed: 2 of 2" in (out / "summary.txt").read_text()
 
     def test_initial_data_projected_once(self, tmp_path, monkeypatch):
         # the state that passed the check before --out is created is the

@@ -297,6 +297,59 @@ def test_gate_guard_sees_misplaced_spellings():
         ("cli.py", None, None, "velocity divergence")]
 
 
+# Bad problem data is a ValueError of timestepper.initialize, so an
+# InvariantViolation only stops a step: every one that leaves run carries
+# its partial record, and the command line probes none for it.  The three
+# evaluators of problem callables are the one home of their
+# floating-point policy.
+FAILURE_HOMES = {("timestepper.py", "step", "InvariantViolation"),
+                 ("timestepper.py", "_guard", "InvariantViolation"),
+                 ("fields.py", "cell_average", "errstate"),
+                 ("fields.py", "fortin_interpolate", "errstate"),
+                 ("fields.py", "sample_at_faces", "errstate")}
+
+
+def _failure_calls(filename, tree):
+    """``(file, top-level function, name)`` of every call of
+    ``InvariantViolation`` or ``errstate`` in ``tree``, and in ``cli.py``
+    of every call of ``hasattr``."""
+    names = {"InvariantViolation", "errstate"}
+    if filename == "cli.py":
+        names.add("hasattr")
+    for stmt in tree.body:
+        home = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                if name in names:
+                    yield filename, home, name
+
+
+def test_one_way_to_fail_on_bad_data():
+    found = {use for path in SOURCES
+             for use in _failure_calls(path.name,
+                                       ast.parse(path.read_text()))}
+    assert found == FAILURE_HOMES
+
+
+def test_failure_guard_sees_misplaced_calls():
+    code = ("def initialize(mesh, problem):\n"
+            "    with np.errstate(over='ignore'):\n"
+            "        raise InvariantViolation('initial density')\n"
+            "def cmd_study(cfg):\n"
+            "    if not hasattr(exc, 'partial'):\n"
+            "        raise ConfigError(str(exc))\n")
+    tree = ast.parse(code)
+    assert sorted(_failure_calls("cli.py", tree)) == [
+        ("cli.py", "cmd_study", "hasattr"),
+        ("cli.py", "initialize", "InvariantViolation"),
+        ("cli.py", "initialize", "errstate")]
+    assert sorted(_failure_calls("timestepper.py", tree)) == [
+        ("timestepper.py", "initialize", "InvariantViolation"),
+        ("timestepper.py", "initialize", "errstate")]
+
+
 # SciPy names that would run a second Krylov loop beside linsolve.gmres.
 SCIPY_KRYLOV = {"gmres", "LinearOperator"}
 

@@ -8,7 +8,7 @@ import pytest
 
 from macflow.grid import build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
-from macflow import operators as ops
+from macflow import operators as ops, timestepper
 from macflow.linsolve import SaddleSolver
 from macflow.presets import get_preset
 from macflow.timestepper import (InvariantViolation, SchemeConfig,
@@ -182,7 +182,7 @@ class TestInitialize:
         problem = get_preset("gyre")
         # tamper with the declared admissible interval
         object.__setattr__(problem, "rho_bounds", (1.2, 1.3))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ValueError, match="violates declared bounds"):
             initialize(mesh16(), problem)
 
     @pytest.mark.parametrize("field", ["density", "velocity"])
@@ -194,8 +194,32 @@ class TestInitialize:
         else:
             problem = dataclasses.replace(problem,
                                           u0=[problem.u0[0], nan])
-        with pytest.raises(InvariantViolation, match=field):
+        with pytest.raises(ValueError, match=f"initial {field} is not finite"):
             initialize(mesh16(), problem)
+
+    @pytest.mark.parametrize("box, cells, name, message", [
+        ([[0, 2], [0, 1]], (16, 8), "rotating-patch",
+         "mesh box [[0.0, 2.0], [0.0, 1.0]] is not the domain "
+         "[[0.0, 1.0], [0.0, 1.0]] of problem 'rotating-patch'"),
+        ([[0, 1]] * 3, (3, 3, 3), "gyre",
+         "mesh box [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]] is not the domain "
+         "[[0.0, 1.0], [0.0, 1.0]] of problem 'gyre'"),
+    ], ids=["patch-on-2x1", "gyre-on-3d-mesh"])
+    def test_rejects_mesh_off_the_problem_domain(self, monkeypatch, box,
+                                                 cells, name, message):
+        # the scheme's guarantees hold only on the problem's own box: the
+        # run fails as bad input before its first step, not later in a
+        # guard or inside the preset
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran on a mesh off the domain")
+
+        monkeypatch.setattr(timestepper, "step", no_step)
+        mesh, problem = build_uniform_mesh(box, cells), get_preset(name)
+        for start in (initialize, lambda mesh, problem: run(
+                mesh, problem, SchemeConfig(dt=0.01, t_end=0.02))):
+            with pytest.raises(ValueError) as err:
+                start(mesh, problem)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_preset_rejects_non_finite_parameter(self, value):

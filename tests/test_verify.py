@@ -102,6 +102,16 @@ class TestIdentityBatteries:
         assert not rep.passed
         assert rep.line().startswith("[FAIL]")
 
+    @pytest.mark.parametrize("check", [
+        verify.check_duality, verify.check_adjointness,
+        verify.check_coercivity], ids=["duality", "adjointness",
+                                       "coercivity"])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_a_value_error(self, mesh2_uniform, check, trials):
+        # a battery that tried nothing has no worst residual to pass on
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            check(mesh2_uniform, trials=trials, seed=0)
+
     def test_detects_broken_identity(self, mesh2_uniform):
         # sanity: the checker fails when handed an absurd tolerance
         rep = verify.check_duality(mesh2_uniform, trials=5, seed=2,
