@@ -38,7 +38,7 @@ from .timestepper import (InvariantViolation, RunResult, SchemeConfig,
 from .presets import ProblemSetup, available_presets, get_preset
 from .verify import (ConvergenceReport, IdentityReport, TranslateReport,
                      check_adjointness, check_coercivity, check_duality,
-                     collect_diagnostics, convergence_study, infsup_health,
+                     convergence_study, infsup_health,
                      measure_convection_bound, measure_translates,
                      project_divergence_free, write_convergence_csv,
                      write_diagnostics_csv, write_identity_reports,

@@ -121,9 +121,18 @@ class StepDiagnostics:
     precond_refresh: bool
 
 
+def _worst(values: list) -> float:
+    """Largest of ``values``, 0.0 when there are none.  A NaN among them
+    is the result (Python's ``max`` would drop it), so it fails any
+    tolerance ``worst <= tol``, as in the run's gates."""
+    return float(np.max(values)) if values else 0.0
+
+
 @dataclass
 class RunResult:
-    """Trajectory plus diagnostics of a completed run."""
+    """Trajectory and per-step diagnostics of a run, and the estimates
+    they give, computed when read.  ``stopped`` is the exception that
+    ended the run early, ``None`` when it completed."""
 
     mesh: MacMesh
     config: SchemeConfig
@@ -131,6 +140,47 @@ class RunResult:
     trajectory: Trajectory
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     initial_div_l2: float = 0.0
+    stopped: Exception | None = None
+
+    @property
+    def worst(self) -> dict:
+        """The largest value of the field of each of
+        :meth:`SchemeConfig.gates` (NaN when any is, 0.0 with no step),
+        counting the value a guard of ``stopped`` measured, since the
+        step that failed the guard left no diagnostics."""
+        out = {}
+        for _, name, _ in self.config.gates():
+            values = [getattr(d, name) for d in self.diagnostics]
+            if getattr(self.stopped, "field", None) == name:
+                values.append(self.stopped.value)
+            out[name] = _worst(values)
+        return out
+
+    @property
+    def l2h1(self) -> float:
+        """Velocity L2(H1) estimate ``sqrt(sum dt * |u|_h1^2)``, summed
+        left to right (Python 3.12's ``sum`` would change the last bits)."""
+        h1_sq_sum = 0.0
+        for d in self.diagnostics:
+            h1_sq_sum += d.ke_dissipation
+        return math.sqrt(h1_sq_sum)
+
+    @property
+    def linf_l2(self) -> float:
+        """Largest velocity L2 norm, initial state included (NaN if any)."""
+        return float(np.max([norm_lp_dual(self.trajectory.u[0], 2)]
+                            + [d.u_l2 for d in self.diagnostics]))
+
+    @property
+    def rho_l2_monotone(self) -> bool:
+        """Whether the density L2 norm never grew beyond a relative 1e-12
+        from the initial state on; a NaN norm ends the decay."""
+        prev = norm_l2_cells(self.trajectory.rho[0])
+        for d in self.diagnostics:
+            if not d.rho_l2 <= prev * (1 + 1e-12):
+                return False
+            prev = d.rho_l2
+        return True
 
 
 def kinetic_energy(mesh: MacMesh, rho_d, u: VelocityField):
@@ -358,7 +408,7 @@ def run(mesh: MacMesh, problem, cfg: SchemeConfig,
                                bounds=bounds)
         except (InvariantViolation, SolverFailure) as exc:
             # attach what completed so callers can keep the partial record
-            exc.partial = result
+            result.stopped, exc.partial = exc, result
             raise
         result.diagnostics.append(diag)
         last = (k == n_steps - 1)

@@ -26,14 +26,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .grid import MacMesh, build_uniform_mesh, regularity, mesh_step
-from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
+from .fields import (ScalarField, VelocityField, cell_average,
                      fortin_interpolate, norm_l2_cells, norm_lp_dual,
                      norm_h1, norm_h1_squared)
 from . import operators as ops
 from .linsolve import (SolverFailure, assemble_divergence,
                        assemble_gradient, checked_residual, component_solver,
                        factor, pinned_poisson)
-from .timestepper import RunResult, SchemeConfig, StepDiagnostics, run
+from .timestepper import (RunResult, SchemeConfig, StepDiagnostics, _worst,
+                          run)
 from .ioutil import write_table
 
 # LOBPCG residual tolerance and iteration cap of the inf-sup monitor.
@@ -70,15 +71,6 @@ def _random_scalar(mesh, rng, lo=0.5, hi=2.0):
 def _random_velocity(mesh, rng):
     return VelocityField(mesh, [rng.standard_normal(mesh.faces[i].count)
                                 for i in range(mesh.dim)])
-
-
-def _worst(values: list) -> float:
-    """Largest of ``values``, 0.0 when there are none.
-
-    A NaN among them is the result (Python's ``max`` would drop it), so
-    it fails any tolerance ``worst <= tol``, as in the run's gates.
-    """
-    return float(np.max(values)) if values else 0.0
 
 
 def _battery_rng(trials, seed):
@@ -173,57 +165,6 @@ def check_coercivity(mesh: MacMesh, trials: int = 100, seed: int = 0,
         extras={"matrix_asymmetry": asym, "positive_definite": definite})
 
 
-# -- run-level records ---------------------------------------------------------
-
-@dataclass
-class DiagnosticsRecord:
-    """Per-step diagnostics of a run plus what its columns do not give.
-
-    ``l2h1`` accumulates ``sqrt(sum dt * |u|_h1^2)`` and ``linf_l2`` the
-    running maximum of the velocity L2 norm (initial state included).
-    ``worst`` maps the field of each gate of
-    :meth:`~macflow.timestepper.SchemeConfig.gates` to its largest value,
-    NaN when any value is NaN, and 0.0 when the run made no step.
-    """
-
-    steps: list
-    l2h1: float
-    linf_l2: float
-    rho_l2_monotone: bool
-    worst: dict
-
-
-def collect_diagnostics(result: RunResult,
-                        stopped=None) -> DiagnosticsRecord:
-    """Aggregate a run's per-step diagnostics into the cumulative record.
-
-    ``stopped`` is the exception that ended the run, or ``None``.  The
-    value an :class:`InvariantViolation`'s guard measured joins its field's
-    column, since the step that failed the guard left no diagnostics.
-    """
-    steps = result.diagnostics
-    worst = {}
-    for _, name, _ in result.config.gates():
-        values = [getattr(d, name) for d in steps]
-        if getattr(stopped, "field", None) == name:
-            values.append(stopped.value)
-        worst[name] = _worst(values)
-
-    h1_sq_sum = 0.0
-    linf_l2 = float(np.max([norm_lp_dual(result.trajectory.u[0], 2)]
-                           + [d.u_l2 for d in steps]))
-    rho_l2_prev = norm_l2_cells(result.trajectory.rho[0])
-    monotone = True
-    for d in steps:
-        h1_sq_sum += d.ke_dissipation
-        if not d.rho_l2 <= rho_l2_prev * (1 + 1e-12):
-            monotone = False
-        rho_l2_prev = d.rho_l2
-    return DiagnosticsRecord(
-        steps=steps, l2h1=math.sqrt(h1_sq_sum), linf_l2=linf_l2,
-        rho_l2_monotone=monotone, worst=worst)
-
-
 # -- time translates -----------------------------------------------------------
 
 @dataclass
@@ -277,8 +218,7 @@ def measure_translates(result: RunResult,
 
     rho_min = min(r.min() for r in traj.rho)
     rho_max = max(r.max() for r in traj.rho)
-    diag = collect_diagnostics(result)
-    scale = (rho_max / rho_min) * (diag.l2h1 ** 3 + 1.0)
+    scale = (rho_max / rho_min) * (result.l2h1 ** 3 + 1.0)
     return TranslateReport(taus=taus, integrals=integrals, slope=slope,
                            scale_factor=scale, passed=slope >= SLOPE_FLOOR)
 
@@ -364,11 +304,10 @@ def convergence_study(problem, levels: int = 3, base_cells: int = 16,
         cfg = SchemeConfig(dt=base_dt / 2 ** k, t_end=t_end, store_every=1)
         result = run(mesh, problem, cfg)
         err_u, err_rho, err_p = _space_time_errors(result, problem)
-        record = collect_diagnostics(result)
         rows.append(ConvergenceLevel(
             cells=mesh.cells, h=mesh_step(mesh), dt=result.config.dt,
             eta=regularity(mesh), err_u=err_u, err_rho=err_rho, err_p=err_p,
-            l2h1=record.l2h1, linf_l2=record.linf_l2))
+            l2h1=result.l2h1, linf_l2=result.linf_l2))
 
     factors_u = [_reduction(a.err_u, b.err_u) for a, b in zip(rows, rows[1:])]
     factors_rho = [_reduction(a.err_rho, b.err_rho)
@@ -488,15 +427,14 @@ def write_identity_reports(reports, path, cfg_hash=None, seed=None):
                  for r in reports), cfg_hash, seed)
 
 
-def write_diagnostics_csv(record: DiagnosticsRecord, path, cfg_hash=None,
-                          seed=None):
-    """Per-step diagnostics time series of a run (its
-    :func:`collect_diagnostics` record): one column per
-    :class:`StepDiagnostics` field."""
+def write_diagnostics_csv(result: RunResult, path, cfg_hash=None, seed=None):
+    """Per-step diagnostics time series of a run: one column per
+    :class:`StepDiagnostics` field, and the run's two velocity estimates
+    in the header."""
     write_table(path, "run-diagnostics",
                 [f.name for f in fields(StepDiagnostics)],
-                map(astuple, record.steps), cfg_hash, seed,
-                extra={"l2h1": record.l2h1, "linf_l2": record.linf_l2})
+                map(astuple, result.diagnostics), cfg_hash, seed,
+                extra={"l2h1": result.l2h1, "linf_l2": result.linf_l2})
 
 
 def write_translate_csv(report: TranslateReport, path, cfg_hash=None):

@@ -23,7 +23,7 @@ from macflow.linsolve import (GMRES_CYCLES, GMRES_RESTART, JACOBI_MAXITER,
                               solve_transport)
 from macflow.presets import ProblemSetup, get_preset
 from macflow.timestepper import SchemeConfig, initialize, run, step
-from macflow.verify import collect_diagnostics, project_divergence_free
+from macflow.verify import project_divergence_free
 
 from conftest import graded_mesh
 
@@ -1197,21 +1197,20 @@ class TestDensityRatioSweep:
     @pytest.mark.parametrize("ratio", [1.5, 10, 100, 1000])
     def test_sweep_point(self, ratio, dt):
         result = patch_run(ratio, dt)
-        record = collect_diagnostics(result)
         diags = result.diagnostics
         counts = [d.oseen_iterations for d in diags]
         print(f"ratio {ratio:g}, dt {dt:g}: Krylov iterations "
               f"{sum(counts)} {counts}, transport sweeps "
               f"{sum(d.transport_sweeps for d in diags)}, worst divergence "
-              f"{record.worst['div_l2']:.3e}")
+              f"{result.worst['div_l2']:.3e}")
         assert not any(d.oseen_fallback for d in diags)
         # the first step's factors serve the whole run
         assert sum(d.precond_refresh for d in diags) == 1
         assert not any(d.transport_fallback for d in diags)
-        assert record.worst["bound_violation"] == 0.0
-        assert record.rho_l2_monotone
+        assert result.worst["bound_violation"] == 0.0
+        assert result.rho_l2_monotone
         # within 10 times the 2.2e-13 of LU at (1000, 1), the hardest point
-        assert record.worst["div_l2"] <= 2.2e-12
+        assert result.worst["div_l2"] <= 2.2e-12
 
     def test_unavoidable_fallback_spends_few_iterations(self):
         # at ratio 100 and dt = 1 an oseen_tol of 1e-12 asks GMRES for a
@@ -1287,22 +1286,22 @@ class TestIncompleteFactors3D:
         mesh = graded_mesh((12, 12, 12), seed=1)
         problem = swirl_problem(1000.0)
         cfg = SchemeConfig(dt=dt, t_end=5 * dt)
-        incomplete = collect_diagnostics(run(mesh, problem, cfg))
+        incomplete = run(mesh, problem, cfg)
         monkeypatch.setattr(linsolve, "incomplete_factor", factor)
-        exact = collect_diagnostics(run(mesh, problem, cfg))
+        exact = run(mesh, problem, cfg)
 
-        def iterations(record):
-            return sum(d.oseen_iterations for d in record.steps)
+        def iterations(result):
+            return sum(d.oseen_iterations for d in result.diagnostics)
 
         print(f"dt {dt:g}: Krylov iterations {iterations(incomplete)} "
               f"(exact factors {iterations(exact)}), worst divergence "
               f"{incomplete.worst['div_l2']:.3e} "
               f"(exact {exact.worst['div_l2']:.3e})")
-        for record in (incomplete, exact):
-            assert len(record.steps) == 5
+        for result in (incomplete, exact):
+            assert len(result.diagnostics) == 5
             assert not any(d.oseen_fallback or d.transport_fallback
-                           for d in record.steps)
-            assert record.worst["bound_violation"] == 0.0
+                           for d in result.diagnostics)
+            assert result.worst["bound_violation"] == 0.0
         assert incomplete.worst["div_l2"] <= 10 * exact.worst["div_l2"]
 
     @pytest.mark.parametrize("mesh_name, kind", [

@@ -601,8 +601,9 @@ def test_one_entry_point_per_capability():
 def test_each_fact_stored_once():
     # no record field or option restates another value: the solve method
     # is the fallback flag, u_h1 is sqrt(ke_dissipation / dt), a run's dt
-    # and mesh live on the RunResult, the two tolerances are constants
-    from macflow import (SolveReport, StepDiagnostics, Trajectory,
+    # and mesh live on the RunResult, the two tolerances are constants,
+    # and a run's estimates are properties of its one record
+    from macflow import (RunResult, SolveReport, StepDiagnostics, Trajectory,
                          TranslateReport, build_uniform_mesh, verify)
 
     def names(cls):
@@ -617,6 +618,11 @@ def test_each_fact_stored_once():
                      (verify.measure_translates, "slope_floor")):
         assert name not in inspect.signature(fn).parameters
     assert not inspect.signature(Trajectory).parameters
+    assert not hasattr(verify, "DiagnosticsRecord")
+    assert not hasattr(verify, "collect_diagnostics")
+    for name in ("worst", "l2h1", "linf_l2", "rho_l2_monotone"):
+        assert isinstance(getattr(RunResult, name), property)
+        assert name not in names(RunResult)
 
 
 def test_import_leaves_sympy_unloaded():

@@ -320,6 +320,20 @@ class TestRunBookkeeping:
         assert err.value.field == "div_l2" in DIAGNOSTICS_FIELDS
         assert err.value.value > 1e-30
 
+    def test_partial_worst_includes_the_guard_value(self):
+        # the partial run knows what stopped it, so its worst divergence
+        # is the value the guard measured with no caller passing it in
+        cfg = SchemeConfig(dt=0.01, t_end=0.05, div_guard=1e-30)
+        with pytest.raises(InvariantViolation) as err:
+            run(mesh16(), get_preset("gyre"), cfg)
+        partial = err.value.partial
+        assert partial.stopped is err.value
+        assert partial.worst["div_l2"] == err.value.value > 1e-30
+        assert partial.worst["bound_violation"] == 0.0
+        completed = run(mesh16(), get_preset("gyre"),
+                        SchemeConfig(dt=0.01, t_end=0.01))
+        assert completed.stopped is None
+
     def test_density_guard_names_its_field(self):
         state = initialize(mesh16(), get_preset("rotating-patch"))
         low = state.rho.min()

@@ -341,25 +341,25 @@ class TestMonitors:
 
 
 class TestCollectDiagnostics:
+    # the estimates a RunResult derives from its per-step diagnostics
+
     def test_trackers_match_direct_sums(self):
         result, _ = gyre_run(t_end=0.05, dt=0.01)
-        rec = verify.collect_diagnostics(result)
         # L2(H1): direct sum over steps
         direct = math.sqrt(sum(d.ke_dissipation
                                for d in result.diagnostics))
-        assert rec.l2h1 == pytest.approx(direct, rel=1e-13)
+        assert result.l2h1 == pytest.approx(direct, rel=1e-13)
         # Linf(L2) includes the initial state
         u0 = result.trajectory.u[0]
         candidates = [norm_lp_dual(u0, 2)] + [d.u_l2
                                               for d in result.diagnostics]
-        assert rec.linf_l2 == pytest.approx(max(candidates), rel=1e-13)
+        assert result.linf_l2 == pytest.approx(max(candidates), rel=1e-13)
 
     def test_worst_case_aggregates(self):
         result, _ = gyre_run(t_end=0.05, dt=0.01)
-        rec = verify.collect_diagnostics(result)
-        assert list(rec.worst) == [name for _, name, _
-                                   in result.config.gates()]
-        for name, value in rec.worst.items():
+        assert list(result.worst) == [name for _, name, _
+                                      in result.config.gates()]
+        for name, value in result.worst.items():
             assert value == max(getattr(d, name) for d in result.diagnostics)
 
     def test_nan_carried_through(self):
@@ -368,17 +368,16 @@ class TestCollectDiagnostics:
         result, _ = gyre_run(t_end=0.03, dt=0.01)
         steps = result.diagnostics
         steps[1] = replace(steps[1], div_l2=math.nan, rho_l2=math.nan)
-        rec = verify.collect_diagnostics(result)
-        assert math.isnan(rec.worst["div_l2"])
-        assert not math.isnan(rec.worst["mass_dual_resid"])
-        assert not rec.rho_l2_monotone
+        assert math.isnan(result.worst["div_l2"])
+        assert not math.isnan(result.worst["mass_dual_resid"])
+        assert not result.rho_l2_monotone
 
     def test_nan_velocity_norm_carried_through(self):
         # the Linf(L2) tracker keeps a NaN that follows a finite norm
         result, _ = gyre_run(t_end=0.03, dt=0.01)
         steps = result.diagnostics
         steps[1] = replace(steps[1], u_l2=math.nan)
-        assert math.isnan(verify.collect_diagnostics(result).linf_l2)
+        assert math.isnan(result.linf_l2)
 
 
 class TestReportWriters:
@@ -395,7 +394,7 @@ class TestReportWriters:
     def test_diagnostics_csv_row_count(self, tmp_path):
         result, _ = gyre_run(t_end=0.03, dt=0.01)
         path = tmp_path / "diag.csv"
-        verify.write_diagnostics_csv(verify.collect_diagnostics(result), path)
+        verify.write_diagnostics_csv(result, path)
         rows = [ln for ln in path.read_text().splitlines()
                 if ln and not ln.startswith("#")]
         assert len(rows) == 1 + result.n_steps  # header + one per step
