@@ -71,12 +71,22 @@ _READS = {"run": {"mesh", "time", "problem", "solver", "output"},
 class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """YAML's safe loader, on libyaml's parser where PyYAML has it (about
     six times faster on a large file), except that a key repeated within
-    one mapping is an error, where the safe loader would keep its last
-    value."""
+    one mapping is an error, where the safe loader keeps its last value,
+    and so is a value its tag cannot construct (``!!int x``)."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, KeyError, TypeError) as exc:
+            tag = node.tag.replace("tag:yaml.org,2002:", "!!")
+            raise yaml.constructor.ConstructorError(
+                None, None, f"invalid {tag} value: {exc}",
+                node.start_mark) from None
 
     def construct_mapping(self, node, deep=False):
         keys = []
-        for key_node, _ in node.value:
+        for key_node, _ in (node.value if isinstance(node, yaml.MappingNode)
+                            else ()):
             if key_node.tag != "tag:yaml.org,2002:merge":
                 key = self.construct_object(key_node, deep=deep)
                 if key in keys:

@@ -38,14 +38,15 @@ A run makes one :class:`SaddleSolver` for its mesh.  It assembles every
 :func:`solve_oseen`.  The solver builds the CSR pattern of the pinned
 matrix once (:class:`SaddlePattern`: the mesh-constant gradient,
 divergence and diffusion values, and the positions the face masses and
-the convection land on), so a step only fills values.  Each GMRES solve
-starts from the weighted least-squares fit of its system over the span
-of the last ``HISTORY`` accepted solutions, which the solver keeps as
-they are (:meth:`SaddleSolver.start`).  It builds, keeps and
-applies the block preconditioner, whose factors live from step to
-step: the density stays inside its initial bounds (discrete maximum
-principle), so the variable-density Poisson matrix moves within a
-bounded spectral band, and the momentum blocks move by O(dt).  The
+the convection land on), so a step only fills values; the system keeps
+the dual fluxes and the packed forcing and old velocity for the step's
+diagnostics.  Each GMRES solve starts from the weighted least-squares fit
+of its system over the span of the last ``HISTORY`` accepted solutions,
+which the solver keeps as they are (:meth:`SaddleSolver.start`).  It
+builds, keeps and applies the block preconditioner, whose factors live
+from step to step: the density stays inside its initial bounds (discrete
+maximum principle), so the variable-density Poisson matrix moves within
+a bounded spectral band, and the momentum blocks move by O(dt).  The
 factors are rebuilt by a fixed rule (see :class:`SaddleSolver`), and
 each solve reports whether it factored.  Stale factors can cost
 iterations, never accuracy, since the true residual decides.
@@ -347,10 +348,10 @@ class SaddleSystem:
     continuity rows).  ``saddle`` is the :class:`SaddleSolver` that
     assembled the system and solves it; its mesh and gradient block are
     the system's.  ``dt`` and ``face_mass`` are kept for the Krylov
-    preconditioner.  ``fluxes`` (the upwind mass fluxes of the convection)
-    and the dual densities ``rho_dual_old``/``rho_dual_new`` that
-    :func:`assemble_oseen` built the blocks from are kept for the step
-    diagnostics.
+    preconditioner.  The step diagnostics read what :func:`assemble_oseen`
+    built the blocks from: the ``dual_fluxes`` of the convection, the dual
+    densities ``rho_dual_old``/``rho_dual_new``, and the packed old
+    velocity ``u_old`` and forcing ``forcing`` (``None`` without one).
     """
 
     saddle: SaddleSolver
@@ -358,9 +359,11 @@ class SaddleSystem:
     rhs: np.ndarray
     dt: float
     face_mass: np.ndarray
-    fluxes: list
+    dual_fluxes: list
     rho_dual_old: list
     rho_dual_new: list
+    u_old: np.ndarray
+    forcing: np.ndarray | None
 
 
 def assemble_divergence(mesh: MacMesh) -> sp.csr_matrix:
@@ -494,21 +497,21 @@ def assemble_oseen(saddle: SaddleSolver, dt: float, rho_new: ScalarField,
     :func:`solve_oseen`.
     """
     mesh = saddle.mesh
-    fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
+    duals = ops.dual_fluxes(mesh, ops.upwind_face_flux(mesh, rho_new, u_old))
     rho_d_new = ops.dual_density(mesh, rho_new)
     rho_d_old = ops.dual_density(mesh, rho_old)
 
     dvol = mesh.interior_dvol
     face_mass = dvol * mesh.pack_interior(rho_d_new)
-    rhs_u = dvol * mesh.pack_interior(rho_d_old) * u_old.pack_interior() / dt
-    if forcing is not None:
-        rhs_u = rhs_u + dvol * mesh.pack_interior(forcing)
-    half = np.concatenate([0.5 * ops.dual_fluxes(mesh, fluxes, i)
-                           for i in range(mesh.dim)])
-    matrix = saddle.pattern.fill(face_mass / dt, half)
+    u_packed = u_old.pack_interior()
+    rhs_u = dvol * mesh.pack_interior(rho_d_old) * u_packed / dt
+    f_packed = None if forcing is None else mesh.pack_interior(forcing)
+    if f_packed is not None:
+        rhs_u = rhs_u + dvol * f_packed
+    matrix = saddle.pattern.fill(face_mass / dt, 0.5 * np.concatenate(duals))
     rhs = np.concatenate([rhs_u, np.zeros(mesh.n_cells)])
-    return SaddleSystem(saddle, matrix, rhs, float(dt), face_mass, fluxes,
-                        rho_d_old, rho_d_new)
+    return SaddleSystem(saddle, matrix, rhs, float(dt), face_mass, duals,
+                        rho_d_old, rho_d_new, u_packed, f_packed)
 
 
 def gmres(mat, rhs, x0, precond, target: float):

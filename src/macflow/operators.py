@@ -12,6 +12,9 @@ Conventions
 * Dual-interface values are one array per component, aligned with the
   table ``mesh.dual_interfaces[i]``; every dual operator is one
   vectorized pass over it.
+* Dual-mesh operators take the dual fluxes of :func:`dual_fluxes`, not
+  the primal fluxes, so a caller derives them once for all the
+  operators that read them.
 * The upwind density on a face is the low-side cell value when the normal
   velocity is nonnegative (ties go with the flow direction convention)
   and the high-side cell value otherwise.
@@ -60,15 +63,11 @@ def div_from_fluxes(mesh: MacMesh, fluxes) -> np.ndarray:
     return out / mesh.cell_volume
 
 
-def volume_fluxes(mesh: MacMesh, u: VelocityField):
-    """Signed volume fluxes ``measure * u`` per face (unit density)."""
-    return [mesh.faces[i].measure * u.components[i]
-            for i in range(mesh.dim)]
-
-
 def div_velocity(mesh: MacMesh, u: VelocityField) -> np.ndarray:
-    """Discrete divergence of a velocity, one value per cell."""
-    return div_from_fluxes(mesh, volume_fluxes(mesh, u))
+    """Discrete divergence of a velocity, one value per cell: that of its
+    volume fluxes ``measure * u``."""
+    return div_from_fluxes(mesh, [fs.measure * c for fs, c
+                                  in zip(mesh.faces, u.components)])
 
 
 # -- pressure gradient ------------------------------------------------------
@@ -183,40 +182,35 @@ def dual_density(mesh: MacMesh, rho: ScalarField):
     return out
 
 
-def dual_fluxes(mesh: MacMesh, fluxes, i) -> np.ndarray:
-    """Mass fluxes through the dual interfaces of component ``i``.
+def dual_fluxes(mesh: MacMesh, fluxes):
+    """Mass fluxes through the dual interfaces, one array per component.
 
     Each dual-interface flux is the half-sum of the two primal fluxes it
-    bisects: the two component-``i`` fluxes of the host cell in case 1,
+    bisects: the two same-component fluxes of the host cell in case 1,
     the two orthogonal fluxes whose faces it halves in case 2.  Signed
     along the positive axis it crosses.
     """
-    t = mesh.dual_interfaces[i]
     flat = np.concatenate(fluxes)
-    return 0.5 * (flat[t.flux_lo] + flat[t.flux_hi])
+    return [0.5 * (flat[t.flux_lo] + flat[t.flux_hi])
+            for t in mesh.dual_interfaces]
 
 
-def div_dual_from_fluxes(mesh: MacMesh, fluxes):
-    """Divergence over face control volumes of given primal fluxes.
+def div_dual_from_fluxes(mesh: MacMesh, duals):
+    """Divergence over face control volumes of the dual fluxes ``duals``.
 
     Returns one full-length array per direction (zero on exterior faces).
     The construction makes each component's total outflow the half-sum of
     the outflows of the two adjacent cells, so a cell-wise mass balance
     transfers to the face control volumes with no extra error.
     """
-    out = []
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
-        acc = _scatter(fs.count, mesh.dual_interfaces[i],
-                       dual_fluxes(mesh, fluxes, i))
-        out.append(_per_volume(fs, acc))
-    return out
+    return [_per_volume(fs, _scatter(fs.count, t, d))
+            for fs, t, d in zip(mesh.faces, mesh.dual_interfaces, duals)]
 
 
 # -- convection ----------------------------------------------------------------
 
-def convection_apply(mesh: MacMesh, fluxes, v: VelocityField):
-    """Convection of ``v`` by the given primal mass fluxes.
+def convection_apply(mesh: MacMesh, duals, v: VelocityField):
+    """Convection of ``v`` by the dual mass fluxes ``duals``.
 
     Per face control volume: sum of dual-interface fluxes times the
     centered average of the two adjacent values, over the volume.  Testing
@@ -225,17 +219,14 @@ def convection_apply(mesh: MacMesh, fluxes, v: VelocityField):
     balance.
     """
     out = []
-    for i in range(mesh.dim):
-        fs = mesh.faces[i]
-        comp = v.components[i]
-        t = mesh.dual_interfaces[i]
+    for fs, t, d, comp in zip(mesh.faces, mesh.dual_interfaces, duals,
+                              v.components):
         avg = 0.5 * (comp[t.face_lo] + comp[t.face_hi])
-        acc = _scatter(fs.count, t, dual_fluxes(mesh, fluxes, i) * avg)
-        out.append(_per_volume(fs, acc))
+        out.append(_per_volume(fs, _scatter(fs.count, t, d * avg)))
     return out
 
 
-def convection_matrix(mesh: MacMesh, fluxes, i) -> sp.csr_matrix:
+def convection_matrix(mesh: MacMesh, duals, i) -> sp.csr_matrix:
     """Convection block for component ``i`` on interior-face unknowns.
 
     Row of the volume-scaled momentum system: for each dual interface,
@@ -246,7 +237,7 @@ def convection_matrix(mesh: MacMesh, fluxes, i) -> sp.csr_matrix:
     fs = mesh.faces[i]
     dof = fs.interior_dof
     t = mesh.dual_interfaces[i]
-    half = 0.5 * dual_fluxes(mesh, fluxes, i)
+    half = 0.5 * duals[i]
     dlo, dhi = dof[t.face_lo], dof[t.face_hi]
 
     rows, cols, vals = [], [], []
@@ -265,7 +256,7 @@ def convection_matrix(mesh: MacMesh, fluxes, i) -> sp.csr_matrix:
 
 # -- dual reconstruction and gradient -----------------------------------------
 
-def flux_reconstruction(mesh: MacMesh, fluxes, i) -> np.ndarray:
+def flux_reconstruction(mesh: MacMesh, duals, i) -> np.ndarray:
     """Mass-flux density (flux over interface measure) per dual interface.
 
     This is the normal component of the reconstructed momentum field on
@@ -273,7 +264,7 @@ def flux_reconstruction(mesh: MacMesh, fluxes, i) -> np.ndarray:
     equals the half-sum of the adjacent upwind face momenta in case 1 and
     their measure-weighted mean in case 2.
     """
-    return dual_fluxes(mesh, fluxes, i) / mesh.dual_interfaces[i].measure
+    return duals[i] / mesh.dual_interfaces[i].measure
 
 
 def dual_gradient(mesh: MacMesh, i, w: VelocityField) -> np.ndarray:

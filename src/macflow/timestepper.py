@@ -29,8 +29,8 @@ from .fields import (ScalarField, VelocityField, Trajectory, cell_average,
                      fortin_interpolate, norm_l2_cells, norm_lp_dual,
                      norm_h1_squared)
 from . import operators as ops
-from .linsolve import (SaddleSolver, SolverFailure, solve_transport,
-                       assemble_oseen, solve_oseen)
+from .linsolve import (SaddleSolver, SaddleSystem, SolverFailure,
+                       solve_transport, assemble_oseen, solve_oseen)
 
 
 class InvariantViolation(RuntimeError):
@@ -258,11 +258,10 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
            f"density bounds violated by {violation:.3e} at t={t_new:.6g}")
 
     f_arrays = forcing(mesh, t_new) if forcing is not None else None
-    if f_arrays is not None and not np.isfinite(
-            mesh.pack_interior(f_arrays)).all():
-        raise InvariantViolation(f"forcing is not finite at t={t_new:.6g}")
     system = assemble_oseen(saddle, dt, rho_new, state.rho, state.u,
                             forcing=f_arrays)
+    if system.forcing is not None and not np.isfinite(system.forcing).all():
+        raise InvariantViolation(f"forcing is not finite at t={t_new:.6g}")
     u_new, p_new, rep_o = solve_oseen(system, tol=cfg.oseen_tol)
 
     div_l2 = norm_l2_cells(ScalarField(mesh, ops.div_velocity(mesh, u_new)))
@@ -276,9 +275,7 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
         bound_violation=violation, div_l2=div_l2,
         kinetic_energy=kinetic_energy(mesh, system.rho_dual_new, u_new),
         ke_dissipation=dt * norm_h1_squared(u_new),
-        **face_balances(mesh, dt, system.fluxes, system.rho_dual_old,
-                        system.rho_dual_new, state.u, u_new, p_new,
-                        f_arrays),
+        **face_balances(system, u_new, p_new),
         u_l2=norm_lp_dual(u_new, 2),
         transport_residual=rep_t.residual,
         transport_sweeps=rep_t.iterations,
@@ -290,33 +287,32 @@ def step(saddle: SaddleSolver, state: SchemeState, cfg: SchemeConfig,
     return new_state, diag
 
 
-def face_balances(mesh: MacMesh, dt: float, fluxes, rho_d_old, rho_d_new,
-                  u_old: VelocityField, u_new: VelocityField,
-                  p_new: ScalarField, f_arrays) -> dict:
+def face_balances(system: SaddleSystem, u_new: VelocityField,
+                  p_new: ScalarField) -> dict:
     """Face control-volume balances of one step, keyed by the
     :class:`StepDiagnostics` fields they fill.
 
-    ``fluxes`` are the step's upwind mass fluxes of (new density, old
-    velocity), ``rho_d_old``/``rho_d_new`` the dual densities and
-    ``f_arrays`` the forcing face arrays (``None`` without forcing).
-    Every term of the momentum equation is re-evaluated from the returned
-    fields: ``mass_dual_resid`` is the worst face mass balance relative
-    to its largest term; ``kinetic_resid`` the norm of the per-face
-    kinetic energy residuals relative to the momentum right-hand side
-    times ``max(1, |u_new|_inf)``; ``kinetic_remainder_max`` the largest
-    remainder ``-rho_old (u_new - u_old)^2 / (2 dt)``, nonpositive by
-    construction; ``ke_numerical`` and ``ke_work`` the step's numerical
-    dissipation and forcing work.
+    The balances read the step's :class:`SaddleSystem` (its mesh, ``dt``,
+    dual fluxes and densities, packed old velocity and forcing) and its
+    solution ``u_new``, ``p_new``, and re-evaluate from them every term of
+    the momentum equation: ``mass_dual_resid`` is the worst face mass
+    balance relative to its largest term; ``kinetic_resid`` the norm of
+    the per-face kinetic energy residuals relative to the momentum
+    right-hand side times ``max(1, |u_new|_inf)``; ``kinetic_remainder_max``
+    the largest remainder ``-rho_old (u_new - u_old)^2 / (2 dt)``,
+    nonpositive by construction; ``ke_numerical`` and ``ke_work`` the
+    step's numerical dissipation and forcing work.
     """
+    mesh, dt = system.saddle.mesh, system.dt
     pack = mesh.pack_interior
-    div_dual = pack(ops.div_dual_from_fluxes(mesh, fluxes))
-    conv = pack(ops.convection_apply(mesh, fluxes, u_new))
+    div_dual = pack(ops.div_dual_from_fluxes(mesh, system.dual_fluxes))
+    conv = pack(ops.convection_apply(mesh, system.dual_fluxes, u_new))
     lap = pack(ops.laplacian_apply(mesh, u_new))
     grad = pack(ops.grad_pressure(mesh, p_new))
     dv = mesh.interior_dvol
-    un, uo = u_new.pack_interior(), u_old.pack_interior()
-    rn, ro = pack(rho_d_new), pack(rho_d_old)
-    fterm = pack(f_arrays) if f_arrays is not None else np.zeros(un.size)
+    un, uo = u_new.pack_interior(), system.u_old
+    rn, ro = pack(system.rho_dual_new), pack(system.rho_dual_old)
+    fterm = 0.0 if system.forcing is None else system.forcing
 
     # face control-volume mass balance, volume-scaled, relative to the
     # scale of its largest term

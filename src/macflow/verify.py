@@ -73,13 +73,13 @@ def _random_velocity(mesh, rng):
                                 for i in range(mesh.dim)])
 
 
-def _battery_rng(trials, seed):
-    """The random generator of a battery of ``trials`` trials, of which
-    there must be at least one: a battery that tried nothing proves
-    nothing."""
+def _battery_rng(trials, seed, name="trials"):
+    """The random generator of a battery of ``trials`` trials, the
+    argument ``name``, of which there must be at least one: a battery
+    that tried nothing proves nothing."""
     if not trials >= 1:
-        raise ValueError("an identity battery needs at least 1 trial, "
-                         f"got {trials!r}")
+        raise ValueError("a battery needs at least 1 trial, "
+                         f"got {name}={trials!r}")
     return np.random.default_rng(seed)
 
 
@@ -97,13 +97,13 @@ def check_duality(mesh: MacMesh, trials: int = 100, seed: int = 0,
         rho = _random_scalar(mesh, rng)
         v = _random_velocity(mesh, rng)
         w = _random_velocity(mesh, rng)
-        fluxes = ops.upwind_face_flux(mesh, rho, v)
-        dd = ops.div_dual_from_fluxes(mesh, fluxes)
+        duals = ops.dual_fluxes(mesh, ops.upwind_face_flux(mesh, rho, v))
+        dd = ops.div_dual_from_fluxes(mesh, duals)
         for i in range(mesh.dim):
             fs = mesh.faces[i]
             lhs = float((fs.dvol * dd[i]) @ w.components[i])
             rhs = ops.dual_pairing(
-                mesh, i, ops.flux_reconstruction(mesh, fluxes, i),
+                mesh, i, ops.flux_reconstruction(mesh, duals, i),
                 ops.dual_gradient(mesh, i, w))
             scale = max(1.0, abs(lhs), abs(rhs))
             residuals.append(abs(lhs - rhs) / scale)
@@ -355,9 +355,9 @@ def measure_convection_bound(mesh: MacMesh, samples: int = 20,
     velocities, and random test velocities, reports statistics of
     ``|integral of C(rho,u)v . w|`` over ``max|rho| * |u|_h1 * |v|_h1 *
     |w|_h1``.  Monitored across refinement; no universal constant is
-    asserted.
+    asserted.  ``samples`` must be at least 1.
     """
-    rng = np.random.default_rng(seed)
+    rng = _battery_rng(samples, seed, "samples")
     # every sample is drawn first, in the order (rho, u, v, w), so that
     # the projections of all the u's share one factor
     rhos, us, vs, ws = zip(*[
@@ -366,8 +366,8 @@ def measure_convection_bound(mesh: MacMesh, samples: int = 20,
         for _ in range(samples)])
     ratios = []
     for rho, u, v, w in zip(rhos, project_divergence_free(mesh, us), vs, ws):
-        fluxes = ops.upwind_face_flux(mesh, rho, u)
-        conv = ops.convection_apply(mesh, fluxes, v)
+        conv = ops.convection_apply(
+            mesh, ops.dual_fluxes(mesh, ops.upwind_face_flux(mesh, rho, u)), v)
         tri = sum(float((mesh.faces[i].dvol * conv[i]) @ w.components[i])
                   for i in range(mesh.dim))
         denom = (rho.values.max() * norm_h1(u) * norm_h1(v) * norm_h1(w))

@@ -91,6 +91,21 @@ _REPEATED_KEY = ("mesh: {domain: [[0, 1], [0, 1]], cells: [4, 4], "
                  "cells: [6, 6]}\nproblem: {preset: gyre}\n"
                  "time: {t_end: 0.02, dt: 0.01}\n")
 
+# Configs whose mesh.cells carries a value its YAML tag cannot construct,
+# keyed by test id, with the message each reports: the constructors raise
+# ValueError, KeyError or TypeError on them, which the loader reports as
+# malformed YAML at the value's line.
+_BAD_TAGS = {
+    f"{tag}-tag": (_RUNNABLE.replace("[8, 8]", f"!!{tag} {value}")
+                   + "time: {t_end: 0.02, dt: 0.01}\n",
+                   f"malformed YAML (line 1): {message}")
+    for tag, value, message in [
+        ("int", "x", "invalid !!int value"),
+        ("float", "x", "invalid !!float value"),
+        ("timestamp", "2020-13-45", "invalid !!timestamp value"),
+        ("bool", "maybe", "invalid !!bool value"),
+        ("set", "[1]", "expected a mapping node, but found sequence")]}
+
 _CAPPED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
@@ -295,6 +310,7 @@ class TestConfigValidation:
          + "time: {t_end: 0.02, dt: 0.01}\n", "'amplitude' must be finite"),
         (_REPEATED_BLOCK, "malformed YAML (line 4): repeated key 'time'"),
         (_REPEATED_KEY, "malformed YAML (line 1): repeated key 'cells'"),
+        *_BAD_TAGS.values(),
     ], ids=["unknown-key", "malformed-yaml", "negative-dt", "nan-dt",
             "inf-t-end", "overflowing-step-count", "empty-mesh-axis", "non-increasing-coordinates",
             "unknown-solver", "unknown-solver-enforce", "nan-preset-param",
@@ -317,7 +333,7 @@ class TestConfigValidation:
             "time-without-dt", "three-domain-pairs-two-cells",
             "params-without-preset", "list-params", "huge-dt", "huge-cells",
             "huge-domain", "huge-preset-param", "repeated-block",
-            "repeated-key"])
+            "repeated-key", *_BAD_TAGS])
     def test_exit_code_2_on_bad_config(self, tmp_path, capsys, text,
                                        message):
         path = tmp_path / "c.yaml"
@@ -466,6 +482,7 @@ class TestConfigValidation:
         ("run", _HUGE_COORDINATES, [],
          "'mesh.coordinates' of [2155, 2155, 2155] points is too large: "
          "Unable to allocate"),
+        *[("run", text, [], message) for text, message in _BAD_TAGS.values()],
     ], ids=["run", "verify", "study", "study-step-count",
             "run-transport-scale", "run-off-the-preset-box",
             "verify-unread-block", "study-unread-block",
@@ -476,7 +493,8 @@ class TestConfigValidation:
             "study-infinite-initial-data", "huge-dt", "huge-cells",
             "huge-domain", "huge-preset-param", "huge-trials", "huge-levels",
             "huge-seed", "repeated-block", "repeated-key",
-            "repeated-study-key", "run-unallocatable-coordinates"])
+            "repeated-study-key", "run-unallocatable-coordinates",
+            *_BAD_TAGS])
     def test_rejected_config_leaves_no_output_directory(
             self, tmp_path, capsys, command, text, extra, message):
         # every input is built before the output directory is created

@@ -483,13 +483,14 @@ class TestSaddleBlocks:
         fluxes = ops.upwind_face_flux(mesh, rho_new, u_old)
         assert min(f.min() for f in fluxes) < 0 < max(f.max() for f in fluxes)
         rho_d = ops.dual_density(mesh, rho_new)
+        duals = ops.dual_fluxes(mesh, fluxes)
         blocks = []
         for i in range(mesh.dim):
             fs = mesh.faces[i]
             idx = fs.interior_idx
             blocks.append((sp.diags(fs.dvol[idx] * rho_d[i][idx] / dt)
                            + ops.diffusion_matrix(mesh, i)
-                           + ops.convection_matrix(mesh, fluxes, i)).tocsr())
+                           + ops.convection_matrix(mesh, duals, i)).tocsr())
         saddle = sp.bmat([[sp.block_diag(blocks, format="csr"),
                            assemble_gradient(mesh)],
                           [assemble_divergence(mesh), None]], format="csr")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from macflow.grid import build_uniform_mesh
+from macflow.grid import MacMesh, build_uniform_mesh
 from macflow.fields import ScalarField, VelocityField, norm_l2_cells
 from macflow import operators as ops, timestepper
 from macflow.linsolve import SaddleSolver
@@ -94,7 +94,8 @@ class TestOneStepResidual:
         fluxes = ops.upwind_face_flux(mesh, new.rho, state.u)
         rho_d_new = ops.dual_density(mesh, new.rho)
         rho_d_old = ops.dual_density(mesh, state.rho)
-        conv = ops.convection_apply(mesh, fluxes, new.u)
+        conv = ops.convection_apply(mesh, ops.dual_fluxes(mesh, fluxes),
+                                    new.u)
         lap = ops.laplacian_apply(mesh, new.u)
         grad = ops.grad_pressure(mesh, new.p)
         worst = 0.0
@@ -154,6 +155,52 @@ class TestForcingGuard:
         _, diag = self.step_with_nan_forcing(wall=True)
         assert diag.div_l2 < 1e-9
         assert math.isfinite(diag.ke_work)
+
+
+def _gravity(mesh, t):
+    """A constant downward forcing along the last axis."""
+    return [np.full(fs.count, -1.0 if i == mesh.dim - 1 else 0.0)
+            for i, fs in enumerate(mesh.faces)]
+
+
+class TestOncePerStep:
+    """A step derives its dual fluxes once, and packs its forcing and its
+    old velocity once each: the saddle system carries them to the
+    diagnostics and the forcing guard."""
+
+    @pytest.mark.parametrize("problem, cells, forcing", [
+        (get_preset("gyre"), (8, 8), get_preset("gyre").forcing),
+        (get_preset("rest", dim=3), (4, 4, 4), _gravity),
+    ], ids=["gyre-2d", "rest-3d"])
+    def test_each_quantity_once(self, monkeypatch, problem, cells, forcing):
+        mesh = build_uniform_mesh(problem.domain, cells)
+        state = initialize(mesh, problem)
+        derived, packed, forced = [], [], []
+        dual_fluxes, pack = ops.dual_fluxes, MacMesh.pack_interior
+
+        def counting_duals(*args):
+            derived.append(args)
+            return dual_fluxes(*args)
+
+        def counting_pack(self, arrays):
+            packed.append(arrays)
+            return pack(self, arrays)
+
+        def recorded_forcing(mesh, t):
+            forced.append(forcing(mesh, t))
+            return forced[-1]
+
+        monkeypatch.setattr(ops, "dual_fluxes", counting_duals)
+        monkeypatch.setattr(MacMesh, "pack_interior", counting_pack)
+        _, diag = step(SaddleSolver(mesh), state,
+                       SchemeConfig(dt=0.01, t_end=0.01),
+                       (state.rho.min(), state.rho.max()),
+                       forcing=recorded_forcing)
+        assert diag.kinetic_resid < 1e-9
+        assert len(derived) == 1
+        [f_arrays] = forced
+        assert sum(arrays is f_arrays for arrays in packed) == 1
+        assert sum(arrays is state.u.components for arrays in packed) == 1
 
 
 class TestMassBalances:

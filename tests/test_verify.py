@@ -12,7 +12,7 @@ from macflow import operators as ops
 from macflow.grid import build_uniform_mesh
 from macflow.fields import VelocityField, norm_lp_dual
 from macflow.linsolve import (SaddleSolver, SolverFailure,
-                              assemble_divergence, factor)
+                              assemble_divergence, assemble_oseen, factor)
 from macflow.presets import get_preset
 from macflow.timestepper import (SchemeConfig, StepDiagnostics, initialize,
                                  run, step)
@@ -102,15 +102,19 @@ class TestIdentityBatteries:
         assert not rep.passed
         assert rep.line().startswith("[FAIL]")
 
-    @pytest.mark.parametrize("check", [
-        verify.check_duality, verify.check_adjointness,
-        verify.check_coercivity], ids=["duality", "adjointness",
-                                       "coercivity"])
+    @pytest.mark.parametrize("check, name", [
+        (verify.check_duality, "trials"), (verify.check_adjointness, "trials"),
+        (verify.check_coercivity, "trials"),
+        (verify.measure_convection_bound, "samples")],
+        ids=["duality", "adjointness", "coercivity", "convection-bound"])
     @pytest.mark.parametrize("trials", [0, -1])
-    def test_no_trials_is_a_value_error(self, mesh2_uniform, check, trials):
-        # a battery that tried nothing has no worst residual to pass on
-        with pytest.raises(ValueError, match="at least 1 trial"):
-            check(mesh2_uniform, trials=trials, seed=0)
+    def test_no_trials_is_a_value_error(self, mesh2_uniform, check, name,
+                                        trials):
+        # a battery that tried nothing has no worst residual to pass on;
+        # the message names the argument that counts the trials
+        with pytest.raises(ValueError,
+                           match=f"at least 1 trial, got {name}={trials}"):
+            check(mesh2_uniform, **{name: trials}, seed=0)
 
     def test_detects_broken_identity(self, mesh2_uniform):
         # sanity: the checker fails when handed an absurd tolerance
@@ -138,15 +142,13 @@ class TestKineticCheck:
         result, problem = gyre_run(t_end=0.02)
         mesh = result.mesh
         traj = result.trajectory
-        fluxes = ops.upwind_face_flux(mesh, traj.rho[1], traj.u[0])
+        system = assemble_oseen(
+            SaddleSolver(mesh), result.config.dt, traj.rho[1], traj.rho[0],
+            traj.u[0], forcing=problem.forcing(mesh, traj.times[1]))
 
         def kinetic_resid(u_new):
             return timestepper.face_balances(
-                mesh, result.config.dt, fluxes,
-                ops.dual_density(mesh, traj.rho[0]),
-                ops.dual_density(mesh, traj.rho[1]), traj.u[0], u_new,
-                traj.p[1], problem.forcing(mesh, traj.times[1])
-            )["kinetic_resid"]
+                system, u_new, traj.p[1])["kinetic_resid"]
 
         assert kinetic_resid(traj.u[1]) == result.diagnostics[0].kinetic_resid
         u = VelocityField(mesh, traj.u[1].components)
